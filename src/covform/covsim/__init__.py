@@ -8,7 +8,6 @@ from covform.covsim.ekf import (
     LandmarkBuffer,
     ekf_predict,
     ekf_update_gps,
-    ekf_update_range,
     ekf_update_ranges,
     landmark_init,
     trilaterate,
@@ -28,7 +27,7 @@ __all__ = [
     "ControlGains", "SimConfig", "SimMetrics",
     "control_step",
     "EkfModel", "EkfState", "LandmarkBuffer",
-    "ekf_predict", "ekf_update_gps", "ekf_update_range", "ekf_update_ranges",
+    "ekf_predict", "ekf_update_gps", "ekf_update_ranges",
     "landmark_init", "trilaterate",
     "aggregate", "monte_carlo", "reduction_table", "trial_seeds",
     "TrialArtifacts", "TruthLog", "dump_trajectory_csv",

@@ -76,7 +76,8 @@ class SimMetrics:
     nees_containment: float
     completed: bool
     diverged: bool
-    n_rejected_ranges: int
+    n_rejected_ranges: int   # range rows dropped by the innovation gate
+    n_rejected_gps: int      # GPS fixes dropped by the innovation gate
     seed: int
 
     def as_record(self, formation_id: str = "") -> dict:
@@ -91,5 +92,6 @@ class SimMetrics:
             "completed": self.completed,
             "diverged": self.diverged,
             "n_rejected_ranges": self.n_rejected_ranges,
+            "n_rejected_gps": self.n_rejected_gps,
         }
         return rec

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from covform.se2 import _V, rot2
+from covform.ranging import DEGENERATE_RANGE, _edge_index
+from covform.se2 import _rot_many, exp_step, rot2
 from covform.team import RangeGraph, TeamConfig
 
 RANGE_GATE_1DOF = 13.8   # chi-square, 99.98%
@@ -27,20 +28,13 @@ MIN_BASELINE = 0.5       # m of tag spread before trilateration is attempted
 MIN_PLANAR_SPREAD = 0.08  # m of spread off the principal line (tag offsets suffice)
 MIRROR_COST_RATIO = 0.8  # accept only if the fit clearly beats its mirror image
 MAX_TRILAT_COND = 1e6
+# an init whose final fit leaves an RMS residual beyond this many range sigmas
+# has converged to a wrong local minimum (seen: 100 m off from three points)
+MAX_INIT_RMS_SIGMAS = 3.0
 INIT_COV_INFLATION = 10.0
 _BUFFER_CAP = 80
 _BUFFER_NOVELTY = 0.05   # m; points closer than this to a buffered one are skipped
 _UNINIT_PRIOR = 1e6
-
-
-def _rot_many(ang: np.ndarray) -> np.ndarray:
-    c, s = np.cos(ang), np.sin(ang)
-    out = np.empty((ang.shape[0], 2, 2))
-    out[:, 0, 0] = c
-    out[:, 0, 1] = -s
-    out[:, 1, 0] = s
-    out[:, 1, 1] = c
-    return out
 
 
 @dataclass
@@ -67,24 +61,18 @@ class EkfModel:
 
     @classmethod
     def build(cls, team: TeamConfig, graph: RangeGraph, n_landmarks: int) -> "EkfModel":
-        t = team.n_tags
-        tag_robot = np.empty(t, dtype=np.intp)
-        tag_offset = np.empty((t, 2))
-        for tag in range(1, t + 1):
-            robot, local = team.tag_owner(tag)
-            tag_robot[tag - 1] = robot - 1
-            tag_offset[tag - 1] = team.robots[robot - 1].tag_offsets[local]
-        tag_perp = np.stack([-tag_offset[:, 1], tag_offset[:, 0]], axis=1)
-        e = graph.n_edges
-        edge_i = np.array([i - 1 for i, _ in graph.edges], dtype=np.intp)
-        edge_j = np.array([j - 1 for _, j in graph.edges], dtype=np.intp)
+        idx = _edge_index(team, graph)
         return cls(
             n_robots=team.n_robots, n_landmarks=n_landmarks,
-            tag_robot=tag_robot, tag_offset=tag_offset, tag_perp=tag_perp,
-            edge_i=edge_i, edge_j=edge_j,
-            robot_i=tag_robot[edge_i], robot_j=tag_robot[edge_j],
-            sigma=np.asarray(graph.sigmas, dtype=np.float64),
+            tag_robot=idx.tag_robot, tag_offset=idx.tag_offset, tag_perp=idx.tag_perp,
+            edge_i=idx.edge_i, edge_j=idx.edge_j, robot_i=idx.robot_i, robot_j=idx.robot_j,
+            sigma=idx.sigma,
         )
+
+    def tag_positions(self, ang: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """World positions (T,2) of every tag for robot headings (N,) and positions (N,2)."""
+        C = _rot_many(ang)
+        return np.einsum("tij,tj->ti", C[self.tag_robot], self.tag_offset) + pos[self.tag_robot]
 
 
 @dataclass
@@ -117,9 +105,7 @@ class EkfState:
                    np.zeros((L, 2)), np.zeros(L, dtype=bool), P)
 
     def tag_positions(self, model: EkfModel) -> np.ndarray:
-        C = _rot_many(self.ang)
-        return (np.einsum("tij,tj->ti", C[model.tag_robot], model.tag_offset)
-                + self.pos[model.tag_robot])
+        return model.tag_positions(self.ang, self.pos)
 
 
 def ekf_predict(state: EkfState, model: EkfModel, u: np.ndarray,
@@ -132,38 +118,28 @@ def ekf_predict(state: EkfState, model: EkfModel, u: np.ndarray,
     if dt <= 0:
         raise ValueError("dt must be > 0")
     out = state.copy()
-    P = out.P
-    for p in range(model.n_robots):
-        phi = dt * u[p, 0]
-        t = _V(phi) @ (dt * u[p, 1:])
-        Cp = rot2(out.ang[p])
-        out.ang[p] += phi
-        out.pos[p] += Cp @ t
-        # F = Ad(exp(-dt u)) under the [phi, rho] ordering
-        Cinv = rot2(-phi)
-        rinv = -(Cinv @ t)
-        F = np.eye(3)
-        F[1, 0] = rinv[1]
-        F[2, 0] = -rinv[0]
-        F[1:, 1:] = Cinv
-        b = slice(3 * p, 3 * p + 3)
-        P[b, :] = F @ P[b, :]
-        P[:, b] = P[:, b] @ F.T
-        P[b, b] += (dt * dt) * vel_cov
+    xi = dt * u
+    t = exp_step(out.ang, out.pos, xi)
+    # F_p = Ad(exp(-xi_p)) under the [phi, rho] ordering: exp(-xi_p) has
+    # rotation Cinv = R(-phi_p) and translation rinv = -Cinv t_p
+    Cinv = _rot_many(-xi[:, 0])
+    rinv = -np.einsum("nij,nj->ni", Cinv, t)
+    blk = np.arange(3 * model.n_robots).reshape(-1, 3)
+    rows, cols = blk[:, :, None], blk[:, None, :]
+    F = np.eye(model.dim)
+    F[blk[:, 1], blk[:, 0]] = rinv[:, 1]
+    F[blk[:, 2], blk[:, 0]] = -rinv[:, 0]
+    F[rows[:, 1:], cols[:, :, 1:]] = Cinv
+    out.P = F @ out.P @ F.T
+    out.P[rows, cols] += (dt * dt) * vel_cov
     return out
 
 
 def _retract(state: EkfState, model: EkfModel, delta: np.ndarray) -> None:
     """Apply an error-state correction: poses by right exp, landmarks additively."""
-    n = model.n_robots
-    for p in range(n):
-        d = delta[3 * p:3 * p + 3]
-        Cp = rot2(state.ang[p])
-        state.ang[p] += d[0]
-        state.pos[p] += Cp @ (_V(d[0]) @ d[1:])
-    for l in range(model.n_landmarks):
-        c = model.lm_col(l)
-        state.landmarks[l] += delta[c:c + 2]
+    m = 3 * model.n_robots
+    exp_step(state.ang, state.pos, delta[:m].reshape(-1, 3))
+    state.landmarks += delta[m:].reshape(-1, 2)
 
 
 def _joseph_update(state: EkfState, model: EkfModel, H: np.ndarray,
@@ -181,70 +157,39 @@ def _joseph_update(state: EkfState, model: EkfModel, H: np.ndarray,
     return out
 
 
-def _range_row(state: EkfState, model: EkfModel, tagpos: np.ndarray, lever: np.ndarray,
-               C: np.ndarray, tag: int, lm: int | None, other_tag: int | None) -> tuple[np.ndarray, float] | None:
-    """One measurement row: tag-to-tag (other_tag) or tag-to-landmark (lm)."""
-    pi = tagpos[tag]
-    pj = state.landmarks[lm] if lm is not None else tagpos[other_tag]
-    diff = pi - pj
-    rng = float(np.hypot(diff[0], diff[1]))
-    if rng < 1e-9:
-        return None
-    unit = diff / rng
-    h = np.zeros(model.dim)
-    ri = model.tag_robot[tag]
-    h[3 * ri] = unit @ lever[tag]
-    h[3 * ri + 1:3 * ri + 3] = unit @ C[ri]
-    if lm is not None:
-        c = model.lm_col(lm)
-        h[c:c + 2] = -unit
-    else:
-        rj = model.tag_robot[other_tag]
-        h[3 * rj] -= unit @ lever[other_tag]
-        h[3 * rj + 1:3 * rj + 3] -= unit @ C[rj]
-    return h, rng
-
-
 def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
                       lm_edges: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack the selected robot-robot rows plus the given (tag, landmark) rows.
 
-    Returns (H, predicted ranges, validity mask); rows with a degenerate
-    predicted range are flagged invalid instead of raising.
+    Every row ranges from a tag to either a second tag (the first E rows)
+    or a landmark. Returns (H, predicted ranges, validity mask); rows with
+    a degenerate predicted range are flagged invalid instead of raising.
     """
     C = _rot_many(state.ang)
     tagpos = state.tag_positions(model)
     lever = np.einsum("tij,tj->ti", C[model.tag_robot], model.tag_perp)
 
     e = rr_idx.shape[0]
-    ti, tj = model.edge_i[rr_idx], model.edge_j[rr_idx]
-    diff = tagpos[ti] - tagpos[tj]
+    lm_tag, lm = np.asarray(lm_edges, dtype=np.intp).reshape(-1, 2).T
+    ti = np.concatenate([model.edge_i[rr_idx], lm_tag])
+    tj = model.edge_j[rr_idx]
+    diff = tagpos[ti] - np.concatenate([tagpos[tj], state.landmarks[lm]])
     rng = np.sqrt(np.einsum("ei,ei->e", diff, diff))
-    ok = rng > 1e-9
-    unit = np.where(ok[:, None], diff / np.where(ok, rng, 1.0)[:, None], 0.0)
+    valid = rng > DEGENERATE_RANGE
+    unit = np.where(valid[:, None], diff / np.where(valid, rng, 1.0)[:, None], 0.0)
 
-    n_lm = len(lm_edges)
-    H = np.zeros((e + n_lm, model.dim))
-    zhat = np.zeros(e + n_lm)
-    valid = np.ones(e + n_lm, dtype=bool)
-    zhat[:e] = rng
-    valid[:e] = ok
-    rows = np.arange(e)
-    for robots, tags, sign in ((model.robot_i[rr_idx], ti, 1.0),
-                               (model.robot_j[rr_idx], tj, -1.0)):
-        H[rows, 3 * robots] += sign * np.einsum("ei,ei->e", unit, lever[tags])
-        rho = sign * np.einsum("ei,eij->ej", unit, C[robots])
-        H[rows, 3 * robots + 1] += rho[:, 0]
-        H[rows, 3 * robots + 2] += rho[:, 1]
-
-    for k, (tag, lm) in enumerate(lm_edges):
-        row = _range_row(state, model, tagpos, lever, C, tag, lm, None)
-        if row is None:
-            valid[e + k] = False
-            continue
-        H[e + k] = row[0]
-        zhat[e + k] = row[1]
-    return H, zhat, valid
+    rows = np.arange(ti.shape[0])
+    H = np.zeros((rows.shape[0], model.dim))
+    for r, tags, u, sign in ((rows, ti, unit, 1.0), (rows[:e], tj, unit[:e], -1.0)):
+        robots = model.tag_robot[tags]
+        H[r, 3 * robots] += sign * np.einsum("ei,ei->e", u, lever[tags])
+        rho = sign * np.einsum("ei,eij->ej", u, C[robots])
+        H[r, 3 * robots + 1] += rho[:, 0]
+        H[r, 3 * robots + 2] += rho[:, 1]
+    c = 3 * model.n_robots + 2 * lm
+    H[rows[e:], c] = -unit[e:, 0]
+    H[rows[e:], c + 1] = -unit[e:, 1]
+    return H, rng, valid
 
 
 def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
@@ -272,25 +217,6 @@ def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
         return state.copy(), n_rejected
     new = _joseph_update(state, model, H[keep], nu[keep], sigmas[keep])
     return new, n_rejected
-
-
-def ekf_update_range(state: EkfState, model: EkfModel, edge: tuple[int, int],
-                     measured: float, sigma: float,
-                     gate: float = RANGE_GATE_1DOF) -> tuple[EkfState, bool]:
-    """Single tag-to-tag range update (tags are 1-based global ids)."""
-    C = _rot_many(state.ang)
-    tagpos = state.tag_positions(model)
-    lever = np.einsum("tij,tj->ti", C[model.tag_robot], model.tag_perp)
-    row = _range_row(state, model, tagpos, lever, C, edge[0] - 1, None, edge[1] - 1)
-    if row is None:
-        raise ValueError(f"edge {edge} has degenerate predicted range")
-    h, zhat = row
-    nu = measured - zhat
-    S = float(h @ state.P @ h) + sigma ** 2
-    if nu * nu / S > gate:
-        return state.copy(), False
-    new = _joseph_update(state, model, h[None, :], np.array([nu]), np.array([sigma]))
-    return new, True
 
 
 def ekf_update_gps(state: EkfState, model: EkfModel, measured: np.ndarray,
@@ -404,9 +330,10 @@ def landmark_init(state: EkfState, model: EkfModel, lm: int,
     """Try delayed initialization from buffered (tag position, range) pairs.
 
     Requires at least 3 entries spanning a baseline over MIN_BASELINE with
-    genuine 2D spread, a well-conditioned trilateration, and a clear win
-    over the mirror-image solution (ranges from near-collinear points
-    admit a reflected fit); otherwise the buffer keeps growing.
+    genuine 2D spread, a well-conditioned trilateration whose fit leaves an
+    RMS residual within MAX_INIT_RMS_SIGMAS, and a clear win over the
+    mirror-image solution (ranges from near-collinear points admit a
+    reflected fit); otherwise the buffer keeps growing.
     """
     if state.initialized[lm]:
         raise ValueError(f"landmark {lm} already initialized")
@@ -419,6 +346,8 @@ def landmark_init(state: EkfState, model: EkfModel, lm: int,
     if cond > MAX_TRILAT_COND or not np.all(np.isfinite(sol)):
         return state, False
     _, cost = _gauss_newton(points, ranges, sol)
+    if np.sqrt(cost / len(ranges)) > MAX_INIT_RMS_SIGMAS * sigma:
+        return state, False  # the fit does not explain its own ranges
     mirror, mirror_cost = _gauss_newton(points, ranges, buffer.principal_reflection(sol))
     if np.linalg.norm(mirror - sol) > 0.05 and cost > MIRROR_COST_RATIO * mirror_cost:
         return state, False  # ambiguous: the reflected fit is competitive

@@ -27,7 +27,7 @@ from covform.covsim.ekf import (
     landmark_init,
 )
 from covform.covsim.waypoints import footprint_center, formation_sweep_width, generate_waypoints
-from covform.se2 import FormationState, _V, rot2, wrap_angle
+from covform.se2 import FormationState, _rot_many, exp_step
 from covform.team import RangeGraph, TeamConfig
 
 
@@ -46,15 +46,6 @@ class TruthLog:
     @property
     def n_steps(self) -> int:
         return self.u_cmd.shape[0]
-
-
-def _integrate(ang: np.ndarray, pos: np.ndarray, u: np.ndarray, dt: float) -> None:
-    """In-place pose integration T <- T exp(dt u) for every robot."""
-    for p in range(ang.shape[0]):
-        phi = dt * u[p, 0]
-        t = _V(phi) @ (dt * u[p, 1:])
-        pos[p] += rot2(ang[p]) @ t
-        ang[p] += phi
 
 
 def simulate_truth(team: TeamConfig, x_des: FormationState, waypoints: np.ndarray,
@@ -92,7 +83,7 @@ def simulate_truth(team: TeamConfig, x_des: FormationState, waypoints: np.ndarra
                 break
             u, ferr = control_step(waypoints[wp_idx], ang, pos, x_des, config.gains)
         noisy = u + noise_std * rng.standard_normal(u.shape)
-        _integrate(ang, pos, noisy, dt)
+        exp_step(ang, pos, dt * noisy)
         cmds.append(u)
         angs.append(ang.copy())
         poss.append(pos.copy())
@@ -185,50 +176,24 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
                 slots.append(("lm", tag - 1, l, p))
     cursor = 0
 
-    att_err = np.zeros((K + 1, n - 1))
-    pos_err = np.zeros((K + 1, n - 1))
-    lm_err = np.full((K + 1, L), np.nan)
-    lm_contained = np.zeros((K + 1, L), dtype=bool)
-    n_rejected = 0
-
+    n_rejected_ranges = n_rejected_gps = 0
     est_ang = np.zeros((K + 1, n))
     est_pos = np.zeros((K + 1, n, 2))
-    lm_est = np.full((K + 1, L, 2), np.nan)
-    lm_sig = np.full((K + 1, L, 2), np.nan)
+    lm_est = np.zeros((K + 1, L, 2))
+    lm_var = np.zeros((K + 1, L, 2))
     lm_init_log = np.zeros((K + 1, L), dtype=bool)
 
-    def true_tag_positions(k: int) -> np.ndarray:
-        C = np.empty((n, 2, 2))
-        for p in range(n):
-            C[p] = rot2(truth.ang[k, p])
-        return (np.einsum("tij,tj->ti", C[model.tag_robot], model.tag_offset)
-                + truth.pos[k][model.tag_robot])
-
     def record(k: int) -> None:
-        d_ang_est = state.ang[1:] - state.ang[0]
-        d_ang_true = truth.ang[k, 1:] - truth.ang[k, 0]
-        att_err[k] = np.abs([wrap_angle(a) for a in (d_ang_est - d_ang_true)])
-        C1e = rot2(state.ang[0])
-        C1t = rot2(truth.ang[k, 0])
-        rel_est = (state.pos[1:] - state.pos[0]) @ C1e
-        rel_true = (truth.pos[k, 1:] - truth.pos[k, 0]) @ C1t
-        pos_err[k] = np.linalg.norm(rel_est - rel_true, axis=1)
-        for l in range(L):
-            if state.initialized[l]:
-                e = state.landmarks[l] - lm_true[l]
-                lm_err[k, l] = np.linalg.norm(e)
-                c = model.lm_col(l)
-                sig = np.sqrt(np.maximum(np.diag(state.P[c:c + 2, c:c + 2]), 0.0))
-                lm_contained[k, l] = bool(np.all(np.abs(e) <= 3.0 * sig))
-                lm_est[k, l] = state.landmarks[l]
-                lm_sig[k, l] = sig
-        lm_init_log[k] = state.initialized
         est_ang[k] = state.ang
         est_pos[k] = state.pos
+        lm_est[k] = state.landmarks
+        lm_var[k] = np.diag(state.P)[3 * n:].reshape(L, 2)
+        lm_init_log[k] = state.initialized
 
     record(0)
     for k in range(1, K + 1):
         state = ekf_predict(state, model, truth.u_cmd[k - 1], vel_cov, dt)
+        tag_true = model.tag_positions(truth.ang[k], truth.pos[k])
 
         for _ in range(range_events[k]):
             slot = None
@@ -245,14 +210,13 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
                     break
             if slot is None:
                 continue  # nothing in range this tick
-            tag_true = true_tag_positions(k)
             if slot[0] == "rr":
                 e = slot[1]
                 z = float(np.linalg.norm(tag_true[model.edge_i[e]] - tag_true[model.edge_j[e]]))
                 z += config.noise_scale * float(meas_rng.standard_normal()) * float(model.sigma[e])
                 state, rej = ekf_update_ranges(state, model, np.array([e]), np.array([z]),
                                                [], np.zeros(0), config.range_sigma)
-                n_rejected += rej
+                n_rejected_ranges += rej
             else:
                 _, tag0, l, p = slot
                 z = float(np.linalg.norm(tag_true[tag0] - lm_true[l]))
@@ -261,7 +225,7 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
                     state, rej = ekf_update_ranges(state, model, np.zeros(0, dtype=np.intp),
                                                    np.zeros(0), [(tag0, l)], np.array([z]),
                                                    config.range_sigma)
-                    n_rejected += rej
+                    n_rejected_ranges += rej
                 else:
                     buffers[l].add(state.tag_positions(model)[tag0], z)
                     state, _ = landmark_init(state, model, l, buffers[l], config.range_sigma)
@@ -269,10 +233,22 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
         for _ in range(gps_events[k]):
             z = truth.pos[k, 0] + config.noise_scale * meas_rng.standard_normal(2) * config.gps_sigma
             state, ok = ekf_update_gps(state, model, z, config.gps_sigma)
-            if not ok:
-                n_rejected += 1
+            n_rejected_gps += not ok
 
         record(k)
+
+    # inter-robot errors: headings and positions relative to robot 1, the
+    # latter resolved in robot 1's frame, estimate against truth
+    d_ang = (est_ang[:, 1:] - est_ang[:, :1]) - (truth.ang[:, 1:] - truth.ang[:, :1])
+    att_err = np.abs(np.arctan2(np.sin(d_ang), np.cos(d_ang)))
+    rel_est = (est_pos[:, 1:] - est_pos[:, :1]) @ _rot_many(est_ang[:, 0])
+    rel_true = (truth.pos[:, 1:] - truth.pos[:, :1]) @ _rot_many(truth.ang[:, 0])
+    pos_err = np.linalg.norm(rel_est - rel_true, axis=-1)
+    lm_est[~lm_init_log] = np.nan
+    lm_sig = np.where(lm_init_log[..., None], np.sqrt(np.maximum(lm_var, 0.0)), np.nan)
+    lm_dev = lm_est - lm_true
+    lm_err = np.linalg.norm(lm_dev, axis=-1)
+    lm_contained = np.all(np.abs(lm_dev) <= 3.0 * lm_sig, axis=-1)
 
     att_rmse = float(np.sqrt(np.mean(att_err ** 2)))
     prmse = float(np.sqrt(np.mean(pos_err ** 2)))
@@ -292,7 +268,8 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
         nees_containment=contained_frac,
         completed=truth.completed,
         diverged=bool(bad),
-        n_rejected_ranges=n_rejected,
+        n_rejected_ranges=n_rejected_ranges,
+        n_rejected_gps=n_rejected_gps,
         seed=config.seed,
     )
     if keep_artifacts:

@@ -262,6 +262,20 @@ def _V_many(phi: np.ndarray) -> np.ndarray:
     return out
 
 
+def exp_step(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Right-exp step on stacked poses, in place: T_p <- T_p * exp(xi_p).
+
+    ``ang`` (N,) and ``pos`` (N,2) hold the headings and positions of the
+    T_p; ``xi`` is (N,3) with rows [phi, rho_x, rho_y]. Returns the
+    translations V(phi_p) rho_p of the exp(xi_p).
+    """
+    phi = xi[:, 0]
+    t = np.einsum("nij,nj->ni", _V_many(phi), xi[:, 1:])
+    pos += np.einsum("nij,nj->ni", _rot_many(ang), t)
+    ang += phi
+    return t
+
+
 def oplus(x: FormationState, dx: np.ndarray) -> FormationState:
     """Right-perturb every pose: pose_p <- pose_p * exp(dxi_p).
 

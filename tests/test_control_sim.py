@@ -4,7 +4,7 @@ import pytest
 from covform.covsim import SimConfig, simulate_truth
 from covform.covsim.config import ControlGains
 from covform.covsim.control import control_step
-from covform.se2 import FormationState, Pose2
+from covform.se2 import FormationState, Pose2, exp_step
 from covform.team import TeamConfig
 
 
@@ -63,8 +63,6 @@ class TestSimulateTruth:
     def test_noiseless_formation_error_decays(self):
         # stationary leader, followers displaced: slot errors shrink
         # monotonically (after the heading transient) and vanish
-        from covform.covsim.sim import _integrate
-
         x_des = line_formation(3)
         ang = np.array([0.0, 0.4, -0.3])
         pos = np.array([[0.0, 0.0], [1.8, 0.9], [0.4, -1.2]])
@@ -73,7 +71,7 @@ class TestSimulateTruth:
         for _ in range(3000):
             u, ferr = control_step(np.zeros(2), ang, pos, x_des, GAINS)
             errs.append(ferr)
-            _integrate(ang, pos, u, dt)
+            exp_step(ang, pos, dt * u)
         errs = np.asarray(errs)
         assert errs[-1] < 1e-3
         tail = errs[50:]

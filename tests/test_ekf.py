@@ -7,11 +7,11 @@ from covform.covsim.ekf import (
     LandmarkBuffer,
     ekf_predict,
     ekf_update_gps,
-    ekf_update_range,
     ekf_update_ranges,
     landmark_init,
     trilaterate,
 )
+from covform.se2 import Pose2, adjoint, compose, exp, rot2
 from covform.team import TeamConfig, default_full_graph
 
 VEL_COV = np.diag([0.01 ** 2, 0.1 ** 2, 0.1 ** 2])
@@ -20,6 +20,12 @@ VEL_COV = np.diag([0.01 ** 2, 0.1 ** 2, 0.1 ** 2])
 def make_model(n=3, landmarks=1):
     team = TeamConfig.uniform(n)
     return team, EkfModel.build(team, default_full_graph(team), landmarks)
+
+
+def update_edge(s, model, team, edge, z):
+    """Single tag-to-tag update, addressed by the edge's index in the full graph."""
+    k = default_full_graph(team).edges.index(edge)
+    return ekf_update_ranges(s, model, np.array([k]), np.array([z]), [], np.zeros(0), 0.1)
 
 
 def make_state(model, spread=2.0, seed=0, att_sigma=0.1, pos_sigma=0.3):
@@ -76,6 +82,29 @@ class TestPredict:
         out = ekf_predict(s, model, np.ones((3, 3)), VEL_COV, 0.01)
         np.testing.assert_array_equal(out.landmarks, s.landmarks)
 
+    def test_matches_per_robot_compose_and_adjoint_oracle(self):
+        # mean: T_p exp(dt u_p) per robot; covariance: F P F^T + noise with
+        # F = blockdiag(Ad(exp(-dt u_p)), I) over the landmark columns
+        _, model = make_model(n=4, landmarks=2)
+        s = make_state(model, seed=20)
+        rng = np.random.default_rng(20)
+        A = rng.standard_normal((model.dim, model.dim))
+        s.P = A @ A.T
+        u = rng.uniform(-1, 1, (4, 3))
+        u[3, 0] = 0.0
+        dt = 0.05
+        out = ekf_predict(s, model, u, VEL_COV, dt)
+        F = np.eye(model.dim)
+        Q = np.zeros((model.dim, model.dim))
+        for p in range(4):
+            b = slice(3 * p, 3 * p + 3)
+            T = compose(Pose2(rot2(s.ang[p]), s.pos[p]), exp(dt * u[p]))
+            np.testing.assert_allclose(rot2(out.ang[p]), T.C, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.pos[p], T.r, rtol=0, atol=1e-12)
+            F[b, b] = adjoint(exp(-dt * u[p]))
+            Q[b, b] = dt * dt * VEL_COV
+        np.testing.assert_allclose(out.P, F @ s.P @ F.T + Q, rtol=0, atol=1e-12)
+
     def test_rejects_bad_dt(self):
         _, model = make_model()
         with pytest.raises(ValueError, match="dt"):
@@ -89,8 +118,8 @@ class TestRangeUpdate:
         tagpos = s.tag_positions(model)
         edge = (1, 3)
         z = float(np.linalg.norm(tagpos[0] - tagpos[2]))
-        out, ok = ekf_update_range(s, model, edge, z, 0.1)
-        assert ok
+        out, n_rejected = update_edge(s, model, team, edge, z)
+        assert n_rejected == 0
         np.testing.assert_allclose(out.ang, s.ang, atol=1e-12)
         np.testing.assert_allclose(out.pos, s.pos, atol=1e-12)
         assert np.trace(out.P) < np.trace(s.P)
@@ -100,15 +129,15 @@ class TestRangeUpdate:
         s = make_state(model, seed=4)
         tagpos = s.tag_positions(model)
         z = float(np.linalg.norm(tagpos[0] - tagpos[2])) + 0.05
-        out, ok = ekf_update_range(s, model, (1, 3), z, 0.1)
-        assert ok
+        out, n_rejected = update_edge(s, model, team, (1, 3), z)
+        assert n_rejected == 0
         np.testing.assert_allclose(out.P, out.P.T, atol=1e-9)
 
     def test_gating_rejects_absurd_innovation(self):
         team, model = make_model()
         s = make_state(model, seed=5)
-        out, ok = ekf_update_range(s, model, (1, 3), 500.0, 0.1)
-        assert not ok
+        out, n_rejected = update_edge(s, model, team, (1, 3), 500.0)
+        assert n_rejected == 1
         np.testing.assert_array_equal(out.ang, s.ang)
 
     def test_jacobian_rows_match_finite_differences(self):
@@ -294,6 +323,19 @@ class TestLandmarkInit:
         buf.add(np.array([0.01, 0.0]), 1.0)   # too close, dropped
         buf.add(np.array([0.5, 0.0]), 1.2)
         assert len(buf.points) == 2
+
+    def test_fit_that_misses_its_ranges_defers(self):
+        # buffer from an exp3plus2 trial: trilateration lands ~100 m off
+        # with an RMS residual of ~100 m, so the fit explains nothing
+        _, model = make_model()
+        s = make_state(model, seed=21)
+        buf = LandmarkBuffer()
+        pts = [(-0.46325615, 1.21681871), (-0.78840459, 1.57104814), (-0.52101503, 1.8649667)]
+        for p, d in zip(pts, (1.95518407, 1.94661162, 1.10038603)):
+            buf.add(np.array(p), d)
+        out, ok = landmark_init(s, model, 0, buf, 0.1)
+        assert not ok
+        assert not out.initialized[0]
 
     def test_double_init_rejected(self):
         _, model = make_model()

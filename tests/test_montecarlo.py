@@ -21,7 +21,7 @@ def small_setup():
 def fake_metrics(**kw):
     base = dict(coverage_time=50.0, interrobot_att_rmse=0.01, interrobot_pos_rmse=0.02,
                 landmark_errors=[0.1, 0.2], nees_containment=0.95, completed=True,
-                diverged=False, n_rejected_ranges=0, seed=0)
+                diverged=False, n_rejected_ranges=0, n_rejected_gps=0, seed=0)
     base.update(kw)
     return SimMetrics(**base)
 
@@ -115,3 +115,34 @@ class TestReductionTable:
     def test_missing_baseline_rejected(self):
         with pytest.raises(ValueError, match="baseline"):
             reduction_table({"cov": aggregate([fake_metrics()])}, "adj")
+
+
+class TestRejectionCounters:
+    def test_each_sensor_counts_its_own_gate_rejections(self, monkeypatch):
+        from covform.covsim import sim
+        from covform.covsim.ekf import GPS_GATE_2DOF
+
+        team, graph, x, cfg = small_setup()
+        seen = {"gps_calls": 0, "gps": 0, "ranges": 0}
+        real_gps, real_ranges = sim.ekf_update_gps, sim.ekf_update_ranges
+
+        def gps(state, model, z, sigma):
+            seen["gps_calls"] += 1
+            # every third fix meets a gate nothing passes
+            gate = -1.0 if seen["gps_calls"] % 3 == 0 else GPS_GATE_2DOF
+            state, ok = real_gps(state, model, z, sigma, gate)
+            seen["gps"] += not ok
+            return state, ok
+
+        def ranges(*args):
+            state, n_rejected = real_ranges(*args)
+            seen["ranges"] += n_rejected
+            return state, n_rejected
+
+        monkeypatch.setattr(sim, "ekf_update_gps", gps)
+        monkeypatch.setattr(sim, "ekf_update_ranges", ranges)
+        m = sim.run_coverage_sim(team, graph, x, replace(cfg, max_sim_time=4.0))
+        assert seen["gps"] >= seen["gps_calls"] // 3 > 0
+        assert m.n_rejected_gps == seen["gps"]
+        assert m.n_rejected_ranges == seen["ranges"]
+        assert m.as_record()["n_rejected_gps"] == seen["gps"]

@@ -111,6 +111,23 @@ def test_adjoint_identity_relation():
         np.testing.assert_allclose(lhs.matrix(), rhs.matrix(), atol=1e-5)
 
 
+def test_exp_step_matches_compose_per_pose():
+    rng = np.random.default_rng(11)
+    ang = rng.uniform(-np.pi, np.pi, 6)
+    pos = rng.uniform(-5, 5, (6, 2))
+    xi = np.stack([random_twist(rng) for _ in range(6)])
+    xi[4, 0] = 1e-9   # series branch of V
+    xi[5] = 0.0
+    expected = [se2.compose(se2.Pose2(se2.rot2(a), p), se2.exp(x)) for a, p, x in zip(ang, pos, xi)]
+    ang_new, pos_new = ang.copy(), pos.copy()
+    t = se2.exp_step(ang_new, pos_new, xi)
+    for k, T in enumerate(expected):
+        np.testing.assert_allclose(se2.rot2(ang_new[k]), T.C, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pos_new[k], T.r, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(t[k], se2.exp(xi[k]).r, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(ang_new, ang + xi[:, 0])
+
+
 class TestFormationState:
     def make(self, n=4, seed=0):
         rng = np.random.default_rng(seed)
