@@ -30,8 +30,7 @@ def main() -> int:
     scenario = load_scenario(args.config)
     rc = 0
     for kind in ("adj", "opt", "cov"):
-        ns = argparse.Namespace(config=args.config, cost=kind, seed=args.seed,
-                                out=args.out, jobs=1)
+        ns = argparse.Namespace(config=args.config, cost=kind, seed=args.seed, out=args.out)
         rc |= cmd_optimize(ns)
 
     print("\nobservability comparison (-ln det FIM, lower is better):")

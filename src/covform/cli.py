@@ -5,7 +5,6 @@ Subcommands:
     heatmap      CSV cost grid swept over one robot's position
     simulate     one coverage trial for a formation file
     montecarlo   seeded trials for several formations + comparison table
-    bridge-demo  the seven-robot bridge preset end to end
 
 Every command is deterministic given (--config, --seed). Results are JSON
 (formation, metrics) or CSV (grids, trajectories); exit codes: 0 ok,
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,13 +23,7 @@ import numpy as np
 
 from covform import costs
 from covform.assignment import sort_robot_ids
-from covform.covsim import (
-    aggregate,
-    dump_trajectory_csv,
-    reduction_table,
-    run_coverage_sim,
-    trial_seeds,
-)
+from covform.covsim import dump_trajectory_csv, monte_carlo, reduction_table, run_coverage_sim
 from covform.optimizer import OptimizationTrace, minimize, random_formation
 from covform.scenario import Scenario, ScenarioError, load_scenario
 from covform.se2 import FormationState
@@ -155,11 +147,6 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     return OK
 
 
-def _one_trial(payload):
-    team, graph, x, config = payload
-    return run_coverage_sim(team, graph, x, config)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     x, _, _ = load_formation_file(args.formation)
@@ -180,6 +167,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
+    if args.trials < 1 or args.jobs < 1:
+        raise ScenarioError(f"--trials and --jobs must be >= 1, got {args.trials}, {args.jobs}")
     formations: dict[str, FormationState] = {}
     for path in args.formations:
         p = Path(path)
@@ -191,19 +180,13 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     aggregates: dict[str, dict] = {}
+    config = replace(scenario.sim, seed=args.seed)
     for name, x in formations.items():
-        seeds = trial_seeds(args.seed, args.trials)
-        payloads = [(scenario.team, scenario.graph, x, replace(scenario.sim, seed=s))
-                    for s in seeds]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_one_trial, payloads))
-        else:
-            results = [_one_trial(p) for p in payloads]
+        results, aggregates[name] = monte_carlo(scenario.team, scenario.graph, x, config,
+                                                args.trials, args.jobs)
         with open(outdir / f"trials_{name}.jsonl", "w") as fh:
             for r in results:
                 fh.write(json.dumps(r.as_record(name), sort_keys=True) + "\n")
-        aggregates[name] = aggregate(results)
 
     baseline = "adj" if "adj" in aggregates else next(iter(aggregates))
     summary = {
@@ -217,14 +200,6 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     return OK
 
 
-def cmd_bridge_demo(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.config)
-    if scenario.team.n_robots != 7:
-        raise ScenarioError(f"bridge demo needs the 7-robot preset, got N={scenario.team.n_robots}")
-    args.cost = "cov"
-    return cmd_optimize(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="covform",
                                      description="formation design and coverage evaluation")
@@ -235,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario JSON path or preset name (sim5, bridge7, exp3plus2)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("optimize", help="minimize a formation cost")
     common(p)
@@ -261,11 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--formations", nargs="+", required=True)
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the trials")
     p.set_defaults(func=cmd_montecarlo)
-
-    p = sub.add_parser("bridge-demo", help="optimize the bridge-inspection preset")
-    common(p)
-    p.set_defaults(func=cmd_bridge_demo)
     return parser
 
 

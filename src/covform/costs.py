@@ -123,11 +123,12 @@ def _slot_tables(spec: FormationSpec, sorted_ids: SortedIds):
     # 2 * sum_{k=a..b} radius_k - radius_a - radius_b, slots inclusive
     interior = 2.0 * (radius_prefix[b + 1] - radius_prefix[a]) - radii[a] - radii[b]
     overlap_dist = (1.0 - spec.overlap_fraction) * interior  # (P,)
-    exempt = np.array([(ai + 1 in spec.overlap_exempt_slots)
-                       or (bi + 1 in spec.overlap_exempt_slots)
-                       for ai, bi in zip(a, b)])
+    keep = np.array([not (ai + 1 in spec.overlap_exempt_slots
+                          or bi + 1 in spec.overlap_exempt_slots)
+                     for ai, bi in zip(a, b)], dtype=bool)
     order = np.asarray(sorted_ids.order, dtype=np.intp) - 1  # robot index by slot
-    return a, b, desired, overlap_dist, exempt, order
+    # the overlap term's pairs as robot indices, exempt slots already dropped
+    return a, b, desired, order, order[a[keep]], order[b[keep]], overlap_dist[keep]
 
 
 def desired_offset(spec: FormationSpec, sorted_ids: SortedIds, n: int, m: int) -> np.ndarray:
@@ -141,14 +142,10 @@ def desired_offset(spec: FormationSpec, sorted_ids: SortedIds, n: int, m: int) -
     return out
 
 
-def _slot_positions(x: FormationState, order: np.ndarray) -> np.ndarray:
-    return x.positions()[order]
-
-
 def j_adj(x: FormationState, spec: FormationSpec, sorted_ids: SortedIds) -> float:
     """Sum of squared offset residuals over all sorted slot pairs."""
-    a, b, desired, _, _, order = _slot_tables(spec, sorted_ids)
-    pos = _slot_positions(x, order)
+    a, b, desired, order, *_ = _slot_tables(spec, sorted_ids)
+    pos = x.positions()[order]
     resid = (pos[b] - pos[a]) - desired
     return float(np.einsum("ij,ij->", resid, resid))
 
@@ -159,18 +156,15 @@ def j_overlap(x: FormationState, spec: FormationSpec, sorted_ids: SortedIds) -> 
     Each pair's target is a distance along the current pair direction, so
     the term reduces to (actual distance - target distance)^2.
     """
-    a, b, _, overlap_dist, exempt, order = _slot_tables(spec, sorted_ids)
-    keep = ~exempt
-    if not np.any(keep):
-        return 0.0
-    pos = _slot_positions(x, order)
-    rel = pos[b[keep]] - pos[a[keep]]
-    dist = np.linalg.norm(rel, axis=1)
-    if np.any(dist < 1e-9):
-        k = int(np.argmax(dist < 1e-9))
-        pair = (sorted_ids.order[a[keep][k]], sorted_ids.order[b[keep][k]])
+    *_, over_a, over_b, overlap_dist = _slot_tables(spec, sorted_ids)
+    pos = x.positions()
+    dist = np.linalg.norm(pos[over_b] - pos[over_a], axis=1)
+    close = dist < 1e-9
+    if close.any():
+        k = int(close.argmax())
+        pair = (int(over_a[k]) + 1, int(over_b[k]) + 1)
         raise ValueError(f"robots {pair} are coincident; overlap direction undefined")
-    return float(np.sum((dist - overlap_dist[keep]) ** 2))
+    return float(((dist - overlap_dist) ** 2).sum())
 
 
 def j_opt(x: FormationState, team: TeamConfig, graph: RangeGraph,

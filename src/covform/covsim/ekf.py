@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from covform.ranging import DEGENERATE_RANGE, _edge_index
+from covform.ranging import _edge_index, _EdgeIndex, range_rows, world_tags
 from covform.se2 import _rot_many, exp_step, rot2
 from covform.team import RangeGraph, TeamConfig
 
@@ -39,18 +39,14 @@ _UNINIT_PRIOR = 1e6
 
 @dataclass
 class EkfModel:
-    """Precomputed index arrays for one (team, graph, landmark count) setup."""
+    """The range model's tag/edge table plus the landmark count of one filter setup."""
 
-    n_robots: int
+    index: _EdgeIndex
     n_landmarks: int
-    tag_robot: np.ndarray    # (T,) 0-based owner per tag
-    tag_offset: np.ndarray   # (T,2)
-    tag_perp: np.ndarray     # (T,2) S @ offset
-    edge_i: np.ndarray       # (E,) flat tag indices of the robot-robot graph
-    edge_j: np.ndarray
-    robot_i: np.ndarray
-    robot_j: np.ndarray
-    sigma: np.ndarray        # (E,)
+
+    @property
+    def n_robots(self) -> int:
+        return self.index.n_robots
 
     @property
     def dim(self) -> int:
@@ -61,18 +57,7 @@ class EkfModel:
 
     @classmethod
     def build(cls, team: TeamConfig, graph: RangeGraph, n_landmarks: int) -> "EkfModel":
-        idx = _edge_index(team, graph)
-        return cls(
-            n_robots=team.n_robots, n_landmarks=n_landmarks,
-            tag_robot=idx.tag_robot, tag_offset=idx.tag_offset, tag_perp=idx.tag_perp,
-            edge_i=idx.edge_i, edge_j=idx.edge_j, robot_i=idx.robot_i, robot_j=idx.robot_j,
-            sigma=idx.sigma,
-        )
-
-    def tag_positions(self, ang: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """World positions (T,2) of every tag for robot headings (N,) and positions (N,2)."""
-        C = _rot_many(ang)
-        return np.einsum("tij,tj->ti", C[self.tag_robot], self.tag_offset) + pos[self.tag_robot]
+        return cls(_edge_index(team, graph), n_landmarks)
 
 
 @dataclass
@@ -105,7 +90,7 @@ class EkfState:
                    np.zeros((L, 2)), np.zeros(L, dtype=bool), P)
 
     def tag_positions(self, model: EkfModel) -> np.ndarray:
-        return model.tag_positions(self.ang, self.pos)
+        return world_tags(model.index, _rot_many(self.ang), self.pos)
 
 
 def ekf_predict(state: EkfState, model: EkfModel, u: np.ndarray,
@@ -165,31 +150,17 @@ def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
     or a landmark. Returns (H, predicted ranges, validity mask); rows with
     a degenerate predicted range are flagged invalid instead of raising.
     """
-    C = _rot_many(state.ang)
-    tagpos = state.tag_positions(model)
-    lever = np.einsum("tij,tj->ti", C[model.tag_robot], model.tag_perp)
-
-    e = rr_idx.shape[0]
+    idx = model.index
     lm_tag, lm = np.asarray(lm_edges, dtype=np.intp).reshape(-1, 2).T
-    ti = np.concatenate([model.edge_i[rr_idx], lm_tag])
-    tj = model.edge_j[rr_idx]
-    diff = tagpos[ti] - np.concatenate([tagpos[tj], state.landmarks[lm]])
-    rng = np.sqrt(np.einsum("ei,ei->e", diff, diff))
-    valid = rng > DEGENERATE_RANGE
-    unit = np.where(valid[:, None], diff / np.where(valid, rng, 1.0)[:, None], 0.0)
-
-    rows = np.arange(ti.shape[0])
-    H = np.zeros((rows.shape[0], model.dim))
-    for r, tags, u, sign in ((rows, ti, unit, 1.0), (rows[:e], tj, unit[:e], -1.0)):
-        robots = model.tag_robot[tags]
-        H[r, 3 * robots] += sign * np.einsum("ei,ei->e", u, lever[tags])
-        rho = sign * np.einsum("ei,eij->ej", u, C[robots])
-        H[r, 3 * robots + 1] += rho[:, 0]
-        H[r, 3 * robots + 2] += rho[:, 1]
-    c = 3 * model.n_robots + 2 * lm
-    H[rows[e:], c] = -unit[e:, 0]
-    H[rows[e:], c + 1] = -unit[e:, 1]
-    return H, rng, valid
+    H, rng, unit, valid = range_rows(idx, _rot_many(state.ang), state.pos,
+                                     np.concatenate([idx.edge_i[rr_idx], lm_tag]),
+                                     idx.edge_j[rr_idx], state.landmarks[lm])
+    e = rr_idx.shape[0]
+    H_lm = np.zeros((H.shape[0], 2 * model.n_landmarks))
+    rows = np.arange(e, H.shape[0])
+    H_lm[rows, 2 * lm] = -unit[e:, 0]
+    H_lm[rows, 2 * lm + 1] = -unit[e:, 1]
+    return np.hstack([H, H_lm]), rng, valid
 
 
 def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
@@ -204,7 +175,7 @@ def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
     rr_idx = np.asarray(rr_idx, dtype=np.intp)
     H, zhat, valid = _measurement_rows(state, model, rr_idx, lm_edges)
     z = np.concatenate([z_rr, z_lm])
-    sigmas = np.concatenate([model.sigma[rr_idx], np.full(len(lm_edges), lm_sigma)])
+    sigmas = np.concatenate([model.index.sigma[rr_idx], np.full(len(lm_edges), lm_sigma)])
     nu = z - zhat
 
     # per-row gate on the marginal innovation variance

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -18,18 +21,25 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
 
 
 def monte_carlo(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
-                config: SimConfig, trials: int) -> tuple[list[SimMetrics], dict]:
+                config: SimConfig, trials: int, jobs: int = 1) -> tuple[list[SimMetrics], dict]:
     """Run independent trials; aggregate medians and quartiles.
 
-    Incomplete trials are excluded and counted. Diverged trials are
+    Trials run in ``jobs`` worker processes when jobs > 1; each trial
+    depends only on its own seed, so the results are the same for any
+    jobs. Incomplete trials are excluded and counted. Diverged trials are
     excluded from the filtered statistics but kept in the raw ones, and
     both are reported since the choice moves the medians for poorly
     observable formations.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    results = [run_coverage_sim(team, graph, x_des, replace(config, seed=s))
-               for s in trial_seeds(config.seed, trials)]
+    configs = [replace(config, seed=s) for s in trial_seeds(config.seed, trials)]
+    if jobs == 1:
+        results = [run_coverage_sim(team, graph, x_des, c) for c in configs]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = list(pool.map(partial(run_coverage_sim, team, graph, x_des), configs))
     return results, aggregate(results)
 
 

@@ -27,6 +27,7 @@ from covform.covsim.ekf import (
     landmark_init,
 )
 from covform.covsim.waypoints import footprint_center, formation_sweep_width, generate_waypoints
+from covform.ranging import world_tags
 from covform.se2 import FormationState, _rot_many, exp_step
 from covform.team import RangeGraph, TeamConfig
 
@@ -164,16 +165,14 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     range_events = _event_counts(K, dt, config.range_rate)
     gps_events = _event_counts(K, dt, config.gps_rate)
     buffers = [LandmarkBuffer() for _ in range(L)]
-    robot_tags = [team.tags_of(p) for p in range(1, n + 1)]
+    idx = model.index
 
     # UWB ranging is time-division multiplexed: each range event measures
     # one pair, cycling over the inter-robot graph and whatever landmark
     # pairs are currently inside the detection radius.
     slots: list[tuple] = [("rr", e) for e in range(graph.n_edges)]
     for l in range(L):
-        for p in range(n):
-            for tag in robot_tags[p]:
-                slots.append(("lm", tag - 1, l, p))
+        slots += [("lm", t, l, p) for t, p in enumerate(idx.tag_robot.tolist())]
     cursor = 0
 
     n_rejected_ranges = n_rejected_gps = 0
@@ -193,7 +192,7 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     record(0)
     for k in range(1, K + 1):
         state = ekf_predict(state, model, truth.u_cmd[k - 1], vel_cov, dt)
-        tag_true = model.tag_positions(truth.ang[k], truth.pos[k])
+        tag_true = world_tags(idx, _rot_many(truth.ang[k]), truth.pos[k])
 
         for _ in range(range_events[k]):
             slot = None
@@ -212,8 +211,8 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
                 continue  # nothing in range this tick
             if slot[0] == "rr":
                 e = slot[1]
-                z = float(np.linalg.norm(tag_true[model.edge_i[e]] - tag_true[model.edge_j[e]]))
-                z += config.noise_scale * float(meas_rng.standard_normal()) * float(model.sigma[e])
+                z = float(np.linalg.norm(tag_true[idx.edge_i[e]] - tag_true[idx.edge_j[e]]))
+                z += config.noise_scale * float(meas_rng.standard_normal()) * float(idx.sigma[e])
                 state, rej = ekf_update_ranges(state, model, np.array([e]), np.array([z]),
                                                [], np.zeros(0), config.range_sigma)
                 n_rejected_ranges += rej

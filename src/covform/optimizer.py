@@ -36,6 +36,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.alpha <= 0 or not 0 <= self.beta < 1 or self.tol <= 0 or self.fd_step <= 0:
             raise ValueError("need alpha > 0, 0 <= beta < 1, tol > 0, fd_step > 0")
+        if self.max_iters < 1 or self.restarts < 1:
+            raise ValueError("need max_iters >= 1 and restarts >= 1")
 
 
 @dataclass

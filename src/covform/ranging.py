@@ -12,9 +12,11 @@ so at xi = 0
 
 with S the 90-degree generator. A range row for edge (i, j) is then
 (rho_ij / |rho_ij|)^T times the position Jacobians, positive for the
-endpoint on robot p and negative for the one on robot q. Robot 1 is not a
-state and contributes no columns. Everything is validated against central
-finite differences in the tests.
+endpoint on robot p and negative for the one on robot q. ``range_rows``
+builds these rows over all N robot poses for both the formation design
+and the EKF; in the design robot 1 is the reference, not a state, and its
+columns are dropped. Everything is validated against central finite
+differences in the tests.
 """
 
 from __future__ import annotations
@@ -35,53 +37,39 @@ DEGENERATE_RANGE = 1e-9
 class _EdgeIndex:
     """Precomputed tag/edge arrays; built once per (team, graph) pair."""
 
+    n_robots: int
     tag_robot: np.ndarray   # (T,) 0-based robot index per global tag
     tag_offset: np.ndarray  # (T,2) body-frame offsets
     tag_perp: np.ndarray    # (T,2) S @ offset, the rotation derivative lever
     edge_i: np.ndarray      # (E,) flat tag index of first endpoint
     edge_j: np.ndarray
-    robot_i: np.ndarray     # (E,) 0-based robot of first endpoint
-    robot_j: np.ndarray
-    state_i: np.ndarray     # (E,) bool, endpoint lives on a state robot (not robot 1)
-    state_j: np.ndarray
-    col_i: np.ndarray       # (E,) first column of the robot's 3-wide block
-    col_j: np.ndarray
     sigma: np.ndarray       # (E,)
-    n_cols: int
 
 
 @lru_cache(maxsize=64)
 def _edge_index(team: TeamConfig, graph: RangeGraph) -> _EdgeIndex:
-    t = team.n_tags
-    tag_robot = np.empty(t, dtype=np.intp)
-    tag_offset = np.empty((t, 2))
-    for tag in range(1, t + 1):
-        robot, local = team.tag_owner(tag)
-        tag_robot[tag - 1] = robot - 1
-        tag_offset[tag - 1] = team.robots[robot - 1].tag_offsets[local]
+    tag_robot = np.repeat(np.arange(team.n_robots), [len(r.tag_offsets) for r in team.robots])
+    tag_offset = np.array([o for r in team.robots for o in r.tag_offsets], dtype=np.float64)
     tag_perp = np.stack([-tag_offset[:, 1], tag_offset[:, 0]], axis=1)
-
-    e = graph.n_edges
-    edge_i = np.empty(e, dtype=np.intp)
-    edge_j = np.empty(e, dtype=np.intp)
-    for k, (i, j) in enumerate(graph.edges):
-        edge_i[k], edge_j[k] = i - 1, j - 1
-    robot_i = tag_robot[edge_i]
-    robot_j = tag_robot[edge_j]
-    if np.any(robot_i == robot_j):
-        k = int(np.argmax(robot_i == robot_j))
-        raise ValueError(f"edge {graph.edges[k]} connects two tags on robot {robot_i[k] + 1}")
+    edge_i, edge_j = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T - 1
+    outside = (edge_i < 0) | (edge_j >= team.n_tags)
+    if np.any(outside):
+        k = int(np.argmax(outside))
+        raise ValueError(f"edge {graph.edges[k]} names a tag outside 1..{team.n_tags}")
+    same = tag_robot[edge_i] == tag_robot[edge_j]
+    if np.any(same):
+        k = int(np.argmax(same))
+        raise ValueError(
+            f"edge {graph.edges[k]} connects two tags on robot {tag_robot[edge_i[k]] + 1}")
     return _EdgeIndex(
-        tag_robot=tag_robot, tag_offset=tag_offset, tag_perp=tag_perp,
-        edge_i=edge_i, edge_j=edge_j, robot_i=robot_i, robot_j=robot_j,
-        state_i=robot_i >= 1, state_j=robot_j >= 1,
-        col_i=3 * (robot_i - 1), col_j=3 * (robot_j - 1),
+        n_robots=team.n_robots, tag_robot=tag_robot, tag_offset=tag_offset,
+        tag_perp=tag_perp, edge_i=edge_i, edge_j=edge_j,
         sigma=np.asarray(graph.sigmas, dtype=np.float64),
-        n_cols=3 * (team.n_robots - 1),
     )
 
 
 def _stacked_frames(x: FormationState) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (N,2,2) and positions (N,2) of all robots, robot 1 at the identity."""
     n = x.C.shape[0] + 1
     C = np.empty((n, 2, 2))
     C[0] = np.eye(2)
@@ -89,22 +77,53 @@ def _stacked_frames(x: FormationState) -> tuple[np.ndarray, np.ndarray]:
     return C, x.positions()
 
 
-def _tag_world(x: FormationState, idx: _EdgeIndex) -> tuple[np.ndarray, np.ndarray]:
-    """World tag positions (T,2) and the stacked rotations (N,2,2)."""
-    C, r = _stacked_frames(x)
-    Ct = C[idx.tag_robot]
-    pos = np.einsum("tij,tj->ti", Ct, idx.tag_offset) + r[idx.tag_robot]
-    return pos, C
+def world_tags(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """World positions (T,2) of every tag for robot rotations C (N,2,2) and positions r (N,2)."""
+    return np.einsum("tij,tj->ti", C[idx.tag_robot], idx.tag_offset) + r[idx.tag_robot]
+
+
+_NO_POINTS = np.zeros((0, 2))
+
+
+def range_rows(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray, tag_i: np.ndarray,
+               tag_j: np.ndarray, points: np.ndarray = _NO_POINTS,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Range rows over all N robot poses, 3 columns [phi, x, y] per robot.
+
+    Row k ranges from tag tag_i[k] to tag tag_j[k] for the first len(tag_j)
+    rows, and to the fixed point points[k - len(tag_j)] after them. Returns
+    (H (M, 3N), ranges (M,), unit vectors (M,2), validity mask (M,)); a row
+    whose range is not above DEGENERATE_RANGE is invalid and has unit 0.
+    """
+    pos = world_tags(idx, C, r)
+    # rotation derivative of every tag position: C_p (S a), (T,2)
+    lever = np.einsum("tij,tj->ti", C[idx.tag_robot], idx.tag_perp)
+
+    e = tag_j.shape[0]
+    diff = pos[tag_i] - np.concatenate([pos[tag_j], points])
+    rng = np.sqrt(np.einsum("ei,ei->e", diff, diff))
+    valid = rng > DEGENERATE_RANGE
+    unit = np.where(valid[:, None], diff / np.where(valid, rng, 1.0)[:, None], 0.0)
+
+    rows = np.arange(tag_i.shape[0])
+    H = np.zeros((rows.shape[0], 3 * idx.n_robots))
+    for rr, tags, u, sign in ((rows, tag_i, unit, 1.0), (rows[:e], tag_j, unit[:e], -1.0)):
+        robots = idx.tag_robot[tags]
+        # phi column: unit . (C S a); rho columns: unit^T C
+        H[rr, 3 * robots] += sign * np.einsum("ei,ei->e", u, lever[tags])
+        rho = sign * np.einsum("ei,eij->ej", u, C[robots])
+        H[rr, 3 * robots + 1] += rho[:, 0]
+        H[rr, 3 * robots + 2] += rho[:, 1]
+    return H, rng, unit, valid
 
 
 def tag_position(x: FormationState, team: TeamConfig, tag_id: int) -> np.ndarray:
     """World position of one tag, resolved in robot 1's frame."""
-    robot, local = team.tag_owner(tag_id)
-    offset = np.asarray(team.robots[robot - 1].tag_offsets[local], dtype=np.float64)
+    offset = team.tag_offset(tag_id)
+    robot, _ = team.tag_owner(tag_id)
     if robot == 1:
         return offset
-    i = robot - 2
-    return x.C[i] @ offset + x.r[i]
+    return x.C[robot - 2] @ offset + x.r[robot - 2]
 
 
 def predict_range(x: FormationState, team: TeamConfig, edge: tuple[int, int]) -> float:
@@ -119,53 +138,24 @@ def predict_range(x: FormationState, team: TeamConfig, edge: tuple[int, int]) ->
 
 def predict_all(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.ndarray:
     """Stacked ranges over the graph's (sorted) edge order."""
-    if graph.n_edges == 0:
-        return np.zeros(0)
     idx = _edge_index(team, graph)
-    pos, _ = _tag_world(x, idx)
-    diff = pos[idx.edge_i] - pos[idx.edge_j]
-    return np.sqrt(np.einsum("ei,ei->e", diff, diff))
+    return range_rows(idx, *_stacked_frames(x), idx.edge_i, idx.edge_j)[1]
 
 
 def jacobian(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.ndarray:
     """(E, 3(N-1)) Jacobian of predict_all wrt the oplus perturbation at zero."""
     idx = _edge_index(team, graph)
-    e = graph.n_edges
-    H = np.zeros((e, idx.n_cols))
-    if e == 0:
-        return H
-    pos, C = _tag_world(x, idx)
-    # rotation derivative of every tag position: C_p (S a), (T,2)
-    lever = np.einsum("tij,tj->ti", C[idx.tag_robot], idx.tag_perp)
-
-    diff = pos[idx.edge_i] - pos[idx.edge_j]
-    rng = np.sqrt(np.einsum("ei,ei->e", diff, diff))
-    bad = rng < DEGENERATE_RANGE
-    if np.any(bad):
-        k = int(np.argmax(bad))
+    C, r = _stacked_frames(x)
+    H, rng, _, valid = range_rows(idx, C, r, idx.edge_i, idx.edge_j)
+    if not np.all(valid):
+        k = int(np.argmin(valid))
         raise ValueError(
             f"singular geometry: edge {graph.edges[k]} has near-zero range {rng[k]:.3g}")
-    unit = diff / rng[:, None]
-
-    rows = np.arange(e)
-    for endpoint, sign in ((0, 1.0), (1, -1.0)):
-        mask = idx.state_i if endpoint == 0 else idx.state_j
-        tags = (idx.edge_i if endpoint == 0 else idx.edge_j)[mask]
-        robots = (idx.robot_i if endpoint == 0 else idx.robot_j)[mask]
-        cols = (idx.col_i if endpoint == 0 else idx.col_j)[mask]
-        u = unit[mask]
-        # phi column: unit . (C S a); rho columns: unit^T C
-        H[rows[mask], cols] += sign * np.einsum("ei,ei->e", u, lever[tags])
-        rho_cols = sign * np.einsum("ei,eij->ej", u, C[robots])
-        H[rows[mask], cols + 1] += rho_cols[:, 0]
-        H[rows[mask], cols + 2] += rho_cols[:, 1]
-    return H
+    return H[:, 3:]  # robot 1 is the reference, not a state
 
 
 def fisher(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.ndarray:
     """Fisher information H^T R^{-1} H with R = diag(sigma_ij^2)."""
-    if graph.n_edges == 0:
-        return np.zeros((x.dim, x.dim))
     idx = _edge_index(team, graph)
     H = jacobian(x, team, graph)
     Hw = H / idx.sigma[:, None]

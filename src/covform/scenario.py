@@ -35,6 +35,7 @@ from typing import Any
 
 from covform.covsim.config import ControlGains, SimConfig
 from covform.optimizer import OptimizerConfig
+from covform.ranging import _edge_index
 from covform.team import (
     CostWeights,
     FormationSpec,
@@ -66,43 +67,80 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise ScenarioError(f"{path}: {msg}")
 
 
+def _section(cfg: Any, path: str, known: set[str]) -> dict:
+    """The object at path, once it is checked to be one with only known fields."""
+    _expect(isinstance(cfg, dict), path, "must be an object")
+    unknown = set(cfg) - known
+    _expect(not unknown, path, f"unknown fields {sorted(unknown)}")
+    return cfg
+
+
+def _make(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a ValueError it raises reported at path."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as e:
+        raise ScenarioError(f"{path}: {e}") from None
+
+
+def _num(value: Any, path: str, kind: type = float):
+    _expect(kind is float or not isinstance(value, float) or value.is_integer(), path,
+            f"expected a whole number, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{path}: expected a number, got {value!r}") from None
+
+
+def _nums(values: Any, path: str, length: int | None = None, kind: type = float) -> tuple:
+    _expect(isinstance(values, (list, tuple)) and length in (None, len(values)), path,
+            f"expected {length or 'a list of'} numbers, got {values!r}")
+    return tuple(_num(v, f"{path}[{k}]", kind) for k, v in enumerate(values))
+
+
+def _pairs(values: Any, path: str, kind: type = float) -> tuple:
+    _expect(isinstance(values, (list, tuple)), path, f"expected a list, got {values!r}")
+    return tuple(_nums(v, f"{path}[{k}]", 2, kind) for k, v in enumerate(values))
+
+
+_DEFAULT_TAGS = [[0.17, -0.17], [-0.17, 0.17]]
+
+
 def _build_team(cfg: dict) -> TeamConfig:
+    _section(cfg, "team", {"count", "robots", "tag_offsets", "camera_radius"})
     if "robots" in cfg:
+        _expect(isinstance(cfg["robots"], list), "team.robots", "must be a list")
         robots = []
         for i, r in enumerate(cfg["robots"]):
             path = f"team.robots[{i}]"
+            _section(r, path, {"id", "tag_offsets", "camera_radius"})
             _expect("id" in r, path, "missing id")
-            offsets = tuple(tuple(map(float, o)) for o in r.get("tag_offsets",
-                            ((0.17, -0.17), (-0.17, 0.17))))
-            try:
-                robots.append(RobotSpec(int(r["id"]), offsets,
-                                        float(r.get("camera_radius", 0.5))))
-            except ValueError as e:
-                raise ScenarioError(f"{path}: {e}") from None
-        try:
-            return TeamConfig(tuple(robots))
-        except ValueError as e:
-            raise ScenarioError(f"team.robots: {e}") from None
+            robots.append(_make(
+                path, RobotSpec, _num(r["id"], f"{path}.id", int),
+                _pairs(r.get("tag_offsets", _DEFAULT_TAGS), f"{path}.tag_offsets"),
+                _num(r.get("camera_radius", 0.5), f"{path}.camera_radius")))
+        return _make("team.robots", TeamConfig, tuple(robots))
     _expect("count" in cfg, "team", "needs either 'count' or 'robots'")
-    count = int(cfg["count"])
+    count = _num(cfg["count"], "team.count", int)
     _expect(count >= 2, "team.count", f"need at least 2 robots, got {count}")
-    offsets = tuple(tuple(map(float, o)) for o in cfg.get("tag_offsets",
-                    ((0.17, -0.17), (-0.17, 0.17))))
-    return TeamConfig.uniform(count, offsets, float(cfg.get("camera_radius", 0.5)))
+    offsets = _pairs(cfg.get("tag_offsets", _DEFAULT_TAGS), "team.tag_offsets")
+    radius = _num(cfg.get("camera_radius", 0.5), "team.camera_radius")
+    return _make("team", TeamConfig.uniform, count, offsets, radius)
 
 
 def _build_graph(cfg: dict, team: TeamConfig) -> RangeGraph:
-    sigma = float(cfg.get("sigma", 0.1))
+    _section(cfg, "graph", {"full", "edges", "sigma", "masks"})
+    sigma = _num(cfg.get("sigma", 0.1), "graph.sigma")
     _expect(sigma > 0, "graph.sigma", f"must be > 0, got {sigma}")
     if cfg.get("edges") is not None:
-        try:
-            graph = RangeGraph.from_pairs([tuple(map(int, e)) for e in cfg["edges"]], sigma)
-        except ValueError as e:
-            raise ScenarioError(f"graph.edges: {e}") from None
+        graph = _make("graph.edges", RangeGraph.from_pairs,
+                      _pairs(cfg["edges"], "graph.edges", int), sigma)
+        _make("graph.edges", _edge_index, team, graph)  # known tags on distinct robots
     else:
+        _expect(cfg.get("full", True) is True, "graph.full",
+                "must be true unless 'edges' lists the graph")
         graph = default_full_graph(team, sigma)
-    for k, pair in enumerate(cfg.get("masks", ())):
-        a, b = (int(v) for v in pair)
+    for k, (a, b) in enumerate(_pairs(cfg.get("masks", ()), "graph.masks", int)):
         _expect(1 <= a <= team.n_robots and 1 <= b <= team.n_robots,
                 f"graph.masks[{k}]", f"unknown robot pair ({a}, {b})")
         graph = mask_edges(graph, (a, b), team)
@@ -110,85 +148,65 @@ def _build_graph(cfg: dict, team: TeamConfig) -> RangeGraph:
 
 
 def _build_formation(cfg: dict, team: TeamConfig) -> FormationSpec:
+    _section(cfg, "formation", {"directions", "lambda", "exempt_slots", "activation_radius",
+                                "collision_radius", "weights"})
     _expect("directions" in cfg, "formation", "missing directions")
-    raw = cfg["directions"]
+    raw = _pairs(cfg["directions"], "formation.directions")
     _expect(len(raw) == team.n_robots - 1, "formation.directions",
             f"expected {team.n_robots - 1} vectors for {team.n_robots} robots, got {len(raw)}")
     dirs = []
-    for k, d in enumerate(raw):
-        x, y = float(d[0]), float(d[1])
+    for k, (x, y) in enumerate(raw):
         norm = math.hypot(x, y)
         _expect(norm > 0, f"formation.directions[{k}]", "zero vector")
         dirs.append((x / norm, y / norm))
-    exempt = frozenset(int(s) for s in cfg.get("exempt_slots", ()))
+    exempt = frozenset(_nums(cfg.get("exempt_slots", ()), "formation.exempt_slots", kind=int))
     for s in sorted(exempt):
         _expect(1 <= s <= team.n_robots, "formation.exempt_slots",
                 f"slot {s} outside 1..{team.n_robots}")
-    w = cfg.get("weights", {})
-    try:
-        return FormationSpec(
-            directions=tuple(dirs),
-            overlap_fraction=float(cfg.get("lambda", 0.25)),
-            overlap_exempt_slots=exempt,
-            activation_radius=float(cfg.get("activation_radius", 0.9)),
-            collision_radius=float(cfg.get("collision_radius", 0.5)),
-            weights=CostWeights(adj=float(w.get("adj", 1.0)),
-                                overlap=float(w.get("overlap", 1.0)),
-                                est=float(w.get("est", 1.0)),
-                                col=float(w.get("col", 1.0))),
-        )
-    except ValueError as e:
-        raise ScenarioError(f"formation: {e}") from None
+    w = _section(cfg.get("weights", {}), "formation.weights", {"adj", "overlap", "est", "col"})
+    kw = {key: _num(cfg[key], f"formation.{key}")
+          for key in ("activation_radius", "collision_radius") if key in cfg}
+    if "lambda" in cfg:
+        kw["overlap_fraction"] = _num(cfg["lambda"], "formation.lambda")
+    weights = _make("formation.weights", CostWeights,
+                    **{k: _num(v, f"formation.weights.{k}") for k, v in w.items()})
+    return _make("formation", FormationSpec, directions=tuple(dirs),
+                 overlap_exempt_slots=exempt, weights=weights, **kw)
 
 
 def _build_optimizer(cfg: dict) -> OptimizerConfig:
-    known = {f.name for f in fields(OptimizerConfig)}
-    unknown = set(cfg) - known
-    _expect(not unknown, "optimizer", f"unknown fields {sorted(unknown)}")
+    _section(cfg, "optimizer", {f.name for f in fields(OptimizerConfig)})
     ints = {"max_iters", "restarts"}
-    kw = {k: (int(v) if k in ints else float(v)) for k, v in cfg.items()}
-    try:
-        return OptimizerConfig(**kw)
-    except ValueError as e:
-        raise ScenarioError(f"optimizer: {e}") from None
+    kw = {k: _num(v, f"optimizer.{k}", int if k in ints else float) for k, v in cfg.items()}
+    return _make("optimizer", OptimizerConfig, **kw)
 
 
 def _build_sim(cfg: dict) -> SimConfig:
-    kw: dict[str, Any] = {}
-    if "area" in cfg:
-        kw["area"] = tuple(float(v) for v in cfg["area"])
-    if "landmarks" in cfg:
-        kw["landmark_positions"] = tuple(tuple(float(v) for v in p) for p in cfg["landmarks"])
-    if "vel_noise" in cfg:
-        om, v = cfg["vel_noise"]
-        kw["vel_noise_omega"] = float(om)
-        kw["vel_noise_v"] = float(v)
-    if "gains" in cfg:
-        g = cfg["gains"]
-        kw["gains"] = ControlGains(
-            waypoint=float(g.get("waypoint", 0.8)),
-            formation=float(g.get("formation", 1.2)),
-            heading=float(g.get("heading", 2.0)),
-            speed_cap=float(g.get("speed_cap", 1.0)))
     passthrough = ("dt_truth", "range_rate", "gps_rate", "gps_sigma", "range_sigma",
                    "landmark_detection_radius", "waypoint_tolerance", "formation_gate",
                    "seed", "max_sim_time", "noise_scale", "init_pos_sigma",
                    "init_att_sigma", "divergence_threshold")
+    _section(cfg, "sim", set(passthrough) | {"area", "landmarks", "vel_noise", "gains"})
+    kw: dict[str, Any] = {}
+    if "area" in cfg:
+        kw["area"] = _nums(cfg["area"], "sim.area", 2)
+    if "landmarks" in cfg:
+        kw["landmark_positions"] = _pairs(cfg["landmarks"], "sim.landmarks")
+    if "vel_noise" in cfg:
+        kw["vel_noise_omega"], kw["vel_noise_v"] = _nums(cfg["vel_noise"], "sim.vel_noise", 2)
+    if "gains" in cfg:
+        g = _section(cfg["gains"], "sim.gains", {f.name for f in fields(ControlGains)})
+        kw["gains"] = _make("sim.gains", ControlGains,
+                            **{k: _num(v, f"sim.gains.{k}") for k, v in g.items()})
     for key in passthrough:
         if key in cfg:
-            kw[key] = type(getattr(SimConfig, key))(cfg[key])
-    known = set(passthrough) | {"area", "landmarks", "vel_noise", "gains"}
-    unknown = set(cfg) - known
-    _expect(not unknown, "sim", f"unknown fields {sorted(unknown)}")
-    try:
-        return SimConfig(**kw)
-    except ValueError as e:
-        raise ScenarioError(f"sim: {e}") from None
+            kw[key] = _num(cfg[key], f"sim.{key}", type(getattr(SimConfig, key)))
+    return _make("sim", SimConfig, **kw)
 
 
 def build_scenario(doc: dict, name: str = "scenario") -> Scenario:
     """Validate one parsed config document; raises ScenarioError with a field path."""
-    _expect(isinstance(doc, dict), "", "config root must be an object")
+    _section(doc, "config", {"team", "graph", "formation", "optimizer", "sim", "gps_robots"})
     _expect("team" in doc, "team", "missing section")
     _expect("formation" in doc, "formation", "missing section")
     team = _build_team(doc["team"])
@@ -196,7 +214,7 @@ def build_scenario(doc: dict, name: str = "scenario") -> Scenario:
     formation = _build_formation(doc["formation"], team)
     optimizer = _build_optimizer(doc.get("optimizer", {}))
     sim = _build_sim(doc.get("sim", {}))
-    gps = tuple(int(v) for v in doc.get("gps_robots", ()))
+    gps = _nums(doc.get("gps_robots", ()), "gps_robots", kind=int)
     for g in gps:
         _expect(1 <= g <= team.n_robots, "gps_robots", f"unknown robot {g}")
     return Scenario(team=team, graph=graph, formation=formation,

@@ -148,7 +148,7 @@ class TestRangeUpdate:
         s = make_state(model, seed=6)
         s.landmarks[0] = np.array([1.5, -0.7])
         s.initialized[0] = True
-        rr_idx = np.arange(model.edge_i.shape[0])
+        rr_idx = np.arange(model.index.edge_i.shape[0])
         H, zhat, valid = _measurement_rows(s, model, rr_idx, [(0, 0)])
         assert valid.all()
 
@@ -157,7 +157,7 @@ class TestRangeUpdate:
             probe = s.copy()
             _retract(probe, model, delta)
             tp = probe.tag_positions(model)
-            rr = np.linalg.norm(tp[model.edge_i] - tp[model.edge_j], axis=1)
+            rr = np.linalg.norm(tp[model.index.edge_i] - tp[model.index.edge_j], axis=1)
             lm = [np.linalg.norm(tp[0] - probe.landmarks[0])]
             return np.concatenate([rr, lm])
 

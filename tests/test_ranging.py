@@ -119,6 +119,29 @@ class TestJacobian:
         with pytest.raises(ValueError, match="singular geometry"):
             ranging.jacobian(x, team, g)
 
+    @pytest.mark.parametrize("preset", ["sim5", "bridge7", "exp3plus2"])
+    def test_equals_filter_rows(self, preset):
+        # design and filter share one row builder: at the same global poses
+        # (robot 1 at the identity) the FIM's Jacobian is the EKF's
+        # robot-robot rows without robot 1's columns, bit for bit
+        from covform.covsim.ekf import EkfModel, EkfState, _measurement_rows
+        from covform.scenario import load_scenario
+
+        sc = load_scenario(preset)
+        n = sc.team.n_robots
+        model = EkfModel.build(sc.team, sc.graph, 2)
+        rng = np.random.default_rng(17)
+        for _ in range(25):
+            ang = np.concatenate([[0.0], rng.uniform(-np.pi, np.pi, n - 1)])
+            pos = np.vstack([np.zeros((1, 2)), rng.uniform(-4.0, 4.0, (n - 1, 2))])
+            x = se2.FormationState(se2._rot_many(ang)[1:], pos[1:])
+            s = EkfState.create(model, ang, pos, 0.1, 0.3)
+            H, zhat, valid = _measurement_rows(s, model, np.arange(sc.graph.n_edges), [])
+            assert valid.all()
+            np.testing.assert_array_equal(zhat, ranging.predict_all(x, sc.team, sc.graph))
+            np.testing.assert_array_equal(H[:, 3:3 * n], ranging.jacobian(x, sc.team, sc.graph))
+            assert not H[:, 3 * n:].any()
+
 
 class TestFisher:
     def test_empty_graph_zero_matrix(self):

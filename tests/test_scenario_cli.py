@@ -140,6 +140,30 @@ class TestCli:
         np.testing.assert_array_equal(x1.C, x2.C)
         np.testing.assert_array_equal(x1.r, x2.r)
 
+    @pytest.mark.parametrize("path, patch", [
+        ("team.count", {"team": {"count": "abc"}}),
+        ("team.count", {"team": {"count": 2.5}}),
+        ("optimizer.restarts", {"optimizer": {"restarts": "x"}}),
+        ("gps_robots[1]", {"gps_robots": [1, "a"]}),
+        ("formation.directions[0]", {"formation": {"directions": [1, [1, 0]]}}),
+        ("graph.masks[0]", {"graph": {"masks": [[1]]}}),
+        ("graph.edges", {"graph": {"edges": [[1, 2]]}}),
+        ("graph.edges", {"graph": {"edges": [[1, 99]]}}),
+        ("optimizer", {"optimizer": {"restarts": 0}}),
+        ("optimizer", {"optimizer": {"max_iters": 0}}),
+        ("team", {"team": {"count": 3, "colour": "red"}}),
+        ("graph", {"graph": {"ful": True}}),
+        ("formation", {"formation": {"directions": [[1, 0]] * 2, "lamda": 0.3}}),
+        ("graph.full", {"graph": {"full": False}}),
+    ])
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, path, patch):
+        doc = {**minimal_doc(), **patch}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["optimize", "--config", str(bad), "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"config error: {path}:" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         doc = minimal_doc()
@@ -232,6 +256,14 @@ class TestCli:
                    "--trials", "1", "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag", ["--trials", "--jobs"])
+    def test_montecarlo_rejects_zero_counts(self, tmp_path, capsys, flag):
+        cfg = fast_scenario(tmp_path)
+        rc = main(["montecarlo", "--config", str(cfg), "--formations", "unused.json",
+                   flag, "0", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "--trials and --jobs must be >= 1" in capsys.readouterr().err
+
 
 class TestBridgeDemo:
     def bridge_config(self, tmp_path):
@@ -254,7 +286,7 @@ class TestBridgeDemo:
         import covform.ranging as ranging
 
         cfg = self.bridge_config(tmp_path)
-        rc = main(["bridge-demo", "--config", str(cfg), "--seed", "1",
+        rc = main(["optimize", "--config", str(cfg), "--cost", "cov", "--seed", "1",
                    "--out", str(tmp_path)])
         assert rc == OK
         x, s, doc = load_formation_file(tmp_path / "formation_cov.json")
@@ -272,12 +304,3 @@ class TestBridgeDemo:
         scenario = __import__("covform.scenario", fromlist=["load_scenario"]).load_scenario(str(cfg))
         H = ranging.jacobian(x, scenario.team, scenario.graph)
         assert H.shape == (80, 18)
-
-    def test_bridge_demo_requires_seven_robots(self, tmp_path, capsys):
-        doc = {"team": {"count": 5},
-               "formation": {"directions": [[1, 0]] * 4}}
-        p = tmp_path / "five.json"
-        p.write_text(json.dumps(doc))
-        rc = main(["bridge-demo", "--config", str(p), "--out", str(tmp_path)])
-        assert rc == 1
-        assert "7-robot" in capsys.readouterr().err
