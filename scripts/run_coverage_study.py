@@ -18,6 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from covform.cli import cmd_montecarlo
+from covform.covsim.montecarlo import METRIC_KEYS
 
 
 def main() -> int:
@@ -44,13 +45,11 @@ def main() -> int:
         print(f"  {name:4s}: {ct if ct is None else round(ct, 1)}")
     print("\npercentage reduction in median estimation error vs adj:")
     table = summary["reduction_vs_adj"]
-    metrics = ("landmark1_error", "landmark2_error",
-               "interrobot_att_rmse", "interrobot_pos_rmse")
-    header = "  " + " ".join(f"{m:>22s}" for m in metrics)
+    header = "  " + " ".join(f"{m:>22s}" for m in METRIC_KEYS)
     print(header)
     for name, row in table.items():
         cells = " ".join(f"{row[m]:22.1f}" if row[m] is not None else f"{'n/a':>22s}"
-                         for m in metrics)
+                         for m in METRIC_KEYS)
         print(f"  {name:4s}{cells}")
     return rc
 

@@ -57,9 +57,25 @@ def formation_from_doc(doc: dict) -> tuple[FormationState, SortedIds]:
                       tuple(float(v) for v in s["radii"])))
 
 
-def load_formation_file(path: str | Path) -> tuple[FormationState, SortedIds, dict]:
-    doc = json.loads(Path(path).read_text())
-    x, s = formation_from_doc(doc["formation"])
+def load_formation_file(path: str | Path,
+                        n_robots: int) -> tuple[FormationState, SortedIds, dict]:
+    """Formation written by ``optimize``, checked to hold an n_robots team."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ScenarioError(f"{path}: cannot read formation file ({e.strerror})") from None
+    except json.JSONDecodeError as e:
+        raise ScenarioError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(doc, dict) or "formation" not in doc:
+        raise ScenarioError(f"{path}: formation: missing section")
+    try:
+        x, s = formation_from_doc(doc["formation"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ScenarioError(f"{path}: formation: malformed ({e!r})") from None
+    if x.n_robots != n_robots or s.n_robots != n_robots:
+        raise ScenarioError(
+            f"{path}: formation.poses: expected {n_robots - 1} poses and {n_robots} "
+            f"sorted ids for {n_robots} robots, got {x.n_robots - 1} and {s.n_robots}")
     return x, s, doc
 
 
@@ -108,7 +124,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
-    x, sorted_ids, _ = load_formation_file(args.formation)
+    x, sorted_ids, _ = load_formation_file(args.formation, scenario.team.n_robots)
     robot = args.robot if args.robot is not None else scenario.team.n_robots
     if not 2 <= robot <= scenario.team.n_robots:
         raise ScenarioError(f"heatmap robot must be 2..{scenario.team.n_robots}, got {robot}")
@@ -149,7 +165,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
-    x, _, _ = load_formation_file(args.formation)
+    x, _, _ = load_formation_file(args.formation, scenario.team.n_robots)
     config = replace(scenario.sim, seed=args.seed)
     artifacts = run_coverage_sim(scenario.team, scenario.graph, x, config,
                                  keep_artifacts=True)
@@ -171,11 +187,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         raise ScenarioError(f"--trials and --jobs must be >= 1, got {args.trials}, {args.jobs}")
     formations: dict[str, FormationState] = {}
     for path in args.formations:
-        p = Path(path)
-        if not p.exists():
-            raise ScenarioError(f"formations: no such file {p}")
-        x, _, doc = load_formation_file(p)
-        formations[doc.get("cost_kind", p.stem)] = x
+        x, _, doc = load_formation_file(path, scenario.team.n_robots)
+        formations[doc.get("cost_kind", Path(path).stem)] = x
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -131,17 +131,6 @@ def _slot_tables(spec: FormationSpec, sorted_ids: SortedIds):
     return a, b, desired, order, order[a[keep]], order[b[keep]], overlap_dist[keep]
 
 
-def desired_offset(spec: FormationSpec, sorted_ids: SortedIds, n: int, m: int) -> np.ndarray:
-    """Target displacement of sorted slot m relative to sorted slot n, frame 1."""
-    if not 1 <= n < m <= sorted_ids.n_robots:
-        raise ValueError(f"need 1 <= n < m <= {sorted_ids.n_robots}, got ({n}, {m})")
-    radii = sorted_ids.sorted_radii
-    out = np.zeros(2)
-    for k in range(n, m):
-        out += (radii[k] + radii[k - 1]) * spec.direction(k)
-    return out
-
-
 def j_adj(x: FormationState, spec: FormationSpec, sorted_ids: SortedIds) -> float:
     """Sum of squared offset residuals over all sorted slot pairs."""
     a, b, desired, order, *_ = _slot_tables(spec, sorted_ids)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from covform.costs import SATURATION
-from covform.se2 import FormationState, oplus
+from covform.se2 import FormationState, _rot_many, oplus
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,7 @@ def random_formation(n_robots: int, rng: np.random.Generator,
         all_pos = np.vstack([np.zeros((1, 2)), pos])
         d = np.linalg.norm(all_pos[:, None] - all_pos[None, :], axis=-1)
         if np.all(d[np.triu_indices(n_robots, 1)] > cfg.min_init_separation):
-            C = np.stack([[[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]] for a in ang])
-            return FormationState(np.asarray(C), pos)
+            return FormationState(_rot_many(ang), pos)
     raise RuntimeError("could not sample a collision-free start; shrink the team or grow the box")
 
 

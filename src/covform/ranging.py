@@ -39,8 +39,8 @@ class _EdgeIndex:
 
     n_robots: int
     tag_robot: np.ndarray   # (T,) 0-based robot index per global tag
-    tag_offset: np.ndarray  # (T,2) body-frame offsets
-    tag_perp: np.ndarray    # (T,2) S @ offset, the rotation derivative lever
+    tag_body: np.ndarray    # (T,2) body-frame tag positions
+    tag_perp: np.ndarray    # (T,2) S @ tag_body, the rotation derivative lever
     edge_i: np.ndarray      # (E,) flat tag index of first endpoint
     edge_j: np.ndarray
     sigma: np.ndarray       # (E,)
@@ -48,9 +48,9 @@ class _EdgeIndex:
 
 @lru_cache(maxsize=64)
 def _edge_index(team: TeamConfig, graph: RangeGraph) -> _EdgeIndex:
-    tag_robot = np.repeat(np.arange(team.n_robots), [len(r.tag_offsets) for r in team.robots])
-    tag_offset = np.array([o for r in team.robots for o in r.tag_offsets], dtype=np.float64)
-    tag_perp = np.stack([-tag_offset[:, 1], tag_offset[:, 0]], axis=1)
+    tag_robot = team.tag_robot
+    tag_body = np.array([o for r in team.robots for o in r.tag_offsets], dtype=np.float64)
+    tag_perp = np.stack([-tag_body[:, 1], tag_body[:, 0]], axis=1)
     edge_i, edge_j = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T - 1
     outside = (edge_i < 0) | (edge_j >= team.n_tags)
     if np.any(outside):
@@ -62,7 +62,7 @@ def _edge_index(team: TeamConfig, graph: RangeGraph) -> _EdgeIndex:
         raise ValueError(
             f"edge {graph.edges[k]} connects two tags on robot {tag_robot[edge_i[k]] + 1}")
     return _EdgeIndex(
-        n_robots=team.n_robots, tag_robot=tag_robot, tag_offset=tag_offset,
+        n_robots=team.n_robots, tag_robot=tag_robot, tag_body=tag_body,
         tag_perp=tag_perp, edge_i=edge_i, edge_j=edge_j,
         sigma=np.asarray(graph.sigmas, dtype=np.float64),
     )
@@ -79,7 +79,7 @@ def _stacked_frames(x: FormationState) -> tuple[np.ndarray, np.ndarray]:
 
 def world_tags(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
     """World positions (T,2) of every tag for robot rotations C (N,2,2) and positions r (N,2)."""
-    return np.einsum("tij,tj->ti", C[idx.tag_robot], idx.tag_offset) + r[idx.tag_robot]
+    return np.einsum("tij,tj->ti", C[idx.tag_robot], idx.tag_body) + r[idx.tag_robot]
 
 
 _NO_POINTS = np.zeros((0, 2))
@@ -115,25 +115,6 @@ def range_rows(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray, tag_i: np.ndarray,
         H[rr, 3 * robots + 1] += rho[:, 0]
         H[rr, 3 * robots + 2] += rho[:, 1]
     return H, rng, unit, valid
-
-
-def tag_position(x: FormationState, team: TeamConfig, tag_id: int) -> np.ndarray:
-    """World position of one tag, resolved in robot 1's frame."""
-    offset = team.tag_offset(tag_id)
-    robot, _ = team.tag_owner(tag_id)
-    if robot == 1:
-        return offset
-    return x.C[robot - 2] @ offset + x.r[robot - 2]
-
-
-def predict_range(x: FormationState, team: TeamConfig, edge: tuple[int, int]) -> float:
-    """Noiseless range between two tags on distinct robots."""
-    i, j = edge
-    pi, _ = team.tag_owner(i)
-    pj, _ = team.tag_owner(j)
-    if pi == pj:
-        raise ValueError(f"edge {edge} connects two tags on robot {pi}")
-    return float(np.linalg.norm(tag_position(x, team, i) - tag_position(x, team, j)))
 
 
 def predict_all(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.ndarray:

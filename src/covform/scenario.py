@@ -47,6 +47,11 @@ from covform.team import (
 )
 
 
+# Largest team a document may describe (9x bridge7); checked before any
+# robot is built, so a huge count fails at once instead of allocating.
+MAX_ROBOTS = 64
+
+
 class ScenarioError(ValueError):
     """Config validation problem; the message carries the offending field path."""
 
@@ -110,6 +115,8 @@ def _build_team(cfg: dict) -> TeamConfig:
     _section(cfg, "team", {"count", "robots", "tag_offsets", "camera_radius"})
     if "robots" in cfg:
         _expect(isinstance(cfg["robots"], list), "team.robots", "must be a list")
+        _expect(len(cfg["robots"]) <= MAX_ROBOTS, "team.robots",
+                f"at most {MAX_ROBOTS} robots, got {len(cfg['robots'])}")
         robots = []
         for i, r in enumerate(cfg["robots"]):
             path = f"team.robots[{i}]"
@@ -122,7 +129,8 @@ def _build_team(cfg: dict) -> TeamConfig:
         return _make("team.robots", TeamConfig, tuple(robots))
     _expect("count" in cfg, "team", "needs either 'count' or 'robots'")
     count = _num(cfg["count"], "team.count", int)
-    _expect(count >= 2, "team.count", f"need at least 2 robots, got {count}")
+    _expect(2 <= count <= MAX_ROBOTS, "team.count",
+            f"need 2 to {MAX_ROBOTS} robots, got {count}")
     offsets = _pairs(cfg.get("tag_offsets", _DEFAULT_TAGS), "team.tag_offsets")
     radius = _num(cfg.get("camera_radius", 0.5), "team.camera_radius")
     return _make("team", TeamConfig.uniform, count, offsets, radius)

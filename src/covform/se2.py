@@ -30,10 +30,10 @@ def rot2(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def wrap_angle(phi: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
+def wrap_angle(phi):
+    """Wrap an angle, or each entry of an array of angles, to (-pi, pi]."""
     w = np.arctan2(np.sin(phi), np.cos(phi))
-    return np.pi if w == -np.pi else float(w)
+    return np.where(w == -np.pi, np.pi, w)[()]
 
 
 class Pose2:
@@ -188,7 +188,7 @@ class FormationState:
     def from_poses(cls, poses: list[Pose2]) -> "FormationState":
         if not poses:
             raise ValueError("a formation needs at least one non-reference robot")
-        return cls(np.stack([p.C for p in poses]), np.stack([p.r for p in poses]))
+        return cls(np.array([p.C for p in poses]), np.array([p.r for p in poses]))
 
     @classmethod
     def identity(cls, n_robots: int) -> "FormationState":

@@ -74,28 +74,10 @@ class TeamConfig:
     def camera_radii(self) -> np.ndarray:
         return np.array([r.camera_radius for r in self.robots])
 
-    def tag_owner(self, tag_id: int) -> tuple[int, int]:
-        """(robot id, local tag index) owning a global tag id."""
-        t = 0
-        for r in self.robots:
-            if t < tag_id <= t + len(r.tag_offsets):
-                return r.id, tag_id - t - 1
-            t += len(r.tag_offsets)
-        raise ValueError(f"unknown tag id {tag_id} (team has {self.n_tags} tags)")
-
-    def tags_of(self, robot_id: int) -> tuple[int, ...]:
-        """Global tag ids carried by a robot."""
-        t = 0
-        for r in self.robots:
-            n = len(r.tag_offsets)
-            if r.id == robot_id:
-                return tuple(range(t + 1, t + n + 1))
-            t += n
-        raise ValueError(f"unknown robot id {robot_id}")
-
-    def tag_offset(self, tag_id: int) -> np.ndarray:
-        robot, local = self.tag_owner(tag_id)
-        return np.asarray(self.robots[robot - 1].tag_offsets[local], dtype=np.float64)
+    @property
+    def tag_robot(self) -> np.ndarray:
+        """(T,) 0-based index of the robot carrying each tag; tag id t is entry t-1."""
+        return np.repeat(np.arange(self.n_robots), [len(r.tag_offsets) for r in self.robots])
 
 
 def _normalize_edge(i: int, j: int) -> tuple[int, int]:
@@ -136,31 +118,12 @@ class RangeGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def sigma_of(self, i: int, j: int) -> float:
-        e = _normalize_edge(i, j)
-        try:
-            return self.sigmas[self.edges.index(e)]
-        except ValueError:
-            raise ValueError(f"edge {e} not in graph") from None
-
-    def with_sigma(self, i: int, j: int, sigma: float) -> "RangeGraph":
-        """Copy with one edge's noise overridden."""
-        e = _normalize_edge(i, j)
-        k = self.edges.index(e)
-        sig = list(self.sigmas)
-        sig[k] = sigma
-        return RangeGraph(self.edges, tuple(sig))
-
 
 def default_full_graph(team: TeamConfig, sigma: float = DEFAULT_RANGE_SIGMA) -> RangeGraph:
     """Every tag pair across distinct robots, one shared noise level."""
-    edges = []
-    for p in range(1, team.n_robots + 1):
-        for q in range(p + 1, team.n_robots + 1):
-            for i in team.tags_of(p):
-                for j in team.tags_of(q):
-                    edges.append(_normalize_edge(i, j))
-    return RangeGraph.from_pairs(edges, sigma)
+    owner = team.tag_robot
+    i, j = np.nonzero(owner[:, None] < owner[None, :])
+    return RangeGraph.from_pairs(zip((i + 1).tolist(), (j + 1).tolist()), sigma)
 
 
 def mask_edges(graph: RangeGraph, robot_pair: tuple[int, int], team: TeamConfig) -> RangeGraph:
@@ -172,9 +135,9 @@ def mask_edges(graph: RangeGraph, robot_pair: tuple[int, int], team: TeamConfig)
     a, b = robot_pair
     if not (1 <= a <= team.n_robots and 1 <= b <= team.n_robots):
         raise ValueError(f"unknown robot pair {robot_pair}")
-    tags_a, tags_b = set(team.tags_of(a)), set(team.tags_of(b))
-    keep = [k for k, (i, j) in enumerate(graph.edges)
-            if not ((i in tags_a and j in tags_b) or (i in tags_b and j in tags_a))]
+    owner = team.tag_robot[np.array(graph.edges, dtype=np.intp).reshape(-1, 2) - 1] + 1
+    pair = np.sort(owner, axis=1)
+    keep = np.flatnonzero((pair[:, 0] != min(a, b)) | (pair[:, 1] != max(a, b)))
     return RangeGraph(tuple(graph.edges[k] for k in keep), tuple(graph.sigmas[k] for k in keep))
 
 
@@ -238,12 +201,6 @@ class FormationSpec:
         dirs = tuple((s, s) for _ in range(half)) + tuple((s, -s) for _ in range(m - half))
         return cls(directions=dirs, **kw)
 
-    def direction(self, k: int) -> np.ndarray:
-        """Unit vector from sorted slot k to slot k+1 (k is 1-based)."""
-        if not 1 <= k <= len(self.directions):
-            raise ValueError(f"direction index {k} out of range 1..{len(self.directions)}")
-        return np.asarray(self.directions[k - 1], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class SortedIds:
@@ -269,10 +226,3 @@ class SortedIds:
     @property
     def n_robots(self) -> int:
         return len(self.order)
-
-    def robot_at(self, slot: int) -> int:
-        """Robot id occupying a 1-based sorted slot."""
-        return self.order[slot - 1]
-
-    def radius_at(self, slot: int) -> float:
-        return self.sorted_radii[slot - 1]

@@ -109,7 +109,7 @@ class TestSortRobotIds:
         x = state_with_positions([(3.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
         s = sort_robot_ids(x, team, np.array([[1.0, 0.0]] * 3))
         for slot in range(1, 5):
-            assert s.radius_at(slot) == team.robots[s.robot_at(slot) - 1].camera_radius
+            assert s.sorted_radii[slot - 1] == team.robots[s.order[slot - 1] - 1].camera_radius
 
     def test_beats_identity_on_random_states(self):
         rng = np.random.default_rng(31)

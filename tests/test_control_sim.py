@@ -4,7 +4,7 @@ import pytest
 from covform.covsim import SimConfig, simulate_truth
 from covform.covsim.config import ControlGains
 from covform.covsim.control import control_step
-from covform.se2 import FormationState, Pose2, exp_step
+from covform.se2 import FormationState, Pose2, _rot_many, exp_step
 from covform.team import TeamConfig
 
 
@@ -16,7 +16,56 @@ def line_formation(n, gap=1.0):
 GAINS = ControlGains()
 
 
+def control_step_loop(leader_goal, ang, pos, x_des, gains):
+    """Per-follower loop oracle for control_step, with scalar angle wrapping."""
+    def wrap(phi):
+        w = np.arctan2(np.sin(phi), np.cos(phi))
+        return np.pi if w == -np.pi else float(w)
+
+    n = ang.shape[0]
+    u = np.zeros((n, 3))
+    c1, s1 = np.cos(ang[0]), np.sin(ang[0])
+    C1 = np.array([[c1, -s1], [s1, c1]])
+    v1 = gains.waypoint * (leader_goal - pos[0])
+    speed = float(np.linalg.norm(v1))
+    if speed > gains.speed_cap:
+        v1 *= gains.speed_cap / speed
+    u[0, 0] = gains.heading * wrap(-ang[0])
+    u[0, 1:] = C1.T @ v1
+    slot_pos = pos[0] + x_des.r @ C1.T
+    slot_ang = ang[0] + np.arctan2(x_des.C[:, 1, 0], x_des.C[:, 0, 0])
+    err = slot_pos - pos[1:]
+    v = gains.formation * err
+    speeds = np.linalg.norm(v, axis=1)
+    over = speeds > gains.speed_cap
+    v[over] *= (gains.speed_cap / speeds[over])[:, None]
+    for k in range(n - 1):
+        ck, sk = np.cos(ang[k + 1]), np.sin(ang[k + 1])
+        u[k + 1, 1] = ck * v[k, 0] + sk * v[k, 1]
+        u[k + 1, 2] = -sk * v[k, 0] + ck * v[k, 1]
+        u[k + 1, 0] = gains.heading * wrap(slot_ang[k] - ang[k + 1])
+    return u, float(np.sqrt(np.einsum("ij,ij->", err, err)))
+
+
 class TestControlStep:
+    def test_equals_per_follower_loop(self):
+        rng = np.random.default_rng(23)
+        for trial in range(500):
+            n = int(rng.integers(2, 9))
+            ang = rng.uniform(-4.0, 4.0, n)
+            if trial % 5 == 0:
+                ang[rng.integers(n)] = np.pi  # heading errors on the wrap boundary
+            pos = rng.uniform(-5.0, 5.0, (n, 2))
+            x_des = FormationState(_rot_many(rng.uniform(-np.pi, np.pi, n - 1)),
+                                   rng.uniform(-3.0, 3.0, (n - 1, 2)))
+            gains = ControlGains(speed_cap=float(rng.uniform(0.2, 5.0)))
+            goal = rng.uniform(-10.0, 10.0, 2)
+            u, ferr = control_step(goal, ang, pos, x_des, gains)
+            u_ref, ferr_ref = control_step_loop(goal, ang, pos, x_des, gains)
+            assert u.tobytes() == u_ref.tobytes()  # bitwise, signed zeros included
+            assert ferr == ferr_ref
+
+
     def test_zero_commands_in_formation_at_waypoint(self):
         x_des = line_formation(3)
         ang = np.zeros(3)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,22 +79,41 @@ class TestEst:
         assert costs.j_est(x, team, default_full_graph(team)) < costs.SATURATION
 
 
+def desired_offset(spec, sorted_ids, n, m):
+    """Summation oracle: target displacement of sorted slot m relative to slot n."""
+    if not 1 <= n < m <= sorted_ids.n_robots:
+        raise ValueError(f"need 1 <= n < m <= {sorted_ids.n_robots}, got ({n}, {m})")
+    radii = sorted_ids.sorted_radii
+    out = np.zeros(2)
+    for k in range(n, m):
+        out += (radii[k] + radii[k - 1]) * np.asarray(spec.directions[k - 1])
+    return out
+
+
+def table_offset(spec, sorted_ids, n, m):
+    """The same displacement as j_adj reads it from the prefix-sum slot tables."""
+    a, b, desired, *_ = costs._slot_tables(spec, sorted_ids)
+    return desired[np.flatnonzero((a == n - 1) & (b == m - 1))[0]]
+
+
 class TestDesiredOffset:
     def test_adjacent_pair_single_term(self):
         spec = line_spec(5)
         s = SortedIds.identity(TeamConfig.uniform(5))
-        np.testing.assert_allclose(costs.desired_offset(spec, s, 2, 3), [1.0, 0.0])
+        np.testing.assert_allclose(table_offset(spec, s, 2, 3), [1.0, 0.0])
+        np.testing.assert_allclose(desired_offset(spec, s, 2, 3), [1.0, 0.0])
 
     def test_two_term_sum(self):
         spec = line_spec(5)
         s = SortedIds.identity(TeamConfig.uniform(5))
-        np.testing.assert_allclose(costs.desired_offset(spec, s, 1, 3), [2.0, 0.0])
+        np.testing.assert_allclose(table_offset(spec, s, 1, 3), [2.0, 0.0])
+        np.testing.assert_allclose(desired_offset(spec, s, 1, 3), [2.0, 0.0])
 
     def test_v_shape_traces_a_v(self):
         # desired offsets from slot 1 rise for 5 slots, then descend
         spec = FormationSpec.vee(9)
         s = SortedIds.identity(TeamConfig.uniform(9))
-        pts = np.array([costs.desired_offset(spec, s, 1, m) for m in range(2, 10)])
+        pts = np.array([table_offset(spec, s, 1, m) for m in range(2, 10)])
         ys = np.concatenate([[0.0], pts[:, 1]])
         assert np.all(np.diff(ys[:5]) > 0)       # ascending arm
         assert np.all(np.diff(ys[4:]) < 0)       # descending arm
@@ -100,11 +121,25 @@ class TestDesiredOffset:
         # summation oracle for the apex: 4 steps of (r_k+1 + r_k) / sqrt(2)
         np.testing.assert_allclose(pts[3], [4 / np.sqrt(2), 4 / np.sqrt(2)])
 
+    def test_tables_match_summation_oracle(self):
+        rng = np.random.default_rng(12)
+        for n in range(2, 9):
+            dirs = rng.standard_normal((n - 1, 2))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            spec = FormationSpec(directions=tuple(map(tuple, dirs)))
+            order = (1,) + tuple(rng.permutation(np.arange(2, n + 1)).tolist())
+            s = SortedIds(order, tuple(rng.uniform(0.3, 0.9, n)))
+            for a, b in itertools.combinations(range(1, n + 1), 2):
+                np.testing.assert_allclose(table_offset(spec, s, a, b),
+                                           desired_offset(spec, s, a, b), rtol=0, atol=1e-12)
+
     def test_index_order_validated(self):
         spec = line_spec(3)
         s = SortedIds.identity(TeamConfig.uniform(3))
         with pytest.raises(ValueError, match="n < m"):
-            costs.desired_offset(spec, s, 2, 2)
+            desired_offset(spec, s, 2, 2)
+        a, b, *_ = costs._slot_tables(spec, s)
+        assert np.all(a < b) and len(a) == 3  # the tables hold only n < m pairs
 
 
 class TestAdj:

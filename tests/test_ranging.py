@@ -29,50 +29,81 @@ def finite_difference_jacobian(x, team, graph, h=1e-6):
     return np.stack(cols, axis=1)
 
 
+def tag_position(x, team, tag_id):
+    """Scalar oracle: world position of one tag, resolved in robot 1's frame."""
+    robot = int(team.tag_robot[tag_id - 1])
+    offset = np.asarray([o for r in team.robots for o in r.tag_offsets][tag_id - 1])
+    if robot == 0:
+        return offset
+    return x.C[robot - 1] @ offset + x.r[robot - 1]
+
+
+def predict_range(x, team, edge):
+    """Scalar oracle: noiseless range between two tags."""
+    i, j = edge
+    return float(np.linalg.norm(tag_position(x, team, i) - tag_position(x, team, j)))
+
+
+def world_tag(x, team, tag_id):
+    """The vectorized world tag position of one tag."""
+    idx = ranging._edge_index(team, RangeGraph((), ()))
+    return ranging.world_tags(idx, *ranging._stacked_frames(x))[tag_id - 1]
+
+
 class TestTagPosition:
     def test_reference_robot_tag(self):
         team = TeamConfig.uniform(2)
         x = se2.FormationState.identity(2)
-        np.testing.assert_array_equal(ranging.tag_position(x, team, 1), [0.17, -0.17])
+        np.testing.assert_array_equal(world_tag(x, team, 1), [0.17, -0.17])
+        np.testing.assert_array_equal(tag_position(x, team, 1), [0.17, -0.17])
 
     def test_translated_robot_tag(self):
         team = TeamConfig.uniform(2)
         x = se2.FormationState.from_poses([se2.Pose2(np.eye(2), np.array([3.0, 0.0]))])
-        np.testing.assert_allclose(ranging.tag_position(x, team, 4), [2.83, 0.17])
+        np.testing.assert_allclose(world_tag(x, team, 4), [2.83, 0.17])
+        np.testing.assert_allclose(tag_position(x, team, 4), [2.83, 0.17])
 
     def test_rotated_robot_tag(self):
         team = TeamConfig.uniform(2, tag_offsets=((1.0, 0.0), (-1.0, 0.0)))
         x = se2.FormationState.from_poses([se2.Pose2.from_angle(np.pi / 2, (1.0, 0.0))])
-        np.testing.assert_allclose(ranging.tag_position(x, team, 3), [1.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(world_tag(x, team, 3), [1.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(tag_position(x, team, 3), [1.0, 1.0], atol=1e-15)
 
     def test_unknown_tag(self):
         team = TeamConfig.uniform(2)
-        with pytest.raises(ValueError, match="unknown tag"):
-            ranging.tag_position(se2.FormationState.identity(2), team, 9)
+        with pytest.raises(ValueError, match="tag outside 1..4"):
+            ranging.predict_all(se2.FormationState.identity(2), team,
+                                RangeGraph.from_pairs([(1, 9)]))
 
 
 class TestPredictRange:
     def test_coincident_same_offsets(self):
         team = TeamConfig.uniform(2)
         x = se2.FormationState.identity(2)
-        assert ranging.predict_range(x, team, (1, 3)) == 0.0
+        assert ranging.predict_all(x, team, RangeGraph.from_pairs([(1, 3)]))[0] == 0.0
+        assert predict_range(x, team, (1, 3)) == 0.0
 
     def test_hand_evaluated_distance(self):
         team = TeamConfig.uniform(2)
         x = se2.FormationState.from_poses([se2.Pose2(np.eye(2), np.array([3.0, 0.0]))])
         # tag 1 at (0.17,-0.17), tag 4 at (2.83, 0.17)
         expected = np.hypot(2.66, 0.34)
-        assert ranging.predict_range(x, team, (1, 4)) == pytest.approx(expected, abs=1e-15)
+        got = ranging.predict_all(x, team, RangeGraph.from_pairs([(1, 4)]))[0]
+        assert got == pytest.approx(expected, abs=1e-15)
+        assert predict_range(x, team, (1, 4)) == pytest.approx(expected, abs=1e-15)
 
     def test_symmetry(self):
         team = TeamConfig.uniform(3)
         x = random_state(np.random.default_rng(0), 3)
-        assert ranging.predict_range(x, team, (2, 5)) == ranging.predict_range(x, team, (5, 2))
+        assert predict_range(x, team, (2, 5)) == predict_range(x, team, (5, 2))
+        assert (ranging.predict_all(x, team, RangeGraph.from_pairs([(5, 2)]))[0]
+                == pytest.approx(predict_range(x, team, (2, 5)), abs=1e-12))
 
     def test_same_robot_edge_rejected(self):
         team = TeamConfig.uniform(2)
         with pytest.raises(ValueError, match="robot"):
-            ranging.predict_range(se2.FormationState.identity(2), team, (1, 2))
+            ranging.predict_all(se2.FormationState.identity(2), team,
+                                RangeGraph.from_pairs([(1, 2)]))
 
 
 class TestPredictAll:
@@ -88,7 +119,7 @@ class TestPredictAll:
         stacked = ranging.predict_all(x, team, g)
         assert stacked.shape == (12,)
         for k, e in enumerate(g.edges):
-            assert stacked[k] == pytest.approx(ranging.predict_range(x, team, e), abs=1e-12)
+            assert stacked[k] == pytest.approx(predict_range(x, team, e), abs=1e-12)
 
 
 class TestJacobian:
@@ -189,10 +220,11 @@ class TestFisher:
         for _ in range(5):
             G = se2.Pose2.from_angle(rng.uniform(-np.pi, np.pi), rng.uniform(-50, 50, 2))
             world = {p: se2.compose(G, x.pose(p)) for p in range(1, 4)}
+            offsets = [np.asarray(o) for r in team.robots for o in r.tag_offsets]
             meas = []
             for i, j in graph.edges:
-                (pi, li), (pj, lj) = team.tag_owner(i), team.tag_owner(j)
-                ti = world[pi].C @ team.tag_offset(i) + world[pi].r
-                tj = world[pj].C @ team.tag_offset(j) + world[pj].r
+                pi, pj = team.tag_robot[i - 1] + 1, team.tag_robot[j - 1] + 1
+                ti = world[pi].C @ offsets[i - 1] + world[pi].r
+                tj = world[pj].C @ offsets[j - 1] + world[pj].r
                 meas.append(np.linalg.norm(ti - tj))
             np.testing.assert_allclose(np.array(meas), base, atol=1e-12)

@@ -10,7 +10,7 @@ from covform.cli import (
     load_formation_file,
     main,
 )
-from covform.scenario import ScenarioError, build_scenario, load_scenario
+from covform.scenario import MAX_ROBOTS, ScenarioError, build_scenario, load_scenario
 from covform.se2 import FormationState, Pose2
 from covform.team import SortedIds
 
@@ -39,8 +39,8 @@ class TestScenarioValidation:
         doc = minimal_doc()
         doc["formation"]["directions"] = [[2, 0], [1, 1]]
         s = build_scenario(doc)
-        np.testing.assert_allclose(s.formation.direction(1), [1, 0])
-        np.testing.assert_allclose(s.formation.direction(2), np.array([1, 1]) / np.sqrt(2))
+        np.testing.assert_allclose(s.formation.directions[0], [1, 0])
+        np.testing.assert_allclose(s.formation.directions[1], np.array([1, 1]) / np.sqrt(2))
 
     def test_bad_exempt_slot(self):
         doc = minimal_doc()
@@ -122,7 +122,7 @@ class TestCli:
         rc = main(["optimize", "--config", str(cfg), "--cost", "adj",
                    "--seed", "3", "--out", str(tmp_path)])
         assert rc == OK
-        x, s, doc = load_formation_file(tmp_path / "formation_adj.json")
+        x, s, doc = load_formation_file(tmp_path / "formation_adj.json", 3)
         assert doc["trace"]["converged"]
         assert doc["cost"]["adj"] < 1e-3
         assert s.order[0] == 1
@@ -132,11 +132,11 @@ class TestCli:
         main(["optimize", "--config", str(cfg), "--cost", "adj",
               "--seed", "3", "--out", str(tmp_path)])
         path = tmp_path / "formation_adj.json"
-        x1, _, _ = load_formation_file(path)
+        x1, _, _ = load_formation_file(path, 3)
         rewritten = tmp_path / "rewrite.json"
         doc = json.loads(path.read_text())
         rewritten.write_text(json.dumps(doc))
-        x2, _, _ = load_formation_file(rewritten)
+        x2, _, _ = load_formation_file(rewritten, 3)
         np.testing.assert_array_equal(x1.C, x2.C)
         np.testing.assert_array_equal(x1.r, x2.r)
 
@@ -163,6 +163,38 @@ class TestCli:
         rc = main(["optimize", "--config", str(bad), "--out", str(tmp_path)])
         assert rc == 1
         assert f"config error: {path}:" in capsys.readouterr().err
+
+    def test_team_size_is_bounded(self, tmp_path, capsys):
+        # a huge count is refused before any robot is built
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps({**minimal_doc(), "team": {"count": 10**400}}))
+        rc = main(["optimize", "--config", str(bad), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "config error: team.count:" in capsys.readouterr().err
+        robots = [{"id": i} for i in range(1, MAX_ROBOTS + 2)]
+        with pytest.raises(ScenarioError, match="team.robots"):
+            build_scenario({**minimal_doc(), "team": {"robots": robots}})
+        assert build_scenario(minimal_doc(MAX_ROBOTS)).team.n_robots == MAX_ROBOTS
+
+    @pytest.mark.parametrize("command", ["simulate", "heatmap", "montecarlo"])
+    @pytest.mark.parametrize("name", ["missing", "not_json", "empty", "one_pose"])
+    def test_malformed_formation_file_is_a_config_error(self, tmp_path, capsys, command, name):
+        one_pose = formation_to_doc(
+            FormationState.from_poses([Pose2(np.eye(2), np.array([1.0, 0.0]))]),
+            SortedIds((1, 2), (0.5, 0.5)))
+        content, message = {
+            "missing": (None, "cannot read formation file"),
+            "not_json": ("{not json", "not valid JSON"),
+            "empty": ("{}", "formation: missing section"),
+            "one_pose": (json.dumps({"formation": one_pose}), "formation.poses: expected 4 poses"),
+        }[name]
+        path = tmp_path / f"{name}.json"
+        if content is not None:
+            path.write_text(content)
+        flag = "--formations" if command == "montecarlo" else "--formation"
+        rc = main([command, "--config", "sim5", flag, str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"config error: {path}: {message}" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -289,7 +321,7 @@ class TestBridgeDemo:
         rc = main(["optimize", "--config", str(cfg), "--cost", "cov", "--seed", "1",
                    "--out", str(tmp_path)])
         assert rc == OK
-        x, s, doc = load_formation_file(tmp_path / "formation_cov.json")
+        x, s, doc = load_formation_file(tmp_path / "formation_cov.json", 7)
         assert doc["gps_robots"] == [1, 2]
         assert s.order[0] == 1
 

@@ -92,6 +92,21 @@ def test_rotation_angles_add():
     np.testing.assert_allclose(half_turn.C, se2.rot2(np.pi), atol=1e-15)
 
 
+def test_wrap_angle_arrays_match_scalars():
+    phi = np.concatenate([[-np.pi, np.pi, 3 * np.pi, -3 * np.pi, 0.0, -0.0],
+                          np.random.default_rng(4).uniform(-20.0, 20.0, 200)])
+    wrapped = se2.wrap_angle(phi)
+    assert np.all((wrapped > -np.pi) & (wrapped <= np.pi))
+    assert wrapped[0] == np.pi
+    for p, w in zip(phi, wrapped):
+        assert se2.wrap_angle(p) == w
+
+
+def test_rot_many_matches_rot2():
+    phi = np.random.default_rng(5).uniform(-np.pi, np.pi, 50)
+    np.testing.assert_array_equal(se2._rot_many(phi), np.stack([se2.rot2(p) for p in phi]))
+
+
 def test_orthonormality_survives_long_compose_chains():
     rng = np.random.default_rng(99)
     T = se2.Pose2.identity()

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from covform.ranging import _edge_index
 from covform.team import (
     CostWeights,
     FormationSpec,
@@ -13,15 +16,64 @@ from covform.team import (
 )
 
 
+def tags_of(team, robot_id):
+    """Per-robot loop oracle: the global tag ids a robot carries."""
+    t = 0
+    for r in team.robots:
+        n = len(r.tag_offsets)
+        if r.id == robot_id:
+            return tuple(range(t + 1, t + n + 1))
+        t += n
+    raise ValueError(f"unknown robot id {robot_id}")
+
+
+def full_graph_oracle(team, sigma=0.1):
+    edges = [(i, j)
+             for p in range(1, team.n_robots + 1)
+             for q in range(p + 1, team.n_robots + 1)
+             for i in tags_of(team, p)
+             for j in tags_of(team, q)]
+    return RangeGraph.from_pairs(edges, sigma)
+
+
+def mask_oracle(graph, robot_pair, team):
+    tags_a, tags_b = set(tags_of(team, robot_pair[0])), set(tags_of(team, robot_pair[1]))
+    keep = [k for k, (i, j) in enumerate(graph.edges)
+            if not ((i in tags_a and j in tags_b) or (i in tags_b and j in tags_a))]
+    return RangeGraph(tuple(graph.edges[k] for k in keep), tuple(graph.sigmas[k] for k in keep))
+
+
+def mixed_team(tag_counts):
+    offsets = ((0.17, -0.17), (-0.17, 0.17), (0.2, 0.0))
+    return TeamConfig(tuple(RobotSpec(p, offsets[:k]) for p, k in enumerate(tag_counts, 1)))
+
+
 def test_uniform_team_tag_assignment():
     team = TeamConfig.uniform(3)
     assert team.n_robots == 3
     assert team.n_tags == 6
-    assert team.tags_of(1) == (1, 2)
-    assert team.tags_of(3) == (5, 6)
-    assert team.tag_owner(4) == (2, 1)
-    np.testing.assert_array_equal(team.tag_offset(1), [0.17, -0.17])
-    np.testing.assert_array_equal(team.tag_offset(2), [-0.17, 0.17])
+    np.testing.assert_array_equal(team.tag_robot, [0, 0, 1, 1, 2, 2])
+    # robot 1 carries tags 1, 2 and robot 3 tags 5, 6; tag 4 is robot 2's second
+    assert tuple(np.flatnonzero(team.tag_robot == 0) + 1) == (1, 2)
+    assert tuple(np.flatnonzero(team.tag_robot == 2) + 1) == (5, 6)
+    assert team.tag_robot[4 - 1] == 1 and np.flatnonzero(team.tag_robot == 1)[1] == 4 - 1
+    body = _edge_index(team, RangeGraph((), ())).tag_body
+    np.testing.assert_array_equal(body[0], [0.17, -0.17])
+    np.testing.assert_array_equal(body[1], [-0.17, 0.17])
+
+
+@pytest.mark.parametrize("tag_counts", [(2,) * n for n in range(2, 10)] + [
+    (1, 1), (1, 2), (3, 1), (1, 2, 3), (3, 2, 1), (2, 3, 1, 3), (1, 1, 3, 2, 1),
+    (3, 3, 3), (2, 1, 2, 3, 1, 2, 3, 1, 2)])
+def test_full_graph_and_masks_equal_loop_oracle(tag_counts):
+    team = mixed_team(tag_counts)
+    for p in range(1, team.n_robots + 1):
+        np.testing.assert_array_equal(np.flatnonzero(team.tag_robot == p - 1) + 1,
+                                      tags_of(team, p))
+    graph = default_full_graph(team)
+    assert graph == full_graph_oracle(team)
+    for pair in itertools.product(range(1, team.n_robots + 1), repeat=2):
+        assert mask_edges(graph, pair, team) == mask_oracle(graph, pair, team)
 
 
 def test_robot_ids_must_be_consecutive():
@@ -45,7 +97,7 @@ def test_full_graph_edge_count(n, expected):
 def test_full_graph_excludes_same_robot_pairs():
     team = TeamConfig.uniform(3)
     for i, j in default_full_graph(team).edges:
-        assert team.tag_owner(i)[0] != team.tag_owner(j)[0]
+        assert team.tag_robot[i - 1] != team.tag_robot[j - 1]
 
 
 def test_full_graph_edges_sorted():
@@ -63,9 +115,8 @@ def test_mask_n3_pair():
     team = TeamConfig.uniform(3)
     g = mask_edges(default_full_graph(team), (2, 3), team)
     assert g.n_edges == 8
-    tags23 = set(team.tags_of(2)) | set(team.tags_of(3))
     for i, j in g.edges:
-        assert not (i in team.tags_of(2) and j in team.tags_of(3))
+        assert {team.tag_robot[i - 1], team.tag_robot[j - 1]} != {1, 2}
 
 
 def test_mask_is_idempotent():
@@ -87,11 +138,13 @@ def test_mask_unknown_robot():
 
 
 def test_graph_rejects_same_robot_edges_sigma_lookup():
-    g = RangeGraph.from_pairs([(1, 3), (2, 4)], sigma=0.2)
-    assert g.sigma_of(3, 1) == 0.2
-    assert g.with_sigma(1, 3, 0.5).sigma_of(1, 3) == 0.5
-    with pytest.raises(ValueError, match="not in graph"):
-        g.sigma_of(1, 4)
+    g = RangeGraph.from_pairs([(3, 1), (2, 4)], sigma=0.2)
+    assert dict(zip(g.edges, g.sigmas))[(1, 3)] == 0.2
+    # edges are normalized and sorted, and each sigma follows its edge
+    g = RangeGraph(((2, 4), (3, 1)), (0.5, 0.2))
+    assert g.edges == ((1, 3), (2, 4))
+    assert g.sigmas == (0.2, 0.5)
+    assert (1, 4) not in g.edges
 
 
 def test_graph_rejects_self_edges_and_bad_sigma():
@@ -115,19 +168,19 @@ def test_formation_spec_validation():
 def test_formation_spec_line_and_vee():
     line = FormationSpec.line(5)
     assert len(line.directions) == 4
-    np.testing.assert_array_equal(line.direction(1), [1.0, 0.0])
+    np.testing.assert_array_equal(line.directions[0], [1.0, 0.0])
     vee = FormationSpec.vee(9)
     assert len(vee.directions) == 8
-    np.testing.assert_allclose(vee.direction(1), np.array([1, 1]) / np.sqrt(2))
-    np.testing.assert_allclose(vee.direction(8), np.array([1, -1]) / np.sqrt(2))
+    np.testing.assert_allclose(vee.directions[0], np.array([1, 1]) / np.sqrt(2))
+    np.testing.assert_allclose(vee.directions[7], np.array([1, -1]) / np.sqrt(2))
 
 
 def test_sorted_ids_validation():
     team = TeamConfig.uniform(3)
     s = SortedIds.identity(team)
     assert s.order == (1, 2, 3)
-    assert s.robot_at(2) == 2
-    assert s.radius_at(1) == 0.5
+    assert s.order[2 - 1] == 2
+    assert s.sorted_radii[1 - 1] == 0.5
     with pytest.raises(ValueError, match="reference"):
         SortedIds((2, 1, 3), (0.5, 0.5, 0.5))
     with pytest.raises(ValueError, match="permutation"):
