@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from covform.costs import SATURATION
-from covform.se2 import FormationState, _rot_many, oplus
+from covform.se2 import FormationState, _rot_many, oplus, oplus_many
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,24 @@ class OptimizationTrace:
 
 def gradient_fd(cost: Callable[[FormationState], float], x: FormationState,
                 step: float) -> np.ndarray:
-    """Central-difference gradient along each perturbation axis."""
-    g = np.empty(x.dim)
-    e = np.zeros(x.dim)
-    for k in range(x.dim):
-        e[k] = step
-        hi = cost(oplus(x, e))
-        e[k] = -step
-        lo = cost(oplus(x, e))
-        e[k] = 0.0
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError(f"cost is not finite at finite-difference probe, coordinate {k}")
-        g[k] = (hi - lo) / (2.0 * step)
-    return g
+    """Central-difference gradient along each perturbation axis.
+
+    The probes +e_0, -e_0, +e_1, ... are built in one stacked retraction and
+    evaluated by the cost's ``many`` if it has one, else one at a time.
+    """
+    probes = np.zeros((x.dim, 2, x.dim))
+    probes[np.arange(x.dim), :, np.arange(x.dim)] = (step, -step)
+    C, r, ops = oplus_many(x, probes.reshape(2 * x.dim, x.dim))
+    if hasattr(cost, "many"):
+        vals = cost.many(C, r)
+    else:
+        vals = np.array([cost(FormationState(c, p, ops)) for c, p in zip(C, r)], dtype=np.float64)
+    hi, lo = vals[0::2], vals[1::2]
+    bad = ~(np.isfinite(hi) & np.isfinite(lo))
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"cost is not finite at finite-difference probe, coordinate {k}")
+    return (hi - lo) / (2.0 * step)
 
 
 def minimize(cost: Callable[[FormationState], float], x0: FormationState,

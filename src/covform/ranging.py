@@ -68,18 +68,19 @@ def _edge_index(team: TeamConfig, graph: RangeGraph) -> _EdgeIndex:
     )
 
 
-def _stacked_frames(x: FormationState) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (N,2,2) and positions (N,2) of all robots, robot 1 at the identity."""
-    n = x.C.shape[0] + 1
-    C = np.empty((n, 2, 2))
-    C[0] = np.eye(2)
-    C[1:] = x.C
-    return C, x.positions()
+def frames(C: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (...,N,2,2) and positions (...,N,2) of all robots, robot 1 at
+    the identity, from the N-1 poses of one formation or a stack of them."""
+    lead = r.shape[:-2] + (1,)
+    return (np.concatenate([np.broadcast_to(np.eye(2), lead + (2, 2)), C], axis=-3),
+            np.concatenate([np.zeros(lead + (2,)), r], axis=-2))
 
 
 def world_tags(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """World positions (T,2) of every tag for robot rotations C (N,2,2) and positions r (N,2)."""
-    return np.einsum("tij,tj->ti", C[idx.tag_robot], idx.tag_body) + r[idx.tag_robot]
+    """World positions (...,T,2) of every tag for robot rotations C (...,N,2,2)
+    and positions r (...,N,2)."""
+    return (np.einsum("...tij,tj->...ti", C[..., idx.tag_robot, :, :], idx.tag_body)
+            + r[..., idx.tag_robot, :])
 
 
 _NO_POINTS = np.zeros((0, 2))
@@ -94,51 +95,62 @@ def range_rows(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray, tag_i: np.ndarray,
     rows, and to the fixed point points[k - len(tag_j)] after them. Returns
     (H (M, 3N), ranges (M,), unit vectors (M,2), validity mask (M,)); a row
     whose range is not above DEGENERATE_RANGE is invalid and has unit 0.
+    Batch axes leading C and r lead every output; points need unbatched poses.
     """
     pos = world_tags(idx, C, r)
     # rotation derivative of every tag position: C_p (S a), (T,2)
-    lever = np.einsum("tij,tj->ti", C[idx.tag_robot], idx.tag_perp)
+    lever = np.einsum("...tij,tj->...ti", C[..., idx.tag_robot, :, :], idx.tag_perp)
 
     e = tag_j.shape[0]
-    diff = pos[tag_i] - np.concatenate([pos[tag_j], points])
-    rng = np.sqrt(np.einsum("ei,ei->e", diff, diff))
+    far = np.concatenate([pos[tag_j], points]) if points.shape[0] else pos[..., tag_j, :]
+    diff = pos[..., tag_i, :] - far
+    rng = np.sqrt(np.einsum("...ei,...ei->...e", diff, diff))
     valid = rng > DEGENERATE_RANGE
-    unit = np.where(valid[:, None], diff / np.where(valid, rng, 1.0)[:, None], 0.0)
+    unit = np.where(valid[..., None], diff / np.where(valid, rng, 1.0)[..., None], 0.0)
 
     rows = np.arange(tag_i.shape[0])
-    H = np.zeros((rows.shape[0], 3 * idx.n_robots))
-    for rr, tags, u, sign in ((rows, tag_i, unit, 1.0), (rows[:e], tag_j, unit[:e], -1.0)):
+    H = np.zeros(rng.shape + (3 * idx.n_robots,))
+    for rr, tags, u, sign in ((rows, tag_i, unit, 1.0), (rows[:e], tag_j, unit[..., :e, :], -1.0)):
         robots = idx.tag_robot[tags]
         # phi column: unit . (C S a); rho columns: unit^T C
-        H[rr, 3 * robots] += sign * np.einsum("ei,ei->e", u, lever[tags])
-        rho = sign * np.einsum("ei,eij->ej", u, C[robots])
-        H[rr, 3 * robots + 1] += rho[:, 0]
-        H[rr, 3 * robots + 2] += rho[:, 1]
+        H[..., rr, 3 * robots] += sign * np.einsum("...ei,...ei->...e", u, lever[..., tags, :])
+        rho = sign * np.einsum("...ei,...eij->...ej", u, C[..., robots, :, :])
+        H[..., rr, 3 * robots + 1] += rho[..., 0]
+        H[..., rr, 3 * robots + 2] += rho[..., 1]
     return H, rng, unit, valid
 
 
 def predict_all(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.ndarray:
     """Stacked ranges over the graph's (sorted) edge order."""
     idx = _edge_index(team, graph)
-    return range_rows(idx, *_stacked_frames(x), idx.edge_i, idx.edge_j)[1]
+    return range_rows(idx, *frames(x.C, x.r), idx.edge_i, idx.edge_j)[1]
+
+
+def jacobian_many(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(B, E, 3(N-1)) Jacobians of B stacked formations from their N frames
+    (see ``frames``); raises on the first near-zero range in stack order."""
+    H, rng, _, valid = range_rows(idx, C, r, idx.edge_i, idx.edge_j)
+    if not np.all(valid):
+        b, k = np.unravel_index(np.argmin(valid), valid.shape)
+        edge = (int(idx.edge_i[k]) + 1, int(idx.edge_j[k]) + 1)
+        raise ValueError(f"singular geometry: edge {edge} has near-zero range {rng[b, k]:.3g}")
+    return H[..., 3:]  # robot 1 is the reference, not a state
 
 
 def jacobian(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.ndarray:
     """(E, 3(N-1)) Jacobian of predict_all wrt the oplus perturbation at zero."""
-    idx = _edge_index(team, graph)
-    C, r = _stacked_frames(x)
-    H, rng, _, valid = range_rows(idx, C, r, idx.edge_i, idx.edge_j)
-    if not np.all(valid):
-        k = int(np.argmin(valid))
-        raise ValueError(
-            f"singular geometry: edge {graph.edges[k]} has near-zero range {rng[k]:.3g}")
-    return H[:, 3:]  # robot 1 is the reference, not a state
+    C, r = frames(x.C[None], x.r[None])
+    return jacobian_many(_edge_index(team, graph), C, r)[0]
+
+
+def fisher_many(idx: _EdgeIndex, H: np.ndarray) -> np.ndarray:
+    """FIMs H_b^T R^{-1} H_b (B,D,D), R = diag(sigma_ij^2). One 2-D ``h.T @ h``
+    per formation rounds like the one-formation FIM; a stacked matmul need not."""
+    Hw = H / idx.sigma[:, None]
+    F = np.array([h.T @ h for h in Hw])
+    return 0.5 * (F + F.swapaxes(1, 2))
 
 
 def fisher(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.ndarray:
-    """Fisher information H^T R^{-1} H with R = diag(sigma_ij^2)."""
-    idx = _edge_index(team, graph)
-    H = jacobian(x, team, graph)
-    Hw = H / idx.sigma[:, None]
-    F = Hw.T @ Hw
-    return 0.5 * (F + F.T)
+    """Fisher information of one formation; the one-row case of fisher_many."""
+    return fisher_many(_edge_index(team, graph), jacobian(x, team, graph)[None])[0]

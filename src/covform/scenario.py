@@ -50,6 +50,7 @@ from covform.team import (
 # Largest team a document may describe (9x bridge7); checked before any
 # robot is built, so a huge count fails at once instead of allocating.
 MAX_ROBOTS = 64
+MAX_TAGS_PER_ROBOT = 16  # the full graph grows with its square
 
 
 class ScenarioError(ValueError):
@@ -103,8 +104,9 @@ def _nums(values: Any, path: str, length: int | None = None, kind: type = float)
     return tuple(_num(v, f"{path}[{k}]", kind) for k, v in enumerate(values))
 
 
-def _pairs(values: Any, path: str, kind: type = float) -> tuple:
+def _pairs(values: Any, path: str, kind: type = float, most: int | None = None) -> tuple:
     _expect(isinstance(values, (list, tuple)), path, f"expected a list, got {values!r}")
+    _expect(most is None or len(values) <= most, path, f"at most {most} entries, got {len(values)}")
     return tuple(_nums(v, f"{path}[{k}]", 2, kind) for k, v in enumerate(values))
 
 
@@ -124,14 +126,16 @@ def _build_team(cfg: dict) -> TeamConfig:
             _expect("id" in r, path, "missing id")
             robots.append(_make(
                 path, RobotSpec, _num(r["id"], f"{path}.id", int),
-                _pairs(r.get("tag_offsets", _DEFAULT_TAGS), f"{path}.tag_offsets"),
+                _pairs(r.get("tag_offsets", _DEFAULT_TAGS), f"{path}.tag_offsets",
+                       most=MAX_TAGS_PER_ROBOT),
                 _num(r.get("camera_radius", 0.5), f"{path}.camera_radius")))
         return _make("team.robots", TeamConfig, tuple(robots))
     _expect("count" in cfg, "team", "needs either 'count' or 'robots'")
     count = _num(cfg["count"], "team.count", int)
     _expect(2 <= count <= MAX_ROBOTS, "team.count",
             f"need 2 to {MAX_ROBOTS} robots, got {count}")
-    offsets = _pairs(cfg.get("tag_offsets", _DEFAULT_TAGS), "team.tag_offsets")
+    offsets = _pairs(cfg.get("tag_offsets", _DEFAULT_TAGS), "team.tag_offsets",
+                     most=MAX_TAGS_PER_ROBOT)
     radius = _num(cfg.get("camera_radius", 0.5), "team.camera_radius")
     return _make("team", TeamConfig.uniform, count, offsets, radius)
 

@@ -168,8 +168,7 @@ class FormationState:
         if C.ndim != 3 or C.shape[1:] != (2, 2) or r.shape != (C.shape[0], 2):
             raise ValueError(f"need C (M,2,2) and r (M,2), got {C.shape} and {r.shape}")
         if ops > RENORMALIZE_EVERY:
-            ang = np.arctan2(C[:, 1, 0], C[:, 0, 0])
-            C = _rot_many(ang)
+            C = _rot_many(np.arctan2(C[:, 1, 0], C[:, 0, 0]))
             ops = 0
         C.flags.writeable = False
         r.flags.writeable = False
@@ -239,12 +238,12 @@ class FormationState:
 
 
 def _rot_many(phi: np.ndarray) -> np.ndarray:
+    """Rotation matrices (..., 2, 2) for an array of angles (...)."""
     c, s = np.cos(phi), np.sin(phi)
-    out = np.empty((phi.shape[0], 2, 2))
-    out[:, 0, 0] = c
-    out[:, 0, 1] = -s
-    out[:, 1, 0] = s
-    out[:, 1, 1] = c
+    out = np.empty(phi.shape + (2, 2))
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
     return out
 
 
@@ -254,11 +253,10 @@ def _V_many(phi: np.ndarray) -> np.ndarray:
     h = np.sin(safe / 2.0)
     a = np.where(small, 1.0 - phi * phi / 6.0, np.sin(safe) / safe)
     b = np.where(small, phi / 2.0, 2.0 * h * h / safe)
-    out = np.empty((phi.shape[0], 2, 2))
-    out[:, 0, 0] = a
-    out[:, 0, 1] = -b
-    out[:, 1, 0] = b
-    out[:, 1, 1] = a
+    out = np.empty(phi.shape + (2, 2))
+    out[..., 0, 0] = out[..., 1, 1] = a
+    out[..., 0, 1] = -b
+    out[..., 1, 0] = b
     return out
 
 
@@ -276,6 +274,19 @@ def exp_step(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return t
 
 
+def oplus_many(x: FormationState, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Right-perturb x by each row of dx (B, 3(N-1)) as :func:`oplus` does: the
+    rotations (B,N-1,2,2), translations (B,N-1,2) and compose count of all B."""
+    d = dx.reshape(dx.shape[0], -1, 3)
+    phi = d[..., 0]
+    t = np.einsum("...ij,...j->...i", _V_many(phi), d[..., 1:])
+    C = np.einsum("nij,bnjk->bnik", x.C, _rot_many(phi))
+    r = x.r + np.einsum("nij,bnj->bni", x.C, t)
+    if x._ops + 1 > RENORMALIZE_EVERY:
+        return _rot_many(np.arctan2(C[..., 1, 0], C[..., 0, 0])), r, 0
+    return C, r, x._ops + 1
+
+
 def oplus(x: FormationState, dx: np.ndarray) -> FormationState:
     """Right-perturb every pose: pose_p <- pose_p * exp(dxi_p).
 
@@ -285,13 +296,8 @@ def oplus(x: FormationState, dx: np.ndarray) -> FormationState:
     dx = np.asarray(dx, dtype=np.float64)
     if dx.shape != (x.dim,):
         raise ValueError(f"perturbation must have shape ({x.dim},), got {dx.shape}")
-    d = dx.reshape(-1, 3)
-    phi = d[:, 0]
-    R = _rot_many(phi)
-    t = np.einsum("nij,nj->ni", _V_many(phi), d[:, 1:])
-    C_new = np.einsum("nij,njk->nik", x.C, R)
-    r_new = x.r + np.einsum("nij,nj->ni", x.C, t)
-    return FormationState(C_new, r_new, ops=x._ops + 1)
+    C, r, ops = oplus_many(x, dx[None])
+    return FormationState(C[0], r[0], ops=ops)
 
 
 def relative_position(x: FormationState, p: int, q: int) -> np.ndarray:

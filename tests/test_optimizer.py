@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from covform import costs, se2
+from covform.assignment import sort_robot_ids
 from covform.optimizer import (
     OptimizerConfig,
     gradient_fd,
@@ -9,7 +10,9 @@ from covform.optimizer import (
     minimize_multistart,
     random_formation,
 )
-from covform.team import FormationSpec, SortedIds, TeamConfig
+from covform.ranging import _edge_index, frames
+from covform.scenario import load_scenario
+from covform.team import FormationSpec, RangeGraph, RobotSpec, SortedIds, TeamConfig
 
 
 def state_with_positions(positions, angles=None):
@@ -27,6 +30,134 @@ def fit_line_residual(points):
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     normal = vt[-1]
     return float(np.max(np.abs(centered @ normal)))
+
+
+def gradient_loop(cost, x, step):
+    """Per-probe oracle for gradient_fd: one oplus and one scalar cost call
+    per probe, in the order +e_0, -e_0, +e_1, ..."""
+    g = np.empty(x.dim)
+    e = np.zeros(x.dim)
+    for k in range(x.dim):
+        e[k] = step
+        hi = cost(se2.oplus(x, e))
+        e[k] = -step
+        lo = cost(se2.oplus(x, e))
+        e[k] = 0.0
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise ValueError(f"cost is not finite at finite-difference probe, coordinate {k}")
+        g[k] = (hi - lo) / (2.0 * step)
+    return g
+
+
+def outcome(fn, *args):
+    """(result, None) or (None, (exception type, message))."""
+    try:
+        return fn(*args), None
+    except ValueError as e:
+        return None, (type(e), str(e))
+
+
+def assert_matches_loop(cost, x, step=1e-6):
+    """gradient_fd equals the per-probe oracle bit for bit, or raises alike."""
+    g, err = outcome(gradient_fd, cost, x, step)
+    g_ref, err_ref = outcome(gradient_loop, cost, x, step)
+    assert err == err_ref
+    if err is None:
+        assert g.tobytes() == g_ref.tobytes()
+    return g, err
+
+
+class TestStackedProbesMatchLoop:
+    """Central differences multiply last-bit noise in a probe value by
+    1/(2h) = 5e5, so the stacked probes must equal the loop exactly."""
+
+    @pytest.mark.parametrize("preset", ["sim5", "bridge7", "exp3plus2"])
+    def test_random_states(self, preset):
+        sc = load_scenario(preset)
+        n = sc.team.n_robots
+        dirs = np.asarray(sc.formation.directions)
+        rng = np.random.default_rng(41)
+        for t in range(8):
+            x = random_formation(n, rng)
+            if t % 2:
+                # a state one compose short of re-projection, rotations drifted
+                # off SO(2), so every probe re-projects as oplus does
+                C = x.C + rng.normal(0.0, 1e-9, x.C.shape)
+                x = se2.FormationState(C, x.r, ops=se2.RENORMALIZE_EVERY)
+            s = sort_robot_ids(x, sc.team, dirs)
+            for kind in ("adj", "opt", "cov"):
+                cost = costs.cost_function(kind, sc.team, sc.graph, sc.formation, s)
+                g, err = assert_matches_loop(cost, x)
+                assert err is None and np.all(np.isfinite(g))
+
+    def test_reprojected_probes(self):
+        sc = load_scenario("sim5")
+        x = random_formation(5, np.random.default_rng(3))
+        C = x.C * (1.0 + 1e-7)
+        s = SortedIds.identity(sc.team)
+        cost = costs.cost_function("cov", sc.team, sc.graph, sc.formation, s)
+        drifted = se2.FormationState(C, x.r, ops=se2.RENORMALIZE_EVERY)
+        fresh = se2.FormationState(C, x.r, ops=se2.RENORMALIZE_EVERY - 1)
+        g, _ = assert_matches_loop(cost, drifted)
+        g_fresh, _ = assert_matches_loop(cost, fresh)
+        assert g.tobytes() != g_fresh.tobytes()  # the re-projection is seen
+
+    def test_active_collision_barrier(self):
+        sc = load_scenario("sim5")
+        spec = sc.formation
+        # robots 2 and 3 inside the activation radius, outside the collision radius
+        x = state_with_positions([(0.7, 0.0), (0.0, 0.65), (2.0, 1.0), (-1.5, 2.0)],
+                                 angles=[0.3, -1.0, 2.0, 0.5])
+        assert 0.0 < costs.j_col(x, spec) < costs.SATURATION
+        s = SortedIds.identity(sc.team)
+        for kind in ("opt", "cov"):
+            g, err = assert_matches_loop(
+                costs.cost_function(kind, sc.team, sc.graph, spec, s), x)
+            assert err is None and np.any(g != 0.0)
+
+    def test_singular_fim_saturates_per_probe(self):
+        # all four tags on the x axis: the FIM is singular at the state and at
+        # the probes along x, but not at the probes that leave the axis
+        team = TeamConfig((RobotSpec(1, ((-0.2, 0.0), (0.2, 0.0)), 0.5),
+                           RobotSpec(2, ((-0.2, 0.0), (0.2, 0.0)), 0.5)))
+        graph = RangeGraph.from_pairs([(1, 3), (1, 4), (2, 3), (2, 4)], 0.1)
+        spec = FormationSpec.line(2)
+        s = SortedIds.identity(team)
+        x = state_with_positions([(2.0, 0.0)])
+        assert costs.j_est(x, team, graph) == costs.SATURATION
+        for kind in ("opt", "cov"):
+            cost = costs.cost_function(kind, team, graph, spec, s)
+            probes = np.repeat(np.eye(3), 2, axis=0) * np.tile([1e-6, -1e-6], 3)[:, None]
+            C, r, _ = se2.oplus_many(x, probes)
+            est = costs.est_many(_edge_index(team, graph), *frames(C, r))
+            assert np.sum(est == costs.SATURATION) == 2 and np.all(np.isfinite(est))
+            assert_matches_loop(cost, x)
+
+    def test_coincident_robots_raise_alike(self):
+        sc = load_scenario("sim5")
+        s = SortedIds.identity(sc.team)
+        x = state_with_positions([(1.0, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, 0.0)])
+        for kind in ("opt", "cov"):
+            cost = costs.cost_function(kind, sc.team, sc.graph, sc.formation, s)
+            _, err = assert_matches_loop(cost, x)
+            assert err is not None and err[0] is ValueError
+
+    def test_non_finite_probe_raises_alike(self):
+        sc = load_scenario("sim5")
+        s = SortedIds.identity(sc.team)
+        x = random_formation(5, np.random.default_rng(8))
+        cost = costs.cost_function("cov", sc.team, sc.graph, sc.formation, s)
+        # a plain callable (mapped over the probes) that is infinite once
+        # robot 4 moves along its first axis
+        bad = lambda st: np.inf if st.r[2, 0] > x.r[2, 0] else cost(st)
+        _, err = assert_matches_loop(bad, x)
+        assert err is not None and "coordinate 7" in err[1]
+        # the stacked evaluator: squared offsets overflow at every probe
+        huge = se2.FormationState(x.C, x.r * 1e160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, err = assert_matches_loop(
+                costs.cost_function("adj", sc.team, sc.graph, sc.formation, s), huge)
+        assert err is not None and "coordinate 0" in err[1]
 
 
 class TestGradient:

@@ -47,7 +47,7 @@ def predict_range(x, team, edge):
 def world_tag(x, team, tag_id):
     """The vectorized world tag position of one tag."""
     idx = ranging._edge_index(team, RangeGraph((), ()))
-    return ranging.world_tags(idx, *ranging._stacked_frames(x))[tag_id - 1]
+    return ranging.world_tags(idx, *ranging.frames(x.C, x.r))[tag_id - 1]
 
 
 class TestTagPosition:

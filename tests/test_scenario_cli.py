@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from covform.cli import (
     load_formation_file,
     main,
 )
-from covform.scenario import MAX_ROBOTS, ScenarioError, build_scenario, load_scenario
+from covform.scenario import MAX_ROBOTS, MAX_TAGS_PER_ROBOT, ScenarioError, build_scenario, load_scenario
 from covform.se2 import FormationState, Pose2
 from covform.team import SortedIds
 
@@ -116,7 +117,19 @@ def fast_scenario(tmp_path, n=3, restarts=1, max_iters=4000):
     return p
 
 
+GOLDEN = Path(__file__).resolve().parent / "data" / "formation_cov_sim5_seed7.json"
+
+
 class TestCli:
+    def test_seeded_design_reproduces_golden_file(self, tmp_path):
+        # seeded outputs are the oracle: this is the formation JSON that
+        # `optimize --config sim5 --cost cov --seed 7` wrote (x86-64, numpy
+        # 2.4, float64) before the finite-difference probes were stacked
+        rc = main(["optimize", "--config", "sim5", "--cost", "cov",
+                   "--seed", "7", "--out", str(tmp_path)])
+        assert rc == OK
+        assert (tmp_path / "formation_cov.json").read_bytes() == GOLDEN.read_bytes()
+
     def test_optimize_writes_parseable_formation(self, tmp_path):
         cfg = fast_scenario(tmp_path)
         rc = main(["optimize", "--config", str(cfg), "--cost", "adj",
@@ -175,6 +188,24 @@ class TestCli:
         with pytest.raises(ScenarioError, match="team.robots"):
             build_scenario({**minimal_doc(), "team": {"robots": robots}})
         assert build_scenario(minimal_doc(MAX_ROBOTS)).team.n_robots == MAX_ROBOTS
+
+    def test_tags_per_robot_are_bounded(self, tmp_path, capsys):
+        # a huge tag list is refused before any edge is built
+        many = [[0.01 * k, 0.0] for k in range(5000)]
+        bad = tmp_path / "tags.json"
+        bad.write_text(json.dumps({**minimal_doc(), "team": {"count": 3, "tag_offsets": many}}))
+        rc = main(["optimize", "--config", str(bad), "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"config error: team.tag_offsets: at most {MAX_TAGS_PER_ROBOT} entries, got 5000" in capsys.readouterr().err
+        robots = [{"id": 1}, {"id": 2, "tag_offsets": many[:MAX_TAGS_PER_ROBOT + 1]}, {"id": 3}]
+        with pytest.raises(ScenarioError, match=r"team.robots\[1\].tag_offsets: at most"):
+            build_scenario({**minimal_doc(), "team": {"robots": robots}})
+        ok = [[0.01 * k, 0.0] for k in range(MAX_TAGS_PER_ROBOT)]
+        team = build_scenario({**minimal_doc(), "team": {"count": 3, "tag_offsets": ok}}).team
+        assert team.n_tags == 3 * MAX_TAGS_PER_ROBOT
+        robots[1]["tag_offsets"] = ok
+        assert build_scenario({**minimal_doc(), "team": {"robots": robots}}).team.n_tags == \
+            4 + MAX_TAGS_PER_ROBOT
 
     @pytest.mark.parametrize("command", ["simulate", "heatmap", "montecarlo"])
     @pytest.mark.parametrize("name", ["missing", "not_json", "empty", "one_pose"])
