@@ -25,7 +25,7 @@ from covform import costs
 from covform.assignment import sort_robot_ids
 from covform.covsim import dump_trajectory_csv, monte_carlo, reduction_table, run_coverage_sim
 from covform.optimizer import OptimizationTrace, minimize, random_formation
-from covform.scenario import Scenario, ScenarioError, load_scenario
+from covform.scenario import Scenario, ScenarioError, _num, load_scenario
 from covform.se2 import FormationState
 from covform.team import SortedIds
 
@@ -129,11 +129,11 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     if not 2 <= robot <= scenario.team.n_robots:
         raise ScenarioError(f"heatmap robot must be 2..{scenario.team.n_robots}, got {robot}")
     if args.grid:
-        try:
-            x0, x1, y0, y1, nx, ny = (float(v) for v in args.grid.split(","))
-            nx, ny = int(nx), int(ny)
-        except ValueError:
-            raise ScenarioError("grid must be 'xmin,xmax,ymin,ymax,nx,ny'") from None
+        parts = args.grid.split(",")
+        if len(parts) != 6:
+            raise ScenarioError("grid must be 'xmin,xmax,ymin,ymax,nx,ny'")
+        x0, x1, y0, y1, nx, ny = (_num(v, f"grid[{k}]") for k, v in enumerate(parts))
+        nx, ny = _num(nx, "grid[4]", int), _num(ny, "grid[5]", int)
     else:
         pos = x.positions()
         margin = 2.0

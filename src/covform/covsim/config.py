@@ -57,6 +57,8 @@ class SimConfig:
     divergence_threshold: float = 100.0  # m, any RMSE beyond this marks a diverged trial
 
     def __post_init__(self):
+        if not all(side > 0 for side in self.area):
+            raise ValueError(f"area sides must be > 0, got {self.area}")
         if self.dt_truth <= 0 or self.range_rate <= 0 or self.gps_rate <= 0:
             raise ValueError("all rates must be > 0")
         if self.waypoint_tolerance <= 0 or self.landmark_detection_radius <= 0:

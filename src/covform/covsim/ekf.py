@@ -10,6 +10,11 @@ Landmarks enter by delayed initialization: ranges buffer until a
 trilateration over sufficiently spread tag positions is well conditioned,
 then the solution and its (inflated) normal-equation covariance are
 inserted into the state.
+
+The caller owns the state: predict, the updates and landmark init change it
+in place and return the same object. Every update is a sequence of scalar
+updates, one per measurement row, which with independent (diagonal) noise
+gives the joint update exactly.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ class EkfModel:
 
 @dataclass
 class EkfState:
-    """Filter mean and covariance; copied on every predict/update."""
+    """Filter mean and covariance, owned by the caller and updated in place."""
 
     ang: np.ndarray          # (N,)
     pos: np.ndarray          # (N,2)
@@ -70,21 +75,13 @@ class EkfState:
     initialized: np.ndarray  # (L,) bool
     P: np.ndarray
 
-    def copy(self) -> "EkfState":
-        return EkfState(self.ang.copy(), self.pos.copy(), self.landmarks.copy(),
-                        self.initialized.copy(), self.P.copy())
-
     @classmethod
     def create(cls, model: EkfModel, ang: np.ndarray, pos: np.ndarray,
                att_sigma: float, pos_sigma: float) -> "EkfState":
-        n, L = model.n_robots, model.n_landmarks
-        P = np.zeros((model.dim, model.dim))
-        block = np.diag([att_sigma ** 2, pos_sigma ** 2, pos_sigma ** 2])
-        for p in range(n):
-            P[3 * p:3 * p + 3, 3 * p:3 * p + 3] = block
-        for l in range(L):
-            c = model.lm_col(l)
-            P[c:c + 2, c:c + 2] = np.eye(2) * _UNINIT_PRIOR
+        L = model.n_landmarks
+        P = np.diag(np.concatenate([
+            np.tile([att_sigma ** 2, pos_sigma ** 2, pos_sigma ** 2], model.n_robots),
+            np.full(2 * L, _UNINIT_PRIOR)]))
         return cls(np.asarray(ang, dtype=np.float64).copy(),
                    np.asarray(pos, dtype=np.float64).copy(),
                    np.zeros((L, 2)), np.zeros(L, dtype=bool), P)
@@ -95,16 +92,15 @@ class EkfState:
 
 def ekf_predict(state: EkfState, model: EkfModel, u: np.ndarray,
                 vel_cov: np.ndarray, dt: float) -> EkfState:
-    """Propagate every robot by T <- T exp(dt u); landmarks are static.
+    """Propagate every robot by T <- T exp(dt u), in place; landmarks are static.
 
     The error-state transition per robot is Ad(exp(-dt u)); process noise
     enters as dt^2 * vel_cov on the robot's own block.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    out = state.copy()
     xi = dt * u
-    t = exp_step(out.ang, out.pos, xi)
+    t = exp_step(state.ang, state.pos, xi)
     # F_p = Ad(exp(-xi_p)) under the [phi, rho] ordering: exp(-xi_p) has
     # rotation Cinv = R(-phi_p) and translation rinv = -Cinv t_p
     Cinv = _rot_many(-xi[:, 0])
@@ -115,9 +111,9 @@ def ekf_predict(state: EkfState, model: EkfModel, u: np.ndarray,
     F[blk[:, 1], blk[:, 0]] = rinv[:, 1]
     F[blk[:, 2], blk[:, 0]] = -rinv[:, 0]
     F[rows[:, 1:], cols[:, :, 1:]] = Cinv
-    out.P = F @ out.P @ F.T
-    out.P[rows, cols] += (dt * dt) * vel_cov
-    return out
+    state.P = F @ state.P @ F.T
+    state.P[rows, cols] += (dt * dt) * vel_cov
+    return state
 
 
 def _retract(state: EkfState, model: EkfModel, delta: np.ndarray) -> None:
@@ -127,19 +123,26 @@ def _retract(state: EkfState, model: EkfModel, delta: np.ndarray) -> None:
     state.landmarks += delta[m:].reshape(-1, 2)
 
 
-def _joseph_update(state: EkfState, model: EkfModel, H: np.ndarray,
-                   nu: np.ndarray, sigmas: np.ndarray) -> EkfState:
-    out = state.copy()
-    P = out.P
-    R = np.diag(sigmas ** 2)
-    PHt = P @ H.T
-    S = H @ PHt + R
-    K = np.linalg.solve(S.T, PHt.T).T
-    A = np.eye(model.dim) - K @ H
-    out.P = A @ P @ A.T + K @ R @ K.T
-    out.P = 0.5 * (out.P + out.P.T)
-    _retract(out, model, K @ nu)
-    return out
+def _fold_rows(state: EkfState, model: EkfModel, H: np.ndarray, nu: np.ndarray,
+               sigmas: np.ndarray, gate: float | None) -> int:
+    """Fold independent rows in one scalar update at a time, in place, and
+    retract the summed correction once; returns how many rows the gate
+    dropped. With no row gated this is the joint update over all rows."""
+    P = state.P
+    delta = np.zeros(model.dim)
+    n_rejected = 0
+    for h, v, sigma in zip(H, nu, sigmas):
+        Ph = P @ h
+        s = h @ Ph + sigma * sigma
+        v -= h @ delta
+        if gate is not None and not v * v / s <= gate:
+            n_rejected += 1
+            continue
+        delta += Ph * (v / s)
+        P -= np.outer(Ph, Ph) / s
+    if n_rejected < len(nu):
+        _retract(state, model, delta)
+    return n_rejected
 
 
 def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
@@ -166,41 +169,33 @@ def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
 def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
                       z_rr: np.ndarray, lm_edges: list[tuple[int, int]], z_lm: np.ndarray,
                       lm_sigma: float, gate: float = RANGE_GATE_1DOF) -> tuple[EkfState, int]:
-    """Joint update over selected robot-robot edges plus landmark rows.
+    """Update in place on selected robot-robot edges plus landmark rows.
 
-    rr_idx indexes into the model's edge arrays. Rows whose normalized
-    innovation squared exceeds the gate are dropped and counted. Returns
-    (new state, number rejected).
+    rr_idx indexes into the model's edge arrays. The rows are linearized
+    at the incoming state and folded in one at a time; each row is gated on
+    its normalized innovation squared against the covariance the rows
+    before it left, and dropped and counted if it exceeds the gate. Rows
+    with a degenerate predicted range are skipped uncounted. Returns
+    (state, number rejected).
     """
     rr_idx = np.asarray(rr_idx, dtype=np.intp)
     H, zhat, valid = _measurement_rows(state, model, rr_idx, lm_edges)
-    z = np.concatenate([z_rr, z_lm])
+    nu = np.concatenate([z_rr, z_lm]) - zhat
     sigmas = np.concatenate([model.index.sigma[rr_idx], np.full(len(lm_edges), lm_sigma)])
-    nu = z - zhat
-
-    # per-row gate on the marginal innovation variance
-    Pd = state.P
-    S_diag = np.einsum("ij,jk,ik->i", H, Pd, H) + sigmas ** 2
-    nis = nu * nu / S_diag
-    keep = valid & (nis <= gate)
-    n_rejected = int(np.sum(valid & ~keep))
-    if not np.any(keep):
-        return state.copy(), n_rejected
-    new = _joseph_update(state, model, H[keep], nu[keep], sigmas[keep])
-    return new, n_rejected
+    return state, _fold_rows(state, model, H[valid], nu[valid], sigmas[valid], gate)
 
 
 def ekf_update_gps(state: EkfState, model: EkfModel, measured: np.ndarray,
                    sigma: float, gate: float = GPS_GATE_2DOF) -> tuple[EkfState, bool]:
-    """Position fix on robot 1; gated on the joint 2-dof innovation."""
+    """Position fix on robot 1, in place; gated on the joint 2-dof innovation."""
     H = np.zeros((2, model.dim))
     H[:, 1:3] = rot2(state.ang[0])
     nu = np.asarray(measured, dtype=np.float64) - state.pos[0]
     S = H @ state.P @ H.T + np.eye(2) * sigma ** 2
     if float(nu @ np.linalg.solve(S, nu)) > gate:
-        return state.copy(), False
-    new = _joseph_update(state, model, H, nu, np.array([sigma, sigma]))
-    return new, True
+        return state, False
+    _fold_rows(state, model, H, nu, np.array([sigma, sigma]), None)
+    return state, True
 
 
 def _gauss_newton(points: np.ndarray, ranges: np.ndarray, start: np.ndarray,
@@ -298,7 +293,7 @@ class LandmarkBuffer:
 
 def landmark_init(state: EkfState, model: EkfModel, lm: int,
                   buffer: LandmarkBuffer, sigma: float) -> tuple[EkfState, bool]:
-    """Try delayed initialization from buffered (tag position, range) pairs.
+    """Try delayed initialization from buffered (tag position, range) pairs, in place.
 
     Requires at least 3 entries spanning a baseline over MIN_BASELINE with
     genuine 2D spread, a well-conditioned trilateration whose fit leaves an
@@ -322,11 +317,10 @@ def landmark_init(state: EkfState, model: EkfModel, lm: int,
     mirror, mirror_cost = _gauss_newton(points, ranges, buffer.principal_reflection(sol))
     if np.linalg.norm(mirror - sol) > 0.05 and cost > MIRROR_COST_RATIO * mirror_cost:
         return state, False  # ambiguous: the reflected fit is competitive
-    out = state.copy()
-    out.landmarks[lm] = sol
-    out.initialized[lm] = True
+    state.landmarks[lm] = sol
+    state.initialized[lm] = True
     c = model.lm_col(lm)
-    out.P[c:c + 2, :] = 0.0
-    out.P[:, c:c + 2] = 0.0
-    out.P[c:c + 2, c:c + 2] = INIT_COV_INFLATION * sigma ** 2 * cov
-    return out, True
+    state.P[c:c + 2, :] = 0.0
+    state.P[:, c:c + 2] = 0.0
+    state.P[c:c + 2, c:c + 2] = INIT_COV_INFLATION * sigma ** 2 * cov
+    return state, True

@@ -20,7 +20,6 @@ from covform.covsim.ekf import (
     EkfModel,
     EkfState,
     LandmarkBuffer,
-    _retract,
     ekf_predict,
     ekf_update_gps,
     ekf_update_ranges,
@@ -153,12 +152,9 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
                             att_sigma=config.init_att_sigma * config.noise_scale,
                             pos_sigma=config.init_pos_sigma * config.noise_scale)
     if config.noise_scale > 0:
-        delta = np.zeros(model.dim)
-        for p in range(n):
-            delta[3 * p] = config.init_att_sigma * config.noise_scale * init_rng.standard_normal()
-            delta[3 * p + 1:3 * p + 3] = (config.init_pos_sigma * config.noise_scale
-                                          * init_rng.standard_normal(2))
-        _retract(state, model, delta)
+        init_std = config.noise_scale * np.array(
+            [config.init_att_sigma, config.init_pos_sigma, config.init_pos_sigma])
+        exp_step(state.ang, state.pos, init_std * init_rng.standard_normal((n, 3)))
 
     vel_cov = np.diag([config.vel_noise_omega ** 2,
                        config.vel_noise_v ** 2, config.vel_noise_v ** 2])

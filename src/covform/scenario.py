@@ -93,9 +93,11 @@ def _num(value: Any, path: str, kind: type = float):
     _expect(kind is float or not isinstance(value, float) or value.is_integer(), path,
             f"expected a whole number, got {value!r}")
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{path}: expected a number, got {value!r}") from None
+    _expect(kind is not float or math.isfinite(out), path, f"expected a finite number, got {value!r}")
+    return out
 
 
 def _nums(values: Any, path: str, length: int | None = None, kind: type = float) -> tuple:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from covform.covsim.ekf import (
     EkfModel,
     EkfState,
     LandmarkBuffer,
+    _measurement_rows,
+    _retract,
     ekf_predict,
     ekf_update_gps,
     ekf_update_ranges,
@@ -35,14 +39,65 @@ def make_state(model, spread=2.0, seed=0, att_sigma=0.1, pos_sigma=0.3):
     return EkfState.create(model, ang, pos, att_sigma, pos_sigma)
 
 
+def joseph_update(state, model, H, nu, sigmas):
+    """Dense joint Joseph-form update over all rows of H, on a copy: the
+    oracle for the filter's in-place sequence of scalar updates."""
+    out = copy.deepcopy(state)
+    P = out.P
+    R = np.diag(sigmas ** 2)
+    PHt = P @ H.T
+    S = H @ PHt + R
+    K = np.linalg.solve(S.T, PHt.T).T
+    A = np.eye(model.dim) - K @ H
+    out.P = A @ P @ A.T + K @ R @ K.T
+    out.P = 0.5 * (out.P + out.P.T)
+    _retract(out, model, K @ nu)
+    return out
+
+
+def assert_states_close(got, want, rel=1e-12):
+    """Every state array within ``rel`` of the oracle, relative to its largest entry."""
+    for name in ("ang", "pos", "landmarks", "P"):
+        a, b = getattr(got, name), getattr(want, name)
+        scale = max(float(np.max(np.abs(b), initial=0.0)), 1e-300)
+        assert float(np.max(np.abs(a - b), initial=0.0)) <= rel * scale, name
+    np.testing.assert_array_equal(got.initialized, want.initialized)
+
+
+def coupled_state(model, seed):
+    """A state with a dense SPD covariance and every landmark initialized."""
+    rng = np.random.default_rng(seed)
+    s = make_state(model, seed=seed)
+    A = rng.standard_normal((model.dim, model.dim))
+    s.P = 0.01 * A @ A.T / model.dim + np.diag(np.full(model.dim, 0.02))
+    s.landmarks[:] = rng.uniform(-3, 3, s.landmarks.shape)
+    s.initialized[:] = True
+    return s
+
+
 class TestPredict:
     def test_zero_velocity_zero_noise_is_identity(self):
         _, model = make_model()
         s = make_state(model)
+        before = copy.deepcopy(s)
         out = ekf_predict(s, model, np.zeros((3, 3)), np.zeros((3, 3)), 0.01)
-        np.testing.assert_array_equal(out.ang, s.ang)
-        np.testing.assert_array_equal(out.pos, s.pos)
-        np.testing.assert_allclose(out.P, s.P, atol=1e-15)
+        np.testing.assert_array_equal(out.ang, before.ang)
+        np.testing.assert_array_equal(out.pos, before.pos)
+        np.testing.assert_allclose(out.P, before.P, atol=1e-15)
+
+    def test_predict_and_updates_change_the_callers_state(self):
+        team, model = make_model()
+        s = make_state(model)
+        ang = s.ang.copy()
+        assert ekf_predict(s, model, np.ones((3, 3)), VEL_COV, 0.01) is s
+        assert not np.array_equal(s.ang, ang)
+        pos, trace = s.pos.copy(), np.trace(s.P)
+        tagpos = s.tag_positions(model)
+        z = float(np.linalg.norm(tagpos[0] - tagpos[2])) + 0.05
+        out, n_rejected = update_edge(s, model, team, (1, 3), z)
+        assert out is s and n_rejected == 0
+        assert not np.array_equal(s.pos, pos) and np.trace(s.P) < trace
+        assert ekf_update_gps(s, model, s.pos[0] + 0.1, 0.1)[0] is s
 
     def test_forward_velocity_straight_line(self):
         _, model = make_model(n=2, landmarks=0)
@@ -58,9 +113,9 @@ class TestPredict:
         _, model = make_model()
         s = make_state(model)
         for _ in range(50):
-            s2 = ekf_predict(s, model, np.zeros((3, 3)), VEL_COV, 0.01)
-            assert np.trace(s2.P) >= np.trace(s.P)
-            s = s2
+            before = np.trace(s.P)
+            s = ekf_predict(s, model, np.zeros((3, 3)), VEL_COV, 0.01)
+            assert np.trace(s.P) >= before
 
     def test_prediction_adds_psd_noise_under_motion(self):
         # in motion the transition reshapes P but what is added stays PSD
@@ -69,18 +124,18 @@ class TestPredict:
         rng = np.random.default_rng(1)
         for _ in range(20):
             u = rng.uniform(-1, 1, (3, 3))
-            s2 = ekf_predict(s, model, u, VEL_COV, 0.01)
-            np.testing.assert_allclose(s2.P, s2.P.T, atol=1e-12)
-            assert np.linalg.eigvalsh(s2.P).min() > -1e-9
-            s = s2
+            s = ekf_predict(s, model, u, VEL_COV, 0.01)
+            np.testing.assert_allclose(s.P, s.P.T, atol=1e-12)
+            assert np.linalg.eigvalsh(s.P).min() > -1e-9
 
     def test_landmarks_static(self):
         _, model = make_model(landmarks=2)
         s = make_state(model)
         s.landmarks[:] = [[1.0, 2.0], [3.0, 4.0]]
         s.initialized[:] = True
+        before = s.landmarks.copy()
         out = ekf_predict(s, model, np.ones((3, 3)), VEL_COV, 0.01)
-        np.testing.assert_array_equal(out.landmarks, s.landmarks)
+        np.testing.assert_array_equal(out.landmarks, before)
 
     def test_matches_per_robot_compose_and_adjoint_oracle(self):
         # mean: T_p exp(dt u_p) per robot; covariance: F P F^T + noise with
@@ -93,7 +148,7 @@ class TestPredict:
         u = rng.uniform(-1, 1, (4, 3))
         u[3, 0] = 0.0
         dt = 0.05
-        out = ekf_predict(s, model, u, VEL_COV, dt)
+        out = ekf_predict(copy.deepcopy(s), model, u, VEL_COV, dt)
         F = np.eye(model.dim)
         Q = np.zeros((model.dim, model.dim))
         for p in range(4):
@@ -118,7 +173,7 @@ class TestRangeUpdate:
         tagpos = s.tag_positions(model)
         edge = (1, 3)
         z = float(np.linalg.norm(tagpos[0] - tagpos[2]))
-        out, n_rejected = update_edge(s, model, team, edge, z)
+        out, n_rejected = update_edge(copy.deepcopy(s), model, team, edge, z)
         assert n_rejected == 0
         np.testing.assert_allclose(out.ang, s.ang, atol=1e-12)
         np.testing.assert_allclose(out.pos, s.pos, atol=1e-12)
@@ -131,19 +186,19 @@ class TestRangeUpdate:
         z = float(np.linalg.norm(tagpos[0] - tagpos[2])) + 0.05
         out, n_rejected = update_edge(s, model, team, (1, 3), z)
         assert n_rejected == 0
-        np.testing.assert_allclose(out.P, out.P.T, atol=1e-9)
+        np.testing.assert_array_equal(out.P, out.P.T)
 
     def test_gating_rejects_absurd_innovation(self):
         team, model = make_model()
         s = make_state(model, seed=5)
-        out, n_rejected = update_edge(s, model, team, (1, 3), 500.0)
+        out, n_rejected = update_edge(copy.deepcopy(s), model, team, (1, 3), 500.0)
         assert n_rejected == 1
         np.testing.assert_array_equal(out.ang, s.ang)
+        np.testing.assert_array_equal(out.pos, s.pos)
+        np.testing.assert_array_equal(out.P, s.P)
 
     def test_jacobian_rows_match_finite_differences(self):
         # lift of the closed-form range row to the global error state
-        from covform.covsim.ekf import _measurement_rows
-
         team, model = make_model()
         s = make_state(model, seed=6)
         s.landmarks[0] = np.array([1.5, -0.7])
@@ -153,8 +208,7 @@ class TestRangeUpdate:
         assert valid.all()
 
         def ranges_at(delta):
-            from covform.covsim.ekf import _retract
-            probe = s.copy()
+            probe = copy.deepcopy(s)
             _retract(probe, model, delta)
             tp = probe.tag_positions(model)
             rr = np.linalg.norm(tp[model.index.edge_i] - tp[model.index.edge_j], axis=1)
@@ -199,9 +253,10 @@ class TestGpsUpdate:
     def test_exact_measurement_keeps_mean(self):
         _, model = make_model()
         s = make_state(model, seed=9)
-        out, ok = ekf_update_gps(s, model, s.pos[0].copy(), 0.1)
+        out, ok = ekf_update_gps(copy.deepcopy(s), model, s.pos[0].copy(), 0.1)
         assert ok
         np.testing.assert_allclose(out.pos[0], s.pos[0], atol=1e-12)
+        assert np.trace(out.P) < np.trace(s.P)
 
     def test_variance_approaches_measurement_floor(self):
         # scalar steady state: repeated direct measurements drive the
@@ -241,6 +296,55 @@ class TestGpsUpdate:
         s = make_state(model, seed=12)
         out, ok = ekf_update_gps(s, model, s.pos[0] + 100.0, 0.1)
         assert not ok
+
+
+class TestScalarUpdatesMatchJointJoseph:
+    # independent rows folded in one at a time give the joint update
+    @pytest.mark.parametrize("seed", range(12))
+    def test_range_and_landmark_rows(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        team, model = make_model(n=3 + seed % 3, landmarks=2)
+        s = coupled_state(model, seed)
+        n_edges = model.index.edge_i.shape[0]
+        rr_idx = rng.choice(n_edges, size=rng.integers(2, 6), replace=False)
+        n_tags = model.index.tag_robot.shape[0]
+        lm_edges = [(int(rng.integers(n_tags)), int(l)) for l in rng.integers(2, size=seed % 3)]
+        H, zhat, valid = _measurement_rows(s, model, rr_idx, lm_edges)
+        assert valid.all()
+        z = zhat + 0.02 * rng.standard_normal(zhat.shape)
+        sigmas = np.concatenate([model.index.sigma[rr_idx], np.full(len(lm_edges), 0.1)])
+        want = joseph_update(s, model, H, z - zhat, sigmas)
+        got, n_rejected = ekf_update_ranges(s, model, rr_idx, z[:len(rr_idx)], lm_edges,
+                                            z[len(rr_idx):], 0.1)
+        assert n_rejected == 0
+        assert_states_close(got, want)
+
+    def test_gated_row_leaves_the_joint_update_of_the_others(self):
+        team, model = make_model(n=4, landmarks=1)
+        s = coupled_state(model, 40)
+        rr_idx = np.array([0, 5, 9, 14])
+        H, zhat, _ = _measurement_rows(s, model, rr_idx, [(2, 0)])
+        z = zhat + 0.01
+        z[2] = 500.0
+        keep = np.arange(5) != 2
+        sigmas = np.concatenate([model.index.sigma[rr_idx], [0.1]])
+        want = joseph_update(s, model, H[keep], (z - zhat)[keep], sigmas[keep])
+        got, n_rejected = ekf_update_ranges(s, model, rr_idx, z[:4], [(2, 0)], z[4:], 0.1)
+        assert n_rejected == 1
+        assert_states_close(got, want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gps(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        _, model = make_model(n=2 + seed % 3, landmarks=1)
+        s = coupled_state(model, seed)
+        z = s.pos[0] + 0.05 * rng.standard_normal(2)
+        H = np.zeros((2, model.dim))
+        H[:, 1:3] = rot2(s.ang[0])
+        want = joseph_update(s, model, H, z - s.pos[0], np.array([0.1, 0.1]))
+        got, ok = ekf_update_gps(s, model, z, 0.1)
+        assert ok
+        assert_states_close(got, want)
 
 
 class TestTrilateration:

@@ -1,9 +1,15 @@
+import copy
+import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from covform.covsim import SimConfig, SimMetrics, aggregate, monte_carlo, reduction_table, trial_seeds
+from covform.covsim.sim import run_coverage_sim
+from covform.scenario import PRESETS, build_scenario
 from covform.se2 import FormationState, Pose2
 from covform.team import TeamConfig, default_full_graph
 
@@ -146,3 +152,43 @@ class TestRejectionCounters:
         assert m.n_rejected_gps == seen["gps"]
         assert m.n_rejected_ranges == seen["ranges"]
         assert m.as_record()["n_rejected_gps"] == seen["gps"]
+
+
+GOLDEN_RECORDS = Path(__file__).resolve().parent / "data" / "trial_records_line.json"
+
+
+def preset_line(preset):
+    """A preset's closed-form straight line: neighbouring camera disks touch."""
+    sc = build_scenario(copy.deepcopy(PRESETS[preset]), name=preset)
+    radii = sc.team.camera_radii()
+    dirs = np.asarray(sc.formation.directions, dtype=np.float64)
+    r = np.cumsum((radii[1:] + radii[:-1])[:, None] * dirs, axis=0)
+    return sc, FormationState(np.tile(np.eye(2), (len(r), 1, 1)), r)
+
+
+def assert_record_matches(got, want, where="record"):
+    """Floats within 1e-9 relative (non-finite ones exactly); everything else equal."""
+    if isinstance(want, float) and not isinstance(got, bool):
+        assert isinstance(got, float), where
+        ok = got == want if not math.isfinite(want) else math.isclose(got, want, rel_tol=1e-9)
+        assert ok, f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, (list, dict)):
+        assert type(got) is type(want) and len(got) == len(want), where
+        keys = want.keys() if isinstance(want, dict) else range(len(want))
+        for k in keys:
+            assert_record_matches(got[k], want[k], f"{where}.{k}")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+class TestGoldenTrialRecords:
+    # seeded outputs are the oracle: as_record() of line-formation trials
+    # (x86-64, numpy 2.4, float64) before the EKF became an in-place
+    # sequence of scalar updates; seeds are SeedSequence([801, i]) draws
+    # plus one fixed seed
+    @pytest.mark.parametrize("preset", ["exp3plus2", "sim5"])
+    def test_line_trials_reproduce_golden_records(self, preset):
+        sc, x = preset_line(preset)
+        for want in json.loads(GOLDEN_RECORDS.read_text())[preset]:
+            m = run_coverage_sim(sc.team, sc.graph, x, replace(sc.sim, seed=want["seed"]))
+            assert_record_matches(m.as_record(), want, f"{preset} seed {want['seed']}")

@@ -1,8 +1,13 @@
 import json
+import re
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covform.cli import (
     OK,
@@ -11,7 +16,14 @@ from covform.cli import (
     load_formation_file,
     main,
 )
-from covform.scenario import MAX_ROBOTS, MAX_TAGS_PER_ROBOT, ScenarioError, build_scenario, load_scenario
+from covform.scenario import (
+    MAX_ROBOTS,
+    MAX_TAGS_PER_ROBOT,
+    PRESETS,
+    ScenarioError,
+    build_scenario,
+    load_scenario,
+)
 from covform.se2 import FormationState, Pose2
 from covform.team import SortedIds
 
@@ -66,6 +78,22 @@ class TestScenarioValidation:
         doc["gps_robots"] = [5]
         with pytest.raises(ScenarioError, match="gps_robots"):
             build_scenario(doc)
+
+    @pytest.mark.parametrize("path, patch", [
+        ("sim.area[0]", {"sim": {"area": [float("nan"), 24]}}),
+        ("sim.area[0]", {"sim": {"area": [float("inf"), 24]}}),
+        ("sim", {"sim": {"area": [-1, 24]}}),
+        ("sim", {"sim": {"area": [10, 0]}}),
+        ("team.camera_radius", {"team": {"count": 3, "camera_radius": float("nan")}}),
+        ("team.camera_radius", {"team": {"count": 3, "camera_radius": float("inf")}}),
+        ("graph.sigma", {"graph": {"sigma": float("inf")}}),
+        ("formation.directions[1][0]",
+         {"formation": {"directions": [[1, 0], [float("inf"), 0]]}}),
+        ("sim.max_sim_time", {"sim": {"max_sim_time": float("-inf")}}),
+    ])
+    def test_non_finite_numbers_and_empty_area_are_config_errors(self, path, patch):
+        with pytest.raises(ScenarioError, match="^" + re.escape(path) + ":"):
+            build_scenario({**minimal_doc(), **patch})
 
     def test_presets_load(self):
         for name, n in (("sim5", 5), ("bridge7", 7), ("exp3plus2", 5)):
@@ -251,6 +279,33 @@ class TestCli:
         grid = np.loadtxt(rows[1:], delimiter=",")
         assert np.all(np.isfinite(grid))
 
+    @pytest.mark.parametrize("grid, field", [
+        ("0,1,0,1,inf,5", "grid[4]"),
+        ("0,nan,0,1,3,3", "grid[1]"),
+        ("0,1,0,1,3.7,3", "grid[4]"),
+        ("0,1,0,1,3,x", "grid[5]"),
+        ("0,1,0,1,3", "grid must be"),
+    ])
+    def test_heatmap_malformed_grid_is_a_config_error(self, tmp_path, capsys, grid, field):
+        x = FormationState.from_poses([Pose2(np.eye(2), np.array([k, 0.0])) for k in range(1, 5)])
+        form = tmp_path / "line.json"
+        form.write_text(json.dumps(
+            {"formation": formation_to_doc(x, SortedIds((1, 2, 3, 4, 5), (0.5,) * 5))}))
+        rc = main(["heatmap", "--config", "sim5", "--formation", str(form),
+                   f"--grid={grid}", "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("heatmap_*.csv"))
+
+    @pytest.mark.parametrize("area", [[-1, 24], [float("nan"), 24], [float("inf"), 24]])
+    def test_empty_or_non_finite_area_exits_before_simulating(self, tmp_path, capsys, area):
+        cfg = tmp_path / "area.json"
+        cfg.write_text(json.dumps({**PRESETS["sim5"], "sim": {"area": area}}))
+        rc = main(["simulate", "--config", str(cfg), "--formation", "unused.json",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "config error: sim" in capsys.readouterr().err
+
     def test_heatmap_constant_cost_gives_constant_grid(self, tmp_path):
         # all-zero weights zero out the cov objective everywhere
         doc = minimal_doc()
@@ -326,6 +381,59 @@ class TestCli:
                    flag, "0", "--out", str(tmp_path)])
         assert rc == 1
         assert "--trials and --jobs must be >= 1" in capsys.readouterr().err
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 100), st.integers(min_value=10**20),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(allow_nan=True, allow_infinity=True)),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["id", "count", "x"]), st.integers(-2, 6), max_size=2))
+
+
+def value_paths(doc, prefix=()):
+    """The path of every value in a JSON document, containers included."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        items = ()
+    for k, v in items:
+        yield from value_paths(v, prefix + (k,))
+
+
+@st.composite
+def mutated_presets(draw):
+    """A preset document with one to three values replaced, deleted or added."""
+    doc = json.loads(json.dumps(PRESETS[draw(st.sampled_from(sorted(PRESETS)))]))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(value_paths(doc))[1:]))
+        parent = reduce(getitem, path[:-1], doc)
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "delete" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif action == "add" and isinstance(parent[path[-1]], dict):
+            parent[path[-1]][draw(st.sampled_from(["count", "sigma", "area", "seed", "x"]))] = \
+                draw(JUNK)
+        else:
+            parent[path[-1]] = draw(JUNK)
+    return doc
+
+
+class TestScenarioFuzz:
+    @given(mutated_presets())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_preset_builds_or_is_a_config_error(self, doc):
+        try:
+            scenario = build_scenario(doc)
+        except ScenarioError:
+            return
+        numbers = [scenario.sim.area, scenario.team.camera_radii(), scenario.graph.sigmas,
+                   scenario.formation.directions]
+        assert all(np.all(np.isfinite(np.asarray(v, dtype=np.float64))) for v in numbers)
+        assert min(scenario.sim.area) > 0
 
 
 class TestBridgeDemo:
