@@ -31,6 +31,10 @@ from covform.team import SortedIds
 
 OK, CONFIG_ERROR, NOT_CONVERGED = 0, 1, 2
 
+# Largest heatmap grid: nx * ny cost evaluations, one at a time (250,000 cov
+# evaluations take one to two minutes on a 2-core Xeon)
+MAX_GRID_POINTS = 250_000
+
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -134,14 +138,19 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
             raise ScenarioError("grid must be 'xmin,xmax,ymin,ymax,nx,ny'")
         x0, x1, y0, y1, nx, ny = (_num(v, f"grid[{k}]") for k, v in enumerate(parts))
         nx, ny = _num(nx, "grid[4]", int), _num(ny, "grid[5]", int)
+        size_field = "grid[4]/grid[5]"
     else:
         pos = x.positions()
         margin = 2.0
         x0, x1 = pos[:, 0].min() - margin, pos[:, 0].max() + margin
         y0, y1 = pos[:, 1].min() - margin, pos[:, 1].max() + margin
         nx = ny = args.resolution
+        size_field = "--resolution"
     if nx < 2 or ny < 2:
         raise ScenarioError("grid resolution must be at least 2 in each axis")
+    if nx * ny > MAX_GRID_POINTS:
+        raise ScenarioError(f"{size_field}: {nx} x {ny} grid points, at most "
+                            f"{MAX_GRID_POINTS} in all")
 
     cost = costs.cost_function(args.cost, scenario.team, scenario.graph,
                                scenario.formation, sorted_ids)
@@ -256,6 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ScenarioError(f"--seed: must be >= 0, got {args.seed}")
         return args.func(args)
     except ScenarioError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -19,6 +19,7 @@ gives the joint update exactly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,8 @@ INIT_COV_INFLATION = 10.0
 _BUFFER_CAP = 80
 _BUFFER_NOVELTY = 0.05   # m; points closer than this to a buffered one are skipped
 _UNINIT_PRIOR = 1e6
+_XY = np.arange(2)
+_GPS_COLS = _XY + 1  # robot 1's position columns
 
 
 @dataclass
@@ -95,7 +98,9 @@ def ekf_predict(state: EkfState, model: EkfModel, u: np.ndarray,
     """Propagate every robot by T <- T exp(dt u), in place; landmarks are static.
 
     The error-state transition per robot is Ad(exp(-dt u)); process noise
-    enters as dt^2 * vel_cov on the robot's own block.
+    enters as dt^2 * vel_cov on the robot's own block. The transition is the
+    identity off its N robot blocks, so F P F^T applies the blocks to the
+    robot rows of P and then to its robot columns.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -105,14 +110,17 @@ def ekf_predict(state: EkfState, model: EkfModel, u: np.ndarray,
     # rotation Cinv = R(-phi_p) and translation rinv = -Cinv t_p
     Cinv = _rot_many(-xi[:, 0])
     rinv = -np.einsum("nij,nj->ni", Cinv, t)
-    blk = np.arange(3 * model.n_robots).reshape(-1, 3)
-    rows, cols = blk[:, :, None], blk[:, None, :]
-    F = np.eye(model.dim)
-    F[blk[:, 1], blk[:, 0]] = rinv[:, 1]
-    F[blk[:, 2], blk[:, 0]] = -rinv[:, 0]
-    F[rows[:, 1:], cols[:, :, 1:]] = Cinv
-    state.P = F @ state.P @ F.T
-    state.P[rows, cols] += (dt * dt) * vel_cov
+    n, m = model.n_robots, 3 * model.n_robots
+    F = np.zeros((n, 3, 3))
+    F[:, 0, 0] = 1.0
+    F[:, 1, 0] = rinv[:, 1]
+    F[:, 2, 0] = -rinv[:, 0]
+    F[:, 1:, 1:] = Cinv
+    P = state.P
+    P[:m] = (F @ P[:m].reshape(n, 3, -1)).reshape(m, -1)
+    P[:, :m] = (F @ P[:, :m].T.reshape(n, 3, -1)).reshape(m, -1).T
+    blk = np.arange(m).reshape(-1, 3)
+    P[blk[:, :, None], blk[:, None, :]] += (dt * dt) * vel_cov
     return state
 
 
@@ -123,47 +131,58 @@ def _retract(state: EkfState, model: EkfModel, delta: np.ndarray) -> None:
     state.landmarks += delta[m:].reshape(-1, 2)
 
 
-def _fold_rows(state: EkfState, model: EkfModel, H: np.ndarray, nu: np.ndarray,
-               sigmas: np.ndarray, gate: float | None) -> int:
+def _fold_rows(state: EkfState, model: EkfModel, cols: Sequence[np.ndarray],
+               vals: Sequence[np.ndarray], nu: np.ndarray, sigmas: np.ndarray,
+               gate: float | None) -> int:
     """Fold independent rows in one scalar update at a time, in place, and
     retract the summed correction once; returns how many rows the gate
-    dropped. With no row gated this is the joint update over all rows."""
+    dropped. Row k is vals[k] on the state columns cols[k]; only those
+    columns of P are read to form it. With no row gated this is the joint
+    update over all rows."""
     P = state.P
     delta = np.zeros(model.dim)
     n_rejected = 0
-    for h, v, sigma in zip(H, nu, sigmas):
-        Ph = P @ h
-        s = h @ Ph + sigma * sigma
-        v -= h @ delta
+    for c, h, v, sigma in zip(cols, vals, nu, sigmas):
+        Ph = P[:, c] @ h
+        s = h @ Ph[c] + sigma * sigma
+        v -= h @ delta[c]
         if gate is not None and not v * v / s <= gate:
             n_rejected += 1
             continue
         delta += Ph * (v / s)
-        P -= np.outer(Ph, Ph) / s
+        P -= Ph[:, None] * Ph / s
     if n_rejected < len(nu):
         _retract(state, model, delta)
     return n_rejected
 
 
 def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
-                      lm_edges: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack the selected robot-robot rows plus the given (tag, landmark) rows.
+                      lm_edges: list[tuple[int, int]],
+                      ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
+    """The selected robot-robot rows plus the given (tag, landmark) rows.
 
     Every row ranges from a tag to either a second tag (the first E rows)
-    or a landmark. Returns (H, predicted ranges, validity mask); rows with
-    a degenerate predicted range are flagged invalid instead of raising.
+    or a landmark. Returns (cols, vals, predicted ranges, validity mask):
+    row k is vals[k] on the state columns cols[k], the six [phi, x, y]
+    columns of both endpoint robots for a robot-robot row, and the tag
+    robot's three plus the landmark's two for a landmark row. Rows with a
+    degenerate predicted range are flagged invalid instead of raising.
     """
     idx = model.index
     lm_tag, lm = np.asarray(lm_edges, dtype=np.intp).reshape(-1, 2).T
-    H, rng, unit, valid = range_rows(idx, _rot_many(state.ang), state.pos,
-                                     np.concatenate([idx.edge_i[rr_idx], lm_tag]),
-                                     idx.edge_j[rr_idx], state.landmarks[lm])
+    near, far = idx.edge_i[rr_idx], idx.edge_j[rr_idx]
+    Hi, Hj, rng, unit, valid = range_rows(idx, _rot_many(state.ang), state.pos,
+                                          np.concatenate([near, lm_tag]), far, state.landmarks[lm])
     e = rr_idx.shape[0]
-    H_lm = np.zeros((H.shape[0], 2 * model.n_landmarks))
-    rows = np.arange(e, H.shape[0])
-    H_lm[rows, 2 * lm] = -unit[e:, 0]
-    H_lm[rows, 2 * lm + 1] = -unit[e:, 1]
-    return np.hstack([H, H_lm]), rng, valid
+    cols, vals = [], []
+    if e:
+        cols += list(np.concatenate([idx.tag_cols[near], idx.tag_cols[far]], axis=1))
+        vals += list(np.concatenate([Hi[:e], Hj[:e]], axis=1))
+    if lm.shape[0]:
+        cols += list(np.concatenate([idx.tag_cols[lm_tag], model.lm_col(lm)[:, None] + _XY],
+                                    axis=1))
+        vals += list(np.concatenate([Hi[e:], -unit[e:]], axis=1))
+    return cols, vals, rng, valid
 
 
 def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
@@ -179,22 +198,27 @@ def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
     (state, number rejected).
     """
     rr_idx = np.asarray(rr_idx, dtype=np.intp)
-    H, zhat, valid = _measurement_rows(state, model, rr_idx, lm_edges)
+    cols, vals, zhat, valid = _measurement_rows(state, model, rr_idx, lm_edges)
     nu = np.concatenate([z_rr, z_lm]) - zhat
     sigmas = np.concatenate([model.index.sigma[rr_idx], np.full(len(lm_edges), lm_sigma)])
-    return state, _fold_rows(state, model, H[valid], nu[valid], sigmas[valid], gate)
+    if not valid.all():
+        keep = np.flatnonzero(valid)
+        cols, vals = [cols[k] for k in keep], [vals[k] for k in keep]
+        nu, sigmas = nu[keep], sigmas[keep]
+    return state, _fold_rows(state, model, cols, vals, nu, sigmas, gate)
 
 
 def ekf_update_gps(state: EkfState, model: EkfModel, measured: np.ndarray,
                    sigma: float, gate: float = GPS_GATE_2DOF) -> tuple[EkfState, bool]:
     """Position fix on robot 1, in place; gated on the joint 2-dof innovation."""
-    H = np.zeros((2, model.dim))
-    H[:, 1:3] = rot2(state.ang[0])
+    R = rot2(state.ang[0])
     nu = np.asarray(measured, dtype=np.float64) - state.pos[0]
-    S = H @ state.P @ H.T + np.eye(2) * sigma ** 2
-    if float(nu @ np.linalg.solve(S, nu)) > gate:
+    # nu^T S^-1 nu for the 2x2 innovation covariance S, written out
+    (a, b), (c, d) = R @ state.P[1:3, 1:3] @ R.T + np.eye(2) * sigma ** 2
+    n0, n1 = nu
+    if (d * n0 * n0 - (b + c) * n0 * n1 + a * n1 * n1) / (a * d - b * c) > gate:
         return state, False
-    _fold_rows(state, model, H, nu, np.array([sigma, sigma]), None)
+    _fold_rows(state, model, (_GPS_COLS, _GPS_COLS), R, nu, np.array([sigma, sigma]), None)
     return state, True
 
 

@@ -2,10 +2,12 @@
 
 Two phases per trial. The truth phase integrates the fleet at 100 Hz
 under the leader-follower controller, injecting velocity noise, and logs
-poses plus the clean commands. The filter phase replays the log: predicts
-on the clean commands, samples range/GPS measurements from the true
-geometry at their own rates, and feeds the EKF. Metrics compare relative
-poses and landmark estimates against the logged truth.
+poses plus the clean commands. From the log alone the trial then draws
+its measurement schedule: which pair each range event measures, and every
+noisy range and GPS fix at their own rates. The filter phase replays the
+log: it predicts on the clean commands and feeds the scheduled
+measurements to the EKF. Metrics compare relative poses and landmark
+estimates against the logged truth.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from covform.covsim.ekf import (
     landmark_init,
 )
 from covform.covsim.waypoints import footprint_center, formation_sweep_width, generate_waypoints
-from covform.ranging import world_tags
-from covform.se2 import FormationState, _rot_many, exp_step
+from covform.ranging import _EdgeIndex
+from covform.se2 import FormationState, _matvec, _rot_many, exp_step
 from covform.team import RangeGraph, TeamConfig
 
 
@@ -107,6 +109,106 @@ def _event_counts(n_steps: int, dt: float, rate: float) -> np.ndarray:
     return counts
 
 
+@dataclass
+class MeasurementSchedule:
+    """Every measurement a trial replays, drawn up front from the truth log.
+
+    Range event m falls on truth step ``step[m]`` and measures slot
+    ``slot[m]``: edge ``slot`` of the range graph below E, else the tag
+    ``(slot - E) % T`` against landmark ``(slot - E) // T``. GPS fix g falls
+    on ``gps_step[g]``. Both step arrays are sorted.
+    """
+
+    step: np.ndarray       # (M,)
+    slot: np.ndarray       # (M,)
+    z: np.ndarray          # (M,) noisy ranges
+    gps_step: np.ndarray   # (G,)
+    gps_z: np.ndarray      # (G, 2) noisy robot-1 positions
+
+
+def _tag_world(idx: _EdgeIndex, truth: TruthLog, step: np.ndarray, tag: np.ndarray) -> np.ndarray:
+    """True world positions (M,2) of tags ``tag`` at truth steps ``step``."""
+    robot = idx.tag_robot[tag]
+    C = _rot_many(truth.ang[step, robot])
+    return _matvec(C, idx.tag_body[tag]) + truth.pos[step, robot]
+
+
+def _distance(d: np.ndarray) -> np.ndarray:
+    # one dot product per row: the rounding np.linalg.norm gives one 2-vector
+    return np.sqrt(np.vecdot(d, d))
+
+
+def measurement_schedule(idx: _EdgeIndex, truth: TruthLog, config: SimConfig,
+                         meas_rng: np.random.Generator) -> MeasurementSchedule:
+    """Which pair each range event measures, and every noisy range and fix.
+
+    UWB ranging is time-division multiplexed: each range event measures one
+    slot, cycling over the E inter-robot edges and then the L x T
+    (tag, landmark) pairs, skipping a landmark pair while its tag's robot is
+    outside the detection radius; an event with no open slot is dropped.
+    All noise comes from one ``standard_normal`` call, step by step and,
+    within a step, one draw per range event and then two per GPS fix: the
+    stream the draws would give one event at a time.
+    """
+    K, dt = truth.n_steps, config.dt_truth
+    E, T = idx.edge_i.shape[0], idx.tag_robot.shape[0]
+    lm_true = np.asarray(config.landmark_positions, dtype=np.float64).reshape(-1, 2)
+    L = lm_true.shape[0]
+    n_slots = E + L * T
+
+    # near[k, l, p]: robot p within the detection radius of landmark l at step k
+    near = np.empty((K + 1, L, idx.n_robots), dtype=bool)
+    for l in range(L):
+        near[:, l] = _distance(truth.pos - lm_true[l]) <= config.landmark_detection_radius
+    lm_of_slot = np.repeat(np.arange(L), T)
+    robot_of_slot = np.tile(idx.tag_robot, L)
+
+    event_step = np.repeat(np.arange(K + 1), _event_counts(K, dt, config.range_rate))
+    picked = [-1] * event_step.shape[0]
+    cursor = 0
+    for m, k in enumerate(event_step.tolist()):
+        if cursor < E:  # an edge slot is always open
+            pick = cursor
+        else:
+            open_lm = near[k, lm_of_slot, robot_of_slot]
+            ahead = np.flatnonzero(open_lm[cursor - E:])
+            if ahead.size:
+                pick = cursor + int(ahead[0])
+            elif E:
+                pick = 0
+            else:
+                behind = np.flatnonzero(open_lm[:cursor])
+                if not behind.size:
+                    continue  # nothing in range this tick
+                pick = int(behind[0])
+        picked[m] = pick
+        cursor = (pick + 1) % n_slots
+    slot = np.array(picked, dtype=np.intp)
+    step, slot = event_step[slot >= 0], slot[slot >= 0]
+
+    # true ranges at the event endpoints only
+    rr = slot < E
+    tag = np.concatenate([idx.edge_i, np.tile(np.arange(T), L)])[slot]
+    far = np.empty((slot.shape[0], 2))
+    far[rr] = _tag_world(idx, truth, step[rr], idx.edge_j[slot[rr]])
+    far[~rr] = lm_true[lm_of_slot[slot[~rr] - E]]
+    dist = _distance(_tag_world(idx, truth, step, tag) - far)
+    sigma = np.concatenate([idx.sigma, np.full(L * T, config.range_sigma)])[slot]
+
+    gps_step = np.repeat(np.arange(K + 1), _event_counts(K, dt, config.gps_rate))
+    n_range = np.bincount(step, minlength=K + 1)
+    n_draws = n_range + 2 * np.bincount(gps_step, minlength=K + 1)
+    first = np.cumsum(n_draws) - n_draws  # index of each step's first draw
+    noise = meas_rng.standard_normal(int(n_draws.sum()))
+    rank = np.arange(step.shape[0]) - np.searchsorted(step, step)
+    z = dist + config.noise_scale * noise[first[step] + rank] * sigma
+    gps_rank = np.arange(gps_step.shape[0]) - np.searchsorted(gps_step, gps_step)
+    gps_draw = (first + n_range)[gps_step] + 2 * gps_rank
+    gps_noise = noise[gps_draw[:, None] + np.arange(2)]
+    gps_z = truth.pos[gps_step, 0] + config.noise_scale * gps_noise * config.gps_sigma
+    return MeasurementSchedule(step, slot, z, gps_step, gps_z)
+
+
 def leader_waypoints(x_des: FormationState, team: TeamConfig,
                      config: SimConfig) -> np.ndarray:
     """Corner list for the leader: sweep corners shifted so the camera
@@ -143,7 +245,7 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     waypoints = leader_waypoints(x_des, team, config)
     truth = simulate_truth(team, x_des, waypoints, config, truth_rng)
     n, L = team.n_robots, len(config.landmark_positions)
-    lm_true = np.asarray(config.landmark_positions, dtype=np.float64)
+    lm_true = np.asarray(config.landmark_positions, dtype=np.float64).reshape(-1, 2)
     K = truth.n_steps
     dt = config.dt_truth
 
@@ -158,18 +260,15 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
 
     vel_cov = np.diag([config.vel_noise_omega ** 2,
                        config.vel_noise_v ** 2, config.vel_noise_v ** 2])
-    range_events = _event_counts(K, dt, config.range_rate)
-    gps_events = _event_counts(K, dt, config.gps_rate)
-    buffers = [LandmarkBuffer() for _ in range(L)]
     idx = model.index
-
-    # UWB ranging is time-division multiplexed: each range event measures
-    # one pair, cycling over the inter-robot graph and whatever landmark
-    # pairs are currently inside the detection radius.
-    slots: list[tuple] = [("rr", e) for e in range(graph.n_edges)]
-    for l in range(L):
-        slots += [("lm", t, l, p) for t, p in enumerate(idx.tag_robot.tolist())]
-    cursor = 0
+    sched = measurement_schedule(idx, truth, config, meas_rng)
+    range_at = np.searchsorted(sched.step, np.arange(K + 2)).tolist()
+    gps_at = np.searchsorted(sched.gps_step, np.arange(K + 2)).tolist()
+    slots = sched.slot.tolist()
+    n_edges, n_tags = idx.edge_i.shape[0], idx.tag_robot.shape[0]
+    edges = np.arange(n_edges)
+    no_edges, no_z = edges[:0], np.zeros(0)
+    buffers = [LandmarkBuffer() for _ in range(L)]
 
     n_rejected_ranges = n_rejected_gps = 0
     est_ang = np.zeros((K + 1, n))
@@ -188,46 +287,24 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     record(0)
     for k in range(1, K + 1):
         state = ekf_predict(state, model, truth.u_cmd[k - 1], vel_cov, dt)
-        tag_true = world_tags(idx, _rot_many(truth.ang[k]), truth.pos[k])
-
-        for _ in range(range_events[k]):
-            slot = None
-            for _probe in range(len(slots)):
-                cand = slots[cursor]
-                cursor = (cursor + 1) % len(slots)
-                if cand[0] == "rr":
-                    slot = cand
-                    break
-                _, _, l, p = cand
-                if (np.linalg.norm(truth.pos[k, p] - lm_true[l])
-                        <= config.landmark_detection_radius):
-                    slot = cand
-                    break
-            if slot is None:
-                continue  # nothing in range this tick
-            if slot[0] == "rr":
-                e = slot[1]
-                z = float(np.linalg.norm(tag_true[idx.edge_i[e]] - tag_true[idx.edge_j[e]]))
-                z += config.noise_scale * float(meas_rng.standard_normal()) * float(idx.sigma[e])
-                state, rej = ekf_update_ranges(state, model, np.array([e]), np.array([z]),
-                                               [], np.zeros(0), config.range_sigma)
+        for m in range(range_at[k], range_at[k + 1]):
+            slot, z = slots[m], sched.z[m:m + 1]
+            if slot < n_edges:
+                state, rej = ekf_update_ranges(state, model, edges[slot:slot + 1], z,
+                                               [], no_z, config.range_sigma)
+                n_rejected_ranges += rej
+                continue
+            l, tag0 = divmod(slot - n_edges, n_tags)
+            if state.initialized[l]:
+                state, rej = ekf_update_ranges(state, model, no_edges, no_z,
+                                               [(tag0, l)], z, config.range_sigma)
                 n_rejected_ranges += rej
             else:
-                _, tag0, l, p = slot
-                z = float(np.linalg.norm(tag_true[tag0] - lm_true[l]))
-                z += config.noise_scale * float(meas_rng.standard_normal()) * config.range_sigma
-                if state.initialized[l]:
-                    state, rej = ekf_update_ranges(state, model, np.zeros(0, dtype=np.intp),
-                                                   np.zeros(0), [(tag0, l)], np.array([z]),
-                                                   config.range_sigma)
-                    n_rejected_ranges += rej
-                else:
-                    buffers[l].add(state.tag_positions(model)[tag0], z)
-                    state, _ = landmark_init(state, model, l, buffers[l], config.range_sigma)
+                buffers[l].add(state.tag_positions(model)[tag0], z[0])
+                state, _ = landmark_init(state, model, l, buffers[l], config.range_sigma)
 
-        for _ in range(gps_events[k]):
-            z = truth.pos[k, 0] + config.noise_scale * meas_rng.standard_normal(2) * config.gps_sigma
-            state, ok = ekf_update_gps(state, model, z, config.gps_sigma)
+        for g in range(gps_at[k], gps_at[k + 1]):
+            state, ok = ekf_update_gps(state, model, sched.gps_z[g], config.gps_sigma)
             n_rejected_gps += not ok
 
         record(k)

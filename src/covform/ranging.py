@@ -13,10 +13,11 @@ so at xi = 0
 with S the 90-degree generator. A range row for edge (i, j) is then
 (rho_ij / |rho_ij|)^T times the position Jacobians, positive for the
 endpoint on robot p and negative for the one on robot q. ``range_rows``
-builds these rows over all N robot poses for both the formation design
-and the EKF; in the design robot 1 is the reference, not a state, and its
-columns are dropped. Everything is validated against central finite
-differences in the tests.
+builds each row as these two 3-column blocks, one per endpoint robot, for
+both the formation design and the EKF. The design scatters them into a
+dense Jacobian and drops robot 1's columns (robot 1 is the reference, not
+a state there); the EKF folds each row in over its six columns alone.
+Everything is validated against central finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from covform.se2 import FormationState
+from covform.se2 import FormationState, _matvec
 from covform.team import RangeGraph, TeamConfig
 
 # Range rows are undefined below this separation (norm gradient blows up).
@@ -41,6 +42,7 @@ class _EdgeIndex:
     tag_robot: np.ndarray   # (T,) 0-based robot index per global tag
     tag_body: np.ndarray    # (T,2) body-frame tag positions
     tag_perp: np.ndarray    # (T,2) S @ tag_body, the rotation derivative lever
+    tag_cols: np.ndarray    # (T,3) state columns [phi, x, y] of each tag's robot
     edge_i: np.ndarray      # (E,) flat tag index of first endpoint
     edge_j: np.ndarray
     sigma: np.ndarray       # (E,)
@@ -62,8 +64,8 @@ def _edge_index(team: TeamConfig, graph: RangeGraph) -> _EdgeIndex:
         raise ValueError(
             f"edge {graph.edges[k]} connects two tags on robot {tag_robot[edge_i[k]] + 1}")
     return _EdgeIndex(
-        n_robots=team.n_robots, tag_robot=tag_robot, tag_body=tag_body,
-        tag_perp=tag_perp, edge_i=edge_i, edge_j=edge_j,
+        n_robots=team.n_robots, tag_robot=tag_robot, tag_body=tag_body, tag_perp=tag_perp,
+        tag_cols=3 * tag_robot[:, None] + np.arange(3), edge_i=edge_i, edge_j=edge_j,
         sigma=np.asarray(graph.sigmas, dtype=np.float64),
     )
 
@@ -79,8 +81,7 @@ def frames(C: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def world_tags(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
     """World positions (...,T,2) of every tag for robot rotations C (...,N,2,2)
     and positions r (...,N,2)."""
-    return (np.einsum("...tij,tj->...ti", C[..., idx.tag_robot, :, :], idx.tag_body)
-            + r[..., idx.tag_robot, :])
+    return _matvec(C[..., idx.tag_robot, :, :], idx.tag_body) + r[..., idx.tag_robot, :]
 
 
 _NO_POINTS = np.zeros((0, 2))
@@ -88,52 +89,63 @@ _NO_POINTS = np.zeros((0, 2))
 
 def range_rows(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray, tag_i: np.ndarray,
                tag_j: np.ndarray, points: np.ndarray = _NO_POINTS,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Range rows over all N robot poses, 3 columns [phi, x, y] per robot.
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Range rows as two 3-column blocks [phi, x, y] per row, one per endpoint robot.
 
     Row k ranges from tag tag_i[k] to tag tag_j[k] for the first len(tag_j)
     rows, and to the fixed point points[k - len(tag_j)] after them. Returns
-    (H (M, 3N), ranges (M,), unit vectors (M,2), validity mask (M,)); a row
-    whose range is not above DEGENERATE_RANGE is invalid and has unit 0.
-    Batch axes leading C and r lead every output; points need unbatched poses.
+    (Hi (M, 3) on robot tag_robot[tag_i], Hj (M, 3) on robot tag_robot[tag_j]
+    and zero for point rows, ranges (M,), unit vectors (M,2), validity mask
+    (M,)); a row whose range is not above DEGENERATE_RANGE is invalid and has
+    unit 0. Only the endpoint tags are placed. Batch axes leading C and r lead
+    every output; points need unbatched poses.
     """
-    pos = world_tags(idx, C, r)
-    # rotation derivative of every tag position: C_p (S a), (T,2)
-    lever = np.einsum("...tij,tj->...ti", C[..., idx.tag_robot, :, :], idx.tag_perp)
+    m, e = tag_i.shape[0], tag_j.shape[0]
+    tags = np.concatenate([tag_i, tag_j])
+    robots = idx.tag_robot[tags]
+    Ct = C[..., robots, :, :]
+    pos = _matvec(Ct, idx.tag_body[tags]) + r[..., robots, :]
+    # rotation derivative of each endpoint tag position: C_p (S a)
+    lever = _matvec(Ct, idx.tag_perp[tags])
 
-    e = tag_j.shape[0]
-    far = np.concatenate([pos[tag_j], points]) if points.shape[0] else pos[..., tag_j, :]
-    diff = pos[..., tag_i, :] - far
-    rng = np.sqrt(np.einsum("...ei,...ei->...e", diff, diff))
+    far = np.concatenate([pos[m:], points]) if points.shape[0] else pos[..., m:, :]
+    diff = pos[..., :m, :] - far
+    rng = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
     valid = rng > DEGENERATE_RANGE
-    unit = np.where(valid[..., None], diff / np.where(valid, rng, 1.0)[..., None], 0.0)
+    if valid.all():  # the common case needs no masking
+        unit = diff / rng[..., None]
+    else:
+        unit = np.where(valid[..., None], diff / np.where(valid, rng, 1.0)[..., None], 0.0)
 
-    rows = np.arange(tag_i.shape[0])
-    H = np.zeros(rng.shape + (3 * idx.n_robots,))
-    for rr, tags, u, sign in ((rows, tag_i, unit, 1.0), (rows[:e], tag_j, unit[..., :e, :], -1.0)):
-        robots = idx.tag_robot[tags]
-        # phi column: unit . (C S a); rho columns: unit^T C
-        H[..., rr, 3 * robots] += sign * np.einsum("...ei,...ei->...e", u, lever[..., tags, :])
-        rho = sign * np.einsum("...ei,...eij->...ej", u, C[..., robots, :, :])
-        H[..., rr, 3 * robots + 1] += rho[..., 0]
-        H[..., rr, 3 * robots + 2] += rho[..., 1]
-    return H, rng, unit, valid
+    # phi column: u . (C S a); rho columns: u^T C; + for tag_i's robot, - for tag_j's
+    u = np.concatenate([unit, -unit[..., :e, :]], axis=-2)
+    blocks = np.empty(u.shape[:-1] + (3,))
+    blocks[..., 0] = u[..., 0] * lever[..., 0] + u[..., 1] * lever[..., 1]
+    blocks[..., 1:] = u[..., 0, None] * Ct[..., 0, :] + u[..., 1, None] * Ct[..., 1, :]
+    Hj = blocks[..., m:, :]
+    if m > e:
+        Hj = np.concatenate([Hj, np.zeros(Hj.shape[:-2] + (m - e, 3))], axis=-2)
+    return blocks[..., :m, :], Hj, rng, unit, valid
 
 
 def predict_all(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.ndarray:
     """Stacked ranges over the graph's (sorted) edge order."""
     idx = _edge_index(team, graph)
-    return range_rows(idx, *frames(x.C, x.r), idx.edge_i, idx.edge_j)[1]
+    return range_rows(idx, *frames(x.C, x.r), idx.edge_i, idx.edge_j)[2]
 
 
 def jacobian_many(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
     """(B, E, 3(N-1)) Jacobians of B stacked formations from their N frames
     (see ``frames``); raises on the first near-zero range in stack order."""
-    H, rng, _, valid = range_rows(idx, C, r, idx.edge_i, idx.edge_j)
+    Hi, Hj, rng, _, valid = range_rows(idx, C, r, idx.edge_i, idx.edge_j)
     if not np.all(valid):
         b, k = np.unravel_index(np.argmin(valid), valid.shape)
         edge = (int(idx.edge_i[k]) + 1, int(idx.edge_j[k]) + 1)
         raise ValueError(f"singular geometry: edge {edge} has near-zero range {rng[b, k]:.3g}")
+    H = np.zeros(rng.shape + (3 * idx.n_robots,))
+    rows = np.arange(rng.shape[-1])[:, None]
+    H[..., rows, idx.tag_cols[idx.edge_i]] = Hi
+    H[..., rows, idx.tag_cols[idx.edge_j]] = Hj
     return H[..., 3:]  # robot 1 is the reference, not a state
 
 

@@ -215,6 +215,7 @@ def _build_sim(cfg: dict) -> SimConfig:
     for key in passthrough:
         if key in cfg:
             kw[key] = _num(cfg[key], f"sim.{key}", type(getattr(SimConfig, key)))
+    _expect(kw.get("seed", 0) >= 0, "sim.seed", f"must be >= 0, got {kw.get('seed')}")
     return _make("sim", SimConfig, **kw)
 
 

@@ -247,12 +247,24 @@ def _rot_many(phi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for stacks of 2x2 matrices (...,2,2) and 2-vectors (...,2), with the
+    two-term sums written out: the values einsum("...ij,...j->...i") gives,
+    without its generic loop, which is slow on these small trailing axes."""
+    return M[..., 0] * v[..., None, 0] + M[..., 1] * v[..., None, 1]
+
+
 def _V_many(phi: np.ndarray) -> np.ndarray:
     small = np.abs(phi) < SMALL_ANGLE
-    safe = np.where(small, 1.0, phi)
-    h = np.sin(safe / 2.0)
-    a = np.where(small, 1.0 - phi * phi / 6.0, np.sin(safe) / safe)
-    b = np.where(small, phi / 2.0, 2.0 * h * h / safe)
+    if small.any():
+        safe = np.where(small, 1.0, phi)
+        h = np.sin(safe / 2.0)
+        a = np.where(small, 1.0 - phi * phi / 6.0, np.sin(safe) / safe)
+        b = np.where(small, phi / 2.0, 2.0 * h * h / safe)
+    else:  # the same values without the series branch
+        h = np.sin(phi / 2.0)
+        a = np.sin(phi) / phi
+        b = 2.0 * h * h / phi
     out = np.empty(phi.shape + (2, 2))
     out[..., 0, 0] = out[..., 1, 1] = a
     out[..., 0, 1] = -b

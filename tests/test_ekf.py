@@ -15,8 +15,9 @@ from covform.covsim.ekf import (
     landmark_init,
     trilaterate,
 )
-from covform.se2 import Pose2, adjoint, compose, exp, rot2
+from covform.se2 import Pose2, _rot_many, adjoint, compose, exp, exp_step, rot2
 from covform.team import TeamConfig, default_full_graph
+from test_ranging import dense_range_rows
 
 VEL_COV = np.diag([0.01 ** 2, 0.1 ** 2, 0.1 ** 2])
 
@@ -37,6 +38,37 @@ def make_state(model, spread=2.0, seed=0, att_sigma=0.1, pos_sigma=0.3):
     ang = rng.uniform(-np.pi, np.pi, model.n_robots)
     pos = rng.uniform(-spread, spread, (model.n_robots, 2))
     return EkfState.create(model, ang, pos, att_sigma, pos_sigma)
+
+
+def dense_measurement_rows(s, model, rr_idx, lm_edges):
+    """_measurement_rows with its sparse (cols, vals) rows scattered into dense
+    rows over the whole state: (H (M, dim), predicted ranges, validity mask)."""
+    cols, vals, zhat, valid = _measurement_rows(s, model, np.asarray(rr_idx, dtype=np.intp),
+                                                lm_edges)
+    H = np.zeros((len(cols), model.dim))
+    for row, c, v in zip(H, cols, vals):
+        assert c.shape == v.shape and len(set(c.tolist())) == c.shape[0] <= 6
+        row[c] = v
+    return H, zhat, valid
+
+
+def dense_predict(state, model, u, vel_cov, dt):
+    """Predict with the transition built as a dense matrix, on a copy: the
+    oracle for the filter's blockwise F P F^T."""
+    out = copy.deepcopy(state)
+    xi = dt * u
+    t = exp_step(out.ang, out.pos, xi)
+    Cinv = _rot_many(-xi[:, 0])
+    rinv = -np.einsum("nij,nj->ni", Cinv, t)
+    blk = np.arange(3 * model.n_robots).reshape(-1, 3)
+    rows, cols = blk[:, :, None], blk[:, None, :]
+    F = np.eye(model.dim)
+    F[blk[:, 1], blk[:, 0]] = rinv[:, 1]
+    F[blk[:, 2], blk[:, 0]] = -rinv[:, 0]
+    F[rows[:, 1:], cols[:, :, 1:]] = Cinv
+    out.P = F @ out.P @ F.T
+    out.P[rows, cols] += (dt * dt) * vel_cov
+    return out
 
 
 def joseph_update(state, model, H, nu, sigmas):
@@ -160,6 +192,17 @@ class TestPredict:
             Q[b, b] = dt * dt * VEL_COV
         np.testing.assert_allclose(out.P, F @ s.P @ F.T + Q, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_blockwise_equals_dense_transition(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        _, model = make_model(n=2 + seed % 4, landmarks=seed % 3)
+        s = coupled_state(model, seed)
+        u = rng.uniform(-2, 2, (model.n_robots, 3))
+        if seed % 2:
+            u[0, 0] = 0.0  # a straight-line step
+        want = dense_predict(s, model, u, VEL_COV, 0.1)
+        assert_states_close(ekf_predict(s, model, u, VEL_COV, 0.1), want)
+
     def test_rejects_bad_dt(self):
         _, model = make_model()
         with pytest.raises(ValueError, match="dt"):
@@ -204,7 +247,7 @@ class TestRangeUpdate:
         s.landmarks[0] = np.array([1.5, -0.7])
         s.initialized[0] = True
         rr_idx = np.arange(model.index.edge_i.shape[0])
-        H, zhat, valid = _measurement_rows(s, model, rr_idx, [(0, 0)])
+        H, zhat, valid = dense_measurement_rows(s, model, rr_idx, [(0, 0)])
         assert valid.all()
 
         def ranges_at(delta):
@@ -222,6 +265,30 @@ class TestRangeUpdate:
             e[k] = h
             fd[:, k] = (ranges_at(e) - ranges_at(-e)) / (2 * h)
         np.testing.assert_allclose(H, fd, atol=1e-5)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sparse_rows_equal_dense_rows(self, seed):
+        # each row's (cols, vals), scattered, is the dense row over the
+        # whole state, bit for bit
+        rng = np.random.default_rng(400 + seed)
+        team, model = make_model(n=2 + seed % 4, landmarks=2)
+        s = coupled_state(model, seed)
+        idx = model.index
+        rr_idx = rng.choice(idx.edge_i.shape[0], size=rng.integers(0, 5), replace=False)
+        lm_edges = [(int(rng.integers(idx.tag_robot.shape[0])), int(rng.integers(2)))
+                    for _ in range(seed % 3)]
+        H, zhat, valid = dense_measurement_rows(s, model, rr_idx, lm_edges)
+        lm_tag, lm = np.asarray(lm_edges, dtype=np.intp).reshape(-1, 2).T
+        H_robots, want_rng, unit, want_valid = dense_range_rows(
+            idx, _rot_many(s.ang), s.pos, np.concatenate([idx.edge_i[rr_idx], lm_tag]),
+            idx.edge_j[rr_idx], s.landmarks[lm])
+        H_lm = np.zeros((H.shape[0], 2 * model.n_landmarks))
+        rows = np.arange(len(rr_idx), H.shape[0])
+        H_lm[rows, 2 * lm] = -unit[len(rr_idx):, 0]
+        H_lm[rows, 2 * lm + 1] = -unit[len(rr_idx):, 1]
+        np.testing.assert_array_equal(H, np.hstack([H_robots, H_lm]))
+        np.testing.assert_array_equal(zhat, want_rng)
+        np.testing.assert_array_equal(valid, want_valid)
 
     def test_repeated_updates_shrink_landmark_cov(self):
         team, model = make_model()
@@ -309,7 +376,7 @@ class TestScalarUpdatesMatchJointJoseph:
         rr_idx = rng.choice(n_edges, size=rng.integers(2, 6), replace=False)
         n_tags = model.index.tag_robot.shape[0]
         lm_edges = [(int(rng.integers(n_tags)), int(l)) for l in rng.integers(2, size=seed % 3)]
-        H, zhat, valid = _measurement_rows(s, model, rr_idx, lm_edges)
+        H, zhat, valid = dense_measurement_rows(s, model, rr_idx, lm_edges)
         assert valid.all()
         z = zhat + 0.02 * rng.standard_normal(zhat.shape)
         sigmas = np.concatenate([model.index.sigma[rr_idx], np.full(len(lm_edges), 0.1)])
@@ -323,7 +390,7 @@ class TestScalarUpdatesMatchJointJoseph:
         team, model = make_model(n=4, landmarks=1)
         s = coupled_state(model, 40)
         rr_idx = np.array([0, 5, 9, 14])
-        H, zhat, _ = _measurement_rows(s, model, rr_idx, [(2, 0)])
+        H, zhat, _ = dense_measurement_rows(s, model, rr_idx, [(2, 0)])
         z = zhat + 0.01
         z[2] = 500.0
         keep = np.arange(5) != 2
@@ -331,6 +398,22 @@ class TestScalarUpdatesMatchJointJoseph:
         want = joseph_update(s, model, H[keep], (z - zhat)[keep], sigmas[keep])
         got, n_rejected = ekf_update_ranges(s, model, rr_idx, z[:4], [(2, 0)], z[4:], 0.1)
         assert n_rejected == 1
+        assert_states_close(got, want)
+
+    def test_degenerate_row_is_skipped_uncounted(self):
+        # a landmark on top of its tag has no range direction: that row is
+        # dropped before folding, and the others give their joint update
+        team, model = make_model(n=3, landmarks=1)
+        s = coupled_state(model, 41)
+        s.landmarks[0] = s.tag_positions(model)[4]
+        rr_idx = np.array([1, 6])
+        H, zhat, valid = dense_measurement_rows(s, model, rr_idx, [(4, 0)])
+        assert valid.tolist() == [True, True, False]
+        z = zhat + 0.01
+        sigmas = np.concatenate([model.index.sigma[rr_idx], [0.1]])
+        want = joseph_update(s, model, H[valid], (z - zhat)[valid], sigmas[valid])
+        got, n_rejected = ekf_update_ranges(s, model, rr_idx, z[:2], [(4, 0)], z[2:], 0.1)
+        assert n_rejected == 0
         assert_states_close(got, want)
 
     @pytest.mark.parametrize("seed", range(6))

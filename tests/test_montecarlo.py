@@ -61,6 +61,16 @@ class TestMonteCarlo:
             assert m1.as_record("f") == m2.as_record("f")
         assert a1 == a2
 
+    def test_trial_without_landmarks(self):
+        # an empty landmark list is a valid scenario: the ranging cycles over
+        # the edges alone and the trial reports no landmark errors
+        team, graph, x, cfg = small_setup()
+        (m,), agg = monte_carlo(team, graph, x,
+                                replace(cfg, landmark_positions=(), max_sim_time=20.0), 1)
+        assert m.landmark_errors == [] and m.nees_containment == 0.0
+        assert np.isfinite(m.interrobot_pos_rmse) and not m.diverged
+        assert agg["trials"] == 1 and "landmark1_error" not in agg["raw"]
+
     def test_rejects_zero_trials(self):
         team, graph, x, cfg = small_setup()
         with pytest.raises(ValueError, match="trials"):

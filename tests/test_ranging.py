@@ -44,6 +44,30 @@ def predict_range(x, team, edge):
     return float(np.linalg.norm(tag_position(x, team, i) - tag_position(x, team, j)))
 
 
+def dense_range_rows(idx, C, r, tag_i, tag_j, points=np.zeros((0, 2))):
+    """Dense oracle for range_rows: every row over all 3N state columns,
+    built with einsum from all T tag positions and levers. Returns (H,
+    ranges, unit vectors, valid)."""
+    pos = (np.einsum("...tij,tj->...ti", C[..., idx.tag_robot, :, :], idx.tag_body)
+           + r[..., idx.tag_robot, :])
+    lever = np.einsum("...tij,tj->...ti", C[..., idx.tag_robot, :, :], idx.tag_perp)
+    e = tag_j.shape[0]
+    far = np.concatenate([pos[tag_j], points]) if points.shape[0] else pos[..., tag_j, :]
+    diff = pos[..., tag_i, :] - far
+    rng = np.sqrt(np.einsum("...ei,...ei->...e", diff, diff))
+    valid = rng > ranging.DEGENERATE_RANGE
+    unit = np.where(valid[..., None], diff / np.where(valid, rng, 1.0)[..., None], 0.0)
+    rows = np.arange(tag_i.shape[0])
+    H = np.zeros(rng.shape + (3 * idx.n_robots,))
+    for rr, tags, u, sign in ((rows, tag_i, unit, 1.0), (rows[:e], tag_j, unit[..., :e, :], -1.0)):
+        robots = idx.tag_robot[tags]
+        H[..., rr, 3 * robots] += sign * np.einsum("...ei,...ei->...e", u, lever[..., tags, :])
+        rho = sign * np.einsum("...ei,...eij->...ej", u, C[..., robots, :, :])
+        H[..., rr, 3 * robots + 1] += rho[..., 0]
+        H[..., rr, 3 * robots + 2] += rho[..., 1]
+    return H, rng, unit, valid
+
+
 def world_tag(x, team, tag_id):
     """The vectorized world tag position of one tag."""
     idx = ranging._edge_index(team, RangeGraph((), ()))
@@ -155,8 +179,9 @@ class TestJacobian:
         # design and filter share one row builder: at the same global poses
         # (robot 1 at the identity) the FIM's Jacobian is the EKF's
         # robot-robot rows without robot 1's columns, bit for bit
-        from covform.covsim.ekf import EkfModel, EkfState, _measurement_rows
+        from covform.covsim.ekf import EkfModel, EkfState
         from covform.scenario import load_scenario
+        from test_ekf import dense_measurement_rows
 
         sc = load_scenario(preset)
         n = sc.team.n_robots
@@ -167,11 +192,47 @@ class TestJacobian:
             pos = np.vstack([np.zeros((1, 2)), rng.uniform(-4.0, 4.0, (n - 1, 2))])
             x = se2.FormationState(se2._rot_many(ang)[1:], pos[1:])
             s = EkfState.create(model, ang, pos, 0.1, 0.3)
-            H, zhat, valid = _measurement_rows(s, model, np.arange(sc.graph.n_edges), [])
+            H, zhat, valid = dense_measurement_rows(s, model, np.arange(sc.graph.n_edges), [])
             assert valid.all()
             np.testing.assert_array_equal(zhat, ranging.predict_all(x, sc.team, sc.graph))
             np.testing.assert_array_equal(H[:, 3:3 * n], ranging.jacobian(x, sc.team, sc.graph))
             assert not H[:, 3 * n:].any()
+
+
+    @pytest.mark.parametrize("preset", ["sim5", "bridge7", "exp3plus2"])
+    def test_endpoint_blocks_equal_dense_rows(self, preset):
+        # the two blocks of each row, scattered onto their robots' columns,
+        # are the dense row bit for bit: tag rows, point rows, batched poses
+        from covform.scenario import load_scenario
+
+        sc = load_scenario(preset)
+        idx = ranging._edge_index(sc.team, sc.graph)
+        n, n_tags = sc.team.n_robots, sc.team.n_tags
+        rng = np.random.default_rng(29)
+        for trial in range(60):
+            batch = (int(rng.integers(1, 5)),) if trial % 2 else ()
+            C = se2._rot_many(rng.uniform(-4.0, 4.0, batch + (n,)))
+            r = rng.uniform(-4.0, 4.0, batch + (n, 2))
+            k = int(rng.integers(1, 2 * sc.graph.n_edges))
+            tag_i, tag_j = idx.edge_i[:k], idx.edge_j[:k]
+            points = np.zeros((0, 2))
+            if not batch:  # point rows need unbatched poses
+                points = rng.uniform(-4.0, 4.0, (int(rng.integers(0, 4)), 2))
+                tag_i = np.concatenate([tag_i, rng.integers(0, n_tags, points.shape[0])])
+            Hi, Hj, got_rng, got_unit, got_valid = ranging.range_rows(idx, C, r, tag_i, tag_j,
+                                                                      points)
+            H, want_rng, want_unit, want_valid = dense_range_rows(idx, C, r, tag_i, tag_j, points)
+            e = tag_j.shape[0]
+            assert Hi.shape == Hj.shape == H.shape[:-1] + (3,)
+            assert not Hj[..., e:, :].any()
+            dense = np.zeros_like(H)
+            rows = np.arange(tag_i.shape[0])[:, None]
+            dense[..., rows, idx.tag_cols[tag_i]] = Hi
+            dense[..., rows[:e], idx.tag_cols[tag_j]] = Hj[..., :e, :]
+            np.testing.assert_array_equal(dense, H)
+            np.testing.assert_array_equal(got_rng, want_rng)
+            np.testing.assert_array_equal(got_unit, want_unit)
+            np.testing.assert_array_equal(got_valid, want_valid)
 
 
 class TestFisher:

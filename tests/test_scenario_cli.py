@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covform.cli import (
+    MAX_GRID_POINTS,
     OK,
     formation_from_doc,
     formation_to_doc,
@@ -296,6 +297,42 @@ class TestCli:
         assert rc == 1
         assert f"config error: {field}" in capsys.readouterr().err
         assert not list(tmp_path.glob("heatmap_*.csv"))
+
+    @pytest.mark.parametrize("grid, field", [
+        ("0,1,0,1,100000,100000", "grid[4]/grid[5]"),
+        (f"0,1,0,1,2,{MAX_GRID_POINTS // 2 + 1}", "grid[4]/grid[5]"),
+        (None, "--resolution"),
+    ])
+    def test_heatmap_grid_is_bounded(self, tmp_path, capsys, grid, field):
+        # a grid past the cap exits before the first cost evaluation
+        x = FormationState.from_poses([Pose2(np.eye(2), np.array([k, 0.0])) for k in range(1, 5)])
+        form = tmp_path / "line.json"
+        form.write_text(json.dumps(
+            {"formation": formation_to_doc(x, SortedIds((1, 2, 3, 4, 5), (0.5,) * 5))}))
+        size = [f"--grid={grid}"] if grid else ["--resolution", "100000"]
+        rc = main(["heatmap", "--config", "sim5", "--formation", str(form), *size,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("heatmap_*.csv"))
+
+    @pytest.mark.parametrize("command", ["optimize", "simulate", "montecarlo"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command):
+        extra = {"optimize": [], "simulate": ["--formation", "unused.json"],
+                 "montecarlo": ["--formations", "unused.json", "--trials", "1"]}[command]
+        rc = main([command, "--config", "sim5", "--seed", "-1", *extra, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "config error: --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_scenario_seed_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({**PRESETS["sim5"], "sim": {"seed": -3}}))
+        rc = main(["simulate", "--config", str(cfg), "--formation", "unused.json",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "config error: sim.seed: must be >= 0, got -3" in capsys.readouterr().err
+        assert build_scenario({**PRESETS["sim5"], "sim": {"seed": 0}}).sim.seed == 0
 
     @pytest.mark.parametrize("area", [[-1, 24], [float("nan"), 24], [float("inf"), 24]])
     def test_empty_or_non_finite_area_exits_before_simulating(self, tmp_path, capsys, area):

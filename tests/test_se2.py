@@ -107,6 +107,38 @@ def test_rot_many_matches_rot2():
     np.testing.assert_array_equal(se2._rot_many(phi), np.stack([se2.rot2(p) for p in phi]))
 
 
+def test_matvec_equals_einsum():
+    # the written-out two-term sums give einsum's bytes, broadcasting included
+    rng = np.random.default_rng(6)
+    for shape in [(1,), (7,), (24, 80), (3, 1)]:
+        M = rng.standard_normal(shape + (2, 2)) * 10.0 ** rng.uniform(-3, 3, shape + (2, 2))
+        v = rng.standard_normal(shape[-1:] + (2,)) * 10.0 ** rng.uniform(-3, 3, shape[-1:] + (2,))
+        got = se2._matvec(M, v)
+        assert got.tobytes() == np.einsum("...ij,...j->...i", M, v).tobytes()
+
+
+def V_many_series_everywhere(phi):
+    """_V_many with the series branch always selected per entry: the oracle
+    for its shortcut when no angle is small."""
+    small = np.abs(phi) < se2.SMALL_ANGLE
+    safe = np.where(small, 1.0, phi)
+    h = np.sin(safe / 2.0)
+    a = np.where(small, 1.0 - phi * phi / 6.0, np.sin(safe) / safe)
+    b = np.where(small, phi / 2.0, 2.0 * h * h / safe)
+    return np.stack([np.stack([a, -b], -1), np.stack([b, a], -1)], -2)
+
+
+@pytest.mark.parametrize("with_small", [False, True])
+def test_V_many_equals_per_entry_branch(with_small):
+    rng = np.random.default_rng(7)
+    phi = rng.uniform(-4.0, 4.0, 200) * 10.0 ** rng.integers(-6, 1, 200)
+    if with_small:
+        phi[::7] = rng.uniform(-1e-8, 1e-8, phi[::7].shape)
+        phi[3] = 0.0
+    assert np.any(np.abs(phi) < se2.SMALL_ANGLE) == with_small
+    assert se2._V_many(phi).tobytes() == V_many_series_everywhere(phi).tobytes()
+
+
 def test_orthonormality_survives_long_compose_chains():
     rng = np.random.default_rng(99)
     T = se2.Pose2.identity()
