@@ -31,9 +31,11 @@ from covform.team import SortedIds
 
 OK, CONFIG_ERROR, NOT_CONVERGED = 0, 1, 2
 
-# Largest heatmap grid: nx * ny cost evaluations, one at a time (250,000 cov
-# evaluations take one to two minutes on a 2-core Xeon)
+# Largest heatmap grid: nx * ny cost evaluations, one grid row per
+# Objective.many call; rows longer than HEATMAP_BLOCK points are split, which
+# bounds the stacked arrays (about 13 KB a point on bridge7)
 MAX_GRID_POINTS = 250_000
+HEATMAP_BLOCK = 1000
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -160,16 +162,23 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     with open(out, "w") as fh:
         fh.write("x,y,cost\n")
         for gy in np.linspace(y0, y1, ny):
-            for gx in np.linspace(x0, x1, nx):
-                r = x.r.copy()
-                r[i] = (gx, gy)
+            for xs in np.array_split(np.linspace(x0, x1, nx), -(-nx // HEATMAP_BLOCK)):
+                r = np.repeat(x.r[None], len(xs), axis=0)
+                r[:, i, 0], r[:, i, 1] = xs, gy
                 try:
-                    value = cost(FormationState(x.C.copy(), r))
-                except ValueError:
-                    value = costs.SATURATION  # grid point on degenerate geometry
-                fh.write(f"{gx:.17g},{gy:.17g},{value:.17g}\n")
+                    values = cost.many(np.broadcast_to(x.C, r.shape + (2,)), r)
+                except ValueError:  # a point on degenerate geometry: this block point by point
+                    values = [_heatmap_point(cost, x.C, p) for p in r]
+                fh.writelines(f"{gx:.17g},{gy:.17g},{v:.17g}\n" for gx, v in zip(xs, values))
     print(f"wrote {out}")
     return OK
+
+
+def _heatmap_point(cost: costs.Objective, C: np.ndarray, r: np.ndarray) -> float:
+    try:
+        return cost(FormationState(C, r))
+    except ValueError:
+        return costs.SATURATION  # grid point on degenerate geometry
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

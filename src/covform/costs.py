@@ -80,18 +80,6 @@ def _barrier(sq, A2: float, d2: float):
     return np.where(breached, SATURATION, ratio * ratio)
 
 
-def j_col_pair(x: FormationState, m: int, n: int,
-               activation_radius: float, collision_radius: float) -> float:
-    """Barrier term for one ordered robot pair with separation r."""
-    if not 0.0 < collision_radius < activation_radius:
-        raise ValueError("need 0 < collision_radius < activation_radius")
-    x._check_id(m)
-    x._check_id(n)
-    rx = x.positions()
-    sq = np.sum((rx[m - 1] - rx[n - 1]) ** 2)
-    return float(_barrier(sq, activation_radius ** 2, collision_radius ** 2))
-
-
 @lru_cache(maxsize=32)
 def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
@@ -232,9 +220,10 @@ class Objective:
         est = lambda: est_many(_edge_index(self.team, self.graph), C, pos)
         if self.kind == "opt":
             return est() + col_many(pos, spec)
-        return _weighted(spec.weights, lambda: adj_many(pos, spec, s),
-                         lambda: overlap_many(pos, spec, s), est,
-                         lambda: col_many(pos, spec))[1]
+        total = _weighted(spec.weights, lambda: adj_many(pos, spec, s),
+                          lambda: overlap_many(pos, spec, s), est,
+                          lambda: col_many(pos, spec))[1]
+        return np.broadcast_to(total, pos.shape[:1])  # a float when every weight is 0
 
 
 def cost_function(kind: CostKind, team: TeamConfig, graph: RangeGraph,

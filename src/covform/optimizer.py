@@ -56,54 +56,63 @@ class OptimizationTrace:
 
 
 def gradient_fd(cost: Callable[[FormationState], float], x: FormationState,
-                step: float) -> np.ndarray:
-    """Central-difference gradient along each perturbation axis.
+                step: float) -> tuple[float, np.ndarray]:
+    """Cost at x and its central-difference gradient along each perturbation axis.
 
-    The probes +e_0, -e_0, +e_1, ... are built in one stacked retraction and
-    evaluated by the cost's ``many`` if it has one, else one at a time.
+    x itself (as row 0, not re-projected) and the probes +e_0, -e_0, +e_1, ...,
+    built in one stacked retraction, are evaluated by one call of the cost's
+    ``many`` if it has one, else by ``cost(x)`` and then one probe at a time.
     """
     probes = np.zeros((x.dim, 2, x.dim))
     probes[np.arange(x.dim), :, np.arange(x.dim)] = (step, -step)
     C, r, ops = oplus_many(x, probes.reshape(2 * x.dim, x.dim))
     if hasattr(cost, "many"):
-        vals = cost.many(C, r)
+        vals = cost.many(np.concatenate([x.C[None], C]), np.concatenate([x.r[None], r]))
+        value, vals = float(vals[0]), vals[1:]
     else:
+        value = cost(x)
         vals = np.array([cost(FormationState(c, p, ops)) for c, p in zip(C, r)], dtype=np.float64)
     hi, lo = vals[0::2], vals[1::2]
     bad = ~(np.isfinite(hi) & np.isfinite(lo))
     if bad.any():
         k = int(bad.argmax())
         raise ValueError(f"cost is not finite at finite-difference probe, coordinate {k}")
-    return (hi - lo) / (2.0 * step)
+    return value, (hi - lo) / (2.0 * step)
 
 
 def minimize(cost: Callable[[FormationState], float], x0: FormationState,
              cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationTrace:
-    """Run momentum descent from one start; returns the trace."""
+    """Run momentum descent from one start; returns the trace.
+
+    The cost at each new iterate comes with its gradient from one
+    ``gradient_fd`` call; the cost alone is evaluated only at the start and
+    at the state the descent stops on.
+    """
     trace = OptimizationTrace()
     x = x0
     c = cost(x)
     if not np.isfinite(c):
         raise ValueError("cost is not finite at the initial state")
+    _, g = gradient_fd(cost, x, cfg.fd_step)
+    if c >= SATURATION and np.all(g == 0.0):
+        trace.final_state, trace.final_cost = x, c
+        trace.message = "started on a saturated cost plateau with zero gradient"
+        return trace
     step = np.zeros(x.dim)
     for it in range(cfg.max_iters):
-        g = gradient_fd(cost, x, cfg.fd_step)
-        if it == 0 and c >= SATURATION and np.all(g == 0.0):
-            trace.final_state, trace.final_cost = x, c
-            trace.message = "started on a saturated cost plateau with zero gradient"
-            return trace
         step = cfg.beta * step - cfg.alpha * g
         x = oplus(x, step)
-        c = cost(x)
         norm = float(np.linalg.norm(step))
-        trace.iterates.append((it, c, norm))
-        if norm < cfg.tol:
-            trace.converged = True
+        trace.converged = norm < cfg.tol
+        if trace.converged or it == cfg.max_iters - 1:
             break
+        c, g = gradient_fd(cost, x, cfg.fd_step)
+        trace.iterates.append((it, c, norm))
     trace.final_state = x
-    trace.final_cost = c
+    trace.final_cost = c = cost(x)
+    trace.iterates.append((it, c, norm))
     if not trace.converged:
-        trace.message = f"step norm still {trace.iterates[-1][2]:.3g} after {cfg.max_iters} iters"
+        trace.message = f"step norm still {norm:.3g} after {cfg.max_iters} iters"
     return trace
 
 
@@ -123,18 +132,3 @@ def random_formation(n_robots: int, rng: np.random.Generator,
         if np.all(d[np.triu_indices(n_robots, 1)] > cfg.min_init_separation):
             return FormationState(_rot_many(ang), pos)
     raise RuntimeError("could not sample a collision-free start; shrink the team or grow the box")
-
-
-def minimize_multistart(cost: Callable[[FormationState], float], n_robots: int,
-                        cfg: OptimizerConfig = OptimizerConfig(),
-                        seed: int = 0) -> OptimizationTrace:
-    """Best of cfg.restarts independent seeded runs (by final cost)."""
-    best: OptimizationTrace | None = None
-    seeds = np.random.SeedSequence(seed).spawn(cfg.restarts)
-    for s in seeds:
-        x0 = random_formation(n_robots, np.random.default_rng(s), cfg)
-        tr = minimize(cost, x0, cfg)
-        if best is None or tr.final_cost < best.final_cost:
-            best = tr
-    assert best is not None
-    return best

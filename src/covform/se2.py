@@ -70,10 +70,6 @@ class Pose2:
     def identity(cls) -> "Pose2":
         return cls(np.eye(2), np.zeros(2))
 
-    @classmethod
-    def from_angle(cls, phi: float, r=(0.0, 0.0)) -> "Pose2":
-        return cls(rot2(phi), np.asarray(r, dtype=np.float64))
-
     @property
     def angle(self) -> float:
         return float(np.arctan2(self.C[1, 0], self.C[0, 0]))
@@ -182,12 +178,6 @@ class FormationState:
 
     def __reduce__(self):
         return (FormationState, (np.asarray(self.C), np.asarray(self.r), self._ops))
-
-    @classmethod
-    def from_poses(cls, poses: list[Pose2]) -> "FormationState":
-        if not poses:
-            raise ValueError("a formation needs at least one non-reference robot")
-        return cls(np.array([p.C for p in poses]), np.array([p.r for p in poses]))
 
     @classmethod
     def identity(cls, n_robots: int) -> "FormationState":

@@ -1,0 +1,49 @@
+"""Helpers only the tests use: scalar pose constructors, the one-pair
+collision barrier and a plain multistart over ``optimizer.minimize``."""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from covform import costs, se2
+from covform.optimizer import OptimizationTrace, OptimizerConfig, minimize, random_formation
+
+
+def from_angle(phi: float, r=(0.0, 0.0)) -> se2.Pose2:
+    """Pose with heading phi and translation r."""
+    return se2.Pose2(se2.rot2(phi), np.asarray(r, dtype=np.float64))
+
+
+def from_poses(poses: list[se2.Pose2]) -> se2.FormationState:
+    """Formation of robots 2..N from their poses relative to robot 1."""
+    if not poses:
+        raise ValueError("a formation needs at least one non-reference robot")
+    return se2.FormationState(np.array([p.C for p in poses]), np.array([p.r for p in poses]))
+
+
+def j_col_pair(x: se2.FormationState, m: int, n: int,
+               activation_radius: float, collision_radius: float) -> float:
+    """Barrier term for one ordered robot pair (the oracle of ``costs.col_many``)."""
+    if not 0.0 < collision_radius < activation_radius:
+        raise ValueError("need 0 < collision_radius < activation_radius")
+    x._check_id(m)
+    x._check_id(n)
+    rx = x.positions()
+    sq = np.sum((rx[m - 1] - rx[n - 1]) ** 2)
+    return float(costs._barrier(sq, activation_radius ** 2, collision_radius ** 2))
+
+
+def minimize_multistart(cost: Callable[[se2.FormationState], float], n_robots: int,
+                        cfg: OptimizerConfig = OptimizerConfig(),
+                        seed: int = 0) -> OptimizationTrace:
+    """Best of cfg.restarts independent seeded runs (by final cost)."""
+    best: OptimizationTrace | None = None
+    for s in np.random.SeedSequence(seed).spawn(cfg.restarts):
+        x0 = random_formation(n_robots, np.random.default_rng(s), cfg)
+        tr = minimize(cost, x0, cfg)
+        if best is None or tr.final_cost < best.final_cost:
+            best = tr
+    assert best is not None
+    return best

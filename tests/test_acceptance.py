@@ -17,9 +17,10 @@ from covform import costs, se2
 from covform.assignment import hungarian
 from covform.cli import main as cli_main
 from covform.covsim import SimConfig, monte_carlo, run_coverage_sim
-from covform.optimizer import OptimizerConfig, minimize, minimize_multistart, random_formation
+from covform.optimizer import OptimizerConfig, minimize, random_formation
 from covform.ranging import jacobian, predict_all
 from covform.team import FormationSpec, SortedIds, TeamConfig, default_full_graph
+from helpers import from_angle, from_poses, j_col_pair, minimize_multistart
 
 # published benchmark medians for the five-robot coverage scenario:
 # landmark errors (m), inter-robot attitude (rad) and position (m) RMSE
@@ -58,7 +59,7 @@ def bench():
 def formations(bench):
     """x_adj constructed exactly; x_opt and x_cov from seeded descent."""
     team, graph, spec, ident = bench["team"], bench["graph"], bench["spec"], bench["sorted"]
-    x_adj = se2.FormationState.from_poses(
+    x_adj = from_poses(
         [se2.Pose2(np.eye(2), np.array([k * 1.0, 0.0])) for k in range(1, 5)])
 
     t0 = time.monotonic()
@@ -112,7 +113,7 @@ def test_criterion_1_lie_group_suite():
     for _ in range(1000):
         xi = np.array([rng.uniform(-3, 3), *rng.uniform(-5, 5, 2)])
         worst = max(worst, float(np.linalg.norm(se2.log(se2.exp(xi)) - xi)))
-    x = se2.FormationState.from_poses(
+    x = from_poses(
         [se2.exp(np.array([rng.uniform(-3, 3), *rng.uniform(-5, 5, 2)])) for _ in range(4)])
     y = se2.oplus(x, np.zeros(x.dim))
     group_ok = True
@@ -138,9 +139,9 @@ def test_criterion_2_jacobian_oracle():
         team = TeamConfig.uniform(n)
         graph = default_full_graph(team)
         while True:
-            poses = [se2.Pose2.from_angle(rng.uniform(-np.pi, np.pi), rng.uniform(-4, 4, 2))
+            poses = [from_angle(rng.uniform(-np.pi, np.pi), rng.uniform(-4, 4, 2))
                      for _ in range(n - 1)]
-            x = se2.FormationState.from_poses(poses)
+            x = from_poses(poses)
             pos = x.positions()
             d = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
             if np.all(d[np.triu_indices(n, 1)] > 0.3):
@@ -183,13 +184,13 @@ def test_criterion_3_hungarian_equivalence():
 
 def test_criterion_4_cost_unit_values():
     t0 = time.monotonic()
-    x07 = se2.FormationState.from_poses([se2.Pose2(np.eye(2), np.array([0.7, 0.0]))])
-    col = costs.j_col_pair(x07, 2, 1, 0.9, 0.5)
+    x07 = from_poses([se2.Pose2(np.eye(2), np.array([0.7, 0.0]))])
+    col = j_col_pair(x07, 2, 1, 0.9, 0.5)
 
     team = TeamConfig.uniform(4)
     spec = FormationSpec.line(4)
     ident = SortedIds.identity(team)
-    at_target = se2.FormationState.from_poses(
+    at_target = from_poses(
         [se2.Pose2(np.eye(2), np.array([k * 1.0, 0.0])) for k in range(1, 4)])
     adj0 = costs.j_adj(at_target, spec, ident)
 
@@ -197,7 +198,7 @@ def test_criterion_4_cost_unit_values():
     ident2 = SortedIds.identity(TeamConfig.uniform(2))
     seps = np.arange(0.2, 2.0, 1e-4)
     vals = [costs.j_overlap(
-        se2.FormationState.from_poses([se2.Pose2(np.eye(2), np.array([d, 0.0]))]),
+        from_poses([se2.Pose2(np.eye(2), np.array([d, 0.0]))]),
         spec2, ident2) for d in seps]
     argmin = seps[int(np.argmin(vals))]
     elapsed = time.monotonic() - t0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from covform import se2
 from covform.assignment import hungarian, sort_robot_ids, travel_cost_matrix
 from covform.team import TeamConfig
+from helpers import from_poses
 
 
 def brute_force_value(cost):
@@ -17,7 +18,7 @@ def brute_force_value(cost):
 
 def state_with_positions(positions):
     poses = [se2.Pose2(np.eye(2), np.asarray(p, dtype=np.float64)) for p in positions]
-    return se2.FormationState.from_poses(poses)
+    return from_poses(poses)
 
 
 class TestHungarian:

@@ -6,10 +6,11 @@ from covform.covsim.config import ControlGains
 from covform.covsim.control import control_step
 from covform.se2 import FormationState, Pose2, _rot_many, exp_step
 from covform.team import TeamConfig
+from helpers import from_poses
 
 
 def line_formation(n, gap=1.0):
-    return FormationState.from_poses(
+    return from_poses(
         [Pose2(np.eye(2), np.array([k * gap, 0.0])) for k in range(1, n)])
 
 

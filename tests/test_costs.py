@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from covform import costs, se2
 from covform.team import CostWeights, FormationSpec, RangeGraph, SortedIds, TeamConfig, default_full_graph
+from helpers import from_angle, from_poses, j_col_pair
 
 
 def state_with_positions(positions, angles=None):
     positions = np.asarray(positions, dtype=np.float64)
     if angles is None:
         angles = np.zeros(len(positions))
-    poses = [se2.Pose2.from_angle(a, p) for a, p in zip(angles, positions)]
-    return se2.FormationState.from_poses(poses)
+    poses = [from_angle(a, p) for a, p in zip(angles, positions)]
+    return from_poses(poses)
 
 
 def line_spec(n, **kw):
@@ -24,24 +25,24 @@ def line_spec(n, **kw):
 class TestCollision:
     def test_pair_value_at_0p7(self):
         x = state_with_positions([(0.7, 0.0)])
-        val = costs.j_col_pair(x, 2, 1, 0.9, 0.5)
+        val = j_col_pair(x, 2, 1, 0.9, 0.5)
         assert abs(val - 16.0 / 9.0) <= 1e-12
 
     def test_pair_zero_at_activation_radius(self):
         x = state_with_positions([(0.9, 0.0)])
-        assert costs.j_col_pair(x, 2, 1, 0.9, 0.5) == 0.0
+        assert j_col_pair(x, 2, 1, 0.9, 0.5) == 0.0
 
     def test_pair_zero_beyond_activation(self):
         x = state_with_positions([(2.0, 0.0)])
-        assert costs.j_col_pair(x, 2, 1, 0.9, 0.5) == 0.0
+        assert j_col_pair(x, 2, 1, 0.9, 0.5) == 0.0
 
     def test_pair_sentinel_inside_collision_radius(self):
         x = state_with_positions([(0.4, 0.0)])
-        assert costs.j_col_pair(x, 2, 1, 0.9, 0.5) == costs.SATURATION
+        assert j_col_pair(x, 2, 1, 0.9, 0.5) == costs.SATURATION
 
     def test_pair_symmetric_in_m_n(self):
         x = state_with_positions([(0.7, 0.2), (1.0, -0.4)])
-        assert costs.j_col_pair(x, 2, 3, 0.9, 0.5) == costs.j_col_pair(x, 3, 2, 0.9, 0.5)
+        assert j_col_pair(x, 2, 3, 0.9, 0.5) == j_col_pair(x, 3, 2, 0.9, 0.5)
 
     def test_total_counts_ordered_pairs_twice(self):
         x = state_with_positions([(0.7, 0.0)])
@@ -55,7 +56,7 @@ class TestCollision:
     def test_bad_radii_rejected(self):
         x = state_with_positions([(0.7, 0.0)])
         with pytest.raises(ValueError):
-            costs.j_col_pair(x, 2, 1, 0.5, 0.9)
+            j_col_pair(x, 2, 1, 0.5, 0.9)
 
 
 class TestEst:

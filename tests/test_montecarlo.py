@@ -12,12 +12,13 @@ from covform.covsim.sim import run_coverage_sim
 from covform.scenario import PRESETS, build_scenario
 from covform.se2 import FormationState, Pose2
 from covform.team import TeamConfig, default_full_graph
+from helpers import from_poses
 
 
 def small_setup():
     team = TeamConfig.uniform(3)
     graph = default_full_graph(team)
-    x = FormationState.from_poses(
+    x = from_poses(
         [Pose2(np.eye(2), np.array([k * 0.85, 0.0])) for k in range(1, 3)])
     cfg = SimConfig(area=(6.0, 8.0), landmark_positions=((3.0, 4.0), (1.0, 6.0)),
                     max_sim_time=200.0, seed=42)

@@ -1,26 +1,29 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from covform import costs, se2
 from covform.assignment import sort_robot_ids
 from covform.optimizer import (
+    OptimizationTrace,
     OptimizerConfig,
     gradient_fd,
     minimize,
-    minimize_multistart,
     random_formation,
 )
 from covform.ranging import _edge_index, frames
 from covform.scenario import load_scenario
-from covform.team import FormationSpec, RangeGraph, RobotSpec, SortedIds, TeamConfig
+from covform.team import CostWeights, FormationSpec, RangeGraph, RobotSpec, SortedIds, TeamConfig
+from helpers import from_angle, from_poses, minimize_multistart
 
 
 def state_with_positions(positions, angles=None):
     positions = np.asarray(positions, dtype=np.float64)
     if angles is None:
         angles = np.zeros(len(positions))
-    return se2.FormationState.from_poses(
-        [se2.Pose2.from_angle(a, p) for a, p in zip(angles, positions)])
+    return from_poses(
+        [from_angle(a, p) for a, p in zip(angles, positions)])
 
 
 def fit_line_residual(points):
@@ -33,8 +36,9 @@ def fit_line_residual(points):
 
 
 def gradient_loop(cost, x, step):
-    """Per-probe oracle for gradient_fd: one oplus and one scalar cost call
-    per probe, in the order +e_0, -e_0, +e_1, ..."""
+    """Per-probe oracle for gradient_fd: cost(x), then one oplus and one scalar
+    cost call per probe, in the order +e_0, -e_0, +e_1, ..."""
+    value = cost(x)
     g = np.empty(x.dim)
     e = np.zeros(x.dim)
     for k in range(x.dim):
@@ -46,7 +50,37 @@ def gradient_loop(cost, x, step):
         if not (np.isfinite(hi) and np.isfinite(lo)):
             raise ValueError(f"cost is not finite at finite-difference probe, coordinate {k}")
         g[k] = (hi - lo) / (2.0 * step)
-    return g
+    return value, g
+
+
+def minimize_loop(cost, x0, cfg=OptimizerConfig()):
+    """Oracle for minimize: the gradient at the top of each step and one
+    scalar cost(x) after it."""
+    trace = OptimizationTrace()
+    x = x0
+    c = cost(x)
+    if not np.isfinite(c):
+        raise ValueError("cost is not finite at the initial state")
+    step = np.zeros(x.dim)
+    for it in range(cfg.max_iters):
+        _, g = gradient_fd(cost, x, cfg.fd_step)
+        if it == 0 and c >= costs.SATURATION and np.all(g == 0.0):
+            trace.final_state, trace.final_cost = x, c
+            trace.message = "started on a saturated cost plateau with zero gradient"
+            return trace
+        step = cfg.beta * step - cfg.alpha * g
+        x = se2.oplus(x, step)
+        c = cost(x)
+        norm = float(np.linalg.norm(step))
+        trace.iterates.append((it, c, norm))
+        if norm < cfg.tol:
+            trace.converged = True
+            break
+    trace.final_state = x
+    trace.final_cost = c
+    if not trace.converged:
+        trace.message = f"step norm still {trace.iterates[-1][2]:.3g} after {cfg.max_iters} iters"
+    return trace
 
 
 def outcome(fn, *args):
@@ -57,14 +91,38 @@ def outcome(fn, *args):
         return None, (type(e), str(e))
 
 
+def f64(v):
+    return np.float64(v).tobytes()
+
+
 def assert_matches_loop(cost, x, step=1e-6):
-    """gradient_fd equals the per-probe oracle bit for bit, or raises alike."""
-    g, err = outcome(gradient_fd, cost, x, step)
-    g_ref, err_ref = outcome(gradient_loop, cost, x, step)
+    """gradient_fd equals the per-probe oracle bit for bit, value included,
+    or raises alike; returns (gradient, error)."""
+    res, err = outcome(gradient_fd, cost, x, step)
+    ref, err_ref = outcome(gradient_loop, cost, x, step)
+    assert err == err_ref
+    if err is not None:
+        return None, err
+    assert f64(res[0]) == f64(ref[0]) and type(res[0]) is type(ref[0])
+    assert res[1].tobytes() == ref[1].tobytes()
+    return res[1], None
+
+
+def trace_key(tr):
+    """Everything a trace holds, with floats compared by their exact repr."""
+    x = tr.final_state
+    return (repr(tr.iterates), x.C.tobytes(), x.r.tobytes(), x._ops,
+            repr(tr.final_cost), tr.converged, tr.message)
+
+
+def assert_minimize_matches_loop(cost, x0, cfg=OptimizerConfig()):
+    """minimize equals the scalar-cost loop byte for byte, or raises alike."""
+    tr, err = outcome(minimize, cost, x0, cfg)
+    ref, err_ref = outcome(minimize_loop, cost, x0, cfg)
     assert err == err_ref
     if err is None:
-        assert g.tobytes() == g_ref.tobytes()
-    return g, err
+        assert trace_key(tr) == trace_key(ref)
+    return tr, err
 
 
 class TestStackedProbesMatchLoop:
@@ -160,17 +218,151 @@ class TestStackedProbesMatchLoop:
         assert err is not None and "coordinate 0" in err[1]
 
 
+class TestValueIsTheScalarCost:
+    """The value gradient_fd returns is the cost at x, byte for byte: the
+    descent records it in place of a separate cost(x) call."""
+
+    def test_drifted_singular_and_mapped(self):
+        sc = load_scenario("sim5")
+        s = SortedIds.identity(sc.team)
+        x = random_formation(5, np.random.default_rng(12))
+        drifted = se2.FormationState(x.C * (1.0 + 1e-7), x.r, ops=se2.RENORMALIZE_EVERY)
+        team = TeamConfig((RobotSpec(1, ((-0.2, 0.0), (0.2, 0.0)), 0.5),
+                           RobotSpec(2, ((-0.2, 0.0), (0.2, 0.0)), 0.5)))
+        graph = RangeGraph.from_pairs([(1, 3), (1, 4), (2, 3), (2, 4)], 0.1)
+        singular = state_with_positions([(2.0, 0.0)])
+        cases = [(costs.cost_function(kind, sc.team, sc.graph, sc.formation, s), st)
+                 for kind in ("adj", "opt", "cov") for st in (x, drifted)]
+        cases += [(costs.cost_function(kind, team, graph, FormationSpec.line(2),
+                                       SortedIds.identity(team)), singular)
+                  for kind in ("opt", "cov")]
+        for cost, st in cases:
+            value, g = gradient_fd(cost, st, 1e-6)
+            assert f64(value) == f64(cost(st)) and type(value) is float
+            # a plain callable without many is mapped: cost(x) first, then the probes
+            value_m, g_m = gradient_fd(lambda y: cost(y), st, 1e-6)
+            assert f64(value_m) == f64(value) and g_m.tobytes() == g.tobytes()
+        assert gradient_fd(cases[-2][0], singular, 1e-6)[0] == costs.SATURATION
+        # the drift is visible in the cost, so the value is taken at x as it is,
+        # not at x re-projected like its probes
+        reprojected = se2.FormationState(drifted.C, drifted.r, ops=se2.RENORMALIZE_EVERY + 1)
+        assert f64(cases[5][0](drifted)) != f64(cases[5][0](reprojected))  # cov
+
+    def test_mapped_cost_is_called_at_x_first(self):
+        seen = []
+        x = state_with_positions([(1.0, 0.0)])
+        gradient_fd(lambda st: seen.append(st) or 1.0, x, 1e-6)
+        assert seen[0] is x and len(seen) == 1 + 2 * x.dim
+
+
+class TestMinimizeMatchesLoop:
+    """minimize takes the cost at each iterate from the stacked gradient call;
+    the oracle evaluates it with a scalar cost(x) after each step."""
+
+    @pytest.mark.parametrize("preset", ["sim5", "bridge7", "exp3plus2"])
+    def test_random_starts(self, preset):
+        sc = load_scenario(preset)
+        dirs = np.asarray(sc.formation.directions)
+        rng = np.random.default_rng(17)
+        seen = set()
+        for _ in range(2):
+            x0 = random_formation(sc.team.n_robots, rng)
+            s = sort_robot_ids(x0, sc.team, dirs)
+            for kind in ("adj", "opt", "cov"):
+                cost = costs.cost_function(kind, sc.team, sc.graph, sc.formation, s)
+                # the default tol stops at max_iters; the loose one converges
+                for tol in (1e-4, 5e-3):
+                    tr, err = assert_minimize_matches_loop(
+                        cost, x0, OptimizerConfig(max_iters=250, tol=tol))
+                    assert err is None
+                    seen.add(tr.converged)
+        assert seen == {True, False}
+
+    def test_converged_small_team(self):
+        team = TeamConfig.uniform(3)
+        s = SortedIds.identity(team)
+        x0 = random_formation(3, np.random.default_rng(3))
+        tr, _ = assert_minimize_matches_loop(
+            lambda st: costs.j_adj(st, FormationSpec.line(3), s), x0)
+        assert tr.converged and tr.message == ""
+
+    def test_one_iteration(self):
+        sc = load_scenario("sim5")
+        x0 = random_formation(5, np.random.default_rng(5))
+        cost = costs.cost_function("cov", sc.team, sc.graph, sc.formation,
+                                   SortedIds.identity(sc.team))
+        tr, _ = assert_minimize_matches_loop(cost, x0, OptimizerConfig(max_iters=1))
+        assert tr.n_iters == 1 and not tr.converged
+
+    def test_zero_weight_objective(self):
+        # every weight 0: the stacked objective is a zero row per state
+        sc = load_scenario("sim5")
+        spec = replace(sc.formation, weights=CostWeights(0.0, 0.0, 0.0, 0.0))
+        cost = costs.cost_function("cov", sc.team, sc.graph, spec, SortedIds.identity(sc.team))
+        x0 = random_formation(5, np.random.default_rng(6))
+        assert cost.many(x0.C[None], x0.r[None]).tolist() == [0.0]
+        tr, _ = assert_minimize_matches_loop(cost, x0)
+        assert tr.converged and tr.n_iters == 1 and tr.final_cost == 0.0
+
+    def test_saturated_plateau(self):
+        x0 = state_with_positions([(1.0, 0.0)])
+        tr, _ = assert_minimize_matches_loop(lambda st: costs.SATURATION, x0)
+        assert "plateau" in tr.message and tr.n_iters == 0
+
+    def test_non_finite_start(self):
+        x0 = state_with_positions([(1.0, 0.0)])
+        _, err = assert_minimize_matches_loop(lambda st: np.nan, x0)
+        assert err is not None and "initial state" in err[1]
+
+    def test_probe_raises_mid_descent(self):
+        # a bowl whose minimum lies past a fence on robot 2's x: the iterate
+        # that crosses it costs inf and its probes raise
+        target, fence = np.array([0.8, -1.1]), 0.4
+
+        class Fenced:
+            def __call__(self, st):
+                return np.inf if st.r[0, 0] > fence else float(np.sum((st.r[0] - target) ** 2))
+
+            def many(self, C, r):
+                return np.where(r[:, 0, 0] > fence, np.inf,
+                                np.sum((r[:, 0] - target) ** 2, axis=-1))
+
+        x0 = state_with_positions([(0.0, 0.0)])
+        for cost in (Fenced(), lambda st: Fenced()(st)):
+            _, err = assert_minimize_matches_loop(cost, x0)
+            assert err is not None and "finite-difference probe, coordinate 0" in err[1]
+
+    def test_scalar_cost_only_at_start_and_stop(self):
+        sc = load_scenario("sim5")
+        x0 = random_formation(5, np.random.default_rng(9))
+        objective = costs.cost_function("cov", sc.team, sc.graph, sc.formation,
+                                        SortedIds.identity(sc.team))
+        calls = []
+
+        class Counted:
+            many = staticmethod(objective.many)
+
+            def __call__(self, st):
+                calls.append(st)
+                return objective(st)
+
+        tr = minimize(Counted(), x0, OptimizerConfig(max_iters=40))
+        assert calls[0] is x0 and calls[1] is tr.final_state and len(calls) == 2
+
+
 class TestGradient:
     def test_constant_cost_zero_gradient(self):
         x = state_with_positions([(1.0, 0.0), (2.0, 0.0)])
-        g = gradient_fd(lambda s: 4.2, x, 1e-6)
+        value, g = gradient_fd(lambda s: 4.2, x, 1e-6)
+        assert value == 4.2
         np.testing.assert_array_equal(g, np.zeros(6))
 
     def test_zero_at_stationary_point(self):
         target = np.array([1.5, -0.5])
         cost = lambda s: float(np.sum((s.r[0] - target) ** 2))
         x = state_with_positions([target])
-        g = gradient_fd(cost, x, 1e-6)
+        value, g = gradient_fd(cost, x, 1e-6)
+        assert value == 0.0
         np.testing.assert_allclose(g, np.zeros(3), atol=1e-9)
 
     def test_matches_analytic_translation_gradient(self):
@@ -178,7 +370,7 @@ class TestGradient:
         spec = FormationSpec.line(2)
         s = SortedIds.identity(TeamConfig.uniform(2))
         x = state_with_positions([(1.7, 0.4)], angles=[0.6])
-        g = gradient_fd(lambda st: costs.j_adj(st, spec, s), x, 1e-6)
+        _, g = gradient_fd(lambda st: costs.j_adj(st, spec, s), x, 1e-6)
         resid = x.r[0] - np.array([1.0, 0.0])
         expected_rho = 2.0 * x.C[0].T @ resid
         np.testing.assert_allclose(g[1:], expected_rho, rtol=1e-4)
@@ -276,7 +468,7 @@ class TestMinimize:
         x0 = random_formation(3, np.random.default_rng(4))
         tr = minimize(cost, x0, OptimizerConfig(max_iters=30_000))
         assert tr.converged
-        g = gradient_fd(cost, tr.final_state, 1e-6)
+        _, g = gradient_fd(cost, tr.final_state, 1e-6)
         assert np.linalg.norm(g) < 1e-4 * scale / (1 - 0.9) * 10
 
 

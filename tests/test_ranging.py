@@ -3,14 +3,15 @@ import pytest
 
 from covform import ranging, se2
 from covform.team import RangeGraph, TeamConfig, default_full_graph
+from helpers import from_angle, from_poses
 
 
 def random_state(rng, n_robots, spread=4.0, min_sep=0.3):
     """Random non-degenerate formation: resample until robots are separated."""
     while True:
-        poses = [se2.Pose2.from_angle(rng.uniform(-np.pi, np.pi), rng.uniform(-spread, spread, 2))
+        poses = [from_angle(rng.uniform(-np.pi, np.pi), rng.uniform(-spread, spread, 2))
                  for _ in range(n_robots - 1)]
-        x = se2.FormationState.from_poses(poses)
+        x = from_poses(poses)
         pos = x.positions()
         d = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
         if np.all(d[np.triu_indices(n_robots, 1)] > min_sep):
@@ -83,13 +84,13 @@ class TestTagPosition:
 
     def test_translated_robot_tag(self):
         team = TeamConfig.uniform(2)
-        x = se2.FormationState.from_poses([se2.Pose2(np.eye(2), np.array([3.0, 0.0]))])
+        x = from_poses([se2.Pose2(np.eye(2), np.array([3.0, 0.0]))])
         np.testing.assert_allclose(world_tag(x, team, 4), [2.83, 0.17])
         np.testing.assert_allclose(tag_position(x, team, 4), [2.83, 0.17])
 
     def test_rotated_robot_tag(self):
         team = TeamConfig.uniform(2, tag_offsets=((1.0, 0.0), (-1.0, 0.0)))
-        x = se2.FormationState.from_poses([se2.Pose2.from_angle(np.pi / 2, (1.0, 0.0))])
+        x = from_poses([from_angle(np.pi / 2, (1.0, 0.0))])
         np.testing.assert_allclose(world_tag(x, team, 3), [1.0, 1.0], atol=1e-15)
         np.testing.assert_allclose(tag_position(x, team, 3), [1.0, 1.0], atol=1e-15)
 
@@ -109,7 +110,7 @@ class TestPredictRange:
 
     def test_hand_evaluated_distance(self):
         team = TeamConfig.uniform(2)
-        x = se2.FormationState.from_poses([se2.Pose2(np.eye(2), np.array([3.0, 0.0]))])
+        x = from_poses([se2.Pose2(np.eye(2), np.array([3.0, 0.0]))])
         # tag 1 at (0.17,-0.17), tag 4 at (2.83, 0.17)
         expected = np.hypot(2.66, 0.34)
         got = ranging.predict_all(x, team, RangeGraph.from_pairs([(1, 4)]))[0]
@@ -279,7 +280,7 @@ class TestFisher:
         x = random_state(rng, 3)
         base = ranging.predict_all(x, team, graph)
         for _ in range(5):
-            G = se2.Pose2.from_angle(rng.uniform(-np.pi, np.pi), rng.uniform(-50, 50, 2))
+            G = from_angle(rng.uniform(-np.pi, np.pi), rng.uniform(-50, 50, 2))
             world = {p: se2.compose(G, x.pose(p)) for p in range(1, 4)}
             offsets = [np.asarray(o) for r in team.robots for o in r.tag_offsets]
             meas = []

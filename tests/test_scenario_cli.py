@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covform import cli, costs
 from covform.cli import (
     MAX_GRID_POINTS,
     OK,
@@ -27,6 +28,7 @@ from covform.scenario import (
 )
 from covform.se2 import FormationState, Pose2
 from covform.team import SortedIds
+from helpers import from_angle, from_poses
 
 
 def minimal_doc(n=3):
@@ -122,9 +124,9 @@ class TestScenarioValidation:
 class TestFormationFiles:
     def test_doc_roundtrip_is_bit_identical(self):
         rng = np.random.default_rng(0)
-        poses = [Pose2.from_angle(rng.uniform(-np.pi, np.pi), rng.uniform(-3, 3, 2))
+        poses = [from_angle(rng.uniform(-np.pi, np.pi), rng.uniform(-3, 3, 2))
                  for _ in range(4)]
-        x = FormationState.from_poses(poses)
+        x = from_poses(poses)
         s = SortedIds((1, 3, 2, 4, 5), (0.5,) * 5)
         doc = json.loads(json.dumps(formation_to_doc(x, s)))
         x2, s2 = formation_from_doc(doc)
@@ -240,7 +242,7 @@ class TestCli:
     @pytest.mark.parametrize("name", ["missing", "not_json", "empty", "one_pose"])
     def test_malformed_formation_file_is_a_config_error(self, tmp_path, capsys, command, name):
         one_pose = formation_to_doc(
-            FormationState.from_poses([Pose2(np.eye(2), np.array([1.0, 0.0]))]),
+            from_poses([Pose2(np.eye(2), np.array([1.0, 0.0]))]),
             SortedIds((1, 2), (0.5, 0.5)))
         content, message = {
             "missing": (None, "cannot read formation file"),
@@ -288,7 +290,7 @@ class TestCli:
         ("0,1,0,1,3", "grid must be"),
     ])
     def test_heatmap_malformed_grid_is_a_config_error(self, tmp_path, capsys, grid, field):
-        x = FormationState.from_poses([Pose2(np.eye(2), np.array([k, 0.0])) for k in range(1, 5)])
+        x = from_poses([Pose2(np.eye(2), np.array([k, 0.0])) for k in range(1, 5)])
         form = tmp_path / "line.json"
         form.write_text(json.dumps(
             {"formation": formation_to_doc(x, SortedIds((1, 2, 3, 4, 5), (0.5,) * 5))}))
@@ -305,7 +307,7 @@ class TestCli:
     ])
     def test_heatmap_grid_is_bounded(self, tmp_path, capsys, grid, field):
         # a grid past the cap exits before the first cost evaluation
-        x = FormationState.from_poses([Pose2(np.eye(2), np.array([k, 0.0])) for k in range(1, 5)])
+        x = from_poses([Pose2(np.eye(2), np.array([k, 0.0])) for k in range(1, 5)])
         form = tmp_path / "line.json"
         form.write_text(json.dumps(
             {"formation": formation_to_doc(x, SortedIds((1, 2, 3, 4, 5), (0.5,) * 5))}))
@@ -426,6 +428,78 @@ JUNK = st.one_of(
     st.lists(st.one_of(st.integers(-3, 3), st.floats(allow_nan=True, allow_infinity=True)),
              max_size=3),
     st.dictionaries(st.sampled_from(["id", "count", "x"]), st.integers(-2, 6), max_size=2))
+
+
+def heatmap_loop(config, formation_path, kind, robot, grid):
+    """Oracle for the heatmap CSV: one scalar cost call per grid point."""
+    sc = load_scenario(config)
+    x, sorted_ids, _ = load_formation_file(formation_path, sc.team.n_robots)
+    cost = costs.cost_function(kind, sc.team, sc.graph, sc.formation, sorted_ids)
+    x0, x1, y0, y1, nx, ny = grid
+    lines = ["x,y,cost\n"]
+    for gy in np.linspace(y0, y1, ny):
+        for gx in np.linspace(x0, x1, nx):
+            r = x.r.copy()
+            r[robot - 2] = (gx, gy)
+            try:
+                value = cost(FormationState(x.C.copy(), r))
+            except ValueError:
+                value = costs.SATURATION
+            lines.append(f"{gx:.17g},{gy:.17g},{value:.17g}\n")
+    return "".join(lines)
+
+
+class TestHeatmapRows:
+    """heatmap evaluates each grid row in one stacked call; its CSV equals
+    the point-by-point loop byte for byte."""
+
+    @pytest.mark.parametrize("block", [cli.HEATMAP_BLOCK, 2])
+    @pytest.mark.parametrize("kind", ["adj", "opt", "cov"])
+    def test_collision_support_grid(self, tmp_path, monkeypatch, kind, block):
+        monkeypatch.setattr(cli, "HEATMAP_BLOCK", block)
+        cfg = fast_scenario(tmp_path)
+        main(["optimize", "--config", str(cfg), "--cost", "adj",
+              "--seed", "3", "--out", str(tmp_path)])
+        form = tmp_path / "formation_adj.json"
+        rc = main(["heatmap", "--config", str(cfg), "--cost", kind, "--formation", str(form),
+                   "--robot", "3", "--grid=-1,3,-1,1,9,7", "--out", str(tmp_path)])
+        assert rc == OK
+        assert (tmp_path / f"heatmap_{kind}_r3.csv").read_text() == \
+            heatmap_loop(str(cfg), form, kind, 3, (-1.0, 3.0, -1.0, 1.0, 9, 7))
+
+    def test_zero_weights(self, tmp_path):
+        # every cov weight 0: the stacked objective is 0 at every grid point too
+        doc = minimal_doc()
+        doc["formation"]["weights"] = {"adj": 0, "overlap": 0, "est": 0, "col": 0}
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps(doc))
+        x = from_poses([Pose2(np.eye(2), np.array([k, 0.0])) for k in (1, 2)])
+        form = tmp_path / "line.json"
+        form.write_text(json.dumps(
+            {"formation": formation_to_doc(x, SortedIds((1, 2, 3), (0.5,) * 3))}))
+        assert main(["heatmap", "--config", str(cfg), "--cost", "cov", "--formation",
+                     str(form), "--grid=0,2,0,2,5,5", "--out", str(tmp_path)]) == OK
+        assert (tmp_path / "heatmap_cov_r3.csv").read_text() == \
+            heatmap_loop(str(cfg), form, "cov", 3, (0.0, 2.0, 0.0, 2.0, 5, 5))
+
+    @pytest.mark.parametrize("block", [cli.HEATMAP_BLOCK, 2])
+    @pytest.mark.parametrize("kind", ["adj", "opt", "cov"])
+    def test_degenerate_points_saturate(self, tmp_path, monkeypatch, kind, block):
+        # robot 5 swept over a grid through robots 2 and 3 at (1, 0) and (2, 0)
+        monkeypatch.setattr(cli, "HEATMAP_BLOCK", block)
+        x = from_poses([Pose2(np.eye(2), np.array([k, 0.0])) for k in range(1, 5)])
+        form = tmp_path / "line.json"
+        form.write_text(json.dumps(
+            {"formation": formation_to_doc(x, SortedIds((1, 2, 3, 4, 5), (0.5,) * 5))}))
+        rc = main(["heatmap", "--config", "sim5", "--cost", kind, "--formation", str(form),
+                   "--grid=0,2,-1,1,5,5", "--out", str(tmp_path)])
+        assert rc == OK
+        csv = (tmp_path / f"heatmap_{kind}_r5.csv").read_text()
+        assert csv == heatmap_loop("sim5", form, kind, 5, (0.0, 2.0, -1.0, 1.0, 5, 5))
+        if kind == "cov":  # on robots 1-3 the overlap direction is undefined
+            grid = np.loadtxt(csv.splitlines()[1:], delimiter=",")
+            assert {tuple(row[:2]) for row in grid if row[2] == costs.SATURATION} == \
+                {(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)}
 
 
 def value_paths(doc, prefix=()):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covform import se2
+from helpers import from_poses
 
 RNG = np.random.default_rng(7)
 
@@ -178,7 +179,7 @@ def test_exp_step_matches_compose_per_pose():
 class TestFormationState:
     def make(self, n=4, seed=0):
         rng = np.random.default_rng(seed)
-        return se2.FormationState.from_poses([se2.exp(random_twist(rng)) for _ in range(n - 1)])
+        return from_poses([se2.exp(random_twist(rng)) for _ in range(n - 1)])
 
     def test_identity_state(self):
         x = se2.FormationState.identity(4)
@@ -234,7 +235,7 @@ class TestFormationState:
     def test_relative_position_definition(self):
         poses = [se2.Pose2(np.eye(2), np.array([3.0, 0.0])),
                  se2.Pose2(np.eye(2), np.array([1.0, 1.0]))]
-        x = se2.FormationState.from_poses(poses)
+        x = from_poses(poses)
         np.testing.assert_array_equal(se2.relative_position(x, 2, 1), np.array([3.0, 0.0]))
         np.testing.assert_array_equal(se2.relative_position(x, 2, 3), np.array([2.0, -1.0]))
         np.testing.assert_array_equal(se2.relative_position(x, 2, 2), np.zeros(2))
@@ -269,7 +270,7 @@ def test_pose_and_state_pickle_roundtrip():
     np.testing.assert_array_equal(T.C, T2.C)
     np.testing.assert_array_equal(T.r, T2.r)
 
-    x = se2.FormationState.from_poses([se2.exp(random_twist(rng)) for _ in range(3)])
+    x = from_poses([se2.exp(random_twist(rng)) for _ in range(3)])
     x2 = pickle.loads(pickle.dumps(x))
     np.testing.assert_array_equal(x.C, x2.C)
     np.testing.assert_array_equal(x.r, x2.r)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from covform.covsim.waypoints import footprint_center, formation_sweep_width, generate_waypoints
-from covform.se2 import FormationState, Pose2
+from covform.se2 import Pose2
 from covform.team import TeamConfig
+from helpers import from_poses
 
 
 def line_state(gaps):
     xs = np.concatenate([[0.0], np.cumsum(gaps)])
-    return FormationState.from_poses(
+    return from_poses(
         [Pose2(np.eye(2), np.array([x, 0.0])) for x in xs[1:]])
 
 
@@ -55,7 +56,7 @@ class TestGenerateWaypoints:
 class TestSweepWidth:
     def test_single_robot_disk(self):
         team = TeamConfig.uniform(2, camera_radius=0.5)
-        x = FormationState.from_poses([Pose2(np.eye(2), np.array([0.0, 5.0]))])
+        x = from_poses([Pose2(np.eye(2), np.array([0.0, 5.0]))])
         # two stacked disks in y: x-extent is one diameter
         assert formation_sweep_width(x, team) == pytest.approx(1.0)
 
