@@ -2,9 +2,9 @@
 
 State: N robot poses (heading + position, right-perturbation error states
 ordered [phi, x, y] per robot) followed by L landmark positions. The
-measurement rows reuse the closed-form range Jacobian of the planning
-modules, lifted to the global frame where robot 1 is a state like any
-other; GPS anchors robot 1.
+measurement rows are the closed-form range rows of ``ranging.range_rows``,
+lifted to the global frame where robot 1 is a state like any other; GPS
+anchors robot 1.
 
 Landmarks enter by delayed initialization: ranges buffer until a
 trilateration over sufficiently spread tag positions is well conditioned,
@@ -15,17 +15,24 @@ The caller owns the state: predict, the updates and landmark init change it
 in place and return the same object. Every update is a sequence of scalar
 updates, one per measurement row, which with independent (diagonal) noise
 gives the joint update exactly.
+
+An event touches a handful of state entries, so its cost is per-call
+overhead: each row is linearized from Python floats on tables the model
+builds once, with the operations of ``range_rows`` in its order (so bit for
+bit), then folded in by a few numpy calls on the columns it touches.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from covform.ranging import _edge_index, _EdgeIndex, range_rows, world_tags
-from covform.se2 import _rot_many, exp_step, rot2
+from covform.ranging import DEGENERATE_RANGE, _edge_index, _EdgeIndex, world_tags
+from covform.se2 import _matvec, _rot_many, exp_step, rot2
 from covform.team import RangeGraph, TeamConfig
 
 RANGE_GATE_1DOF = 13.8   # chi-square, 99.98%
@@ -45,12 +52,46 @@ _XY = np.arange(2)
 _GPS_COLS = _XY + 1  # robot 1's position columns
 
 
+def _table():
+    """A model field derived in ``__post_init__``, left out of init, repr and ==."""
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass
 class EkfModel:
-    """The range model's tag/edge table plus the landmark count of one filter setup."""
+    """The range model's tag/edge table plus the landmark count of one filter setup.
+
+    Built once per filter, it also holds the per-event lookups as Python
+    lists, so that each measurement row is linearized from plain floats:
+    each tag's robot, body offset and rotation lever; each edge's endpoint
+    tags, noise and six state columns; the five state columns of every
+    (tag, landmark) row; and the index of the N robot blocks of P.
+    """
 
     index: _EdgeIndex
     n_landmarks: int
+    tag_robot: list[int] = _table()
+    tag_body: list[list[float]] = _table()
+    tag_perp: list[list[float]] = _table()
+    edge_tags: list[tuple[int, int]] = _table()
+    edge_sigma: list[float] = _table()
+    edge_cols: list[np.ndarray] = _table()
+    lm_cols: list[list[np.ndarray]] = _table()   # [tag][landmark]
+    robot_blocks: tuple[np.ndarray, np.ndarray] = _table()
+
+    def __post_init__(self) -> None:
+        idx = self.index
+        self.tag_robot = idx.tag_robot.tolist()
+        self.tag_body = idx.tag_body.tolist()
+        self.tag_perp = idx.tag_perp.tolist()
+        self.edge_tags = list(zip(idx.edge_i.tolist(), idx.edge_j.tolist()))
+        self.edge_sigma = idx.sigma.tolist()
+        self.edge_cols = list(np.concatenate([idx.tag_cols[idx.edge_i],
+                                              idx.tag_cols[idx.edge_j]], axis=1))
+        self.lm_cols = [[np.concatenate([tag_cols, self.lm_col(lm) + _XY])
+                         for lm in range(self.n_landmarks)] for tag_cols in idx.tag_cols]
+        blk = np.arange(3 * self.n_robots).reshape(-1, 3)
+        self.robot_blocks = (blk[:, :, None], blk[:, None, :])
 
     @property
     def n_robots(self) -> int:
@@ -109,7 +150,7 @@ def ekf_predict(state: EkfState, model: EkfModel, u: np.ndarray,
     # F_p = Ad(exp(-xi_p)) under the [phi, rho] ordering: exp(-xi_p) has
     # rotation Cinv = R(-phi_p) and translation rinv = -Cinv t_p
     Cinv = _rot_many(-xi[:, 0])
-    rinv = -np.einsum("nij,nj->ni", Cinv, t)
+    rinv = -_matvec(Cinv, t)
     n, m = model.n_robots, 3 * model.n_robots
     F = np.zeros((n, 3, 3))
     F[:, 0, 0] = 1.0
@@ -119,8 +160,7 @@ def ekf_predict(state: EkfState, model: EkfModel, u: np.ndarray,
     P = state.P
     P[:m] = (F @ P[:m].reshape(n, 3, -1)).reshape(m, -1)
     P[:, :m] = (F @ P[:, :m].T.reshape(n, 3, -1)).reshape(m, -1).T
-    blk = np.arange(m).reshape(-1, 3)
-    P[blk[:, :, None], blk[:, None, :]] += (dt * dt) * vel_cov
+    P[model.robot_blocks] += (dt * dt) * vel_cov
     return state
 
 
@@ -132,57 +172,90 @@ def _retract(state: EkfState, model: EkfModel, delta: np.ndarray) -> None:
 
 
 def _fold_rows(state: EkfState, model: EkfModel, cols: Sequence[np.ndarray],
-               vals: Sequence[np.ndarray], nu: np.ndarray, sigmas: np.ndarray,
+               vals: Sequence[np.ndarray], nu: Sequence[float], sigmas: Sequence[float],
                gate: float | None) -> int:
     """Fold independent rows in one scalar update at a time, in place, and
     retract the summed correction once; returns how many rows the gate
-    dropped. Row k is vals[k] on the state columns cols[k]; only those
-    columns of P are read to form it. With no row gated this is the joint
-    update over all rows."""
+    dropped. Row k is vals[k] on the state columns cols[k] with innovation
+    nu[k] and noise sigmas[k]; only those columns of P are read to form it.
+    With no row gated this is the joint update over all rows."""
     P = state.P
-    delta = np.zeros(model.dim)
+    delta = None  # the summed correction, once a row is folded in
     n_rejected = 0
     for c, h, v, sigma in zip(cols, vals, nu, sigmas):
         Ph = P[:, c] @ h
         s = h @ Ph[c] + sigma * sigma
-        v -= h @ delta[c]
+        if delta is not None:
+            v -= h @ delta[c]
         if gate is not None and not v * v / s <= gate:
             n_rejected += 1
             continue
-        delta += Ph * (v / s)
+        if delta is None:
+            delta = Ph * (v / s)
+        else:
+            delta += Ph * (v / s)
         P -= Ph[:, None] * Ph / s
-    if n_rejected < len(nu):
+    if delta is not None:
         _retract(state, model, delta)
     return n_rejected
 
 
-def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
-                      lm_edges: list[tuple[int, int]],
-                      ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
-    """The selected robot-robot rows plus the given (tag, landmark) rows.
+def _range_unit(dx: float, dy: float) -> tuple[float, float, float, bool]:
+    """(range, unit x, unit y, valid) of a tag-to-endpoint offset; a range not
+    above DEGENERATE_RANGE is invalid and has a zero unit vector."""
+    rng = math.sqrt(dx * dx + dy * dy)
+    if rng > DEGENERATE_RANGE:
+        return rng, dx / rng, dy / rng, True
+    return rng, 0.0, 0.0, False
 
-    Every row ranges from a tag to either a second tag (the first E rows)
-    or a landmark. Returns (cols, vals, predicted ranges, validity mask):
-    row k is vals[k] on the state columns cols[k], the six [phi, x, y]
-    columns of both endpoint robots for a robot-robot row, and the tag
-    robot's three plus the landmark's two for a landmark row. Rows with a
-    degenerate predicted range are flagged invalid instead of raising.
+
+def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: Sequence[int],
+                      lm_edges: Sequence[tuple[int, int]],
+                      ) -> tuple[list[np.ndarray], list[np.ndarray], list[float], list[bool]]:
+    """The given robot-robot rows (edge indices) plus (tag, landmark) rows.
+
+    Every row ranges from a tag to either a second tag (the first
+    len(rr_idx) rows) or a landmark. Returns (cols, vals, predicted ranges,
+    validity): row k is vals[k] on the state columns cols[k], the six
+    [phi, x, y] columns of both endpoint robots for a robot-robot row, and
+    the tag robot's three plus the landmark's two for a landmark row. Rows
+    with a degenerate predicted range are flagged invalid instead of
+    raising. Every entry equals the batched ``ranging.range_rows`` bit for bit.
     """
-    idx = model.index
-    lm_tag, lm = np.asarray(lm_edges, dtype=np.intp).reshape(-1, 2).T
-    near, far = idx.edge_i[rr_idx], idx.edge_j[rr_idx]
-    Hi, Hj, rng, unit, valid = range_rows(idx, _rot_many(state.ang), state.pos,
-                                          np.concatenate([near, lm_tag]), far, state.landmarks[lm])
-    e = rr_idx.shape[0]
-    cols, vals = [], []
-    if e:
-        cols += list(np.concatenate([idx.tag_cols[near], idx.tag_cols[far]], axis=1))
-        vals += list(np.concatenate([Hi[:e], Hj[:e]], axis=1))
-    if lm.shape[0]:
-        cols += list(np.concatenate([idx.tag_cols[lm_tag], model.lm_col(lm)[:, None] + _XY],
-                                    axis=1))
-        vals += list(np.concatenate([Hi[e:], -unit[e:]], axis=1))
-    return cols, vals, rng, valid
+    cos, sin = np.cos(state.ang).tolist(), np.sin(state.ang).tolist()
+    pos, landmarks = state.pos.tolist(), state.landmarks.tolist()
+    robot, body, perp = model.tag_robot, model.tag_body, model.tag_perp
+
+    def place(tag: int) -> tuple[float, ...]:
+        # heading cos/sin, world position and rotation lever C (S a) of a tag
+        p = robot[tag]
+        c, s = cos[p], sin[p]
+        (bx, by), (ax, ay), (rx, ry) = body[tag], perp[tag], pos[p]
+        return c, s, c * bx - s * by + rx, s * bx + c * by + ry, c * ax - s * ay, s * ax + c * ay
+
+    def block(ux: float, uy: float, c: float, s: float, lx: float, ly: float) -> list[float]:
+        # one endpoint's [phi, x, y] entries: u . lever and u^T C
+        return [ux * lx + uy * ly, ux * c + uy * s, uy * c - ux * s]
+
+    cols, vals, zhat, valid = [], [], [], []
+    for k in rr_idx:
+        i, j = model.edge_tags[k]
+        ci, si, xi, yi, lxi, lyi = place(i)
+        cj, sj, xj, yj, lxj, lyj = place(j)
+        rng, ux, uy, ok = _range_unit(xi - xj, yi - yj)
+        cols.append(model.edge_cols[k])
+        vals.append(np.array(block(ux, uy, ci, si, lxi, lyi) + block(-ux, -uy, cj, sj, lxj, lyj)))
+        zhat.append(rng)
+        valid.append(ok)
+    for tag, lm in lm_edges:
+        c, s, x, y, lx, ly = place(tag)
+        mx, my = landmarks[lm]
+        rng, ux, uy, ok = _range_unit(x - mx, y - my)
+        cols.append(model.lm_cols[tag][lm])
+        vals.append(np.array(block(ux, uy, c, s, lx, ly) + [-ux, -uy]))
+        zhat.append(rng)
+        valid.append(ok)
+    return cols, vals, zhat, valid
 
 
 def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
@@ -193,32 +266,42 @@ def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
     rr_idx indexes into the model's edge arrays. The rows are linearized
     at the incoming state and folded in one at a time; each row is gated on
     its normalized innovation squared against the covariance the rows
-    before it left, and dropped and counted if it exceeds the gate. Rows
-    with a degenerate predicted range are skipped uncounted. Returns
-    (state, number rejected).
+    before it left, and dropped and counted if it exceeds the gate or is
+    not a number. Rows with a degenerate predicted range are skipped
+    uncounted. Returns (state, number rejected).
     """
-    rr_idx = np.asarray(rr_idx, dtype=np.intp)
     cols, vals, zhat, valid = _measurement_rows(state, model, rr_idx, lm_edges)
-    nu = np.concatenate([z_rr, z_lm]) - zhat
-    sigmas = np.concatenate([model.index.sigma[rr_idx], np.full(len(lm_edges), lm_sigma)])
-    if not valid.all():
-        keep = np.flatnonzero(valid)
-        cols, vals = [cols[k] for k in keep], [vals[k] for k in keep]
-        nu, sigmas = nu[keep], sigmas[keep]
+    nu = [float(z) - h for z, h in zip(chain(z_rr, z_lm), zhat)]
+    sigmas = [model.edge_sigma[k] for k in rr_idx] + [lm_sigma] * len(lm_edges)
+    if not all(valid):
+        cols, vals, nu, sigmas = ([row for row, ok in zip(rows, valid) if ok]
+                                  for rows in (cols, vals, nu, sigmas))
     return state, _fold_rows(state, model, cols, vals, nu, sigmas, gate)
 
 
 def ekf_update_gps(state: EkfState, model: EkfModel, measured: np.ndarray,
                    sigma: float, gate: float = GPS_GATE_2DOF) -> tuple[EkfState, bool]:
-    """Position fix on robot 1, in place; gated on the joint 2-dof innovation."""
+    """Position fix on robot 1, in place; gated on the joint 2-dof innovation.
+
+    A fix whose normalized innovation squared exceeds the gate or is not a
+    number is rejected and leaves the state as it was, and so is one whose
+    2x2 innovation covariance has no positive determinant (it has no NIS).
+    """
     R = rot2(state.ang[0])
-    nu = np.asarray(measured, dtype=np.float64) - state.pos[0]
-    # nu^T S^-1 nu for the 2x2 innovation covariance S, written out
-    (a, b), (c, d) = R @ state.P[1:3, 1:3] @ R.T + np.eye(2) * sigma ** 2
-    n0, n1 = nu
-    if (d * n0 * n0 - (b + c) * n0 * n1 + a * n1 * n1) / (a * d - b * c) > gate:
+    (c, _), (s, _) = R.tolist()
+    x, y = state.pos[0].tolist()
+    n0, n1 = nu = [float(measured[0]) - x, float(measured[1]) - y]
+    # nu^T S^-1 nu for the 2x2 innovation covariance S = (R P_xy) R^T + sigma^2 I,
+    # written out
+    (p00, p01), (p10, p11) = state.P[1:3, 1:3].tolist()
+    q00, q01, q10, q11 = c * p00 - s * p10, c * p01 - s * p11, s * p00 + c * p10, s * p01 + c * p11
+    var = sigma * sigma
+    s00, s01 = q00 * c - q01 * s + var, q00 * s + q01 * c
+    s10, s11 = q10 * c - q11 * s, q10 * s + q11 * c + var
+    det = s00 * s11 - s01 * s10
+    if not det > 0 or not (s11 * n0 * n0 - (s01 + s10) * n0 * n1 + s00 * n1 * n1) / det <= gate:
         return state, False
-    _fold_rows(state, model, (_GPS_COLS, _GPS_COLS), R, nu, np.array([sigma, sigma]), None)
+    _fold_rows(state, model, (_GPS_COLS, _GPS_COLS), R, nu, (sigma, sigma), None)
     return state, True
 
 

@@ -13,11 +13,14 @@ so at xi = 0
 with S the 90-degree generator. A range row for edge (i, j) is then
 (rho_ij / |rho_ij|)^T times the position Jacobians, positive for the
 endpoint on robot p and negative for the one on robot q. ``range_rows``
-builds each row as these two 3-column blocks, one per endpoint robot, for
-both the formation design and the EKF. The design scatters them into a
+builds each row as these two 3-column blocks, one per endpoint robot,
+batched over rows and stacked formations. The design scatters them into a
 dense Jacobian and drops robot 1's columns (robot 1 is the reference, not
-a state there); the EKF folds each row in over its six columns alone.
-Everything is validated against central finite differences in the tests.
+a state there). The EKF builds the same rows one event at a time from
+Python floats (``covsim.ekf._measurement_rows``) and folds each in over its
+six columns alone; its tests hold those rows equal to ``range_rows`` bit
+for bit. Everything is validated against central finite differences in
+the tests.
 """
 
 from __future__ import annotations

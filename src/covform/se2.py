@@ -268,10 +268,34 @@ def exp_step(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray) -> np.ndarray:
     ``ang`` (N,) and ``pos`` (N,2) hold the headings and positions of the
     T_p; ``xi`` is (N,3) with rows [phi, rho_x, rho_y]. Returns the
     translations V(phi_p) rho_p of the exp(xi_p).
+
+    One sine call serves V's sin(phi/2) and sin(phi) and the headings'
+    sines, and the 2x2 products are written out. That gives the values of
+    ``_V_many`` and ``_rot_many`` applied by einsum, bit for bit, in fewer
+    numpy calls (phi * 0.5 and h + h are phi/2 and 2h exactly).
     """
-    phi = xi[:, 0]
-    t = np.einsum("nij,nj->ni", _V_many(phi), xi[:, 1:])
-    pos += np.einsum("nij,nj->ni", _rot_many(ang), t)
+    n = ang.shape[0]
+    phi, rx, ry = xi[:, 0], xi[:, 1], xi[:, 2]
+    big = np.abs(phi) >= SMALL_ANGLE
+    half = phi * 0.5
+    sines = np.sin(np.concatenate([half, phi, ang]))
+    h, s = sines[:n], sines[2 * n:]
+    if np.count_nonzero(big) == n:
+        a = sines[n:2 * n] / phi
+        b = (h + h) * h / phi
+    else:  # V's series below SMALL_ANGLE
+        a = 1.0 - phi * phi / 6.0
+        b = half
+        np.divide(sines[n:2 * n], phi, out=a, where=big)
+        np.divide((h + h) * h, phi, out=b, where=big)
+    c = np.cos(ang)
+    t = np.empty((n, 2))
+    tx = t[:, 0] = a * rx - b * ry
+    ty = t[:, 1] = b * rx + a * ry
+    step = np.empty((n, 2))
+    step[:, 0] = c * tx - s * ty
+    step[:, 1] = s * tx + c * ty
+    pos += step
     ang += phi
     return t
 

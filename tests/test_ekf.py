@@ -15,6 +15,8 @@ from covform.covsim.ekf import (
     landmark_init,
     trilaterate,
 )
+from covform.ranging import range_rows
+from covform.scenario import load_scenario
 from covform.se2 import Pose2, _rot_many, adjoint, compose, exp, exp_step, rot2
 from covform.team import TeamConfig, default_full_graph
 from test_ranging import dense_range_rows
@@ -49,7 +51,28 @@ def dense_measurement_rows(s, model, rr_idx, lm_edges):
     for row, c, v in zip(H, cols, vals):
         assert c.shape == v.shape and len(set(c.tolist())) == c.shape[0] <= 6
         row[c] = v
-    return H, zhat, valid
+    return H, np.asarray(zhat), np.asarray(valid, dtype=bool)
+
+
+def batched_measurement_rows(state, model, rr_idx, lm_edges):
+    """The filter rows from one batched ``ranging.range_rows`` call over all
+    endpoints, as (cols, vals, predicted ranges, validity): the oracle for
+    the filter's per-row builder from Python floats."""
+    idx = model.index
+    lm_tag, lm = np.asarray(lm_edges, dtype=np.intp).reshape(-1, 2).T
+    near, far = idx.edge_i[rr_idx], idx.edge_j[rr_idx]
+    Hi, Hj, rng, unit, valid = range_rows(idx, _rot_many(state.ang), state.pos,
+                                          np.concatenate([near, lm_tag]), far, state.landmarks[lm])
+    e = rr_idx.shape[0]
+    cols, vals = [], []
+    if e:
+        cols += list(np.concatenate([idx.tag_cols[near], idx.tag_cols[far]], axis=1))
+        vals += list(np.concatenate([Hi[:e], Hj[:e]], axis=1))
+    if lm.shape[0]:
+        cols += list(np.concatenate([idx.tag_cols[lm_tag], model.lm_col(lm)[:, None] + np.arange(2)],
+                                    axis=1))
+        vals += list(np.concatenate([Hi[e:], -unit[e:]], axis=1))
+    return cols, vals, rng, valid
 
 
 def dense_predict(state, model, u, vel_cov, dt):
@@ -290,6 +313,36 @@ class TestRangeUpdate:
         np.testing.assert_array_equal(zhat, want_rng)
         np.testing.assert_array_equal(valid, want_valid)
 
+    @pytest.mark.parametrize("preset", ["sim5", "bridge7", "exp3plus2"])
+    def test_rows_equal_batched_range_rows(self, preset):
+        # each row linearized from Python floats equals the batched
+        # range_rows builder bit for bit: one-row and multi-row calls,
+        # robot-robot and landmark rows, and a landmark sitting on its tag
+        sc = load_scenario(preset)
+        model = EkfModel.build(sc.team, sc.graph, 3)
+        n_edges, n_tags = model.index.edge_i.shape[0], model.index.tag_robot.shape[0]
+        rng = np.random.default_rng(500)
+        for trial in range(60):
+            s = make_state(model, spread=4.0, seed=600 + trial)
+            s.landmarks[:] = rng.uniform(-4.0, 4.0, s.landmarks.shape)
+            n_rr, n_lm = [(1, 0), (0, 1), (int(rng.integers(2, 6)), int(rng.integers(0, 4)))][trial % 3]
+            rr_idx = rng.choice(n_edges, size=n_rr, replace=False)
+            lm_edges = [(int(rng.integers(n_tags)), int(rng.integers(3))) for _ in range(n_lm)]
+            if trial % 5 == 4:
+                tag = int(rng.integers(n_tags))
+                s.landmarks[1] = s.tag_positions(model)[tag]
+                lm_edges.append((tag, 1))
+            cols, vals, zhat, valid = _measurement_rows(s, model, rr_idx, lm_edges)
+            want_cols, want_vals, want_zhat, want_valid = batched_measurement_rows(
+                s, model, rr_idx, lm_edges)
+            assert len(cols) == len(vals) == len(want_cols) == n_rr + len(lm_edges)
+            for got, want in zip(cols + vals, want_cols + want_vals):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(zhat, want_zhat)
+            np.testing.assert_array_equal(valid, want_valid)
+            if trial % 5 == 4:
+                assert not valid[-1] and not vals[-1].any()
+
     def test_repeated_updates_shrink_landmark_cov(self):
         team, model = make_model()
         rng = np.random.default_rng(8)
@@ -363,6 +416,18 @@ class TestGpsUpdate:
         s = make_state(model, seed=12)
         out, ok = ekf_update_gps(s, model, s.pos[0] + 100.0, 0.1)
         assert not ok
+
+    def test_non_finite_fix_is_rejected(self):
+        # a NaN or infinite fix has no finite normalized innovation: it fails
+        # the gate, as a NaN range does, and leaves the state untouched
+        _, model = make_model()
+        s = make_state(model, seed=13)
+        before = copy.deepcopy(s)
+        for fix in ([np.nan, 0.0], [0.0, np.inf]):
+            out, ok = ekf_update_gps(s, model, np.array(fix), 0.1)
+            assert out is s and not ok
+            for name in ("ang", "pos", "landmarks", "P"):
+                assert getattr(s, name).tobytes() == getattr(before, name).tobytes(), name
 
 
 class TestScalarUpdatesMatchJointJoseph:

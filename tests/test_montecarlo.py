@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from covform.covsim import SimConfig, SimMetrics, aggregate, monte_carlo, reduction_table, trial_seeds
+from covform.covsim import sim
 from covform.covsim.sim import run_coverage_sim
 from covform.scenario import PRESETS, build_scenario
 from covform.se2 import FormationState, Pose2
@@ -53,6 +54,23 @@ class TestMonteCarlo:
         assert m.interrobot_pos_rmse < 1e-6
         assert all(e < 1e-6 for e in m.landmark_errors)
         assert agg["excluded_incomplete"] == 0
+
+    def test_non_finite_gps_fix_is_rejected_and_counted(self, monkeypatch):
+        # one NaN fix in a noiseless trial fails the gate instead of turning
+        # the estimate non-finite; every other fix is exact and accepted
+        team, graph, x, cfg = small_setup()
+        schedule = sim.measurement_schedule
+
+        def with_nan_fix(*args):
+            sched = schedule(*args)
+            sched.gps_z[3, 0] = np.nan
+            return sched
+
+        monkeypatch.setattr(sim, "measurement_schedule", with_nan_fix)
+        m = run_coverage_sim(team, graph, x, replace(cfg, noise_scale=0.0))
+        assert m.n_rejected_gps == 1
+        assert not m.diverged
+        assert m.interrobot_pos_rmse < 1e-6
 
     def test_reproducible_records(self):
         team, graph, x, cfg = small_setup()

@@ -177,9 +177,9 @@ class TestJacobian:
 
     @pytest.mark.parametrize("preset", ["sim5", "bridge7", "exp3plus2"])
     def test_equals_filter_rows(self, preset):
-        # design and filter share one row builder: at the same global poses
-        # (robot 1 at the identity) the FIM's Jacobian is the EKF's
-        # robot-robot rows without robot 1's columns, bit for bit
+        # the filter's per-event rows are the design's batched rows: at the
+        # same global poses (robot 1 at the identity) the FIM's Jacobian is
+        # the EKF's robot-robot rows without robot 1's columns, bit for bit
         from covform.covsim.ekf import EkfModel, EkfState
         from covform.scenario import load_scenario
         from test_ekf import dense_measurement_rows

@@ -176,6 +176,36 @@ def test_exp_step_matches_compose_per_pose():
     np.testing.assert_array_equal(ang_new, ang + xi[:, 0])
 
 
+def exp_step_einsum(ang, pos, xi):
+    """se2.exp_step through the stacked V and rotation matrices and einsum,
+    in place: the oracle for its written-out products."""
+    phi = xi[:, 0]
+    t = np.einsum("nij,nj->ni", se2._V_many(phi), xi[:, 1:])
+    pos += np.einsum("nij,nj->ni", se2._rot_many(ang), t)
+    ang += phi
+    return t
+
+
+@pytest.mark.parametrize("n", [2, 5, 64])
+@pytest.mark.parametrize("with_small", [False, True])
+def test_exp_step_equals_einsum_oracle(n, with_small):
+    rng = np.random.default_rng(70 + n + with_small)
+    for _ in range(50):
+        ang = rng.uniform(-4.0, 4.0, n)
+        pos = rng.uniform(-5.0, 5.0, (n, 2))
+        xi = rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** rng.integers(-4, 1, (n, 1))
+        xi[:, 0] = np.copysign(np.maximum(np.abs(xi[:, 0]), 1e-5), xi[:, 0])
+        if with_small:
+            k = rng.choice(n, size=max(1, n // 4), replace=False)
+            xi[k, 0] = rng.choice([0.0, 1e-9, -3e-8], size=k.shape)
+        ang_new, pos_new = ang.copy(), pos.copy()
+        t = se2.exp_step(ang_new, pos_new, xi)
+        t_want = exp_step_einsum(ang, pos, xi)
+        np.testing.assert_array_equal(ang_new, ang)
+        np.testing.assert_array_equal(pos_new, pos)
+        np.testing.assert_array_equal(t, t_want)
+
+
 class TestFormationState:
     def make(self, n=4, seed=0):
         rng = np.random.default_rng(seed)
