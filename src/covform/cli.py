@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -25,7 +26,17 @@ from covform import costs
 from covform.assignment import sort_robot_ids
 from covform.covsim import dump_trajectory_csv, monte_carlo, reduction_table, run_coverage_sim
 from covform.optimizer import OptimizationTrace, minimize, random_formation
-from covform.scenario import Scenario, ScenarioError, _num, load_scenario
+from covform.scenario import (
+    Scenario,
+    ScenarioError,
+    _expect,
+    _make,
+    _num,
+    _nums,
+    _pairs,
+    _section,
+    load_scenario,
+)
 from covform.se2 import FormationState
 from covform.team import SortedIds
 
@@ -53,14 +64,30 @@ def formation_to_doc(x: FormationState, sorted_ids: SortedIds) -> dict:
     }
 
 
-def formation_from_doc(doc: dict) -> tuple[FormationState, SortedIds]:
+def formation_from_doc(doc: Any) -> tuple[FormationState, SortedIds]:
+    """The formation section of a formation file; raises ScenarioError with the
+    offending field path."""
+    _section(doc, "formation", {"poses", "sorted_ids"})
+    for key in ("poses", "sorted_ids"):
+        _expect(key in doc, "formation", f"missing {key}")
     poses = doc["poses"]
-    C = np.array([p["C"] for p in poses], dtype=np.float64)
-    r = np.array([p["r"] for p in poses], dtype=np.float64)
-    s = doc["sorted_ids"]
-    return (FormationState(C, r),
-            SortedIds(tuple(int(v) for v in s["order"]),
-                      tuple(float(v) for v in s["radii"])))
+    _expect(isinstance(poses, list) and poses, "formation.poses", "expected a list of poses")
+    C, r = [], []
+    for k, pose in enumerate(poses):
+        path = f"formation.poses[{k}]"
+        _section(pose, path, {"C", "r"})
+        _expect("C" in pose and "r" in pose, path, "needs both C and r")
+        _expect(isinstance(pose["C"], list) and len(pose["C"]) == 2, f"{path}.C",
+                f"expected a 2x2 matrix, got {pose['C']!r}")
+        C.append(_pairs(pose["C"], f"{path}.C"))
+        r.append(_nums(pose["r"], f"{path}.r", 2))
+    ids = _section(doc["sorted_ids"], "formation.sorted_ids", {"order", "radii"})
+    for key in ("order", "radii"):
+        _expect(key in ids, "formation.sorted_ids", f"missing {key}")
+    order = _nums(ids["order"], "formation.sorted_ids.order", kind=int)
+    radii = _nums(ids["radii"], "formation.sorted_ids.radii")
+    return (FormationState(np.array(C), np.array(r)),
+            _make("formation.sorted_ids", SortedIds, order, radii))
 
 
 def load_formation_file(path: str | Path,
@@ -76,8 +103,8 @@ def load_formation_file(path: str | Path,
         raise ScenarioError(f"{path}: formation: missing section")
     try:
         x, s = formation_from_doc(doc["formation"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ScenarioError(f"{path}: formation: malformed ({e!r})") from None
+    except ScenarioError as e:
+        raise ScenarioError(f"{path}: {e}") from None
     if x.n_robots != n_robots or s.n_robots != n_robots:
         raise ScenarioError(
             f"{path}: formation.poses: expected {n_robots - 1} poses and {n_robots} "

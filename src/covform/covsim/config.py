@@ -65,6 +65,16 @@ class SimConfig:
             raise ValueError("tolerances and detection radius must be > 0")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
+        # a zero sigma makes the filter's gates and innovation covariances
+        # singular; a non-positive time, gate or threshold leaves no trial to score
+        for name in ("gps_sigma", "range_sigma", "max_sim_time", "formation_gate",
+                     "divergence_threshold"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        # zero stays allowed: noiseless runs scale these to 0 through noise_scale
+        for name in ("init_pos_sigma", "init_att_sigma", "vel_noise_omega", "vel_noise_v"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -32,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from covform.ranging import DEGENERATE_RANGE, _edge_index, _EdgeIndex, world_tags
-from covform.se2 import _matvec, _rot_many, exp_step, rot2
+from covform.se2 import _V_apply, _rot_many, exp_step, rot2
 from covform.team import RangeGraph, TeamConfig
 
 RANGE_GATE_1DOF = 13.8   # chi-square, 99.98%
@@ -134,33 +134,54 @@ class EkfState:
         return world_tags(model.index, _rot_many(self.ang), self.pos)
 
 
-def ekf_predict(state: EkfState, model: EkfModel, u: np.ndarray,
-                vel_cov: np.ndarray, dt: float) -> EkfState:
-    """Propagate every robot by T <- T exp(dt u), in place; landmarks are static.
+def transitions(u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-robot motion T <- T exp(dt u) of commands u (..., 3), over any
+    leading axes: heading increments phi (...), body-frame translations
+    t = V(phi) rho (..., 2) and error-state transitions Ad(exp(-dt u)) (..., 3, 3).
 
-    The error-state transition per robot is Ad(exp(-dt u)); process noise
-    enters as dt^2 * vel_cov on the robot's own block. The transition is the
-    identity off its N robot blocks, so F P F^T applies the blocks to the
-    robot rows of P and then to its robot columns.
+    They depend on the command alone, never on the filter state, so a replay
+    builds them for a block of steps at once. Each entry is the value the
+    per-step ``exp_step`` gives: both take V(phi) rho from ``se2._V_apply``.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     xi = dt * u
-    t = exp_step(state.ang, state.pos, xi)
-    # F_p = Ad(exp(-xi_p)) under the [phi, rho] ordering: exp(-xi_p) has
-    # rotation Cinv = R(-phi_p) and translation rinv = -Cinv t_p
-    Cinv = _rot_many(-xi[:, 0])
-    rinv = -_matvec(Cinv, t)
+    phi = xi[..., 0]
+    t = _V_apply(phi, xi[..., 1:], np.sin(phi * 0.5), np.sin(phi))
+    tx, ty = t[..., 0], t[..., 1]
+    # Ad(exp(-xi)) under the [phi, rho] ordering: exp(-xi) has rotation
+    # Cinv = R(-phi) and translation rinv = -Cinv t
+    c, s = np.cos(-phi), np.sin(-phi)
+    F = np.zeros(phi.shape + (3, 3))
+    F[..., 0, 0] = 1.0
+    F[..., 1, 0] = -(s * tx + c * ty)
+    F[..., 2, 0] = c * tx - s * ty
+    F[..., 1, 1] = F[..., 2, 2] = c
+    F[..., 1, 2] = -s
+    F[..., 2, 1] = s
+    return phi, t, F
+
+
+def ekf_predict(state: EkfState, model: EkfModel, phi: np.ndarray, t: np.ndarray,
+                F: np.ndarray, Q: np.ndarray) -> EkfState:
+    """Propagate every robot by one step of ``transitions``, in place; landmarks
+    are static.
+
+    phi (N,), t (N,2) and F (N,3,3) are one step's rows of ``transitions``;
+    process noise Q = dt^2 * vel_cov enters on each robot's own block. The
+    transition is the identity off its N robot blocks, so F P F^T applies
+    the blocks to the robot rows of P and then to its robot columns.
+    """
+    c, s = np.cos(state.ang), np.sin(state.ang)
+    tx, ty = t[:, 0], t[:, 1]
+    state.pos[:, 0] += c * tx - s * ty
+    state.pos[:, 1] += s * tx + c * ty
+    state.ang += phi
     n, m = model.n_robots, 3 * model.n_robots
-    F = np.zeros((n, 3, 3))
-    F[:, 0, 0] = 1.0
-    F[:, 1, 0] = rinv[:, 1]
-    F[:, 2, 0] = -rinv[:, 0]
-    F[:, 1:, 1:] = Cinv
     P = state.P
     P[:m] = (F @ P[:m].reshape(n, 3, -1)).reshape(m, -1)
     P[:, :m] = (F @ P[:, :m].T.reshape(n, 3, -1)).reshape(m, -1).T
-    P[model.robot_blocks] += (dt * dt) * vel_cov
+    P[model.robot_blocks] += Q
     return state
 
 

@@ -12,12 +12,13 @@ estimates against the logged truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from covform.covsim.config import SimConfig, SimMetrics
-from covform.covsim.control import control_step
+from covform.covsim.control import Controller, control_step
 from covform.covsim.ekf import (
     EkfModel,
     EkfState,
@@ -26,11 +27,18 @@ from covform.covsim.ekf import (
     ekf_update_gps,
     ekf_update_ranges,
     landmark_init,
+    transitions,
 )
 from covform.covsim.waypoints import footprint_center, formation_sweep_width, generate_waypoints
 from covform.ranging import _EdgeIndex
 from covform.se2 import FormationState, _matvec, _rot_many, exp_step
 from covform.team import RangeGraph, TeamConfig
+
+
+# truth steps per velocity-noise draw
+TRUTH_CHUNK = 512
+# replay steps per block of transitions (64 robots: 2.4 MB of F)
+PREDICT_CHUNK = 512
 
 
 @dataclass
@@ -57,12 +65,17 @@ def simulate_truth(team: TeamConfig, x_des: FormationState, waypoints: np.ndarra
     The leader advances to the next corner only when it is inside the
     waypoint tolerance and the fleet is in formation. Returns the log,
     flagged incomplete if max_sim_time runs out first.
+
+    The velocity noise is drawn TRUTH_CHUNK steps at a time, which gives the
+    values of one draw per step while its memory stays bounded whatever
+    max_sim_time is.
     """
     n = team.n_robots
     dt = config.dt_truth
     max_steps = int(np.ceil(config.max_sim_time / dt))
     noise_std = config.noise_scale * np.array(
         [config.vel_noise_omega, config.vel_noise_v, config.vel_noise_v])
+    ctrl = Controller.build(x_des, config.gains)
 
     ang = np.zeros(n)
     pos = np.vstack([np.zeros((1, 2)), x_des.r.copy()])  # start in formation at origin
@@ -71,21 +84,25 @@ def simulate_truth(team: TeamConfig, x_des: FormationState, waypoints: np.ndarra
     poss = [pos.copy()]
     cmds = []
     wp_idx = 0
+    goal = waypoints[0]
     coverage_time = np.nan
     completed = False
 
     for k in range(max_steps):
-        u, ferr = control_step(waypoints[wp_idx], ang, pos, x_des, config.gains)
-        if (np.linalg.norm(pos[0] - waypoints[wp_idx]) < config.waypoint_tolerance
-                and ferr < config.formation_gate):
+        j = k % TRUTH_CHUNK
+        if j == 0:
+            noise = noise_std * rng.standard_normal((TRUTH_CHUNK, n, 3))
+        u, ferr = control_step(goal, ang, pos, ctrl)
+        d = pos[0] - goal
+        if ferr < config.formation_gate and math.sqrt(d.dot(d)) < config.waypoint_tolerance:
             wp_idx += 1
             if wp_idx == len(waypoints):
                 coverage_time = k * dt
                 completed = True
                 break
-            u, ferr = control_step(waypoints[wp_idx], ang, pos, x_des, config.gains)
-        noisy = u + noise_std * rng.standard_normal(u.shape)
-        exp_step(ang, pos, dt * noisy)
+            goal = waypoints[wp_idx]
+            u, ferr = control_step(goal, ang, pos, ctrl)
+        exp_step(ang, pos, dt * (u + noise[j]))
         cmds.append(u)
         angs.append(ang.copy())
         poss.append(pos.copy())
@@ -260,6 +277,7 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
 
     vel_cov = np.diag([config.vel_noise_omega ** 2,
                        config.vel_noise_v ** 2, config.vel_noise_v ** 2])
+    Q = (dt * dt) * vel_cov
     idx = model.index
     sched = measurement_schedule(idx, truth, config, meas_rng)
     range_at = np.searchsorted(sched.step, np.arange(K + 2)).tolist()
@@ -286,7 +304,10 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
 
     record(0)
     for k in range(1, K + 1):
-        state = ekf_predict(state, model, truth.u_cmd[k - 1], vel_cov, dt)
+        j = (k - 1) % PREDICT_CHUNK
+        if j == 0:
+            phi, t, F = transitions(truth.u_cmd[k - 1:k - 1 + PREDICT_CHUNK], dt)
+        state = ekf_predict(state, model, phi[j], t[j], F[j], Q)
         for m in range(range_at[k], range_at[k + 1]):
             slot, z = slots[m], sched.z[m:m + 1]
             if slot < n_edges:

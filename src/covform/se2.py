@@ -262,6 +262,29 @@ def _V_many(phi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _V_apply(phi: np.ndarray, rho: np.ndarray, h: np.ndarray,
+             sin_phi: np.ndarray) -> np.ndarray:
+    """Translations t = V(phi) rho (..., 2) of exp([phi, rho]) over any leading
+    axes, from h = sin(phi/2) and sin(phi), with the 2x2 products written
+    out: the values einsum gives on ``_V_many``, bit for bit (phi * 0.5 and
+    h + h are phi/2 and 2h exactly). Below SMALL_ANGLE V's entries
+    sin(phi)/phi and 2h^2/phi take their series 1 - phi^2/6 and phi/2."""
+    big = np.abs(phi) >= SMALL_ANGLE
+    if np.count_nonzero(big) == big.size:
+        a = sin_phi / phi
+        b = (h + h) * h / phi
+    else:
+        a = 1.0 - phi * phi / 6.0
+        b = phi * 0.5
+        np.divide(sin_phi, phi, out=a, where=big)
+        np.divide((h + h) * h, phi, out=b, where=big)
+    rx, ry = rho[..., 0], rho[..., 1]
+    t = np.empty(rho.shape)
+    t[..., 0] = a * rx - b * ry
+    t[..., 1] = b * rx + a * ry
+    return t
+
+
 def exp_step(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Right-exp step on stacked poses, in place: T_p <- T_p * exp(xi_p).
 
@@ -272,26 +295,14 @@ def exp_step(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray) -> np.ndarray:
     One sine call serves V's sin(phi/2) and sin(phi) and the headings'
     sines, and the 2x2 products are written out. That gives the values of
     ``_V_many`` and ``_rot_many`` applied by einsum, bit for bit, in fewer
-    numpy calls (phi * 0.5 and h + h are phi/2 and 2h exactly).
+    numpy calls.
     """
     n = ang.shape[0]
-    phi, rx, ry = xi[:, 0], xi[:, 1], xi[:, 2]
-    big = np.abs(phi) >= SMALL_ANGLE
-    half = phi * 0.5
-    sines = np.sin(np.concatenate([half, phi, ang]))
-    h, s = sines[:n], sines[2 * n:]
-    if np.count_nonzero(big) == n:
-        a = sines[n:2 * n] / phi
-        b = (h + h) * h / phi
-    else:  # V's series below SMALL_ANGLE
-        a = 1.0 - phi * phi / 6.0
-        b = half
-        np.divide(sines[n:2 * n], phi, out=a, where=big)
-        np.divide((h + h) * h, phi, out=b, where=big)
-    c = np.cos(ang)
-    t = np.empty((n, 2))
-    tx = t[:, 0] = a * rx - b * ry
-    ty = t[:, 1] = b * rx + a * ry
+    phi = xi[:, 0]
+    sines = np.sin(np.concatenate([phi * 0.5, phi, ang]))
+    t = _V_apply(phi, xi[:, 1:], sines[:n], sines[n:2 * n])
+    c, s = np.cos(ang), sines[2 * n:]
+    tx, ty = t[:, 0], t[:, 1]
     step = np.empty((n, 2))
     step[:, 0] = c * tx - s * ty
     step[:, 1] = s * tx + c * ty

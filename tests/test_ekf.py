@@ -13,11 +13,22 @@ from covform.covsim.ekf import (
     ekf_update_gps,
     ekf_update_ranges,
     landmark_init,
+    transitions,
     trilaterate,
 )
 from covform.ranging import range_rows
 from covform.scenario import load_scenario
-from covform.se2 import Pose2, _rot_many, adjoint, compose, exp, exp_step, rot2
+from covform.se2 import (
+    SMALL_ANGLE,
+    Pose2,
+    _matvec,
+    _rot_many,
+    adjoint,
+    compose,
+    exp,
+    exp_step,
+    rot2,
+)
 from covform.team import TeamConfig, default_full_graph
 from test_ranging import dense_range_rows
 
@@ -73,6 +84,36 @@ def batched_measurement_rows(state, model, rr_idx, lm_edges):
                                     axis=1))
         vals += list(np.concatenate([Hi[e:], -unit[e:]], axis=1))
     return cols, vals, rng, valid
+
+
+def predict(state, model, u, vel_cov, dt):
+    """One filter step on commands u (N,3): ekf_predict on the rows of transitions."""
+    return ekf_predict(state, model, *transitions(u, dt), (dt * dt) * vel_cov)
+
+
+def predict_step(state, model, u, vel_cov, dt):
+    """The per-step predict, with the transition rebuilt from u through
+    exp_step at every call, in place: the bitwise oracle for ekf_predict on
+    the rows of transitions."""
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    xi = dt * u
+    t = exp_step(state.ang, state.pos, xi)
+    # F_p = Ad(exp(-xi_p)) under the [phi, rho] ordering: exp(-xi_p) has
+    # rotation Cinv = R(-phi_p) and translation rinv = -Cinv t_p
+    Cinv = _rot_many(-xi[:, 0])
+    rinv = -_matvec(Cinv, t)
+    n, m = model.n_robots, 3 * model.n_robots
+    F = np.zeros((n, 3, 3))
+    F[:, 0, 0] = 1.0
+    F[:, 1, 0] = rinv[:, 1]
+    F[:, 2, 0] = -rinv[:, 0]
+    F[:, 1:, 1:] = Cinv
+    P = state.P
+    P[:m] = (F @ P[:m].reshape(n, 3, -1)).reshape(m, -1)
+    P[:, :m] = (F @ P[:, :m].T.reshape(n, 3, -1)).reshape(m, -1).T
+    P[model.robot_blocks] += (dt * dt) * vel_cov
+    return state
 
 
 def dense_predict(state, model, u, vel_cov, dt):
@@ -135,7 +176,7 @@ class TestPredict:
         _, model = make_model()
         s = make_state(model)
         before = copy.deepcopy(s)
-        out = ekf_predict(s, model, np.zeros((3, 3)), np.zeros((3, 3)), 0.01)
+        out = predict(s, model, np.zeros((3, 3)), np.zeros((3, 3)), 0.01)
         np.testing.assert_array_equal(out.ang, before.ang)
         np.testing.assert_array_equal(out.pos, before.pos)
         np.testing.assert_allclose(out.P, before.P, atol=1e-15)
@@ -144,7 +185,7 @@ class TestPredict:
         team, model = make_model()
         s = make_state(model)
         ang = s.ang.copy()
-        assert ekf_predict(s, model, np.ones((3, 3)), VEL_COV, 0.01) is s
+        assert predict(s, model, np.ones((3, 3)), VEL_COV, 0.01) is s
         assert not np.array_equal(s.ang, ang)
         pos, trace = s.pos.copy(), np.trace(s.P)
         tagpos = s.tag_positions(model)
@@ -159,7 +200,7 @@ class TestPredict:
         s = EkfState.create(model, np.zeros(2), np.zeros((2, 2)), 0.0, 0.0)
         u = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
         for _ in range(100):
-            s = ekf_predict(s, model, u, VEL_COV, 0.01)
+            s = predict(s, model, u, VEL_COV, 0.01)
         np.testing.assert_allclose(s.pos[0], [1.0, 0.0], atol=1e-12)
 
     def test_covariance_trace_nondecreasing_at_rest(self):
@@ -169,7 +210,7 @@ class TestPredict:
         s = make_state(model)
         for _ in range(50):
             before = np.trace(s.P)
-            s = ekf_predict(s, model, np.zeros((3, 3)), VEL_COV, 0.01)
+            s = predict(s, model, np.zeros((3, 3)), VEL_COV, 0.01)
             assert np.trace(s.P) >= before
 
     def test_prediction_adds_psd_noise_under_motion(self):
@@ -179,7 +220,7 @@ class TestPredict:
         rng = np.random.default_rng(1)
         for _ in range(20):
             u = rng.uniform(-1, 1, (3, 3))
-            s = ekf_predict(s, model, u, VEL_COV, 0.01)
+            s = predict(s, model, u, VEL_COV, 0.01)
             np.testing.assert_allclose(s.P, s.P.T, atol=1e-12)
             assert np.linalg.eigvalsh(s.P).min() > -1e-9
 
@@ -189,7 +230,7 @@ class TestPredict:
         s.landmarks[:] = [[1.0, 2.0], [3.0, 4.0]]
         s.initialized[:] = True
         before = s.landmarks.copy()
-        out = ekf_predict(s, model, np.ones((3, 3)), VEL_COV, 0.01)
+        out = predict(s, model, np.ones((3, 3)), VEL_COV, 0.01)
         np.testing.assert_array_equal(out.landmarks, before)
 
     def test_matches_per_robot_compose_and_adjoint_oracle(self):
@@ -203,7 +244,7 @@ class TestPredict:
         u = rng.uniform(-1, 1, (4, 3))
         u[3, 0] = 0.0
         dt = 0.05
-        out = ekf_predict(copy.deepcopy(s), model, u, VEL_COV, dt)
+        out = predict(copy.deepcopy(s), model, u, VEL_COV, dt)
         F = np.eye(model.dim)
         Q = np.zeros((model.dim, model.dim))
         for p in range(4):
@@ -224,12 +265,36 @@ class TestPredict:
         if seed % 2:
             u[0, 0] = 0.0  # a straight-line step
         want = dense_predict(s, model, u, VEL_COV, 0.1)
-        assert_states_close(ekf_predict(s, model, u, VEL_COV, 0.1), want)
+        assert_states_close(predict(s, model, u, VEL_COV, 0.1), want)
 
     def test_rejects_bad_dt(self):
-        _, model = make_model()
         with pytest.raises(ValueError, match="dt"):
-            ekf_predict(make_state(model), model, np.zeros((3, 3)), VEL_COV, 0.0)
+            transitions(np.zeros((3, 3)), 0.0)
+
+    @pytest.mark.parametrize("preset", ["sim5", "bridge7", "exp3plus2"])
+    def test_transition_rows_equal_per_step_predict(self, preset):
+        # rows of one (K, N) transitions call, applied step by step, equal the
+        # per-step predict bit for bit; heading rates of zero and below
+        # SMALL_ANGLE take V's series
+        sc = load_scenario(preset)
+        model = EkfModel.build(sc.team, sc.graph, len(sc.sim.landmark_positions))
+        n, dt = model.n_robots, sc.sim.dt_truth
+        vel_cov = np.diag([sc.sim.vel_noise_omega ** 2, sc.sim.vel_noise_v ** 2,
+                           sc.sim.vel_noise_v ** 2])
+        rng = np.random.default_rng(700)
+        for trial in range(30):
+            s = coupled_state(model, 700 + trial)
+            u = rng.uniform(-1.5, 1.5, (10, n, 3))
+            u[:, 0, 0] = 0.0
+            u[::2, 1 % n, 0] = 0.3 * SMALL_ANGLE / dt
+            u[1::3, n - 1, 0] = -2.0 * SMALL_ANGLE / dt  # just above the series
+            phi, t, F = transitions(u, dt)
+            want = copy.deepcopy(s)
+            for k in range(u.shape[0]):
+                ekf_predict(s, model, phi[k], t[k], F[k], (dt * dt) * vel_cov)
+                predict_step(want, model, u[k], vel_cov, dt)
+                for name in ("ang", "pos", "P"):
+                    assert getattr(s, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestRangeUpdate:
@@ -399,7 +464,7 @@ class TestGpsUpdate:
             s = EkfState.create(model, np.zeros(2), np.zeros((2, 2)), 0.05, 0.1)
             trace = []
             for k in range(400):
-                s = ekf_predict(s, model, u, VEL_COV, 0.01)
+                s = predict(s, model, u, VEL_COV, 0.01)
                 if with_gps and k % 2 == 0:
                     s, _ = ekf_update_gps(s, model, np.zeros(2), 0.1)
                 trace.append(s.P[1, 1] + s.P[2, 2])

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from functools import reduce
 from operator import getitem
@@ -97,6 +98,33 @@ class TestScenarioValidation:
     def test_non_finite_numbers_and_empty_area_are_config_errors(self, path, patch):
         with pytest.raises(ScenarioError, match="^" + re.escape(path) + ":"):
             build_scenario({**minimal_doc(), **patch})
+
+    @pytest.mark.parametrize("sim, field", [
+        ({"gps_sigma": 0}, "gps_sigma must be > 0"),
+        ({"gps_sigma": -0.1}, "gps_sigma must be > 0"),
+        ({"range_sigma": 0}, "range_sigma must be > 0"),
+        ({"range_sigma": -0.1}, "range_sigma must be > 0"),
+        ({"max_sim_time": 0}, "max_sim_time must be > 0"),
+        ({"max_sim_time": -5}, "max_sim_time must be > 0"),
+        ({"formation_gate": 0}, "formation_gate must be > 0"),
+        ({"divergence_threshold": -1}, "divergence_threshold must be > 0"),
+        ({"init_pos_sigma": -0.3}, "init_pos_sigma must be >= 0"),
+        ({"init_att_sigma": -0.1}, "init_att_sigma must be >= 0"),
+        ({"vel_noise": [-0.01, 0.1]}, "vel_noise_omega must be >= 0"),
+        ({"vel_noise": [0.01, -0.1]}, "vel_noise_v must be >= 0"),
+    ])
+    def test_sim_values_that_break_a_trial_are_config_errors(self, tmp_path, capsys, sim, field):
+        # each crashed a trial, flagged every trial as diverged or was ignored
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**minimal_doc(), "sim": sim}))
+        rc = main(["optimize", "--config", str(bad), "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"config error: sim: {field}, got" in capsys.readouterr().err
+
+    def test_zero_init_sigmas_and_velocity_noise_are_allowed(self):
+        sim = {"init_pos_sigma": 0, "init_att_sigma": 0, "vel_noise": [0, 0]}
+        s = build_scenario({**minimal_doc(), "sim": sim}).sim
+        assert (s.init_pos_sigma, s.init_att_sigma, s.vel_noise_omega, s.vel_noise_v) == (0,) * 4
 
     def test_presets_load(self):
         for name, n in (("sim5", 5), ("bridge7", 7), ("exp3plus2", 5)):
@@ -545,6 +573,51 @@ class TestScenarioFuzz:
                    scenario.formation.directions]
         assert all(np.all(np.isfinite(np.asarray(v, dtype=np.float64))) for v in numbers)
         assert min(scenario.sim.area) > 0
+
+
+@st.composite
+def mutated_formation_files(draw):
+    """A formation file with one to three values replaced, deleted, added or
+    resized."""
+    x = from_poses([from_angle(0.1 * k, (k, 0.2 * k)) for k in range(1, 5)])
+    doc = json.loads(json.dumps({"formation": formation_to_doc(x, SortedIds((1, 3, 2, 4, 5),
+                                                                        (0.5,) * 5))}))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(value_paths(doc))[1:]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = reduce(getitem, path[:-1], doc)
+        value = parent[path[-1]]
+        action = draw(st.sampled_from(["replace", "delete", "add", "resize"]))
+        if action == "delete" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif action == "add" and isinstance(value, dict):
+            value[draw(st.sampled_from(["poses", "C", "r", "order", "radii", "x"]))] = draw(JUNK)
+        elif action == "resize" and isinstance(value, list) and value:
+            if draw(st.booleans()):
+                value.pop()
+            else:
+                value.append(json.loads(json.dumps(value[0])))
+        else:
+            parent[path[-1]] = draw(JUNK)
+    return doc
+
+
+class TestFormationFileFuzz:
+    @given(mutated_formation_files())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_file_loads_or_is_a_config_error(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_formation.json"
+        path.write_text(json.dumps(doc))
+        try:
+            x, s, _ = load_formation_file(path, 5)
+        except ScenarioError as e:
+            assert str(e).startswith(f"{path}: formation"), str(e)
+            return
+        assert x.n_robots == s.n_robots == 5
+        assert np.all(np.isfinite(x.C)) and np.all(np.isfinite(x.r))
+        assert all(math.isfinite(v) for v in s.sorted_radii)
 
 
 class TestBridgeDemo:
