@@ -135,16 +135,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     trace, sorted_ids = optimize_formation(scenario, args.cost, args.seed)
     x = trace.final_state
-    breakdown = costs.j_cov(x, scenario.team, scenario.graph,
-                            scenario.formation, sorted_ids)
+    cov = costs.cost_function("cov", scenario.team, scenario.graph,
+                              scenario.formation, sorted_ids)
+    adj, overlap, est, col = cov.terms(x.C[None], x.r[None])[0].tolist()
     out = Path(args.out) / f"formation_{args.cost}.json"
     _write_json(out, {
         "cost_kind": args.cost,
         "seed": args.seed,
         "scenario": scenario.name,
         "formation": formation_to_doc(x, sorted_ids),
-        "cost": {"adj": breakdown.adj, "overlap": breakdown.overlap,
-                 "est": breakdown.est, "col": breakdown.col,
+        "cost": {"adj": adj, "overlap": overlap, "est": est, "col": col,
                  "objective": trace.final_cost},
         "trace": {"converged": trace.converged, "iterations": trace.n_iters,
                   "final_step_norm": trace.iterates[-1][2] if trace.iterates else 0.0,

@@ -12,9 +12,9 @@ Terms, all evaluated on a FormationState:
   distance at which neighboring camera disks overlap by the requested
   fraction.
 
-``j_opt`` (est + col) reproduces the clustered formations of the
-observability-only objective; ``j_cov`` adds the two shape terms and is
-the objective that yields high-coverage formations.
+An objective is one weighted sum of the four. The observability-only
+objective est + col reproduces the clustered formations; the full weighted
+sum ``j_cov`` adds the two shape terms and yields high-coverage formations.
 """
 
 from __future__ import annotations
@@ -27,23 +27,12 @@ import numpy as np
 
 from covform.ranging import _edge_index, _EdgeIndex, fisher, fisher_many, frames, jacobian_many
 from covform.se2 import FormationState
-from covform.team import FormationSpec, RangeGraph, SortedIds, TeamConfig
+from covform.team import CostWeights, FormationSpec, RangeGraph, SortedIds, TeamConfig
 
 # Value reported when the Fisher information is singular (or a collision
 # barrier is breached): large enough that the optimizer flees, finite so
 # the gradient probes stay evaluable.
 SATURATION = 1e12
-
-
-@dataclass
-class CostBreakdown:
-    """Unweighted components plus the weighted total."""
-
-    adj: float
-    overlap: float
-    est: float
-    col: float
-    total: float
 
 
 def _row_sum(v: np.ndarray) -> np.ndarray:
@@ -161,42 +150,20 @@ def j_overlap(x: FormationState, spec: FormationSpec, sorted_ids: SortedIds) -> 
     return float(overlap_many(x.positions()[None], spec, sorted_ids)[0])
 
 
-def j_opt(x: FormationState, team: TeamConfig, graph: RangeGraph,
-          spec: FormationSpec) -> CostBreakdown:
-    """Observability + collision objective (the clustered-formation baseline)."""
-    est = j_est(x, team, graph)
-    col = j_col(x, spec)
-    return CostBreakdown(adj=0.0, overlap=0.0, est=est, col=col, total=est + col)
-
-
-def _weighted(w, adj, overlap, est, col):
-    """Weighted terms and their sum; each term is a thunk, and a zero-weight
-    term is never evaluated (reported as 0)."""
-    terms = [t() if wt != 0.0 else 0.0
-             for wt, t in ((w.adj, adj), (w.overlap, overlap), (w.est, est), (w.col, col))]
-    return terms, w.adj * terms[0] + w.overlap * terms[1] + w.est * terms[2] + w.col * terms[3]
-
-
-def j_cov(x: FormationState, team: TeamConfig, graph: RangeGraph,
-          spec: FormationSpec, sorted_ids: SortedIds) -> CostBreakdown:
-    """Full coverage objective: weighted adj + overlap + est + col.
-
-    Zero-weight components are skipped entirely (reported as 0), so states
-    that are degenerate for an unused term still evaluate.
-    """
-    terms, total = _weighted(spec.weights, lambda: j_adj(x, spec, sorted_ids),
-                             lambda: j_overlap(x, spec, sorted_ids),
-                             lambda: j_est(x, team, graph), lambda: j_col(x, spec))
-    return CostBreakdown(*terms, total=total)
-
-
 CostKind = Literal["adj", "opt", "cov"]
+
+# the fixed weight rows of the adj-only and the est + col objectives
+_KIND_WEIGHTS = {"adj": CostWeights(1.0, 0.0, 0.0, 0.0), "opt": CostWeights(0.0, 0.0, 1.0, 1.0)}
 
 
 @dataclass(frozen=True)
 class Objective:
-    """The optimizer's objective, adj alone, est+col or the full sum, of one
-    FormationState (call) or of a stack of formations (``many``)."""
+    """The optimizer's objective: a weighted sum of the four terms, with the
+    weights (adj, overlap, est, col) fixed by the kind, adj (1, 0, 0, 0),
+    opt (0, 0, 1, 1), or cov (the spec's). Evaluated on a stack of
+    formations (``many``), of which one FormationState (call) is the
+    one-row case. Zero-weight terms are skipped entirely, so states that
+    are degenerate for an unused term still evaluate."""
 
     kind: CostKind
     team: TeamConfig
@@ -204,26 +171,29 @@ class Objective:
     spec: FormationSpec
     sorted_ids: SortedIds
 
-    def __call__(self, x: FormationState) -> float:
-        if self.kind == "adj":
-            return j_adj(x, self.spec, self.sorted_ids)
-        if self.kind == "opt":
-            return j_opt(x, self.team, self.graph, self.spec).total
-        return j_cov(x, self.team, self.graph, self.spec, self.sorted_ids).total
+    def _terms(self, C: np.ndarray, r: np.ndarray):
+        # the kind's weight row and the (adj, overlap, est, col) vectors it
+        # weighs, 0.0 for a zero-weight term
+        w, spec, s = _KIND_WEIGHTS.get(self.kind, self.spec.weights), self.spec, self.sorted_ids
+        C, pos = frames(C, r)
+        return w, (adj_many(pos, spec, s) if w.adj else 0.0,
+                   overlap_many(pos, spec, s) if w.overlap else 0.0,
+                   est_many(_edge_index(self.team, self.graph), C, pos) if w.est else 0.0,
+                   col_many(pos, spec) if w.col else 0.0)
+
+    def terms(self, C: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Unweighted (adj, overlap, est, col) rows (B,4) of B formations stacked
+        as C (B,N-1,2,2), r (B,N-1,2); a zero-weight term is 0."""
+        return np.column_stack([np.broadcast_to(t, len(C)) for t in self._terms(C, r)[1]])
 
     def many(self, C: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Objective of B formations stacked as C (B,N-1,2,2), r (B,N-1,2) -> (B,)."""
-        C, pos = frames(C, r)
-        spec, s = self.spec, self.sorted_ids
-        if self.kind == "adj":
-            return adj_many(pos, spec, s)
-        est = lambda: est_many(_edge_index(self.team, self.graph), C, pos)
-        if self.kind == "opt":
-            return est() + col_many(pos, spec)
-        total = _weighted(spec.weights, lambda: adj_many(pos, spec, s),
-                          lambda: overlap_many(pos, spec, s), est,
-                          lambda: col_many(pos, spec))[1]
-        return np.broadcast_to(total, pos.shape[:1])  # a float when every weight is 0
+        w, (adj, overlap, est, col) = self._terms(C, r)
+        total = w.adj * adj + w.overlap * overlap + w.est * est + w.col * col
+        return np.broadcast_to(total, (len(C),))  # a float when every weight is 0
+
+    def __call__(self, x: FormationState) -> float:
+        return float(self.many(x.C[None], x.r[None])[0])
 
 
 def cost_function(kind: CostKind, team: TeamConfig, graph: RangeGraph,
@@ -232,3 +202,9 @@ def cost_function(kind: CostKind, team: TeamConfig, graph: RangeGraph,
     if kind not in ("adj", "opt", "cov"):
         raise ValueError(f"unknown cost kind {kind!r} (expected adj, opt or cov)")
     return Objective(kind, team, graph, spec, sorted_ids)
+
+
+def j_cov(x: FormationState, team: TeamConfig, graph: RangeGraph,
+          spec: FormationSpec, sorted_ids: SortedIds) -> float:
+    """Full coverage objective of one formation: weighted adj + overlap + est + col."""
+    return Objective("cov", team, graph, spec, sorted_ids)(x)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -93,17 +93,5 @@ class SimMetrics:
     seed: int
 
     def as_record(self, formation_id: str = "") -> dict:
-        rec = {
-            "formation": formation_id,
-            "seed": self.seed,
-            "coverage_time": self.coverage_time,
-            "interrobot_att_rmse": self.interrobot_att_rmse,
-            "interrobot_pos_rmse": self.interrobot_pos_rmse,
-            "landmark_errors": list(self.landmark_errors),
-            "nees_containment": self.nees_containment,
-            "completed": self.completed,
-            "diverged": self.diverged,
-            "n_rejected_ranges": self.n_rejected_ranges,
-            "n_rejected_gps": self.n_rejected_gps,
-        }
-        return rec
+        """Every field, keyed by its name, plus the formation's id."""
+        return {"formation": formation_id, **asdict(self)}

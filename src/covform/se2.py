@@ -85,19 +85,6 @@ class Pose2:
         return f"Pose2(angle={self.angle:.6g}, r=({self.r[0]:.6g}, {self.r[1]:.6g}))"
 
 
-def _V(phi: float) -> np.ndarray:
-    # V(phi) = (1/phi) [[sin, -(1-cos)], [1-cos, sin]], -> I as phi -> 0.
-    # 1-cos is written as 2 sin^2(phi/2) to dodge cancellation at small phi.
-    if abs(phi) < SMALL_ANGLE:
-        a = 1.0 - phi * phi / 6.0
-        b = phi / 2.0
-    else:
-        a = np.sin(phi) / phi
-        h = np.sin(phi / 2.0)
-        b = 2.0 * h * h / phi
-    return np.array([[a, -b], [b, a]])
-
-
 def _V_inv(phi: float) -> np.ndarray:
     # phi sin / (2 - 2 cos) reduces to (phi/2) cot(phi/2), stable away from 0
     if abs(phi) < SMALL_ANGLE:
@@ -115,8 +102,9 @@ def exp(xi: np.ndarray) -> Pose2:
     xi = np.asarray(xi, dtype=np.float64)
     if xi.shape != (3,):
         raise ValueError(f"twist must have shape (3,), got {xi.shape}")
-    phi = float(xi[0])
-    return Pose2(rot2(phi), _V(phi) @ xi[1:])
+    phi = xi[:1]
+    t = _V_apply(phi, xi[None, 1:], np.sin(phi * 0.5), np.sin(phi))
+    return Pose2(rot2(xi[0]), t[0])
 
 
 def log(T: Pose2) -> np.ndarray:
@@ -203,9 +191,6 @@ class FormationState:
         i = robot_id - 2
         return Pose2(self.C[i].copy(), self.r[i].copy())
 
-    def poses(self) -> list[Pose2]:
-        return [Pose2(self.C[i].copy(), self.r[i].copy()) for i in range(self.C.shape[0])]
-
     def positions(self) -> np.ndarray:
         """(N,2) robot origins in robot 1's frame; row 0 is robot 1."""
         if self._pos is None:
@@ -244,31 +229,15 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return M[..., 0] * v[..., None, 0] + M[..., 1] * v[..., None, 1]
 
 
-def _V_many(phi: np.ndarray) -> np.ndarray:
-    small = np.abs(phi) < SMALL_ANGLE
-    if small.any():
-        safe = np.where(small, 1.0, phi)
-        h = np.sin(safe / 2.0)
-        a = np.where(small, 1.0 - phi * phi / 6.0, np.sin(safe) / safe)
-        b = np.where(small, phi / 2.0, 2.0 * h * h / safe)
-    else:  # the same values without the series branch
-        h = np.sin(phi / 2.0)
-        a = np.sin(phi) / phi
-        b = 2.0 * h * h / phi
-    out = np.empty(phi.shape + (2, 2))
-    out[..., 0, 0] = out[..., 1, 1] = a
-    out[..., 0, 1] = -b
-    out[..., 1, 0] = b
-    return out
-
-
 def _V_apply(phi: np.ndarray, rho: np.ndarray, h: np.ndarray,
              sin_phi: np.ndarray) -> np.ndarray:
     """Translations t = V(phi) rho (..., 2) of exp([phi, rho]) over any leading
-    axes, from h = sin(phi/2) and sin(phi), with the 2x2 products written
-    out: the values einsum gives on ``_V_many``, bit for bit (phi * 0.5 and
-    h + h are phi/2 and 2h exactly). Below SMALL_ANGLE V's entries
-    sin(phi)/phi and 2h^2/phi take their series 1 - phi^2/6 and phi/2."""
+    axes, V(phi) = (1/phi) [[sin, -(1-cos)], [1-cos, sin]] (Sola et al.,
+    arXiv 1812.01537), from h = sin(phi/2) and sin(phi); 1 - cos is written
+    as 2h^2 to dodge cancellation at small phi. The 2x2 products are written
+    out: the values einsum gives on the stacked V matrices, bit for bit
+    (phi * 0.5 and h + h are phi/2 and 2h exactly). Below SMALL_ANGLE V's
+    entries sin(phi)/phi and 2h^2/phi take their series 1 - phi^2/6 and phi/2."""
     big = np.abs(phi) >= SMALL_ANGLE
     if np.count_nonzero(big) == big.size:
         a = sin_phi / phi
@@ -294,8 +263,8 @@ def exp_step(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
     One sine call serves V's sin(phi/2) and sin(phi) and the headings'
     sines, and the 2x2 products are written out. That gives the values of
-    ``_V_many`` and ``_rot_many`` applied by einsum, bit for bit, in fewer
-    numpy calls.
+    the stacked V matrices and ``_rot_many`` applied by einsum, bit for bit,
+    in fewer numpy calls.
     """
     n = ang.shape[0]
     phi = xi[:, 0]
@@ -316,7 +285,7 @@ def oplus_many(x: FormationState, dx: np.ndarray) -> tuple[np.ndarray, np.ndarra
     rotations (B,N-1,2,2), translations (B,N-1,2) and compose count of all B."""
     d = dx.reshape(dx.shape[0], -1, 3)
     phi = d[..., 0]
-    t = np.einsum("...ij,...j->...i", _V_many(phi), d[..., 1:])
+    t = _V_apply(phi, d[..., 1:], np.sin(phi * 0.5), np.sin(phi))
     C = np.einsum("nij,bnjk->bnik", x.C, _rot_many(phi))
     r = x.r + np.einsum("nij,bnj->bni", x.C, t)
     if x._ops + 1 > RENORMALIZE_EVERY:

@@ -152,8 +152,8 @@ class CostWeights:
 
     def __post_init__(self):
         for name in ("adj", "overlap", "est", "col"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"weight {name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"weight {name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ class SortedIds:
         n = len(self.order)
         if sorted(self.order) != list(range(1, n + 1)):
             raise ValueError(f"order must be a permutation of 1..{n}, got {self.order}")
-        if self.order[0] != 1:
+        if not self.order or self.order[0] != 1:
             raise ValueError("slot 1 must hold robot 1 (the reference)")
         if len(self.sorted_radii) != n:
             raise ValueError("sorted_radii must match order length")

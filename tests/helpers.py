@@ -1,5 +1,6 @@
 """Helpers only the tests use: scalar pose constructors, the one-pair
-collision barrier and a plain multistart over ``optimizer.minimize``."""
+collision barrier, the scalar composition of the objective and a plain
+multistart over ``optimizer.minimize``."""
 
 from __future__ import annotations
 
@@ -33,6 +34,31 @@ def j_col_pair(x: se2.FormationState, m: int, n: int,
     rx = x.positions()
     sq = np.sum((rx[m - 1] - rx[n - 1]) ** 2)
     return float(costs._barrier(sq, activation_radius ** 2, collision_radius ** 2))
+
+
+def scalar_terms(obj: costs.Objective, x: se2.FormationState) -> list[float]:
+    """Oracle of ``Objective.terms``: (adj, overlap, est, col) of one formation
+    from the scalar ``j_*`` terms, evaluating adj alone for the adj kind, est
+    and col for opt, and each term of nonzero spec weight for cov; a term not
+    evaluated is 0.0."""
+    spec, s, w = obj.spec, obj.sorted_ids, obj.spec.weights
+    use = {"adj": (True, False, False, False), "opt": (False, False, True, True),
+           "cov": (w.adj != 0.0, w.overlap != 0.0, w.est != 0.0, w.col != 0.0)}[obj.kind]
+    thunks = (lambda: costs.j_adj(x, spec, s), lambda: costs.j_overlap(x, spec, s),
+              lambda: costs.j_est(x, obj.team, obj.graph), lambda: costs.j_col(x, spec))
+    return [t() if u else 0.0 for u, t in zip(use, thunks)]
+
+
+def scalar_cost(obj: costs.Objective, x: se2.FormationState) -> float:
+    """Oracle of ``Objective.__call__`` and ``many``: adj alone, est + col, or
+    the cov-weighted sum of the scalar terms, each written out in that order."""
+    adj, overlap, est, col = scalar_terms(obj, x)
+    if obj.kind == "adj":
+        return adj
+    if obj.kind == "opt":
+        return est + col
+    w = obj.spec.weights
+    return w.adj * adj + w.overlap * overlap + w.est * est + w.col * col
 
 
 def minimize_multistart(cost: Callable[[se2.FormationState], float], n_robots: int,

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covform import costs, se2
+from covform.assignment import sort_robot_ids
+from covform.optimizer import random_formation
+from covform.scenario import load_scenario
 from covform.team import CostWeights, FormationSpec, RangeGraph, SortedIds, TeamConfig, default_full_graph
-from helpers import from_angle, from_poses, j_col_pair
+from helpers import from_angle, from_poses, j_col_pair, scalar_cost, scalar_terms
 
 
 def state_with_positions(positions, angles=None):
@@ -221,6 +225,11 @@ class TestOverlap:
             costs.j_overlap(x, spec, s)
 
 
+def terms_of(f, x):
+    """The objective's unweighted (adj, overlap, est, col) of one formation."""
+    return f.terms(x.C[None], x.r[None])[0].tolist()
+
+
 class TestCombinations:
     def setup_method(self):
         self.team = TeamConfig.uniform(3)
@@ -228,34 +237,37 @@ class TestCombinations:
         self.sorted = SortedIds.identity(self.team)
         self.x = state_with_positions([(1.1, 0.2), (2.3, -0.1)], angles=[0.4, -0.2])
 
+    def objective(self, kind, spec):
+        return costs.cost_function(kind, self.team, self.graph, spec, self.sorted)
+
     def test_opt_total_is_est_plus_col(self):
-        spec = line_spec(3)
-        b = costs.j_opt(self.x, self.team, self.graph, spec)
-        assert b.total == b.est + b.col
-        assert b.adj == 0.0 and b.overlap == 0.0
+        f = self.objective("opt", line_spec(3))
+        adj, overlap, est, col = terms_of(f, self.x)
+        assert f(self.x) == est + col
+        assert adj == 0.0 and overlap == 0.0
 
     def test_opt_far_apart_reduces_to_est(self):
-        spec = line_spec(3)
+        f = self.objective("opt", line_spec(3))
         x = state_with_positions([(3.0, 0.0), (6.0, 0.0)], angles=[0.3, 0.9])
-        b = costs.j_opt(x, self.team, self.graph, spec)
-        assert b.col == 0.0
-        assert b.total == b.est
+        _, _, est, col = terms_of(f, x)
+        assert col == 0.0
+        assert f(x) == est
 
     def test_cov_weighted_sum(self):
-        spec = line_spec(3, weights=CostWeights(adj=2.0, overlap=0.5, est=1.5, col=3.0))
-        b = costs.j_cov(self.x, self.team, self.graph, spec, self.sorted)
-        expected = 2.0 * b.adj + 0.5 * b.overlap + 1.5 * b.est + 3.0 * b.col
-        assert b.total == pytest.approx(expected, abs=1e-12)
+        f = self.objective("cov", line_spec(3, weights=CostWeights(adj=2.0, overlap=0.5,
+                                                                   est=1.5, col=3.0)))
+        adj, overlap, est, col = terms_of(f, self.x)
+        expected = 2.0 * adj + 0.5 * overlap + 1.5 * est + 3.0 * col
+        assert f(self.x) == pytest.approx(expected, abs=1e-12)
 
     def test_cov_zero_weights_zero_total(self):
-        spec = line_spec(3, weights=CostWeights(0.0, 0.0, 0.0, 0.0))
-        b = costs.j_cov(self.x, self.team, self.graph, spec, self.sorted)
-        assert b.total == 0.0
+        f = self.objective("cov", line_spec(3, weights=CostWeights(0.0, 0.0, 0.0, 0.0)))
+        assert f(self.x) == 0.0
 
     def test_cov_unit_weights_plain_sum(self):
-        spec = line_spec(3)
-        b = costs.j_cov(self.x, self.team, self.graph, spec, self.sorted)
-        assert b.total == pytest.approx(b.adj + b.overlap + b.est + b.col, abs=1e-12)
+        f = self.objective("cov", line_spec(3))
+        adj, overlap, est, col = terms_of(f, self.x)
+        assert f(self.x) == pytest.approx(adj + overlap + est + col, abs=1e-12)
 
     def test_cost_function_factory(self):
         spec = line_spec(3)
@@ -264,6 +276,69 @@ class TestCombinations:
             assert np.isfinite(f(self.x))
         with pytest.raises(ValueError, match="unknown cost kind"):
             costs.cost_function("bogus", self.team, self.graph, spec, self.sorted)
+
+
+@pytest.mark.parametrize("preset", ["sim5", "bridge7", "exp3plus2"])
+def test_objective_equals_scalar_oracle(preset):
+    # call, many (one stack of all the states) and terms equal the scalar
+    # composition byte for byte, on plain and drifted re-projecting states
+    sc = load_scenario(preset)
+    dirs = np.asarray(sc.formation.directions)
+    rng = np.random.default_rng(31)
+    xs = []
+    for t in range(200):
+        x = random_formation(sc.team.n_robots, rng)
+        if t % 4 == 3:
+            x = se2.FormationState(x.C + rng.normal(0.0, 1e-9, x.C.shape), x.r,
+                                   ops=se2.RENORMALIZE_EVERY)
+        xs.append((x, sort_robot_ids(x, sc.team, dirs)))
+    for kind in ("adj", "opt", "cov"):
+        fs = [costs.cost_function(kind, sc.team, sc.graph, sc.formation, s) for _, s in xs]
+        want = np.array([scalar_cost(f, x) for f, (x, _) in zip(fs, xs)])
+        got = np.array([f(x) for f, (x, _) in zip(fs, xs)])
+        assert got.tobytes() == want.tobytes()
+        # the objectives differ only by their sorted ids; many of a stack of
+        # all states under one of them equals its one-row calls
+        f = fs[0]
+        C = np.stack([x.C for x, _ in xs])
+        r = np.stack([x.r for x, _ in xs])
+        want_f = np.array([scalar_cost(f, x) for x, _ in xs])
+        assert f.many(C, r).tobytes() == want_f.tobytes()
+        want_terms = np.array([scalar_terms(f, x) for x, _ in xs])
+        assert f.terms(C, r).tobytes() == want_terms.tobytes()
+
+
+class TestZeroWeightSkipsTerm:
+    """A zero-weight term is never evaluated, so a state degenerate for it
+    (here robots 2 and 3 on one origin, where the overlap direction is
+    undefined) evaluates; with weight 1 it raises on every path."""
+
+    def setup_method(self):
+        self.sc = load_scenario("sim5")
+        self.s = SortedIds.identity(self.sc.team)
+        self.x = state_with_positions([(1.0, 0.0), (1.0, 0.0), (2.5, 1.0), (-1.5, 2.0)],
+                                      angles=[0.3, 1.9, -0.7, 2.4])
+        self.stack = (self.x.C[None], self.x.r[None])
+
+    def objective(self, overlap):
+        spec = replace(self.sc.formation, weights=CostWeights(overlap=overlap))
+        return costs.cost_function("cov", self.sc.team, self.sc.graph, spec, self.s)
+
+    def test_overlap_weight_0_evaluates(self):
+        f = self.objective(0.0)
+        value, total, terms = f(self.x), f.many(*self.stack), f.terms(*self.stack)
+        assert total.tolist() == [value] and value == scalar_cost(f, self.x)
+        assert terms[0].tolist() == scalar_terms(f, self.x)
+        adj, overlap, est, col = terms[0]
+        assert overlap == 0.0 and col >= costs.SATURATION
+        assert value == adj + est + col
+
+    def test_overlap_weight_1_raises(self):
+        f = self.objective(1.0)
+        for path in (lambda: f(self.x), lambda: f.many(*self.stack),
+                     lambda: f.terms(*self.stack)):
+            with pytest.raises(ValueError, match="coincident"):
+                path()
 
 
 @given(st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), min_size=2, max_size=5))

@@ -15,7 +15,7 @@ from covform.optimizer import (
 from covform.ranging import _edge_index, frames
 from covform.scenario import load_scenario
 from covform.team import CostWeights, FormationSpec, RangeGraph, RobotSpec, SortedIds, TeamConfig
-from helpers import from_angle, from_poses, minimize_multistart
+from helpers import from_angle, from_poses, minimize_multistart, scalar_cost
 
 
 def state_with_positions(positions, angles=None):
@@ -35,9 +35,18 @@ def fit_line_residual(points):
     return float(np.max(np.abs(centered @ normal)))
 
 
+def scalar_of(cost):
+    """The scalar oracle of an Objective (``helpers.scalar_cost``); any other
+    callable is its own scalar form."""
+    if isinstance(cost, costs.Objective):
+        return lambda st: scalar_cost(cost, st)
+    return cost
+
+
 def gradient_loop(cost, x, step):
-    """Per-probe oracle for gradient_fd: cost(x), then one oplus and one scalar
-    cost call per probe, in the order +e_0, -e_0, +e_1, ..."""
+    """Per-probe oracle for gradient_fd: the scalar cost at x, then one oplus
+    and one scalar cost call per probe, in the order +e_0, -e_0, +e_1, ..."""
+    cost = scalar_of(cost)
     value = cost(x)
     g = np.empty(x.dim)
     e = np.zeros(x.dim)
@@ -55,10 +64,11 @@ def gradient_loop(cost, x, step):
 
 def minimize_loop(cost, x0, cfg=OptimizerConfig()):
     """Oracle for minimize: the gradient at the top of each step and one
-    scalar cost(x) after it."""
+    scalar cost after it."""
+    scalar = scalar_of(cost)
     trace = OptimizationTrace()
     x = x0
-    c = cost(x)
+    c = scalar(x)
     if not np.isfinite(c):
         raise ValueError("cost is not finite at the initial state")
     step = np.zeros(x.dim)
@@ -70,7 +80,7 @@ def minimize_loop(cost, x0, cfg=OptimizerConfig()):
             return trace
         step = cfg.beta * step - cfg.alpha * g
         x = se2.oplus(x, step)
-        c = cost(x)
+        c = scalar(x)
         norm = float(np.linalg.norm(step))
         trace.iterates.append((it, c, norm))
         if norm < cfg.tol:
@@ -219,8 +229,9 @@ class TestStackedProbesMatchLoop:
 
 
 class TestValueIsTheScalarCost:
-    """The value gradient_fd returns is the cost at x, byte for byte: the
-    descent records it in place of a separate cost(x) call."""
+    """The value gradient_fd returns is the cost at x, byte for byte, the
+    scalar oracle's for an Objective: the descent records it in place of a
+    separate cost(x) call."""
 
     def test_drifted_singular_and_mapped(self):
         sc = load_scenario("sim5")
@@ -238,7 +249,7 @@ class TestValueIsTheScalarCost:
                   for kind in ("opt", "cov")]
         for cost, st in cases:
             value, g = gradient_fd(cost, st, 1e-6)
-            assert f64(value) == f64(cost(st)) and type(value) is float
+            assert f64(value) == f64(scalar_of(cost)(st)) and type(value) is float
             # a plain callable without many is mapped: cost(x) first, then the probes
             value_m, g_m = gradient_fd(lambda y: cost(y), st, 1e-6)
             assert f64(value_m) == f64(value) and g_m.tobytes() == g.tobytes()
@@ -257,7 +268,7 @@ class TestValueIsTheScalarCost:
 
 class TestMinimizeMatchesLoop:
     """minimize takes the cost at each iterate from the stacked gradient call;
-    the oracle evaluates it with a scalar cost(x) after each step."""
+    the oracle evaluates it with the scalar cost after each step."""
 
     @pytest.mark.parametrize("preset", ["sim5", "bridge7", "exp3plus2"])
     def test_random_starts(self, preset):

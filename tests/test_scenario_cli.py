@@ -267,7 +267,7 @@ class TestCli:
             4 + MAX_TAGS_PER_ROBOT
 
     @pytest.mark.parametrize("command", ["simulate", "heatmap", "montecarlo"])
-    @pytest.mark.parametrize("name", ["missing", "not_json", "empty", "one_pose"])
+    @pytest.mark.parametrize("name", ["missing", "not_json", "empty", "one_pose", "no_order"])
     def test_malformed_formation_file_is_a_config_error(self, tmp_path, capsys, command, name):
         one_pose = formation_to_doc(
             from_poses([Pose2(np.eye(2), np.array([1.0, 0.0]))]),
@@ -277,6 +277,8 @@ class TestCli:
             "not_json": ("{not json", "not valid JSON"),
             "empty": ("{}", "formation: missing section"),
             "one_pose": (json.dumps({"formation": one_pose}), "formation.poses: expected 4 poses"),
+            "no_order": (json.dumps({"formation": {**one_pose, "sorted_ids": {
+                "order": [], "radii": [0.5, 0.5]}}}), "formation.sorted_ids: slot 1 must hold robot 1"),
         }[name]
         path = tmp_path / f"{name}.json"
         if content is not None:

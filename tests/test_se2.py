@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covform import se2
+from covform.optimizer import random_formation
+from covform.scenario import load_scenario
 from helpers import from_poses
 
 RNG = np.random.default_rng(7)
@@ -118,8 +120,27 @@ def test_matvec_equals_einsum():
         assert got.tobytes() == np.einsum("...ij,...j->...i", M, v).tobytes()
 
 
+def V_many(phi):
+    """Stacked V(phi) matrices (..., 2, 2): the einsum oracle of se2._V_apply."""
+    small = np.abs(phi) < se2.SMALL_ANGLE
+    if small.any():
+        safe = np.where(small, 1.0, phi)
+        h = np.sin(safe / 2.0)
+        a = np.where(small, 1.0 - phi * phi / 6.0, np.sin(safe) / safe)
+        b = np.where(small, phi / 2.0, 2.0 * h * h / safe)
+    else:  # the same values without the series branch
+        h = np.sin(phi / 2.0)
+        a = np.sin(phi) / phi
+        b = 2.0 * h * h / phi
+    out = np.empty(phi.shape + (2, 2))
+    out[..., 0, 0] = out[..., 1, 1] = a
+    out[..., 0, 1] = -b
+    out[..., 1, 0] = b
+    return out
+
+
 def V_many_series_everywhere(phi):
-    """_V_many with the series branch always selected per entry: the oracle
+    """V_many with the series branch always selected per entry: the oracle
     for its shortcut when no angle is small."""
     small = np.abs(phi) < se2.SMALL_ANGLE
     safe = np.where(small, 1.0, phi)
@@ -130,14 +151,55 @@ def V_many_series_everywhere(phi):
 
 
 @pytest.mark.parametrize("with_small", [False, True])
-def test_V_many_equals_per_entry_branch(with_small):
+def test_V_apply_equals_per_entry_branch(with_small):
     rng = np.random.default_rng(7)
     phi = rng.uniform(-4.0, 4.0, 200) * 10.0 ** rng.integers(-6, 1, 200)
+    rho = rng.uniform(-5.0, 5.0, (200, 2))
     if with_small:
         phi[::7] = rng.uniform(-1e-8, 1e-8, phi[::7].shape)
         phi[3] = 0.0
     assert np.any(np.abs(phi) < se2.SMALL_ANGLE) == with_small
-    assert se2._V_many(phi).tobytes() == V_many_series_everywhere(phi).tobytes()
+    assert V_many(phi).tobytes() == V_many_series_everywhere(phi).tobytes()
+    want = np.einsum("...ij,...j->...i", V_many_series_everywhere(phi), rho)
+    got = se2._V_apply(phi, rho, np.sin(phi / 2.0), np.sin(phi))
+    assert got.tobytes() == want.tobytes()
+
+
+def oplus_many_einsum(x, dx):
+    """se2.oplus_many with V(phi) rho taken by einsum on V_many: its oracle."""
+    d = dx.reshape(dx.shape[0], -1, 3)
+    phi = d[..., 0]
+    t = np.einsum("...ij,...j->...i", V_many(phi), d[..., 1:])
+    C = np.einsum("nij,bnjk->bnik", x.C, se2._rot_many(phi))
+    r = x.r + np.einsum("nij,bnj->bni", x.C, t)
+    if x._ops + 1 > se2.RENORMALIZE_EVERY:
+        return se2._rot_many(np.arctan2(C[..., 1, 0], C[..., 0, 0])), r, 0
+    return C, r, x._ops + 1
+
+
+@pytest.mark.parametrize("preset", ["sim5", "bridge7"])
+def test_oplus_many_equals_einsum_V_oracle(preset):
+    # the finite-difference probe stack of random states (its translation
+    # probes have phi = 0, the series branch), then random steps with small
+    # and zero angles mixed in, on fresh and re-projecting states
+    n = load_scenario(preset).team.n_robots
+    rng = np.random.default_rng(23)
+    for t in range(20):
+        x = random_formation(n, rng)
+        if t % 2:
+            x = se2.FormationState(x.C + rng.normal(0.0, 1e-9, x.C.shape), x.r,
+                                   ops=se2.RENORMALIZE_EVERY)
+        probes = np.zeros((x.dim, 2, x.dim))
+        probes[np.arange(x.dim), :, np.arange(x.dim)] = (1e-6, -1e-6)
+        steps = rng.uniform(-1.0, 1.0, (16, x.dim)) * 10.0 ** rng.integers(-6, 1, (16, 1))
+        phi = steps[:, 0::3]
+        small = rng.random(phi.shape) < 0.3
+        phi[small] = rng.choice([0.0, 1e-9, -3e-8], size=np.count_nonzero(small))
+        for dx in (probes.reshape(2 * x.dim, x.dim), steps):
+            C, r, ops = se2.oplus_many(x, dx)
+            C_want, r_want, ops_want = oplus_many_einsum(x, dx)
+            assert ops == ops_want == (0 if t % 2 else 1)
+            assert C.tobytes() == C_want.tobytes() and r.tobytes() == r_want.tobytes()
 
 
 def test_orthonormality_survives_long_compose_chains():
@@ -180,7 +242,7 @@ def exp_step_einsum(ang, pos, xi):
     """se2.exp_step through the stacked V and rotation matrices and einsum,
     in place: the oracle for its written-out products."""
     phi = xi[:, 0]
-    t = np.einsum("nij,nj->ni", se2._V_many(phi), xi[:, 1:])
+    t = np.einsum("nij,nj->ni", V_many(phi), xi[:, 1:])
     pos += np.einsum("nij,nj->ni", se2._rot_many(ang), t)
     ang += phi
     return t

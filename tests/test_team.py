@@ -165,6 +165,13 @@ def test_formation_spec_validation():
         CostWeights(adj=-1.0)
 
 
+@pytest.mark.parametrize("name", ["adj", "overlap", "est", "col"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_cost_weights_refuse_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"weight {name} must be finite"):
+        CostWeights(**{name: value})
+
+
 def test_formation_spec_line_and_vee():
     line = FormationSpec.line(5)
     assert len(line.directions) == 4
@@ -183,5 +190,7 @@ def test_sorted_ids_validation():
     assert s.sorted_radii[1 - 1] == 0.5
     with pytest.raises(ValueError, match="reference"):
         SortedIds((2, 1, 3), (0.5, 0.5, 0.5))
+    with pytest.raises(ValueError, match="reference"):  # no slot 1 at all
+        SortedIds((), (0.5, 0.5))
     with pytest.raises(ValueError, match="permutation"):
         SortedIds((1, 2, 2), (0.5, 0.5, 0.5))
