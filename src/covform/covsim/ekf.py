@@ -16,6 +16,13 @@ in place and return the same object. Every update is a sequence of scalar
 updates, one per measurement row, which with independent (diagonal) noise
 gives the joint update exactly.
 
+"In place" means queued until read for the mean. An update changes P at
+once, but its correction to the mean waits in the state's pending rows; the
+next predict applies every queued correction and then its motion in one
+pass, and so does any read of ``ang``, ``pos`` or ``landmarks``. The result
+is the per-event retractions, bit for bit. The updates themselves read the
+few poses they linearize at through peeks of the queued mean.
+
 An event touches a handful of state entries, so its cost is per-call
 overhead: each row is linearized from Python floats on tables the model
 builds once, with the operations of ``range_rows`` in its order (so bit for
@@ -31,8 +38,8 @@ from itertools import chain
 
 import numpy as np
 
-from covform.ranging import DEGENERATE_RANGE, _edge_index, _EdgeIndex, world_tags
-from covform.se2 import _V_apply, _rot_many, exp_step, rot2
+from covform.ranging import DEGENERATE_RANGE, _edge_index, _EdgeIndex
+from covform.se2 import SMALL_ANGLE, _V_apply
 from covform.team import RangeGraph, TeamConfig
 
 RANGE_GATE_1DOF = 13.8   # chi-square, 99.98%
@@ -48,6 +55,8 @@ INIT_COV_INFLATION = 10.0
 _BUFFER_CAP = 80
 _BUFFER_NOVELTY = 0.05   # m; points closer than this to a buffered one are skipped
 _UNINIT_PRIOR = 1e6
+# corrections an EkfState holds back before it applies them all at once
+QUEUE_CAP = 32
 _XY = np.arange(2)
 _GPS_COLS = _XY + 1  # robot 1's position columns
 
@@ -109,15 +118,40 @@ class EkfModel:
         return cls(_edge_index(team, graph), n_landmarks)
 
 
-@dataclass
 class EkfState:
-    """Filter mean and covariance, owned by the caller and updated in place."""
+    """Filter mean and covariance, owned by the caller and updated in place.
 
-    ang: np.ndarray          # (N,)
-    pos: np.ndarray          # (N,2)
-    landmarks: np.ndarray    # (L,2), meaningless until initialized
-    initialized: np.ndarray  # (L,) bool
-    P: np.ndarray
+    P changes in place at every event. The mean's corrections are queued
+    instead: an update writes its correction to the next row of a pending
+    buffer of QUEUE_CAP rows, and the next ``ekf_predict`` applies all of
+    them and then its motion in one pass (a full buffer is applied on the
+    spot). Reading ``ang``, ``pos`` or ``landmarks`` applies the queue
+    first, so they always read the current mean; their arrays stay the
+    live mean until the next update queues a correction. The updates
+    linearize at a few poses only, and read them through peeks:
+    Python-float replays of one robot's (or landmark's) pending rows,
+    cached per robot, extended as rows are queued, and dropped whenever the
+    mean itself is rewritten.
+    """
+
+    def __init__(self, ang: np.ndarray, pos: np.ndarray, landmarks: np.ndarray,
+                 initialized: np.ndarray, P: np.ndarray) -> None:
+        self._ang = np.array(ang, dtype=np.float64)          # (N,)
+        n, L = self._ang.shape[0], len(landmarks)
+        # robot positions (N,2), then landmark positions (L,2)
+        self._xy = np.concatenate([np.reshape(pos, (n, 2)), np.reshape(landmarks, (L, 2))],
+                                  dtype=np.float64)
+        self.initialized = initialized                       # (L,) bool
+        self.P = P
+        self._pending = np.empty((QUEUE_CAP, 3 * n + 2 * L))
+        self._q = 0
+        self._peeks: dict = {}  # robot p at key p, landmark l at key N + l
+        self._settled: tuple[np.ndarray, np.ndarray] | None = None
+        # _advance's work rows, sized for a full queue plus the motion
+        self._heading = np.empty((3 * QUEUE_CAP + 2, n))
+        self._trig = np.empty((4 * QUEUE_CAP + 3, n))
+        self._step = np.empty((QUEUE_CAP + 1, n, 2))
+        self._acc = np.empty((QUEUE_CAP + 2, n + L, 2))
 
     @classmethod
     def create(cls, model: EkfModel, ang: np.ndarray, pos: np.ndarray,
@@ -126,12 +160,161 @@ class EkfState:
         P = np.diag(np.concatenate([
             np.tile([att_sigma ** 2, pos_sigma ** 2, pos_sigma ** 2], model.n_robots),
             np.full(2 * L, _UNINIT_PRIOR)]))
-        return cls(np.asarray(ang, dtype=np.float64).copy(),
-                   np.asarray(pos, dtype=np.float64).copy(),
-                   np.zeros((L, 2)), np.zeros(L, dtype=bool), P)
+        return cls(ang, pos, np.zeros((L, 2)), np.zeros(L, dtype=bool), P)
 
-    def tag_positions(self, model: EkfModel) -> np.ndarray:
-        return world_tags(model.index, _rot_many(self.ang), self.pos)
+    def _flush(self) -> None:
+        # the caller may write through what it reads, so cached peeks go too
+        if self._q:
+            self._advance()
+        self._peeks.clear()
+
+    @property
+    def ang(self) -> np.ndarray:
+        """Robot headings (N,)."""
+        self._flush()
+        return self._ang
+
+    @property
+    def pos(self) -> np.ndarray:
+        """Robot positions (N,2)."""
+        self._flush()
+        return self._xy[:self._ang.shape[0]]
+
+    @property
+    def landmarks(self) -> np.ndarray:
+        """Landmark positions (L,2), meaningless until initialized."""
+        self._flush()
+        return self._xy[self._ang.shape[0]:]
+
+    def tag_position(self, model: EkfModel, tag: int) -> np.ndarray:
+        """The world position of one tag, from a peek: bit for bit
+        ``ranging.world_tags`` at the current mean."""
+        c, s, x, y = self._peek(model.tag_robot[tag])
+        bx, by = model.tag_body[tag]
+        return np.array([c * bx - s * by + x, s * bx + c * by + y])
+
+    def last_posterior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ang, pos, landmarks) just before the last ``ekf_predict``'s
+        motion, with every correction queued before it applied: the mean the
+        previous step's updates left. Views, valid until the queue is next
+        applied."""
+        ang, xy = self._settled
+        n = ang.shape[0]
+        return ang, xy[:n], xy[n:]
+
+    def _next_row(self) -> np.ndarray:
+        """The pending row the next correction goes to; a full queue is applied
+        first. The correction counts once the caller raises ``_q``."""
+        if self._q == QUEUE_CAP:
+            self._advance()
+        return self._pending[self._q]
+
+    def _peek(self, p: int) -> tuple[float, float, float, float]:
+        """(cos, sin, x, y) of robot p with the queued corrections applied.
+
+        This is ``exp_step``'s arithmetic on one robot in Python floats, whose
+        math.sin and math.cos round as numpy's do. It replays only the rows
+        the cached peek has not seen yet.
+        """
+        q = self._q
+        hit = self._peeks.get(p)
+        if hit is not None and hit[0] == q:
+            return hit[1]
+        if hit is None:
+            k, ang = 0, self._ang.item(p)
+            c, s, x, y = math.cos(ang), math.sin(ang), self._xy.item(p, 0), self._xy.item(p, 1)
+        else:
+            k, (c, s, x, y), ang = hit
+        for phi, rx, ry in self._pending[k:q, 3 * p:3 * p + 3].tolist():
+            h, sin_phi = math.sin(phi * 0.5), math.sin(phi)
+            if abs(phi) >= SMALL_ANGLE:
+                a, b = sin_phi / phi, (h + h) * h / phi
+            else:
+                a, b = 1.0 - phi * phi / 6.0, phi * 0.5
+            tx, ty = a * rx - b * ry, b * rx + a * ry
+            x += c * tx - s * ty
+            y += s * tx + c * ty
+            ang += phi
+            c, s = math.cos(ang), math.sin(ang)
+        pose = (c, s, x, y)
+        self._peeks[p] = (q, pose, ang)
+        return pose
+
+    def _peek_landmark(self, lm: int) -> tuple[float, float]:
+        """(x, y) of landmark lm with the queued corrections applied."""
+        q, row = self._q, self._ang.shape[0] + lm
+        hit = self._peeks.get(row)
+        if hit is not None and hit[0] == q:
+            return hit[1]
+        k, (x, y) = hit if hit is not None else (0, self._xy[row].tolist())
+        col = 3 * self._ang.shape[0] + 2 * lm
+        for dx, dy in self._pending[k:q, col:col + 2].tolist():
+            x += dx
+            y += dy
+        self._peeks[row] = (q, (x, y))
+        return x, y
+
+    def _advance(self, phi: np.ndarray | None = None, t: np.ndarray | None = None) -> None:
+        """Apply the q queued corrections and then, if given, one motion step
+        of heading increments phi (N,) and body translations t (N,2).
+
+        Step k < q is the right-exp retraction ``exp_step`` makes of pending
+        row k, its translation V(phi) rho from ``se2._V_apply``; the motion
+        is one more step whose translation is given. Headings, positions and
+        landmarks are running sums over the steps, and np.add.accumulate adds
+        in order, so row k of each sum is the mean after k steps one at a
+        time, bit for bit. One sine pass covers V's sin(phi/2) and sin(phi)
+        and the headings' sines, and one cosine pass the cosines.
+        """
+        q, n, L = self._q, self._ang.shape[0], self._xy.shape[0] - self._ang.shape[0]
+        if not q:  # the motion alone, in the arithmetic of the sums' first row
+            ang, xy = self._ang, self._xy
+            self._heading[0] = ang
+            self._acc[0] = xy
+            self._settled = (self._heading[0], self._acc[0])
+            c, s = np.cos(ang), np.sin(ang)
+            tx, ty = t[:, 0], t[:, 1]
+            xy[:n, 0] += c * tx - s * ty
+            xy[:n, 1] += s * tx + c * ty
+            ang += phi
+            self._peeks.clear()
+            return
+        r = q + (phi is not None)  # pose steps
+        xi = self._pending[:q, :3 * n].reshape(q, n, 3)  # rows [phi, rho_x, rho_y]
+        # the headings (the base, then one increment per step), then the
+        # corrections' phi/2 and phi, for one sine pass over all of them
+        heading = self._heading[:r + 1]
+        half, whole = self._heading[r + 1:r + 1 + q], self._heading[r + 1 + q:r + 1 + 2 * q]
+        whole[...] = xi[..., 0]
+        np.multiply(whole, 0.5, out=half)
+        heading[0] = self._ang
+        heading[1:q + 1] = whole
+        if phi is not None:
+            heading[r] = phi
+        np.add.accumulate(heading, axis=0, out=heading)
+        trig = self._trig
+        np.sin(self._heading[:r + 1 + 2 * q], out=trig[r:2 * r + 1 + 2 * q])
+        np.cos(heading[:r], out=trig[:r])
+        cs = trig[:2 * r].reshape(2, r, n)  # cos, sin of the heading each step starts from
+        step = self._step[:r]
+        sines = trig[2 * r + 1:2 * r + 1 + 2 * q]  # sin(phi/2), then sin(phi)
+        step[:q] = _V_apply(whole, xi[..., 1:], sines[:q], sines[q:])
+        if phi is not None:
+            step[q] = t
+        rot = cs[..., None] * step
+        acc = self._acc[:r + 1]  # positions and landmarks: the base, then the increments
+        acc[0] = self._xy
+        np.subtract(rot[0, ..., 0], rot[1, ..., 1], out=acc[1:, :n, 0])
+        np.add(rot[1, ..., 0], rot[0, ..., 1], out=acc[1:, :n, 1])
+        acc[1:q + 1, n:] = self._pending[:q, 3 * n:].reshape(q, L, 2)
+        if phi is not None:
+            acc[r, n:] = -0.0  # landmarks are static, and x + -0.0 is x for every x
+        np.add.accumulate(acc, axis=0, out=acc)
+        self._ang[...] = heading[r]
+        self._xy[...] = acc[r]
+        self._settled = (heading[q], acc[q]) if phi is not None else None
+        self._q = 0
+        self._peeks.clear()
 
 
 def transitions(u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,12 +354,11 @@ def ekf_predict(state: EkfState, model: EkfModel, phi: np.ndarray, t: np.ndarray
     process noise Q = dt^2 * vel_cov enters on each robot's own block. The
     transition is the identity off its N robot blocks, so F P F^T applies
     the blocks to the robot rows of P and then to its robot columns.
+
+    The mean first takes the corrections the updates since the last predict
+    queued, then the motion, in one pass.
     """
-    c, s = np.cos(state.ang), np.sin(state.ang)
-    tx, ty = t[:, 0], t[:, 1]
-    state.pos[:, 0] += c * tx - s * ty
-    state.pos[:, 1] += s * tx + c * ty
-    state.ang += phi
+    state._advance(phi, t)
     n, m = model.n_robots, 3 * model.n_robots
     P = state.P
     P[:m] = (F @ P[:m].reshape(n, 3, -1)).reshape(m, -1)
@@ -185,19 +367,12 @@ def ekf_predict(state: EkfState, model: EkfModel, phi: np.ndarray, t: np.ndarray
     return state
 
 
-def _retract(state: EkfState, model: EkfModel, delta: np.ndarray) -> None:
-    """Apply an error-state correction: poses by right exp, landmarks additively."""
-    m = 3 * model.n_robots
-    exp_step(state.ang, state.pos, delta[:m].reshape(-1, 3))
-    state.landmarks += delta[m:].reshape(-1, 2)
-
-
-def _fold_rows(state: EkfState, model: EkfModel, cols: Sequence[np.ndarray],
-               vals: Sequence[np.ndarray], nu: Sequence[float], sigmas: Sequence[float],
-               gate: float | None) -> int:
+def _fold_rows(state: EkfState, cols: Sequence[np.ndarray], vals: Sequence[np.ndarray],
+               nu: Sequence[float], sigmas: Sequence[float], gate: float | None) -> int:
     """Fold independent rows in one scalar update at a time, in place, and
-    retract the summed correction once; returns how many rows the gate
-    dropped. Row k is vals[k] on the state columns cols[k] with innovation
+    queue the summed correction as one pending row of the state (poses
+    retract by right exp, landmarks additively); returns how many rows the
+    gate dropped. Row k is vals[k] on the state columns cols[k] with innovation
     nu[k] and noise sigmas[k]; only those columns of P are read to form it.
     With no row gated this is the joint update over all rows."""
     P = state.P
@@ -212,12 +387,12 @@ def _fold_rows(state: EkfState, model: EkfModel, cols: Sequence[np.ndarray],
             n_rejected += 1
             continue
         if delta is None:
-            delta = Ph * (v / s)
+            delta = np.multiply(Ph, v / s, out=state._next_row())
         else:
             delta += Ph * (v / s)
         P -= Ph[:, None] * Ph / s
     if delta is not None:
-        _retract(state, model, delta)
+        state._q += 1
     return n_rejected
 
 
@@ -242,16 +417,14 @@ def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: Sequence[int],
     the tag robot's three plus the landmark's two for a landmark row. Rows
     with a degenerate predicted range are flagged invalid instead of
     raising. Every entry equals the batched ``ranging.range_rows`` bit for bit.
+    The endpoints are read through peeks, so no queued correction is applied.
     """
-    cos, sin = np.cos(state.ang).tolist(), np.sin(state.ang).tolist()
-    pos, landmarks = state.pos.tolist(), state.landmarks.tolist()
-    robot, body, perp = model.tag_robot, model.tag_body, model.tag_perp
+    peek, robot, body, perp = state._peek, model.tag_robot, model.tag_body, model.tag_perp
 
     def place(tag: int) -> tuple[float, ...]:
         # heading cos/sin, world position and rotation lever C (S a) of a tag
-        p = robot[tag]
-        c, s = cos[p], sin[p]
-        (bx, by), (ax, ay), (rx, ry) = body[tag], perp[tag], pos[p]
+        c, s, rx, ry = peek(robot[tag])
+        (bx, by), (ax, ay) = body[tag], perp[tag]
         return c, s, c * bx - s * by + rx, s * bx + c * by + ry, c * ax - s * ay, s * ax + c * ay
 
     def block(ux: float, uy: float, c: float, s: float, lx: float, ly: float) -> list[float]:
@@ -270,7 +443,7 @@ def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: Sequence[int],
         valid.append(ok)
     for tag, lm in lm_edges:
         c, s, x, y, lx, ly = place(tag)
-        mx, my = landmarks[lm]
+        mx, my = state._peek_landmark(lm)
         rng, ux, uy, ok = _range_unit(x - mx, y - my)
         cols.append(model.lm_cols[tag][lm])
         vals.append(np.array(block(ux, uy, c, s, lx, ly) + [-ux, -uy]))
@@ -297,7 +470,7 @@ def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
     if not all(valid):
         cols, vals, nu, sigmas = ([row for row, ok in zip(rows, valid) if ok]
                                   for rows in (cols, vals, nu, sigmas))
-    return state, _fold_rows(state, model, cols, vals, nu, sigmas, gate)
+    return state, _fold_rows(state, cols, vals, nu, sigmas, gate)
 
 
 def ekf_update_gps(state: EkfState, model: EkfModel, measured: np.ndarray,
@@ -308,9 +481,7 @@ def ekf_update_gps(state: EkfState, model: EkfModel, measured: np.ndarray,
     number is rejected and leaves the state as it was, and so is one whose
     2x2 innovation covariance has no positive determinant (it has no NIS).
     """
-    R = rot2(state.ang[0])
-    (c, _), (s, _) = R.tolist()
-    x, y = state.pos[0].tolist()
+    c, s, x, y = state._peek(0)
     n0, n1 = nu = [float(measured[0]) - x, float(measured[1]) - y]
     # nu^T S^-1 nu for the 2x2 innovation covariance S = (R P_xy) R^T + sigma^2 I,
     # written out
@@ -322,7 +493,8 @@ def ekf_update_gps(state: EkfState, model: EkfModel, measured: np.ndarray,
     det = s00 * s11 - s01 * s10
     if not det > 0 or not (s11 * n0 * n0 - (s01 + s10) * n0 * n1 + s00 * n1 * n1) / det <= gate:
         return state, False
-    _fold_rows(state, model, (_GPS_COLS, _GPS_COLS), R, nu, (sigma, sigma), None)
+    R = np.array([[c, -s], [s, c]])  # rot2 of the heading
+    _fold_rows(state, (_GPS_COLS, _GPS_COLS), R, nu, (sigma, sigma), None)
     return state, True
 
 

@@ -66,9 +66,10 @@ def simulate_truth(team: TeamConfig, x_des: FormationState, waypoints: np.ndarra
     waypoint tolerance and the fleet is in formation. Returns the log,
     flagged incomplete if max_sim_time runs out first.
 
-    The velocity noise is drawn TRUTH_CHUNK steps at a time, which gives the
-    values of one draw per step while its memory stays bounded whatever
-    max_sim_time is.
+    The headings' cosines and sines are taken once per step, for the
+    controller and the pose step both. The velocity noise is drawn
+    TRUTH_CHUNK steps at a time, which gives the values of one draw per
+    step while its memory stays bounded whatever max_sim_time is.
     """
     n = team.n_robots
     dt = config.dt_truth
@@ -92,7 +93,8 @@ def simulate_truth(team: TeamConfig, x_des: FormationState, waypoints: np.ndarra
         j = k % TRUTH_CHUNK
         if j == 0:
             noise = noise_std * rng.standard_normal((TRUTH_CHUNK, n, 3))
-        u, ferr = control_step(goal, ang, pos, ctrl)
+        trig = np.cos(ang), np.sin(ang)
+        u, ferr = control_step(goal, ang, pos, ctrl, trig)
         d = pos[0] - goal
         if ferr < config.formation_gate and math.sqrt(d.dot(d)) < config.waypoint_tolerance:
             wp_idx += 1
@@ -101,8 +103,8 @@ def simulate_truth(team: TeamConfig, x_des: FormationState, waypoints: np.ndarra
                 completed = True
                 break
             goal = waypoints[wp_idx]
-            u, ferr = control_step(goal, ang, pos, ctrl)
-        exp_step(ang, pos, dt * (u + noise[j]))
+            u, ferr = control_step(goal, ang, pos, ctrl, trig)
+        exp_step(ang, pos, dt * (u + noise[j]), trig)
         cmds.append(u)
         angs.append(ang.copy())
         poss.append(pos.copy())
@@ -295,19 +297,25 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     lm_var = np.zeros((K + 1, L, 2))
     lm_init_log = np.zeros((K + 1, L), dtype=bool)
 
-    def record(k: int) -> None:
-        est_ang[k] = state.ang
-        est_pos[k] = state.pos
-        lm_est[k] = state.landmarks
+    def record_mean(k: int, ang: np.ndarray, pos: np.ndarray, landmarks: np.ndarray) -> None:
+        est_ang[k] = ang
+        est_pos[k] = pos
+        lm_est[k] = landmarks
+
+    def record_cov(k: int) -> None:
         lm_var[k] = np.diag(state.P)[3 * n:].reshape(L, 2)
         lm_init_log[k] = state.initialized
 
-    record(0)
+    # a step's updates only queue their corrections to the mean, and the
+    # next predict applies them: the mean at the end of step k is recorded
+    # from that predict, and the last one from the flushed state
+    record_cov(0)
     for k in range(1, K + 1):
         j = (k - 1) % PREDICT_CHUNK
         if j == 0:
             phi, t, F = transitions(truth.u_cmd[k - 1:k - 1 + PREDICT_CHUNK], dt)
         state = ekf_predict(state, model, phi[j], t[j], F[j], Q)
+        record_mean(k - 1, *state.last_posterior())
         for m in range(range_at[k], range_at[k + 1]):
             slot, z = slots[m], sched.z[m:m + 1]
             if slot < n_edges:
@@ -321,14 +329,15 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
                                                [(tag0, l)], z, config.range_sigma)
                 n_rejected_ranges += rej
             else:
-                buffers[l].add(state.tag_positions(model)[tag0], z[0])
+                buffers[l].add(state.tag_position(model, tag0), z[0])
                 state, _ = landmark_init(state, model, l, buffers[l], config.range_sigma)
 
         for g in range(gps_at[k], gps_at[k + 1]):
             state, ok = ekf_update_gps(state, model, sched.gps_z[g], config.gps_sigma)
             n_rejected_gps += not ok
 
-        record(k)
+        record_cov(k)
+    record_mean(K, state.ang, state.pos, state.landmarks)
 
     # inter-robot errors: headings and positions relative to robot 1, the
     # latter resolved in robot 1's frame, estimate against truth

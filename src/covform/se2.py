@@ -254,12 +254,14 @@ def _V_apply(phi: np.ndarray, rho: np.ndarray, h: np.ndarray,
     return t
 
 
-def exp_step(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def exp_step(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray,
+             trig: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Right-exp step on stacked poses, in place: T_p <- T_p * exp(xi_p).
 
     ``ang`` (N,) and ``pos`` (N,2) hold the headings and positions of the
-    T_p; ``xi`` is (N,3) with rows [phi, rho_x, rho_y]. Returns the
-    translations V(phi_p) rho_p of the exp(xi_p).
+    T_p; ``xi`` is (N,3) with rows [phi, rho_x, rho_y]; ``trig``, if given,
+    is (cos(ang), sin(ang)). Returns the translations V(phi_p) rho_p of the
+    exp(xi_p).
 
     One sine call serves V's sin(phi/2) and sin(phi) and the headings'
     sines, and the 2x2 products are written out. That gives the values of
@@ -268,9 +270,13 @@ def exp_step(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """
     n = ang.shape[0]
     phi = xi[:, 0]
-    sines = np.sin(np.concatenate([phi * 0.5, phi, ang]))
+    if trig is None:
+        sines = np.sin(np.concatenate([phi * 0.5, phi, ang]))
+        c, s = np.cos(ang), sines[2 * n:]
+    else:
+        sines = np.sin(np.concatenate([phi * 0.5, phi]))
+        c, s = trig
     t = _V_apply(phi, xi[:, 1:], sines[:n], sines[n:2 * n])
-    c, s = np.cos(ang), sines[2 * n:]
     tx, ty = t[:, 0], t[:, 1]
     step = np.empty((n, 2))
     step[:, 0] = c * tx - s * ty

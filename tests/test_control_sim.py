@@ -85,6 +85,9 @@ class TestControlStep:
                 u_ref, ferr_ref = control_step_loop(goal, ang, pos, x_des, gains)
                 assert u.tobytes() == u_ref.tobytes(), k
                 assert ferr == ferr_ref, k
+                # the truth step hands over the cosines and sines it takes once
+                u_trig, ferr_trig = control_step(goal, ang, pos, ctrl, (np.cos(ang), np.sin(ang)))
+                assert u_trig.tobytes() == u.tobytes() and ferr_trig == ferr, k
                 exp_step(ang, pos, 0.05 * (u + rng.normal(0.0, 0.3, u.shape)))
 
 

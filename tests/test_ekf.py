@@ -1,14 +1,18 @@
 import copy
+import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from covform.covsim import sim
 from covform.covsim.ekf import (
+    QUEUE_CAP,
     EkfModel,
     EkfState,
     LandmarkBuffer,
     _measurement_rows,
-    _retract,
     ekf_predict,
     ekf_update_gps,
     ekf_update_ranges,
@@ -16,7 +20,7 @@ from covform.covsim.ekf import (
     transitions,
     trilaterate,
 )
-from covform.ranging import range_rows
+from covform.ranging import range_rows, world_tags
 from covform.scenario import load_scenario
 from covform.se2 import (
     SMALL_ANGLE,
@@ -30,9 +34,25 @@ from covform.se2 import (
     rot2,
 )
 from covform.team import TeamConfig, default_full_graph
+from test_montecarlo import preset_line
 from test_ranging import dense_range_rows
 
 VEL_COV = np.diag([0.01 ** 2, 0.1 ** 2, 0.1 ** 2])
+
+
+def retract(state, model, delta):
+    """Apply an error-state correction at once, in place: poses by right exp,
+    landmarks additively. The filter queues the correction instead, and this
+    per-event retraction is the oracle its queue must equal bit for bit."""
+    m = 3 * model.n_robots
+    exp_step(state.ang, state.pos, delta[:m].reshape(-1, 3))
+    state.landmarks[...] += delta[m:].reshape(-1, 2)
+
+
+def tag_positions(state, model):
+    """Every tag's world position at the filter mean (the oracle of
+    ``EkfState.tag_position``)."""
+    return world_tags(model.index, _rot_many(state.ang), state.pos)
 
 
 def make_model(n=3, landmarks=1):
@@ -147,7 +167,7 @@ def joseph_update(state, model, H, nu, sigmas):
     A = np.eye(model.dim) - K @ H
     out.P = A @ P @ A.T + K @ R @ K.T
     out.P = 0.5 * (out.P + out.P.T)
-    _retract(out, model, K @ nu)
+    retract(out, model, K @ nu)
     return out
 
 
@@ -188,7 +208,7 @@ class TestPredict:
         assert predict(s, model, np.ones((3, 3)), VEL_COV, 0.01) is s
         assert not np.array_equal(s.ang, ang)
         pos, trace = s.pos.copy(), np.trace(s.P)
-        tagpos = s.tag_positions(model)
+        tagpos = tag_positions(s, model)
         z = float(np.linalg.norm(tagpos[0] - tagpos[2])) + 0.05
         out, n_rejected = update_edge(s, model, team, (1, 3), z)
         assert out is s and n_rejected == 0
@@ -301,7 +321,7 @@ class TestRangeUpdate:
     def test_exact_measurement_keeps_mean_contracts_cov(self):
         team, model = make_model()
         s = make_state(model, seed=3)
-        tagpos = s.tag_positions(model)
+        tagpos = tag_positions(s, model)
         edge = (1, 3)
         z = float(np.linalg.norm(tagpos[0] - tagpos[2]))
         out, n_rejected = update_edge(copy.deepcopy(s), model, team, edge, z)
@@ -313,7 +333,7 @@ class TestRangeUpdate:
     def test_update_preserves_symmetry(self):
         team, model = make_model()
         s = make_state(model, seed=4)
-        tagpos = s.tag_positions(model)
+        tagpos = tag_positions(s, model)
         z = float(np.linalg.norm(tagpos[0] - tagpos[2])) + 0.05
         out, n_rejected = update_edge(s, model, team, (1, 3), z)
         assert n_rejected == 0
@@ -340,8 +360,8 @@ class TestRangeUpdate:
 
         def ranges_at(delta):
             probe = copy.deepcopy(s)
-            _retract(probe, model, delta)
-            tp = probe.tag_positions(model)
+            retract(probe, model, delta)
+            tp = tag_positions(probe, model)
             rr = np.linalg.norm(tp[model.index.edge_i] - tp[model.index.edge_j], axis=1)
             lm = [np.linalg.norm(tp[0] - probe.landmarks[0])]
             return np.concatenate([rr, lm])
@@ -395,7 +415,7 @@ class TestRangeUpdate:
             lm_edges = [(int(rng.integers(n_tags)), int(rng.integers(3))) for _ in range(n_lm)]
             if trial % 5 == 4:
                 tag = int(rng.integers(n_tags))
-                s.landmarks[1] = s.tag_positions(model)[tag]
+                s.landmarks[1] = tag_positions(s, model)[tag]
                 lm_edges.append((tag, 1))
             cols, vals, zhat, valid = _measurement_rows(s, model, rr_idx, lm_edges)
             want_cols, want_vals, want_zhat, want_valid = batched_measurement_rows(
@@ -419,7 +439,7 @@ class TestRangeUpdate:
         true_lm = np.array([0.6, 0.4])
         traces = [np.trace(s.P[c:c + 2, c:c + 2])]
         for _ in range(40):
-            tagpos = s.tag_positions(model)
+            tagpos = tag_positions(s, model)
             z = float(np.linalg.norm(tagpos[0] - true_lm)) + 0.01 * rng.standard_normal()
             s, _ = ekf_update_ranges(s, model, np.zeros(0, dtype=np.intp), np.zeros(0),
                                      [(0, 0)], np.array([z]), 0.1)
@@ -535,7 +555,7 @@ class TestScalarUpdatesMatchJointJoseph:
         # dropped before folding, and the others give their joint update
         team, model = make_model(n=3, landmarks=1)
         s = coupled_state(model, 41)
-        s.landmarks[0] = s.tag_positions(model)[4]
+        s.landmarks[0] = tag_positions(s, model)[4]
         rr_idx = np.array([1, 6])
         H, zhat, valid = dense_measurement_rows(s, model, rr_idx, [(4, 0)])
         assert valid.tolist() == [True, True, False]
@@ -660,3 +680,219 @@ class TestLandmarkInit:
         s.initialized[0] = True
         with pytest.raises(ValueError, match="already initialized"):
             landmark_init(s, model, 0, LandmarkBuffer(), 0.1)
+
+
+class MeanOracle:
+    """The filter mean as plain arrays, moved one event at a time: every
+    correction by ``retract`` as it comes, every motion as the predict moved
+    the mean before corrections were queued. The oracle of the queue."""
+
+    def __init__(self, state):
+        self.ang, self.pos, self.landmarks = (state.ang.copy(), state.pos.copy(),
+                                              state.landmarks.copy())
+
+    def move(self, phi, t):
+        c, s = np.cos(self.ang), np.sin(self.ang)
+        tx, ty = t[:, 0], t[:, 1]
+        self.pos[:, 0] += c * tx - s * ty
+        self.pos[:, 1] += s * tx + c * ty
+        self.ang += phi
+
+
+def queue(state, delta):
+    """Queue a correction the way an update does."""
+    np.copyto(state._next_row(), delta)
+    state._q += 1
+
+
+def assert_mean_bytes(got, want):
+    for name in ("ang", "pos", "landmarks"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def assert_peeks_match(state, model, oracle, robots, landmarks):
+    """Peeks of the given robots and landmarks, and the tag positions built
+    from them, equal the oracle's mean bit for bit."""
+    for p in robots:
+        want = [np.cos(oracle.ang)[p], np.sin(oracle.ang)[p], *oracle.pos[p]]
+        assert np.array(state._peek(p)).tobytes() == np.array(want).tobytes(), p
+    for lm in landmarks:
+        got = np.array(state._peek_landmark(lm))
+        assert got.tobytes() == oracle.landmarks[lm].tobytes(), lm
+    tags = world_tags(model.index, _rot_many(oracle.ang), oracle.pos)
+    for tag in np.flatnonzero(np.isin(model.index.tag_robot, robots)):
+        assert state.tag_position(model, tag).tobytes() == tags[tag].tobytes(), tag
+
+
+def correction_rows(rng, model, q, small):
+    """q random corrections, every third row exactly zero; with ``small``,
+    heading steps of zero and below SMALL_ANGLE among them (V's series)."""
+    D = rng.normal(0.0, 0.05, (q, model.dim))
+    D[2::3] = 0.0
+    if small:
+        n = model.n_robots
+        D[0::4, 0] = 0.0
+        D[1::4, 3 * (1 % n)] = 0.3 * SMALL_ANGLE
+        D[1::4, 3 * (2 % n)] = -0.9 * SMALL_ANGLE  # where phi^2/6 still shows
+        D[3::4, 3 * (n - 1)] = -2.0 * SMALL_ANGLE  # just above the series
+    return D
+
+
+class TestQueuedCorrections:
+    # the updates queue their corrections and the next predict applies them
+    # in one pass: the result must be the per-event retractions, bit for bit
+
+    @pytest.mark.parametrize("q", [0, 1, 2, 11, QUEUE_CAP, QUEUE_CAP + 1])
+    @pytest.mark.parametrize("motion", [True, False])
+    @pytest.mark.parametrize("landmarks", [0, 2])
+    @pytest.mark.parametrize("small", [False, True])
+    def test_kernel_equals_per_event_oracle(self, q, motion, landmarks, small):
+        rng = np.random.default_rng(1000 + q)
+        _, model = make_model(n=4, landmarks=landmarks)
+        for trial in range(5):
+            s = make_state(model, spread=5.0, seed=trial)
+            s.landmarks[:] = rng.uniform(-5.0, 5.0, s.landmarks.shape)
+            oracle = MeanOracle(s)
+            for delta in correction_rows(rng, model, q, small):
+                queue(s, delta)
+                retract(oracle, model, delta)
+            assert s._q == ((q - 1) % QUEUE_CAP + 1 if q else 0)  # a full queue was applied
+            if trial % 2:
+                assert_peeks_match(s, model, oracle, range(model.n_robots), range(landmarks))
+            if motion:
+                u = rng.uniform(-1.5, 1.5, (1, model.n_robots, 3))
+                u[0, 0, 0] = 0.0
+                phi, t, F = transitions(u, 0.1)
+                ekf_predict(s, model, phi[0], t[0], F[0], np.zeros((3, 3)))
+                ang, pos, lms = s.last_posterior()
+                for got, want in ((ang, oracle.ang), (pos, oracle.pos), (lms, oracle.landmarks)):
+                    assert got.tobytes() == want.tobytes()
+                oracle.move(phi[0], t[0])
+            assert_mean_bytes(s, oracle)
+            assert s._q == 0
+
+    @pytest.mark.parametrize("preset", ["sim5", "exp3plus2"])
+    def test_peeks_equal_the_mean_after_random_events(self, preset):
+        # ranges (some gated), landmark rows, GPS fixes (some rejected),
+        # predicts and reads in random order, at times with more events
+        # between two predicts than the queue holds
+        sc = load_scenario(preset)
+        model = EkfModel.build(sc.team, sc.graph, 2)
+        n, n_edges, n_tags = model.n_robots, model.index.edge_i.shape[0], len(model.tag_robot)
+        rng = np.random.default_rng(1100)
+        for trial in range(8):
+            s = coupled_state(model, 1100 + trial)
+            oracle = MeanOracle(s)
+            p_predict = 0.3 if trial % 2 else 0.015
+            for event in range(150):
+                before, update = s._q, True
+                roll = rng.random()
+                if roll < p_predict:
+                    u = rng.uniform(-1.0, 1.0, (1, n, 3))
+                    phi, t, F = transitions(u, 0.05)
+                    ekf_predict(s, model, phi[0], t[0], F[0], (0.05 ** 2) * VEL_COV)
+                    oracle.move(phi[0], t[0])
+                    update = False
+                elif roll < 0.7:
+                    tags = world_tags(model.index, _rot_many(oracle.ang), oracle.pos)
+                    rr_idx = rng.choice(n_edges, size=rng.integers(0, 3), replace=False)
+                    lm_edges = [(int(rng.integers(n_tags)), int(rng.integers(2)))
+                                for _ in range(rng.integers(0, 2))]
+                    z = np.array([np.linalg.norm(tags[model.index.edge_i[k]] - tags[model.index.edge_j[k]])
+                                  for k in rr_idx]
+                                 + [np.linalg.norm(tags[tag] - oracle.landmarks[lm])
+                                    for tag, lm in lm_edges]) + 0.05 * rng.standard_normal(
+                                        len(rr_idx) + len(lm_edges))
+                    if z.size and rng.random() < 0.1:
+                        z[0] = 500.0  # gated
+                    ekf_update_ranges(s, model, rr_idx, z[:len(rr_idx)], lm_edges,
+                                      z[len(rr_idx):], 0.1)
+                elif roll < 0.95:
+                    fix = oracle.pos[0] + 0.05 * rng.standard_normal(2)
+                    if rng.random() < 0.2:
+                        fix += 100.0  # rejected
+                    ekf_update_gps(s, model, fix, 0.1)
+                else:
+                    assert_mean_bytes(s, oracle)  # a read applies the queue
+                    update = False
+                if update and s._q != before:  # the update queued its correction
+                    retract(oracle, model, s._pending[s._q - 1])
+                robots = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
+                assert_peeks_match(s, model, oracle, robots, rng.choice(2, size=rng.integers(3)))
+            assert_mean_bytes(s, oracle)
+
+    def test_peek_cached_before_a_rejected_fix_does_not_outlive_the_predict(self):
+        # robot 1's peek is cached while the queue is empty, the fix it served
+        # is rejected, and the predict that follows finds the queue still
+        # empty: its motion must drop the peek all the same
+        _, model = make_model(n=3, landmarks=1)
+        s = make_state(model, seed=30)
+        oracle = MeanOracle(s)
+        assert not ekf_update_gps(s, model, oracle.pos[0] + 100.0, 0.1)[1]
+        assert s._q == 0
+        phi, t, F = transitions(np.tile([0.4, 1.0, 0.2], (1, 3, 1)), 0.1)
+        ekf_predict(s, model, phi[0], t[0], F[0], np.zeros((3, 3)))
+        oracle.move(phi[0], t[0])
+        assert_peeks_match(s, model, oracle, [0], [])
+        fresh = EkfState(oracle.ang, oracle.pos, oracle.landmarks, s.initialized.copy(),
+                         s.P.copy())
+        fix = oracle.pos[0] + 0.05
+        assert ekf_update_gps(s, model, fix, 0.1)[1] and ekf_update_gps(fresh, model, fix, 0.1)[1]
+        assert_mean_bytes(s, fresh)
+
+    def test_a_write_through_the_mean_drops_the_peeks(self):
+        # landmark_init writes the landmark it places through ``landmarks``,
+        # and a pose can be set through ``pos`` alike: peeks cached before
+        # the write must not outlive it
+        _, model = make_model(n=3, landmarks=1)
+        s = make_state(model, seed=31)
+        oracle = MeanOracle(s)
+        s._peek(1)
+        s._peek_landmark(0)
+        s.pos[1] += 0.5
+        oracle.pos[1] += 0.5
+        s.landmarks[0] = oracle.landmarks[0] = [2.0, -1.0]
+        assert_peeks_match(s, model, oracle, [1], [0])
+
+    def test_math_trig_rounds_as_numpy(self):
+        # peeks take math.sin/math.cos where the kernel and exp_step take
+        # np.sin/np.cos: on this build they must round alike, in long arrays
+        # and in the short ones whose tails take another loop
+        rng = np.random.default_rng(1200)
+        x = np.concatenate([rng.uniform(-a, a, 20_000)
+                            for a in (1e-9, 1e-7, 1e-3, 0.5, np.pi, 50.0, 1e4)])
+        for np_f, math_f in ((np.sin, math.sin), (np.cos, math.cos)):
+            want = np.array([math_f(v) for v in x.tolist()])
+            assert np_f(x).tobytes() == want.tobytes(), np_f.__name__
+            for k in range(1, 9):
+                short = np.concatenate([np_f(x[i:i + k]) for i in range(0, 4000, k)])
+                assert short.tobytes() == want[:short.size].tobytes(), (np_f.__name__, k)
+
+    def test_replay_memory_does_not_grow_with_events_per_step(self, monkeypatch):
+        # a long dt_truth at a high range rate puts thousands of events
+        # between two predicts; the queue holds QUEUE_CAP rows whatever their
+        # number, so the replay's peak, taken from its first predict on, stays
+        sc, x = preset_line("sim5")
+        real_predict = sim.ekf_predict
+
+        def replay_peak(range_rate):
+            start = []
+
+            def predict(*args):
+                if not start:
+                    tracemalloc.reset_peak()
+                    start.append(tracemalloc.get_traced_memory()[0])
+                return real_predict(*args)
+
+            monkeypatch.setattr(sim, "ekf_predict", predict)
+            config = replace(sc.sim, seed=3, dt_truth=0.5, max_sim_time=1.0,
+                             range_rate=range_rate)
+            tracemalloc.start()
+            try:
+                sim.run_coverage_sim(sc.team, sc.graph, x, config)
+                return tracemalloc.get_traced_memory()[1] - start[0]
+            finally:
+                tracemalloc.stop()
+
+        small, large = replay_peak(600.0), replay_peak(6000.0)  # 300 and 3,000 events a step
+        assert large < small + 16_000, (small, large)

@@ -262,10 +262,14 @@ def test_exp_step_equals_einsum_oracle(n, with_small):
             xi[k, 0] = rng.choice([0.0, 1e-9, -3e-8], size=k.shape)
         ang_new, pos_new = ang.copy(), pos.copy()
         t = se2.exp_step(ang_new, pos_new, xi)
+        # the headings' cosines and sines, when the caller has them already
+        ang_trig, pos_trig = ang.copy(), pos.copy()
+        t_trig = se2.exp_step(ang_trig, pos_trig, xi, (np.cos(ang), np.sin(ang)))
         t_want = exp_step_einsum(ang, pos, xi)
-        np.testing.assert_array_equal(ang_new, ang)
-        np.testing.assert_array_equal(pos_new, pos)
-        np.testing.assert_array_equal(t, t_want)
+        for got_ang, got_pos, got_t in ((ang_new, pos_new, t), (ang_trig, pos_trig, t_trig)):
+            np.testing.assert_array_equal(got_ang, ang)
+            np.testing.assert_array_equal(got_pos, pos)
+            np.testing.assert_array_equal(got_t, t_want)
 
 
 class TestFormationState:
