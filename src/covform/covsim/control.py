@@ -33,18 +33,18 @@ class Controller:
 
 
 def control_step(leader_goal: np.ndarray, ang: np.ndarray, pos: np.ndarray,
-                 ctrl: Controller, trig: tuple[np.ndarray, np.ndarray] | None = None,
+                 ctrl: Controller, trig: tuple[np.ndarray, np.ndarray],
                  ) -> tuple[np.ndarray, float]:
     """Commanded body twists for every robot plus the formation error norm.
 
     ang/pos are current true headings (N,) and positions (N,2) in the
-    global frame, robot 1 first; trig, if given, is (cos(ang), sin(ang)).
+    global frame, robot 1 first; trig is (cos(ang), sin(ang)).
     The error norm stacks every follower's slot-position error; the
     waypoint gate thresholds it.
     """
     gains = ctrl.gains
     cap = gains.speed_cap
-    c, s = trig if trig is not None else (np.cos(ang), np.sin(ang))
+    c, s = trig
     R0 = np.array([[c[0], -s[0]], [s[0], c[0]]])
 
     # leader: saturated pull toward the waypoint, heading regulated to 0

@@ -213,8 +213,10 @@ class EkfState:
         """(cos, sin, x, y) of robot p with the queued corrections applied.
 
         This is ``exp_step``'s arithmetic on one robot in Python floats, whose
-        math.sin and math.cos round as numpy's do. It replays only the rows
-        the cached peek has not seen yet.
+        math.sin and math.cos round as numpy's do: the scalar twin of
+        ``se2._V_apply``, its series below SMALL_ANGLE included, which must
+        change with it. It replays only the rows the cached peek has not
+        seen yet.
         """
         q = self._q
         hit = self._peeks.get(p)
@@ -267,18 +269,6 @@ class EkfState:
         and the headings' sines, and one cosine pass the cosines.
         """
         q, n, L = self._q, self._ang.shape[0], self._xy.shape[0] - self._ang.shape[0]
-        if not q:  # the motion alone, in the arithmetic of the sums' first row
-            ang, xy = self._ang, self._xy
-            self._heading[0] = ang
-            self._acc[0] = xy
-            self._settled = (self._heading[0], self._acc[0])
-            c, s = np.cos(ang), np.sin(ang)
-            tx, ty = t[:, 0], t[:, 1]
-            xy[:n, 0] += c * tx - s * ty
-            xy[:n, 1] += s * tx + c * ty
-            ang += phi
-            self._peeks.clear()
-            return
         r = q + (phi is not None)  # pose steps
         xi = self._pending[:q, :3 * n].reshape(q, n, 3)  # rows [phi, rho_x, rho_y]
         # the headings (the base, then one increment per step), then the

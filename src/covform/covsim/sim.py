@@ -275,7 +275,9 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     if config.noise_scale > 0:
         init_std = config.noise_scale * np.array(
             [config.init_att_sigma, config.init_pos_sigma, config.init_pos_sigma])
-        exp_step(state.ang, state.pos, init_std * init_rng.standard_normal((n, 3)))
+        ang0 = state.ang
+        exp_step(ang0, state.pos, init_std * init_rng.standard_normal((n, 3)),
+                 (np.cos(ang0), np.sin(ang0)))
 
     vel_cov = np.diag([config.vel_noise_omega ** 2,
                        config.vel_noise_v ** 2, config.vel_noise_v ** 2])

@@ -237,7 +237,11 @@ def _V_apply(phi: np.ndarray, rho: np.ndarray, h: np.ndarray,
     as 2h^2 to dodge cancellation at small phi. The 2x2 products are written
     out: the values einsum gives on the stacked V matrices, bit for bit
     (phi * 0.5 and h + h are phi/2 and 2h exactly). Below SMALL_ANGLE V's
-    entries sin(phi)/phi and 2h^2/phi take their series 1 - phi^2/6 and phi/2."""
+    entries sin(phi)/phi and 2h^2/phi take their series 1 - phi^2/6 and phi/2.
+
+    ``covsim.ekf.EkfState._peek`` repeats this arithmetic, the series choice
+    included, on the Python floats of one pose; a change here must be made
+    there too (tests/test_ekf.py holds the two to the same bits)."""
     big = np.abs(phi) >= SMALL_ANGLE
     if np.count_nonzero(big) == big.size:
         a = sin_phi / phi
@@ -255,28 +259,23 @@ def _V_apply(phi: np.ndarray, rho: np.ndarray, h: np.ndarray,
 
 
 def exp_step(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray,
-             trig: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+             trig: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Right-exp step on stacked poses, in place: T_p <- T_p * exp(xi_p).
 
     ``ang`` (N,) and ``pos`` (N,2) hold the headings and positions of the
-    T_p; ``xi`` is (N,3) with rows [phi, rho_x, rho_y]; ``trig``, if given,
-    is (cos(ang), sin(ang)). Returns the translations V(phi_p) rho_p of the
-    exp(xi_p).
+    T_p; ``xi`` is (N,3) with rows [phi, rho_x, rho_y]; ``trig`` is
+    (cos(ang), sin(ang)), which the caller may share with other work on the
+    same headings. Returns the translations V(phi_p) rho_p of the exp(xi_p).
 
-    One sine call serves V's sin(phi/2) and sin(phi) and the headings'
-    sines, and the 2x2 products are written out. That gives the values of
-    the stacked V matrices and ``_rot_many`` applied by einsum, bit for bit,
-    in fewer numpy calls.
+    One sine call serves V's sin(phi/2) and sin(phi), and the 2x2 products
+    are written out. That gives the values of the stacked V matrices and
+    ``_rot_many`` applied by einsum, bit for bit, in fewer numpy calls.
     """
     n = ang.shape[0]
     phi = xi[:, 0]
-    if trig is None:
-        sines = np.sin(np.concatenate([phi * 0.5, phi, ang]))
-        c, s = np.cos(ang), sines[2 * n:]
-    else:
-        sines = np.sin(np.concatenate([phi * 0.5, phi]))
-        c, s = trig
-    t = _V_apply(phi, xi[:, 1:], sines[:n], sines[n:2 * n])
+    sines = np.sin(np.concatenate([phi * 0.5, phi]))
+    c, s = trig
+    t = _V_apply(phi, xi[:, 1:], sines[:n], sines[n:])
     tx, ty = t[:, 0], t[:, 1]
     step = np.empty((n, 2))
     step[:, 0] = c * tx - s * ty

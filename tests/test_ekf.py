@@ -44,8 +44,8 @@ def retract(state, model, delta):
     """Apply an error-state correction at once, in place: poses by right exp,
     landmarks additively. The filter queues the correction instead, and this
     per-event retraction is the oracle its queue must equal bit for bit."""
-    m = 3 * model.n_robots
-    exp_step(state.ang, state.pos, delta[:m].reshape(-1, 3))
+    m, ang = 3 * model.n_robots, state.ang
+    exp_step(ang, state.pos, delta[:m].reshape(-1, 3), (np.cos(ang), np.sin(ang)))
     state.landmarks[...] += delta[m:].reshape(-1, 2)
 
 
@@ -118,7 +118,8 @@ def predict_step(state, model, u, vel_cov, dt):
     if dt <= 0:
         raise ValueError("dt must be > 0")
     xi = dt * u
-    t = exp_step(state.ang, state.pos, xi)
+    ang = state.ang
+    t = exp_step(ang, state.pos, xi, (np.cos(ang), np.sin(ang)))
     # F_p = Ad(exp(-xi_p)) under the [phi, rho] ordering: exp(-xi_p) has
     # rotation Cinv = R(-phi_p) and translation rinv = -Cinv t_p
     Cinv = _rot_many(-xi[:, 0])
@@ -141,7 +142,7 @@ def dense_predict(state, model, u, vel_cov, dt):
     oracle for the filter's blockwise F P F^T."""
     out = copy.deepcopy(state)
     xi = dt * u
-    t = exp_step(out.ang, out.pos, xi)
+    t = exp_step(out.ang, out.pos, xi, (np.cos(out.ang), np.sin(out.ang)))
     Cinv = _rot_many(-xi[:, 0])
     rinv = -np.einsum("nij,nj->ni", Cinv, t)
     blk = np.arange(3 * model.n_robots).reshape(-1, 3)

@@ -230,7 +230,7 @@ def test_exp_step_matches_compose_per_pose():
     xi[5] = 0.0
     expected = [se2.compose(se2.Pose2(se2.rot2(a), p), se2.exp(x)) for a, p, x in zip(ang, pos, xi)]
     ang_new, pos_new = ang.copy(), pos.copy()
-    t = se2.exp_step(ang_new, pos_new, xi)
+    t = se2.exp_step(ang_new, pos_new, xi, (np.cos(ang), np.sin(ang)))
     for k, T in enumerate(expected):
         np.testing.assert_allclose(se2.rot2(ang_new[k]), T.C, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pos_new[k], T.r, rtol=0, atol=1e-12)
@@ -261,15 +261,11 @@ def test_exp_step_equals_einsum_oracle(n, with_small):
             k = rng.choice(n, size=max(1, n // 4), replace=False)
             xi[k, 0] = rng.choice([0.0, 1e-9, -3e-8], size=k.shape)
         ang_new, pos_new = ang.copy(), pos.copy()
-        t = se2.exp_step(ang_new, pos_new, xi)
-        # the headings' cosines and sines, when the caller has them already
-        ang_trig, pos_trig = ang.copy(), pos.copy()
-        t_trig = se2.exp_step(ang_trig, pos_trig, xi, (np.cos(ang), np.sin(ang)))
+        t = se2.exp_step(ang_new, pos_new, xi, (np.cos(ang), np.sin(ang)))
         t_want = exp_step_einsum(ang, pos, xi)
-        for got_ang, got_pos, got_t in ((ang_new, pos_new, t), (ang_trig, pos_trig, t_trig)):
-            np.testing.assert_array_equal(got_ang, ang)
-            np.testing.assert_array_equal(got_pos, pos)
-            np.testing.assert_array_equal(got_t, t_want)
+        np.testing.assert_array_equal(ang_new, ang)
+        np.testing.assert_array_equal(pos_new, pos)
+        np.testing.assert_array_equal(t, t_want)
 
 
 class TestFormationState:
