@@ -7,9 +7,9 @@ lifted to the global frame where robot 1 is a state like any other; GPS
 anchors robot 1.
 
 Landmarks enter by delayed initialization: ranges buffer until a
-trilateration over sufficiently spread tag positions is well conditioned,
-then the solution and its (inflated) normal-equation covariance are
-inserted into the state.
+trilateration over sufficiently spread tag positions is well conditioned
+and explains its ranges, then the solution and its (inflated)
+normal-equation covariance are inserted into the state.
 
 The caller owns the state: predict, the updates and landmark init change it
 in place and return the same object. Every update is a sequence of scalar
@@ -48,6 +48,7 @@ MIN_BASELINE = 0.5       # m of tag spread before trilateration is attempted
 MIN_PLANAR_SPREAD = 0.08  # m of spread off the principal line (tag offsets suffice)
 MIRROR_COST_RATIO = 0.8  # accept only if the fit clearly beats its mirror image
 MAX_TRILAT_COND = 1e6
+_GN_ITERS = 15  # Gauss-Newton iterations of a trilateration fit
 # an init whose final fit leaves an RMS residual beyond this many range sigmas
 # has converged to a wrong local minimum (seen: 100 m off from three points)
 MAX_INIT_RMS_SIGMAS = 3.0
@@ -187,11 +188,9 @@ class EkfState:
         return self._xy[self._ang.shape[0]:]
 
     def tag_position(self, model: EkfModel, tag: int) -> np.ndarray:
-        """The world position of one tag, from a peek: bit for bit
-        ``ranging.world_tags`` at the current mean."""
-        c, s, x, y = self._peek(model.tag_robot[tag])
-        bx, by = model.tag_body[tag]
-        return np.array([c * bx - s * by + x, s * bx + c * by + y])
+        """The world position of one tag at the current mean, as ``_place``
+        gives the measurement rows, so without applying the queue."""
+        return np.array(_place(self, model, tag)[2:4])
 
     def last_posterior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ang, pos, landmarks) just before the last ``ekf_predict``'s
@@ -395,6 +394,14 @@ def _range_unit(dx: float, dy: float) -> tuple[float, float, float, bool]:
     return rng, 0.0, 0.0, False
 
 
+def _place(state: EkfState, model: EkfModel, tag: int) -> tuple[float, ...]:
+    """(cos, sin) of a tag's robot heading, the tag's world position and its
+    rotation lever C (S a), as Python floats from a peek of the queued mean."""
+    c, s, rx, ry = state._peek(model.tag_robot[tag])
+    (bx, by), (ax, ay) = model.tag_body[tag], model.tag_perp[tag]
+    return c, s, c * bx - s * by + rx, s * bx + c * by + ry, c * ax - s * ay, s * ax + c * ay
+
+
 def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: Sequence[int],
                       lm_edges: Sequence[tuple[int, int]],
                       ) -> tuple[list[np.ndarray], list[np.ndarray], list[float], list[bool]]:
@@ -409,14 +416,6 @@ def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: Sequence[int],
     raising. Every entry equals the batched ``ranging.range_rows`` bit for bit.
     The endpoints are read through peeks, so no queued correction is applied.
     """
-    peek, robot, body, perp = state._peek, model.tag_robot, model.tag_body, model.tag_perp
-
-    def place(tag: int) -> tuple[float, ...]:
-        # heading cos/sin, world position and rotation lever C (S a) of a tag
-        c, s, rx, ry = peek(robot[tag])
-        (bx, by), (ax, ay) = body[tag], perp[tag]
-        return c, s, c * bx - s * by + rx, s * bx + c * by + ry, c * ax - s * ay, s * ax + c * ay
-
     def block(ux: float, uy: float, c: float, s: float, lx: float, ly: float) -> list[float]:
         # one endpoint's [phi, x, y] entries: u . lever and u^T C
         return [ux * lx + uy * ly, ux * c + uy * s, uy * c - ux * s]
@@ -424,15 +423,15 @@ def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: Sequence[int],
     cols, vals, zhat, valid = [], [], [], []
     for k in rr_idx:
         i, j = model.edge_tags[k]
-        ci, si, xi, yi, lxi, lyi = place(i)
-        cj, sj, xj, yj, lxj, lyj = place(j)
+        ci, si, xi, yi, lxi, lyi = _place(state, model, i)
+        cj, sj, xj, yj, lxj, lyj = _place(state, model, j)
         rng, ux, uy, ok = _range_unit(xi - xj, yi - yj)
         cols.append(model.edge_cols[k])
         vals.append(np.array(block(ux, uy, ci, si, lxi, lyi) + block(-ux, -uy, cj, sj, lxj, lyj)))
         zhat.append(rng)
         valid.append(ok)
     for tag, lm in lm_edges:
-        c, s, x, y, lx, ly = place(tag)
+        c, s, x, y, lx, ly = _place(state, model, tag)
         mx, my = state._peek_landmark(lm)
         rng, ux, uy, ok = _range_unit(x - mx, y - my)
         cols.append(model.lm_cols[tag][lm])
@@ -488,48 +487,48 @@ def ekf_update_gps(state: EkfState, model: EkfModel, measured: np.ndarray,
     return state, True
 
 
-def _gauss_newton(points: np.ndarray, ranges: np.ndarray, start: np.ndarray,
-                  iters: int = 15) -> tuple[np.ndarray, float]:
-    """Refine a trilateration guess; returns (solution, sum squared residual)."""
-    sol = start.copy()
-    for _ in range(iters):
+def _gauss_newton(points: np.ndarray, ranges: np.ndarray,
+                  start: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Refine a trilateration guess; returns (solution, sum squared residual,
+    normal matrix J^T J), the last two at the solution."""
+    sol, settled = start.copy(), False
+    for k in range(_GN_ITERS + 1):  # a last pass evaluates where the steps ended
         diff = sol - points
         dists = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
         resid = dists - ranges
         J = diff / dists[:, None]
+        JtJ = J.T @ J
+        if settled or k == _GN_ITERS:
+            break
         try:
-            step = np.linalg.solve(J.T @ J, J.T @ resid)
+            step = np.linalg.solve(JtJ, J.T @ resid)
         except np.linalg.LinAlgError:
             break
         sol = sol - step
-        if np.linalg.norm(step) < 1e-12:
-            break
-    dists = np.maximum(np.linalg.norm(sol - points, axis=1), 1e-12)
-    return sol, float(np.sum((dists - ranges) ** 2))
+        settled = np.linalg.norm(step) < 1e-12
+    return sol, float(np.sum(resid ** 2)), JtJ
 
 
-def trilaterate(points: np.ndarray, ranges: np.ndarray,
-                iters: int = 15) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nonlinear least-squares point from ranges to known positions.
-
-    Linear closed-form start, Gauss-Newton refinement. Returns (solution,
-    normal-matrix inverse, condition number of the normal matrix).
-    """
-    points = np.asarray(points, dtype=np.float64)
-    ranges = np.asarray(ranges, dtype=np.float64)
+def _trilaterate(points: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Linear closed-form start, then one Gauss-Newton fit: ``_gauss_newton``'s
+    (solution, sum squared residual, normal matrix)."""
     p0, d0 = points[0], ranges[0]
     A = 2.0 * (points[1:] - p0)
     b = (np.einsum("ij,ij->i", points[1:], points[1:]) - p0 @ p0
          - ranges[1:] ** 2 + d0 ** 2)
     start, *_ = np.linalg.lstsq(A, b, rcond=None)
-    sol, _ = _gauss_newton(points, ranges, start, iters)
-    diff = sol - points
-    dists = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
-    J = diff / dists[:, None]
-    JtJ = J.T @ J
-    cond = float(np.linalg.cond(JtJ))
-    cov = np.linalg.pinv(JtJ)
-    return sol, cov, cond
+    return _gauss_newton(points, ranges, start)
+
+
+def trilaterate(points: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nonlinear least-squares point from ranges to known positions.
+
+    Returns (solution, normal-matrix inverse, condition number of the normal
+    matrix) of ``_trilaterate``'s fit.
+    """
+    sol, _, JtJ = _trilaterate(np.asarray(points, dtype=np.float64),
+                               np.asarray(ranges, dtype=np.float64))
+    return sol, np.linalg.pinv(JtJ), float(np.linalg.cond(JtJ))
 
 
 @dataclass
@@ -586,10 +585,10 @@ def landmark_init(state: EkfState, model: EkfModel, lm: int,
     """Try delayed initialization from buffered (tag position, range) pairs, in place.
 
     Requires at least 3 entries spanning a baseline over MIN_BASELINE with
-    genuine 2D spread, a well-conditioned trilateration whose fit leaves an
-    RMS residual within MAX_INIT_RMS_SIGMAS, and a clear win over the
-    mirror-image solution (ranges from near-collinear points admit a
-    reflected fit); otherwise the buffer keeps growing.
+    genuine 2D spread, a well-conditioned trilateration whose fit, continued
+    from its solution, leaves an RMS residual within MAX_INIT_RMS_SIGMAS, and
+    a clear win over the mirror-image solution (ranges from near-collinear
+    points admit a reflected fit); otherwise the buffer keeps growing.
     """
     if state.initialized[lm]:
         raise ValueError(f"landmark {lm} already initialized")
@@ -598,13 +597,15 @@ def landmark_init(state: EkfState, model: EkfModel, lm: int,
         return state, False
     points = np.asarray(buffer.points)
     ranges = np.asarray(buffer.ranges)
-    sol, cov, cond = trilaterate(points, ranges)
-    if cond > MAX_TRILAT_COND or not np.all(np.isfinite(sol)):
+    sol, _, JtJ = _trilaterate(points, ranges)
+    if np.linalg.cond(JtJ) > MAX_TRILAT_COND or not np.all(np.isfinite(sol)):
         return state, False
-    _, cost = _gauss_newton(points, ranges, sol)
+    # the residual is read where the fit goes on to from sol: a fit that has
+    # not settled in _GN_ITERS iterations can end a metre or more from it
+    _, cost, _ = _gauss_newton(points, ranges, sol)
     if np.sqrt(cost / len(ranges)) > MAX_INIT_RMS_SIGMAS * sigma:
         return state, False  # the fit does not explain its own ranges
-    mirror, mirror_cost = _gauss_newton(points, ranges, buffer.principal_reflection(sol))
+    mirror, mirror_cost, _ = _gauss_newton(points, ranges, buffer.principal_reflection(sol))
     if np.linalg.norm(mirror - sol) > 0.05 and cost > MIRROR_COST_RATIO * mirror_cost:
         return state, False  # ambiguous: the reflected fit is competitive
     state.landmarks[lm] = sol
@@ -612,5 +613,5 @@ def landmark_init(state: EkfState, model: EkfModel, lm: int,
     c = model.lm_col(lm)
     state.P[c:c + 2, :] = 0.0
     state.P[:, c:c + 2] = 0.0
-    state.P[c:c + 2, c:c + 2] = INIT_COV_INFLATION * sigma ** 2 * cov
+    state.P[c:c + 2, c:c + 2] = INIT_COV_INFLATION * sigma ** 2 * np.linalg.pinv(JtJ)
     return state, True

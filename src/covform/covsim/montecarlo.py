@@ -83,18 +83,18 @@ METRIC_KEYS = ("landmark1_error", "landmark2_error",
                "interrobot_att_rmse", "interrobot_pos_rmse")
 
 
-def reduction_table(aggregates: dict[str, dict], baseline: str,
-                    which: str = "filtered") -> dict[str, dict[str, float | None]]:
-    """Percentage reduction in median metrics relative to a baseline formation."""
+def reduction_table(aggregates: dict[str, dict],
+                    baseline: str) -> dict[str, dict[str, float | None]]:
+    """Percentage reduction in the filtered median metrics against a baseline formation."""
     if baseline not in aggregates:
         raise ValueError(f"baseline {baseline!r} missing from aggregates")
-    base = aggregates[baseline][which]
+    base = aggregates[baseline]["filtered"]
     out: dict[str, dict[str, float | None]] = {}
     for name, agg in aggregates.items():
         row: dict[str, float | None] = {}
         for key in METRIC_KEYS:
             b = base.get(key, {}).get("median")
-            m = agg[which].get(key, {}).get("median")
+            m = agg["filtered"].get(key, {}).get("median")
             row[key] = None if (b in (None, 0.0) or m is None) else 100.0 * (1.0 - m / b)
         out[name] = row
     return out

@@ -39,6 +39,8 @@ from covform.team import RangeGraph, TeamConfig
 TRUTH_CHUNK = 512
 # replay steps per block of transitions (64 robots: 2.4 MB of F)
 PREDICT_CHUNK = 512
+# truth steps per row of the trajectory CSV
+CSV_EVERY = 5
 
 
 @dataclass
@@ -299,11 +301,6 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     lm_var = np.zeros((K + 1, L, 2))
     lm_init_log = np.zeros((K + 1, L), dtype=bool)
 
-    def record_mean(k: int, ang: np.ndarray, pos: np.ndarray, landmarks: np.ndarray) -> None:
-        est_ang[k] = ang
-        est_pos[k] = pos
-        lm_est[k] = landmarks
-
     def record_cov(k: int) -> None:
         lm_var[k] = np.diag(state.P)[3 * n:].reshape(L, 2)
         lm_init_log[k] = state.initialized
@@ -317,7 +314,7 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
         if j == 0:
             phi, t, F = transitions(truth.u_cmd[k - 1:k - 1 + PREDICT_CHUNK], dt)
         state = ekf_predict(state, model, phi[j], t[j], F[j], Q)
-        record_mean(k - 1, *state.last_posterior())
+        est_ang[k - 1], est_pos[k - 1], lm_est[k - 1] = state.last_posterior()
         for m in range(range_at[k], range_at[k + 1]):
             slot, z = slots[m], sched.z[m:m + 1]
             if slot < n_edges:
@@ -339,7 +336,7 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
             n_rejected_gps += not ok
 
         record_cov(k)
-    record_mean(K, state.ang, state.pos, state.landmarks)
+    est_ang[K], est_pos[K], lm_est[K] = state.ang, state.pos, state.landmarks
 
     # inter-robot errors: headings and positions relative to robot 1, the
     # latter resolved in robot 1's frame, estimate against truth
@@ -363,7 +360,8 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
                       if np.any(post_init) else 0.0)
     bad = (not np.isfinite(att_rmse) or not np.isfinite(prmse)
            or prmse > config.divergence_threshold
-           or any(e > config.divergence_threshold for e in final_lm))
+           or any(e > config.divergence_threshold
+                  for e, seen in zip(final_lm, state.initialized) if seen))
     metrics = SimMetrics(
         coverage_time=float(truth.coverage_time),
         interrobot_att_rmse=att_rmse,
@@ -381,8 +379,9 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     return metrics
 
 
-def dump_trajectory_csv(path, artifacts: TrialArtifacts, every: int = 5) -> None:
-    """Plot-ready CSV: truth and estimated poses plus landmark 3-sigma bands."""
+def dump_trajectory_csv(path, artifacts: TrialArtifacts) -> None:
+    """Plot-ready CSV: truth and estimated poses plus landmark 3-sigma bands,
+    every CSV_EVERY-th truth step."""
     truth = artifacts.truth
     n = truth.ang.shape[1]
     L = artifacts.lm_est.shape[1]
@@ -394,7 +393,7 @@ def dump_trajectory_csv(path, artifacts: TrialArtifacts, every: int = 5) -> None
         cols += [f"lm{l}_est_x", f"lm{l}_est_y", f"lm{l}_3sig_x", f"lm{l}_3sig_y"]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(0, truth.ang.shape[0], every):
+        for k in range(0, truth.ang.shape[0], CSV_EVERY):
             row = [truth.t[k]]
             for p in range(n):
                 row += [truth.pos[k, p, 0], truth.pos[k, p, 1], truth.ang[k, p],

@@ -81,12 +81,6 @@ def frames(C: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([np.zeros(lead + (2,)), r], axis=-2))
 
 
-def world_tags(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """World positions (...,T,2) of every tag for robot rotations C (...,N,2,2)
-    and positions r (...,N,2)."""
-    return _matvec(C[..., idx.tag_robot, :, :], idx.tag_body) + r[..., idx.tag_robot, :]
-
-
 _NO_POINTS = np.zeros((0, 2))
 
 

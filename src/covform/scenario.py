@@ -196,10 +196,9 @@ def _build_optimizer(cfg: dict) -> OptimizerConfig:
 
 
 def _build_sim(cfg: dict) -> SimConfig:
-    passthrough = ("dt_truth", "range_rate", "gps_rate", "gps_sigma", "range_sigma",
-                   "landmark_detection_radius", "waypoint_tolerance", "formation_gate",
-                   "seed", "max_sim_time", "noise_scale", "init_pos_sigma",
-                   "init_att_sigma", "divergence_threshold")
+    # every field but the five the section spells its own way is a number under its name
+    own_way = {"area", "landmark_positions", "vel_noise_omega", "vel_noise_v", "gains"}
+    passthrough = [f.name for f in fields(SimConfig) if f.name not in own_way]
     _section(cfg, "sim", set(passthrough) | {"area", "landmarks", "vel_noise", "gains"})
     kw: dict[str, Any] = {}
     if "area" in cfg:

@@ -21,13 +21,10 @@ SMALL_ANGLE = 1e-7
 # Rotation matrices are re-projected onto SO(2) after this many composes.
 RENORMALIZE_EVERY = 100
 
-_S = np.array([[0.0, -1.0], [1.0, 0.0]])  # 90 deg rotation generator
-
 
 def rot2(phi: float) -> np.ndarray:
-    """2x2 rotation matrix for angle phi."""
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]])
+    """2x2 rotation matrix for angle phi: the 0-d case of ``_rot_many``."""
+    return _rot_many(np.asarray(phi, dtype=np.float64))
 
 
 def wrap_angle(phi):
@@ -125,17 +122,6 @@ def inverse(A: Pose2) -> Pose2:
     return Pose2(Ct.copy(), -(Ct @ A.r), ops=A._ops + 1)
 
 
-def adjoint(T: Pose2) -> np.ndarray:
-    """3x3 adjoint of T under the [phi, rho] twist ordering.
-
-    Satisfies T * exp(xi) = exp(Ad_T xi) * T.
-    """
-    A = np.eye(3)
-    A[1:, 0] = -(_S @ T.r)
-    A[1:, 1:] = T.C
-    return A
-
-
 class FormationState:
     """Ordered poses of robots 2..N relative to robot 1.
 
@@ -144,7 +130,7 @@ class FormationState:
     optimizer loop vectorized.
     """
 
-    __slots__ = ("C", "r", "_ops", "_pos")
+    __slots__ = ("C", "r", "_ops")
 
     def __init__(self, C: np.ndarray, r: np.ndarray, ops: int = 0):
         C = np.asarray(C, dtype=np.float64)
@@ -159,7 +145,6 @@ class FormationState:
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "_ops", ops)
-        object.__setattr__(self, "_pos", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FormationState is immutable")
@@ -193,16 +178,9 @@ class FormationState:
 
     def positions(self) -> np.ndarray:
         """(N,2) robot origins in robot 1's frame; row 0 is robot 1."""
-        if self._pos is None:
-            out = np.zeros((self.C.shape[0] + 1, 2))
-            out[1:] = self.r
-            out.flags.writeable = False
-            object.__setattr__(self, "_pos", out)
-        return self._pos
-
-    def headings(self) -> np.ndarray:
-        """(N,) heading angles; entry 0 is robot 1's zero."""
-        return np.concatenate([[0.0], np.arctan2(self.C[:, 1, 0], self.C[:, 0, 0])])
+        out = np.zeros((self.C.shape[0] + 1, 2))
+        out[1:] = self.r
+        return out
 
     def _check_id(self, robot_id: int) -> None:
         if not 1 <= robot_id <= self.n_robots:

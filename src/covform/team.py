@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Tag placements measured on the experiment platforms (x, y in the body
-# frame, meters); the 0.5 m camera radius is the simulation value and
-# 0.7 m the experiment one.
+# frame, meters); the 0.5 m camera radius is the simulation value (the
+# exp3plus2 preset sets the experiment's 0.7 m).
 DEFAULT_TAG_OFFSETS = ((0.17, -0.17), (-0.17, 0.17))
 SIM_CAMERA_RADIUS = 0.5
-EXPERIMENT_CAMERA_RADIUS = 0.7
 DEFAULT_RANGE_SIGMA = 0.1
 
 

@@ -1,6 +1,7 @@
-"""Helpers only the tests use: scalar pose constructors, the one-pair
-collision barrier, the scalar composition of the objective and a plain
-multistart over ``optimizer.minimize``."""
+"""Helpers only the tests use: scalar pose constructors, the SE(2) adjoint,
+every tag's world position, the one-pair collision barrier, the scalar
+composition of the objective and a plain multistart over
+``optimizer.minimize``."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import numpy as np
 
 from covform import costs, se2
 from covform.optimizer import OptimizationTrace, OptimizerConfig, minimize, random_formation
+from covform.ranging import _EdgeIndex
 
 
 def from_angle(phi: float, r=(0.0, 0.0)) -> se2.Pose2:
@@ -17,11 +19,28 @@ def from_angle(phi: float, r=(0.0, 0.0)) -> se2.Pose2:
     return se2.Pose2(se2.rot2(phi), np.asarray(r, dtype=np.float64))
 
 
+def adjoint(T: se2.Pose2) -> np.ndarray:
+    """3x3 adjoint of T under the [phi, rho] twist ordering, which satisfies
+    T * exp(xi) = exp(Ad_T xi) * T: the oracle of ``ekf.transitions``' F."""
+    S = np.array([[0.0, -1.0], [1.0, 0.0]])  # 90 deg rotation generator
+    A = np.eye(3)
+    A[1:, 0] = -(S @ T.r)
+    A[1:, 1:] = T.C
+    return A
+
+
 def from_poses(poses: list[se2.Pose2]) -> se2.FormationState:
     """Formation of robots 2..N from their poses relative to robot 1."""
     if not poses:
         raise ValueError("a formation needs at least one non-reference robot")
     return se2.FormationState(np.array([p.C for p in poses]), np.array([p.r for p in poses]))
+
+
+def world_tags(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """World positions (...,T,2) of every tag for robot rotations C (...,N,2,2)
+    and positions r (...,N,2): the oracle of the tag placement in
+    ``ranging.range_rows`` and ``EkfState.tag_position``."""
+    return se2._matvec(C[..., idx.tag_robot, :, :], idx.tag_body) + r[..., idx.tag_robot, :]
 
 
 def j_col_pair(x: se2.FormationState, m: int, n: int,

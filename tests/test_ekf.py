@@ -20,20 +20,20 @@ from covform.covsim.ekf import (
     transitions,
     trilaterate,
 )
-from covform.ranging import range_rows, world_tags
+from covform.ranging import range_rows
 from covform.scenario import load_scenario
 from covform.se2 import (
     SMALL_ANGLE,
     Pose2,
     _matvec,
     _rot_many,
-    adjoint,
     compose,
     exp,
     exp_step,
     rot2,
 )
 from covform.team import TeamConfig, default_full_graph
+from helpers import adjoint, world_tags
 from test_montecarlo import preset_line
 from test_ranging import dense_range_rows
 

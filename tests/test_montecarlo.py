@@ -90,6 +90,19 @@ class TestMonteCarlo:
         assert np.isfinite(m.interrobot_pos_rmse) and not m.diverged
         assert agg["trials"] == 1 and "landmark1_error" not in agg["raw"]
 
+    def test_landmark_never_initialized_does_not_flag_divergence(self):
+        # cut at 2 s, the trial never sees landmark 2, whose error stays at
+        # the inf sentinel; only the estimates it has count against the threshold
+        sc, x = preset_line("sim5")
+        config = replace(sc.sim, seed=3, max_sim_time=2.0)
+        m = run_coverage_sim(sc.team, sc.graph, x, config)
+        assert m.landmark_errors[1] == math.inf and not m.diverged
+        assert m.interrobot_pos_rmse < 0.3 < m.landmark_errors[0]
+        for threshold in (1e-6, 0.3):  # below the position RMSE, then landmark 1's alone
+            cut = run_coverage_sim(sc.team, sc.graph, x,
+                                   replace(config, divergence_threshold=threshold))
+            assert cut.diverged, threshold
+
     def test_rejects_zero_trials(self):
         team, graph, x, cfg = small_setup()
         with pytest.raises(ValueError, match="trials"):

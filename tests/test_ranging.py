@@ -3,7 +3,7 @@ import pytest
 
 from covform import ranging, se2
 from covform.team import RangeGraph, TeamConfig, default_full_graph
-from helpers import from_angle, from_poses
+from helpers import from_angle, from_poses, world_tags
 
 
 def random_state(rng, n_robots, spread=4.0, min_sep=0.3):
@@ -72,7 +72,7 @@ def dense_range_rows(idx, C, r, tag_i, tag_j, points=np.zeros((0, 2))):
 def world_tag(x, team, tag_id):
     """The vectorized world tag position of one tag."""
     idx = ranging._edge_index(team, RangeGraph((), ()))
-    return ranging.world_tags(idx, *ranging.frames(x.C, x.r))[tag_id - 1]
+    return world_tags(idx, *ranging.frames(x.C, x.r))[tag_id - 1]
 
 
 class TestTagPosition:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import fields
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -19,6 +20,7 @@ from covform.cli import (
     load_formation_file,
     main,
 )
+from covform.covsim import SimConfig
 from covform.scenario import (
     MAX_ROBOTS,
     MAX_TAGS_PER_ROBOT,
@@ -75,6 +77,24 @@ class TestScenarioValidation:
         doc = minimal_doc()
         doc["sim"] = {"bogus_rate": 1.0}
         with pytest.raises(ScenarioError, match="sim.*bogus_rate"):
+            build_scenario(doc)
+
+    def test_each_plain_sim_field_reaches_sim_config(self):
+        # every SimConfig field but the five the section spells its own way is
+        # read under its own name, as a number of its default's type
+        own_way = {"area", "landmark_positions", "vel_noise_omega", "vel_noise_v", "gains"}
+        names = [f.name for f in fields(SimConfig) if f.name not in own_way]
+        sim = {name: 2 * getattr(SimConfig, name) + 1 for name in names}
+        got = build_scenario({**minimal_doc(), "sim": sim}).sim
+        for name in names:
+            value = getattr(got, name)
+            assert value == sim[name] and type(value) is type(getattr(SimConfig, name)), name
+
+    @pytest.mark.parametrize("key", ["landmark_positions", "vel_noise_omega", "vel_noise_v"])
+    def test_sim_fields_spelled_otherwise_are_unknown_keys(self, key):
+        doc = minimal_doc()
+        doc["sim"] = {key: 1.0}
+        with pytest.raises(ScenarioError, match=rf"^sim: unknown fields \['{key}'\]"):
             build_scenario(doc)
 
     def test_unknown_gps_robot(self):
