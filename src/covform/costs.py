@@ -54,7 +54,7 @@ def _neg_logdet(F: np.ndarray) -> np.ndarray:
 
 def est_many(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
     """est term of B stacked formations from their N frames (see ``ranging.frames``)."""
-    return _neg_logdet(fisher_many(idx, jacobian_many(idx, C, r)))
+    return _neg_logdet(fisher_many(jacobian_many(idx, C, r, weighted=True)))
 
 
 def j_est(x: FormationState, team: TeamConfig, graph: RangeGraph) -> float:
@@ -185,6 +185,10 @@ class Objective:
         """Unweighted (adj, overlap, est, col) rows (B,4) of B formations stacked
         as C (B,N-1,2,2), r (B,N-1,2); a zero-weight term is 0."""
         return np.column_stack([np.broadcast_to(t, len(C)) for t in self._terms(C, r)[1]])
+
+    @property
+    def row_bytes(self) -> int:  # one formation's dense Jacobian, the largest array of many
+        return 24 * self.graph.n_edges * self.team.n_robots
 
     def many(self, C: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Objective of B formations stacked as C (B,N-1,2,2), r (B,N-1,2) -> (B,)."""

@@ -14,12 +14,16 @@ evaluable, not differentiable in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from covform.costs import SATURATION
-from covform.se2 import FormationState, _rot_many, oplus, oplus_many
+from covform.se2 import FormationState, _rot_many, compose_many, exp_many, oplus
+
+# gradient_fd's probe stack goes to ``many`` in blocks of at most this many row_bytes
+PROBE_BLOCK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -55,19 +59,27 @@ class OptimizationTrace:
         return len(self.iterates)
 
 
+@lru_cache(maxsize=16)
+def _probe_exps(dim: int, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp_many of the probes +step e_0, -step e_0, +step e_1, ..., built once."""
+    probes = np.zeros((dim, 2, dim))
+    probes[np.arange(dim), :, np.arange(dim)] = (step, -step)
+    return exp_many(probes.reshape(2 * dim, dim))
+
+
 def gradient_fd(cost: Callable[[FormationState], float], x: FormationState,
                 step: float) -> tuple[float, np.ndarray]:
     """Cost at x and its central-difference gradient along each perturbation axis.
 
     x itself (as row 0, not re-projected) and the probes +e_0, -e_0, +e_1, ...,
-    built in one stacked retraction, are evaluated by one call of the cost's
-    ``many`` if it has one, else by ``cost(x)`` and then one probe at a time.
+    x times their cached exps, go to the cost's ``many`` if it has one, in row
+    blocks (values as one call's); else to ``cost(x)``, then probe by probe.
     """
-    probes = np.zeros((x.dim, 2, x.dim))
-    probes[np.arange(x.dim), :, np.arange(x.dim)] = (step, -step)
-    C, r, ops = oplus_many(x, probes.reshape(2 * x.dim, x.dim))
+    C, r, ops = compose_many(x, *_probe_exps(x.dim, step))
     if hasattr(cost, "many"):
-        vals = cost.many(np.concatenate([x.C[None], C]), np.concatenate([x.r[None], r]))
+        C, r = np.concatenate([x.C[None], C]), np.concatenate([x.r[None], r])
+        n = max(1, PROBE_BLOCK_BYTES // getattr(cost, "row_bytes", 1))
+        vals = np.concatenate([cost.many(C[k:k + n], r[k:k + n]) for k in range(0, len(C), n)])
         value, vals = float(vals[0]), vals[1:]
     else:
         value = cost(x)

@@ -14,13 +14,13 @@ with S the 90-degree generator. A range row for edge (i, j) is then
 (rho_ij / |rho_ij|)^T times the position Jacobians, positive for the
 endpoint on robot p and negative for the one on robot q. ``range_rows``
 builds each row as these two 3-column blocks, one per endpoint robot,
-batched over rows and stacked formations. The design scatters them into a
-dense Jacobian and drops robot 1's columns (robot 1 is the reference, not
-a state there). The EKF builds the same rows one event at a time from
-Python floats (``covsim.ekf._measurement_rows``) and folds each in over its
-six columns alone; its tests hold those rows equal to ``range_rows`` bit
-for bit. Everything is validated against central finite differences in
-the tests.
+batched over rows and stacked formations, each tag placed once. The design
+scatters them into dense Jacobians, drops robot 1's columns (robot 1 is the
+reference, not a state there) and takes all FIMs in one product. The EKF
+builds the same rows one event at a time from Python floats
+(``covsim.ekf._measurement_rows``) and folds each in over its six columns
+alone; its tests hold those rows equal to ``range_rows`` bit for bit.
+Everything is validated against central finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from covform.se2 import FormationState, _matvec
+from covform.se2 import FormationState
 from covform.team import RangeGraph, TeamConfig
 
 # Range rows are undefined below this separation (norm gradient blows up).
@@ -49,6 +49,8 @@ class _EdgeIndex:
     edge_i: np.ndarray      # (E,) flat tag index of first endpoint
     edge_j: np.ndarray
     sigma: np.ndarray       # (E,)
+    block_flat: np.ndarray  # (2E,3) index in a flat (E,3N) Jacobian of each range_rows block
+    block_sigma: np.ndarray  # (2E,1) the sigma of each block's row
 
 
 @lru_cache(maxsize=64)
@@ -66,11 +68,13 @@ def _edge_index(team: TeamConfig, graph: RangeGraph) -> _EdgeIndex:
         k = int(np.argmax(same))
         raise ValueError(
             f"edge {graph.edges[k]} connects two tags on robot {tag_robot[edge_i[k]] + 1}")
+    tag_cols, sigma = 3 * tag_robot[:, None] + np.arange(3), np.asarray(graph.sigmas, float)
+    rows = np.tile(np.arange(edge_i.shape[0]), 2)[:, None]
     return _EdgeIndex(
         n_robots=team.n_robots, tag_robot=tag_robot, tag_body=tag_body, tag_perp=tag_perp,
-        tag_cols=3 * tag_robot[:, None] + np.arange(3), edge_i=edge_i, edge_j=edge_j,
-        sigma=np.asarray(graph.sigmas, dtype=np.float64),
-    )
+        tag_cols=tag_cols, edge_i=edge_i, edge_j=edge_j, sigma=sigma,
+        block_flat=3 * team.n_robots * rows + tag_cols[np.concatenate([edge_i, edge_j])],
+        block_sigma=np.tile(sigma, 2)[:, None])
 
 
 def frames(C: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,80 +90,72 @@ _NO_POINTS = np.zeros((0, 2))
 
 def range_rows(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray, tag_i: np.ndarray,
                tag_j: np.ndarray, points: np.ndarray = _NO_POINTS,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Range rows as two 3-column blocks [phi, x, y] per row, one per endpoint robot.
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Range rows as 3-column blocks [phi, x, y], one per endpoint robot.
 
-    Row k ranges from tag tag_i[k] to tag tag_j[k] for the first len(tag_j)
-    rows, and to the fixed point points[k - len(tag_j)] after them. Returns
-    (Hi (M, 3) on robot tag_robot[tag_i], Hj (M, 3) on robot tag_robot[tag_j]
-    and zero for point rows, ranges (M,), unit vectors (M,2), validity mask
-    (M,)); a row whose range is not above DEGENERATE_RANGE is invalid and has
-    unit 0. Only the endpoint tags are placed. Batch axes leading C and r lead
-    every output; points need unbatched poses.
+    Row k ranges from tag tag_i[k] to tag tag_j[k] for the first E =
+    len(tag_j) rows, and to the fixed point points[k - E] after them.
+    Returns (blocks (M + E, 3), row k's block on robot tag_robot[tag_i[k]]
+    at k and on robot tag_robot[tag_j[k]] at M + k; ranges (M,); unit
+    vectors (M,2); validity mask (M,)); a row whose range is not above
+    DEGENERATE_RANGE is invalid and has unit 0. Each tag is placed once.
+    Batch axes leading C and r lead every output; points need unbatched poses.
     """
-    m, e = tag_i.shape[0], tag_j.shape[0]
-    tags = np.concatenate([tag_i, tag_j])
-    robots = idx.tag_robot[tags]
-    Ct = C[..., robots, :, :]
-    pos = _matvec(Ct, idx.tag_body[tags]) + r[..., robots, :]
-    # rotation derivative of each endpoint tag position: C_p (S a)
-    lever = _matvec(Ct, idx.tag_perp[tags])
+    at = lambda v, k: np.take(v, k, axis=-1)  # a C-ordered gather, unlike v[..., k]
+    rot = at(np.moveaxis(C, (-2, -1), (0, 1)), idx.tag_robot)  # (2,2,...,T): C[a, b] per tag
+    a, s = idx.tag_body.T, idx.tag_perp.T
+    pos = rot[:, 0] * a[0] + rot[:, 1] * a[1] + at(np.moveaxis(r, -1, 0), idx.tag_robot)
+    # rotation derivative of each tag position: C_p (S a)
+    lever = rot[:, 0] * s[0] + rot[:, 1] * s[1]
 
-    far = np.concatenate([pos[m:], points]) if points.shape[0] else pos[..., m:, :]
-    diff = pos[..., :m, :] - far
-    rng = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
+    far = np.concatenate([at(pos, tag_j), points.T], axis=-1) if points.shape[0] else at(pos, tag_j)
+    diff = at(pos, tag_i) - far
+    rng = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])
     valid = rng > DEGENERATE_RANGE
-    if valid.all():  # the common case needs no masking
-        unit = diff / rng[..., None]
-    else:
-        unit = np.where(valid[..., None], diff / np.where(valid, rng, 1.0)[..., None], 0.0)
+    unit = np.where(valid, diff / np.where(valid, rng, 1.0), 0.0)
 
     # phi column: u . (C S a); rho columns: u^T C; + for tag_i's robot, - for tag_j's
-    u = np.concatenate([unit, -unit[..., :e, :]], axis=-2)
-    blocks = np.empty(u.shape[:-1] + (3,))
-    blocks[..., 0] = u[..., 0] * lever[..., 0] + u[..., 1] * lever[..., 1]
-    blocks[..., 1:] = u[..., 0, None] * Ct[..., 0, :] + u[..., 1, None] * Ct[..., 1, :]
-    Hj = blocks[..., m:, :]
-    if m > e:
-        Hj = np.concatenate([Hj, np.zeros(Hj.shape[:-2] + (m - e, 3))], axis=-2)
-    return blocks[..., :m, :], Hj, rng, unit, valid
+    tags = np.concatenate([tag_i, tag_j])
+    u = np.concatenate([unit, -unit[..., :tag_j.shape[0]]], axis=-1)
+    lev, Ce = at(lever, tags), at(rot, tags)
+    blocks = np.stack([u[0] * lev[0] + u[1] * lev[1], *(u[0] * Ce[0] + u[1] * Ce[1])], axis=-1)
+    return blocks, rng, np.moveaxis(unit, 0, -1), valid
 
 
 def predict_all(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.ndarray:
     """Stacked ranges over the graph's (sorted) edge order."""
     idx = _edge_index(team, graph)
-    return range_rows(idx, *frames(x.C, x.r), idx.edge_i, idx.edge_j)[2]
+    return range_rows(idx, *frames(x.C, x.r), idx.edge_i, idx.edge_j)[1]
 
 
-def jacobian_many(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
+def jacobian_many(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray,
+                  weighted: bool = False) -> np.ndarray:
     """(B, E, 3(N-1)) Jacobians of B stacked formations from their N frames
-    (see ``frames``); raises on the first near-zero range in stack order."""
-    Hi, Hj, rng, _, valid = range_rows(idx, C, r, idx.edge_i, idx.edge_j)
+    (see ``frames``), each row divided by its sigma if ``weighted``; raises
+    on the first near-zero range in stack order."""
+    blocks, rng, _, valid = range_rows(idx, C, r, idx.edge_i, idx.edge_j)
     if not np.all(valid):
         b, k = np.unravel_index(np.argmin(valid), valid.shape)
         edge = (int(idx.edge_i[k]) + 1, int(idx.edge_j[k]) + 1)
         raise ValueError(f"singular geometry: edge {edge} has near-zero range {rng[b, k]:.3g}")
     H = np.zeros(rng.shape + (3 * idx.n_robots,))
-    rows = np.arange(rng.shape[-1])[:, None]
-    H[..., rows, idx.tag_cols[idx.edge_i]] = Hi
-    H[..., rows, idx.tag_cols[idx.edge_j]] = Hj
+    H.reshape(rng.shape[:-1] + (-1,))[..., idx.block_flat] = (
+        blocks / idx.block_sigma if weighted else blocks)
     return H[..., 3:]  # robot 1 is the reference, not a state
 
 
 def jacobian(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.ndarray:
     """(E, 3(N-1)) Jacobian of predict_all wrt the oplus perturbation at zero."""
-    C, r = frames(x.C[None], x.r[None])
-    return jacobian_many(_edge_index(team, graph), C, r)[0]
+    return jacobian_many(_edge_index(team, graph), *frames(x.C[None], x.r[None]))[0]
 
 
-def fisher_many(idx: _EdgeIndex, H: np.ndarray) -> np.ndarray:
-    """FIMs H_b^T R^{-1} H_b (B,D,D), R = diag(sigma_ij^2). One 2-D ``h.T @ h``
-    per formation rounds like the one-formation FIM; a stacked matmul need not."""
-    Hw = H / idx.sigma[:, None]
-    F = np.array([h.T @ h for h in Hw])
-    return 0.5 * (F + F.swapaxes(1, 2))
+def fisher_many(Hw: np.ndarray) -> np.ndarray:
+    """FIMs Hw_b^T Hw_b (B,D,D) of weighted Jacobians Hw = R^{-1/2} H, R = diag(sigma^2),
+    in one product, which numpy takes by BLAS syrk per matrix as for one: each FIM
+    is symmetric, with the bits of its own 2-D ``h.T @ h`` (tests/test_ranging.py)."""
+    return Hw.swapaxes(-1, -2) @ Hw
 
 
 def fisher(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.ndarray:
     """Fisher information of one formation; the one-row case of fisher_many."""
-    return fisher_many(_edge_index(team, graph), jacobian(x, team, graph)[None])[0]
+    return fisher_many(jacobian(x, team, graph) / _edge_index(team, graph).sigma[:, None])

@@ -99,9 +99,8 @@ def exp(xi: np.ndarray) -> Pose2:
     xi = np.asarray(xi, dtype=np.float64)
     if xi.shape != (3,):
         raise ValueError(f"twist must have shape (3,), got {xi.shape}")
-    phi = xi[:1]
-    t = _V_apply(phi, xi[None, 1:], np.sin(phi * 0.5), np.sin(phi))
-    return Pose2(rot2(xi[0]), t[0])
+    R, t = exp_many(xi[None])
+    return Pose2(R[0, 0], t[0, 0])
 
 
 def log(T: Pose2) -> np.ndarray:
@@ -263,13 +262,17 @@ def exp_step(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray,
     return t
 
 
-def oplus_many(x: FormationState, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Right-perturb x by each row of dx (B, 3(N-1)) as :func:`oplus` does: the
-    rotations (B,N-1,2,2), translations (B,N-1,2) and compose count of all B."""
+def exp_many(dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SE(2) exps of the rows of dx (B, 3(N-1)): rotations (B,N-1,2,2), V(phi) rho (B,N-1,2)."""
     d = dx.reshape(dx.shape[0], -1, 3)
     phi = d[..., 0]
-    t = _V_apply(phi, d[..., 1:], np.sin(phi * 0.5), np.sin(phi))
-    C = np.einsum("nij,bnjk->bnik", x.C, _rot_many(phi))
+    return _rot_many(phi), _V_apply(phi, d[..., 1:], np.sin(phi * 0.5), np.sin(phi))
+
+
+def compose_many(x: FormationState, R: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """x right-perturbed by each of B stacked exps (R, t) from ``exp_many``, as
+    :func:`oplus` does: the rotations, translations and compose count of all B."""
+    C = np.einsum("nij,bnjk->bnik", x.C, R)
     r = x.r + np.einsum("nij,bnj->bni", x.C, t)
     if x._ops + 1 > RENORMALIZE_EVERY:
         return _rot_many(np.arctan2(C[..., 1, 0], C[..., 0, 0])), r, 0
@@ -285,7 +288,7 @@ def oplus(x: FormationState, dx: np.ndarray) -> FormationState:
     dx = np.asarray(dx, dtype=np.float64)
     if dx.shape != (x.dim,):
         raise ValueError(f"perturbation must have shape ({x.dim},), got {dx.shape}")
-    C, r, ops = oplus_many(x, dx[None])
+    C, r, ops = compose_many(x, *exp_many(dx[None]))
     return FormationState(C[0], r[0], ops=ops)
 
 

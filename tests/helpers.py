@@ -1,5 +1,6 @@
 """Helpers only the tests use: scalar pose constructors, the SE(2) adjoint,
-every tag's world position, the one-pair collision barrier, the scalar
+every tag's world position, the per-endpoint range rows, Jacobian and
+per-formation FIM of the design, the one-pair collision barrier, the scalar
 composition of the objective and a plain multistart over
 ``optimizer.minimize``."""
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from covform import costs, se2
 from covform.optimizer import OptimizationTrace, OptimizerConfig, minimize, random_formation
-from covform.ranging import _EdgeIndex
+from covform.ranging import DEGENERATE_RANGE, _EdgeIndex
 
 
 def from_angle(phi: float, r=(0.0, 0.0)) -> se2.Pose2:
@@ -41,6 +42,52 @@ def world_tags(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
     and positions r (...,N,2): the oracle of the tag placement in
     ``ranging.range_rows`` and ``EkfState.tag_position``."""
     return se2._matvec(C[..., idx.tag_robot, :, :], idx.tag_body) + r[..., idx.tag_robot, :]
+
+
+def range_rows_gather(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray, tag_i: np.ndarray,
+                      tag_j: np.ndarray, points: np.ndarray = np.zeros((0, 2))):
+    """Oracle of ``ranging.range_rows``, with its outputs: every one of the
+    M + E endpoints placed from its own (..., M + E, 2, 2) gather of the
+    robot rotations, as the design did before tags were placed once each."""
+    m, e = tag_i.shape[0], tag_j.shape[0]
+    tags = np.concatenate([tag_i, tag_j])
+    robots = idx.tag_robot[tags]
+    Ct = C[..., robots, :, :]
+    pos = se2._matvec(Ct, idx.tag_body[tags]) + r[..., robots, :]
+    lever = se2._matvec(Ct, idx.tag_perp[tags])
+    far = np.concatenate([pos[m:], points]) if points.shape[0] else pos[..., m:, :]
+    diff = pos[..., :m, :] - far
+    rng = np.sqrt(diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
+    valid = rng > DEGENERATE_RANGE
+    unit = np.where(valid[..., None], diff / np.where(valid, rng, 1.0)[..., None], 0.0)
+    u = np.concatenate([unit, -unit[..., :e, :]], axis=-2)
+    blocks = np.empty(u.shape[:-1] + (3,))
+    blocks[..., 0] = u[..., 0] * lever[..., 0] + u[..., 1] * lever[..., 1]
+    blocks[..., 1:] = u[..., 0, None] * Ct[..., 0, :] + u[..., 1, None] * Ct[..., 1, :]
+    return blocks, rng, unit, valid
+
+
+def jacobian_gather(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Oracle of ``ranging.jacobian_many``: the blocks of ``range_rows_gather``
+    scattered one endpoint at a time, with the same error on a degenerate row."""
+    blocks, rng, _, valid = range_rows_gather(idx, C, r, idx.edge_i, idx.edge_j)
+    if not np.all(valid):
+        b, k = np.unravel_index(np.argmin(valid), valid.shape)
+        edge = (int(idx.edge_i[k]) + 1, int(idx.edge_j[k]) + 1)
+        raise ValueError(f"singular geometry: edge {edge} has near-zero range {rng[b, k]:.3g}")
+    e = idx.edge_i.shape[0]
+    H = np.zeros(rng.shape + (3 * idx.n_robots,))
+    rows = np.arange(e)[:, None]
+    H[..., rows, idx.tag_cols[idx.edge_i]] = blocks[..., :e, :]
+    H[..., rows, idx.tag_cols[idx.edge_j]] = blocks[..., e:, :]
+    return H[..., 3:]
+
+
+def fisher_loop(Hw: np.ndarray) -> np.ndarray:
+    """Oracle of ``ranging.fisher_many``: one 2-D ``h.T @ h`` per weighted
+    Jacobian of the stack, symmetrized."""
+    F = np.array([h.T @ h for h in Hw])
+    return 0.5 * (F + F.swapaxes(1, 2))
 
 
 def j_col_pair(x: se2.FormationState, m: int, n: int,

@@ -92,17 +92,17 @@ def batched_measurement_rows(state, model, rr_idx, lm_edges):
     idx = model.index
     lm_tag, lm = np.asarray(lm_edges, dtype=np.intp).reshape(-1, 2).T
     near, far = idx.edge_i[rr_idx], idx.edge_j[rr_idx]
-    Hi, Hj, rng, unit, valid = range_rows(idx, _rot_many(state.ang), state.pos,
+    blocks, rng, unit, valid = range_rows(idx, _rot_many(state.ang), state.pos,
                                           np.concatenate([near, lm_tag]), far, state.landmarks[lm])
-    e = rr_idx.shape[0]
+    e, m = rr_idx.shape[0], rng.shape[0]
     cols, vals = [], []
     if e:
         cols += list(np.concatenate([idx.tag_cols[near], idx.tag_cols[far]], axis=1))
-        vals += list(np.concatenate([Hi[:e], Hj[:e]], axis=1))
+        vals += list(np.concatenate([blocks[:e], blocks[m:]], axis=1))
     if lm.shape[0]:
         cols += list(np.concatenate([idx.tag_cols[lm_tag], model.lm_col(lm)[:, None] + np.arange(2)],
                                     axis=1))
-        vals += list(np.concatenate([Hi[e:], -unit[e:]], axis=1))
+        vals += list(np.concatenate([blocks[e:m], -unit[e:]], axis=1))
     return cols, vals, rng, valid
 
 

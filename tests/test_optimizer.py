@@ -1,9 +1,13 @@
+import copy
+import json
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from covform import costs, se2
+from covform import cli, costs, optimizer, se2
 from covform.assignment import sort_robot_ids
 from covform.optimizer import (
     OptimizationTrace,
@@ -13,8 +17,9 @@ from covform.optimizer import (
     random_formation,
 )
 from covform.ranging import _edge_index, frames
-from covform.scenario import load_scenario
-from covform.team import CostWeights, FormationSpec, RangeGraph, RobotSpec, SortedIds, TeamConfig
+from covform.scenario import PRESETS, build_scenario, load_scenario
+from covform.team import (CostWeights, FormationSpec, RangeGraph, RobotSpec, SortedIds, TeamConfig,
+                          default_full_graph)
 from helpers import from_angle, from_poses, minimize_multistart, scalar_cost
 
 
@@ -196,7 +201,7 @@ class TestStackedProbesMatchLoop:
         for kind in ("opt", "cov"):
             cost = costs.cost_function(kind, team, graph, spec, s)
             probes = np.repeat(np.eye(3), 2, axis=0) * np.tile([1e-6, -1e-6], 3)[:, None]
-            C, r, _ = se2.oplus_many(x, probes)
+            C, r, _ = se2.compose_many(x, *se2.exp_many(probes))
             est = costs.est_many(_edge_index(team, graph), *frames(C, r))
             assert np.sum(est == costs.SATURATION) == 2 and np.all(np.isfinite(est))
             assert_matches_loop(cost, x)
@@ -395,6 +400,94 @@ class TestGradient:
 
         with pytest.raises(ValueError, match="coordinate 2"):
             gradient_fd(bad, x, 1e-6)
+
+
+class Counted:
+    """An Objective whose ``many`` calls are counted."""
+
+    def __init__(self, objective):
+        self.objective, self.row_bytes, self.calls = objective, objective.row_bytes, 0
+
+    def __call__(self, x):
+        return self.objective(x)
+
+    def many(self, C, r):
+        self.calls += 1
+        return self.objective.many(C, r)
+
+
+class TestProbeBlocks:
+    def test_probe_exps_built_once_per_dim_and_step(self):
+        R, t = optimizer._probe_exps(12, 1e-6)
+        assert optimizer._probe_exps(12, 1e-6)[0] is R
+        # the probes +1e-6 e_0, -1e-6 e_0, ... as gradient_fd built them at every
+        # call, +0.0 off the axis
+        probes = np.zeros((12, 2, 12))
+        probes[np.arange(12), :, np.arange(12)] = (1e-6, -1e-6)
+        R_want, t_want = se2.exp_many(probes.reshape(24, 12))
+        assert R.tobytes() == R_want.tobytes() and t.tobytes() == t_want.tobytes()
+        assert optimizer._probe_exps(12, 1e-5)[1].tobytes() != t.tobytes()
+
+    @pytest.mark.parametrize("preset", ["sim5", "exp3plus2", "bridge7"])
+    def test_row_blocks_equal_one_call(self, preset, monkeypatch):
+        sc = load_scenario(preset)
+        x = random_formation(sc.team.n_robots, np.random.default_rng(17))
+        objective = costs.cost_function("cov", sc.team, sc.graph, sc.formation,
+                                        SortedIds.identity(sc.team))
+        one = Counted(objective)
+        value, g = gradient_fd(one, x, 1e-6)
+        assert one.calls == 1  # the presets' probe stacks are one block
+        for rows in (1, 3, 2 * x.dim):
+            monkeypatch.setattr(optimizer, "PROBE_BLOCK_BYTES", rows * objective.row_bytes)
+            blocked = Counted(objective)
+            value_b, g_b = gradient_fd(blocked, x, 1e-6)
+            assert blocked.calls == -(-(2 * x.dim + 1) // rows)
+            assert f64(value_b) == f64(value) and g_b.tobytes() == g.tobytes()
+
+    def test_memory_is_bounded_on_24_robots(self):
+        # the default two-tag team on its full graph, 1,104 edges: one stacked
+        # call over all 139 rows peaked at 184 MB
+        n = 24
+        team = TeamConfig.uniform(n)
+        cost = costs.cost_function("cov", team, default_full_graph(team), FormationSpec.line(n),
+                                   SortedIds.identity(team))
+        rng = np.random.default_rng(5)
+        grid = np.array([(2.0 * (k % 5), 2.0 * (k // 5)) for k in range(1, n)])
+        x = se2.FormationState(se2._rot_many(rng.uniform(-np.pi, np.pi, n - 1)),
+                               grid + rng.uniform(-0.3, 0.3, grid.shape))
+        assert cost.row_bytes * (2 * x.dim + 1) > 5 * optimizer.PROBE_BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            value, g = gradient_fd(cost, x, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value) and np.all(np.isfinite(g))
+        assert peak < 1.5 * optimizer.PROBE_BLOCK_BYTES
+
+
+class TestReferenceReplay:
+    """The benchmark's recorded designs (perfbench/reference.json, read only)
+    replay exactly: the three with the fewest iterations reach their recorded
+    iteration counts and objective bit for bit."""
+
+    def test_cheapest_reference_designs(self):
+        ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                          / "reference.json").read_text())
+        doc = copy.deepcopy(PRESETS["sim5"])
+        doc["optimizer"] = {"restarts": ref["restarts"]}
+        scenario = build_scenario(doc, name="sim5")
+        real = cli.minimize
+        for design in sorted(ref["designs"], key=lambda d: d["iterations"])[:3]:
+            restarts = []
+            cli.minimize = lambda *a, **k: restarts.append(real(*a, **k)) or restarts[-1]
+            try:
+                best, _ = cli.optimize_formation(scenario, "cov", design["seed"])
+            finally:
+                cli.minimize = real
+            assert sum(t.n_iters for t in restarts) == design["iterations"]
+            assert best.n_iters == design["winner_iterations"]
+            assert f64(best.final_cost) == f64(design["objective"])
 
 
 class TestMinimize:

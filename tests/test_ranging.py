@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from covform import ranging, se2
+from covform import costs, optimizer, ranging, se2
+from covform.scenario import load_scenario
 from covform.team import RangeGraph, TeamConfig, default_full_graph
-from helpers import from_angle, from_poses, world_tags
+from helpers import (fisher_loop, from_angle, from_poses, jacobian_gather, range_rows_gather,
+                     world_tags)
 
 
 def random_state(rng, n_robots, spread=4.0, min_sep=0.3):
@@ -204,8 +206,6 @@ class TestJacobian:
     def test_endpoint_blocks_equal_dense_rows(self, preset):
         # the two blocks of each row, scattered onto their robots' columns,
         # are the dense row bit for bit: tag rows, point rows, batched poses
-        from covform.scenario import load_scenario
-
         sc = load_scenario(preset)
         idx = ranging._edge_index(sc.team, sc.graph)
         n, n_tags = sc.team.n_robots, sc.team.n_tags
@@ -220,16 +220,15 @@ class TestJacobian:
             if not batch:  # point rows need unbatched poses
                 points = rng.uniform(-4.0, 4.0, (int(rng.integers(0, 4)), 2))
                 tag_i = np.concatenate([tag_i, rng.integers(0, n_tags, points.shape[0])])
-            Hi, Hj, got_rng, got_unit, got_valid = ranging.range_rows(idx, C, r, tag_i, tag_j,
+            blocks, got_rng, got_unit, got_valid = ranging.range_rows(idx, C, r, tag_i, tag_j,
                                                                       points)
             H, want_rng, want_unit, want_valid = dense_range_rows(idx, C, r, tag_i, tag_j, points)
-            e = tag_j.shape[0]
-            assert Hi.shape == Hj.shape == H.shape[:-1] + (3,)
-            assert not Hj[..., e:, :].any()
+            m, e = tag_i.shape[0], tag_j.shape[0]
+            assert blocks.shape == H.shape[:-2] + (m + e, 3)
             dense = np.zeros_like(H)
-            rows = np.arange(tag_i.shape[0])[:, None]
-            dense[..., rows, idx.tag_cols[tag_i]] = Hi
-            dense[..., rows[:e], idx.tag_cols[tag_j]] = Hj[..., :e, :]
+            rows = np.arange(m)[:, None]
+            dense[..., rows, idx.tag_cols[tag_i]] = blocks[..., :m, :]
+            dense[..., rows[:e], idx.tag_cols[tag_j]] = blocks[..., m:, :]
             np.testing.assert_array_equal(dense, H)
             np.testing.assert_array_equal(got_rng, want_rng)
             np.testing.assert_array_equal(got_unit, want_unit)
@@ -290,3 +289,66 @@ class TestFisher:
                 tj = world[pj].C @ offsets[j - 1] + world[pj].r
                 meas.append(np.linalg.norm(ti - tj))
             np.testing.assert_allclose(np.array(meas), base, atol=1e-12)
+
+
+def probe_stack(x, step=1e-6):
+    """x and its central-difference probes as gradient_fd stacks them, as the
+    N frames of each formation, and the probes' compose count."""
+    C, r, ops = se2.compose_many(x, *optimizer._probe_exps(x.dim, step))
+    return (*ranging.frames(np.concatenate([x.C[None], C]), np.concatenate([x.r[None], r])), ops)
+
+
+class TestProbeStackEqualsOracles:
+    """The design's rows from tags placed once, its one block scatter and its
+    stacked FIM product equal the per-endpoint gather, per-endpoint scatter and
+    per-formation ``h.T @ h`` they replaced (tests/helpers.py) bit for bit,
+    on the probe stacks of gradient_fd."""
+
+    @pytest.mark.parametrize("preset", ["sim5", "exp3plus2", "bridge7"])
+    def test_random_probe_stacks(self, preset):
+        sc = load_scenario(preset)
+        idx = ranging._edge_index(sc.team, sc.graph)
+        rng = np.random.default_rng(37)
+        for t in range(6):
+            x = optimizer.random_formation(sc.team.n_robots, rng)
+            if t % 2:  # rotations drifted off SO(2), and every probe re-projects
+                x = se2.FormationState(x.C + rng.normal(0.0, 1e-9, x.C.shape), x.r,
+                                       ops=se2.RENORMALIZE_EVERY)
+            C, r, ops = probe_stack(x)
+            assert ops == (0 if t % 2 else 1)
+            got = ranging.range_rows(idx, C, r, idx.edge_i, idx.edge_j)
+            for g, w in zip(got, range_rows_gather(idx, C, r, idx.edge_i, idx.edge_j)):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            Hw = ranging.jacobian_many(idx, C, r, weighted=True)
+            want = jacobian_gather(idx, C, r) / idx.sigma[:, None]
+            assert Hw.shape == want.shape and Hw.tobytes() == want.tobytes()
+            F = ranging.fisher_many(Hw)
+            assert F.tobytes() == fisher_loop(want).tobytes()
+            assert costs.est_many(idx, C, r).tobytes() == costs._neg_logdet(F).tobytes()
+
+    def test_one_formation_jacobian_and_fim(self):
+        sc = load_scenario("bridge7")
+        idx = ranging._edge_index(sc.team, sc.graph)
+        x = optimizer.random_formation(sc.team.n_robots, np.random.default_rng(38))
+        H = ranging.jacobian(x, sc.team, sc.graph)
+        want = jacobian_gather(idx, *ranging.frames(x.C[None], x.r[None]))[0]
+        assert H.tobytes() == want.tobytes()
+        F = ranging.fisher(x, sc.team, sc.graph)
+        assert F.tobytes() == fisher_loop(want[None] / idx.sigma[:, None])[0].tobytes()
+
+    def test_degenerate_row_raises_alike(self):
+        # row 7 of a probe stack moved so that edge 3's far tag sits on its near tag
+        sc = load_scenario("sim5")
+        idx = ranging._edge_index(sc.team, sc.graph)
+        x = optimizer.random_formation(sc.team.n_robots, np.random.default_rng(39))
+        C, r, _ = probe_stack(x)
+        r = r.copy()
+        i, j = idx.edge_i[3], idx.edge_j[3]
+        p, q = idx.tag_robot[i], idx.tag_robot[j]
+        r[7, q] = C[7, p] @ idx.tag_body[i] + r[7, p] - C[7, q] @ idx.tag_body[j]
+        with pytest.raises(ValueError) as want:
+            jacobian_gather(idx, C, r)
+        assert "edge (" in str(want.value)
+        with pytest.raises(ValueError) as got:
+            ranging.jacobian_many(idx, C, r, weighted=True)
+        assert str(got.value) == str(want.value)

@@ -165,8 +165,9 @@ def test_V_apply_equals_per_entry_branch(with_small):
     assert got.tobytes() == want.tobytes()
 
 
-def oplus_many_einsum(x, dx):
-    """se2.oplus_many with V(phi) rho taken by einsum on V_many: its oracle."""
+def oplus_einsum(x, dx):
+    """se2.compose_many of se2.exp_many with V(phi) rho taken by einsum on
+    V_many: their oracle."""
     d = dx.reshape(dx.shape[0], -1, 3)
     phi = d[..., 0]
     t = np.einsum("...ij,...j->...i", V_many(phi), d[..., 1:])
@@ -178,7 +179,7 @@ def oplus_many_einsum(x, dx):
 
 
 @pytest.mark.parametrize("preset", ["sim5", "bridge7"])
-def test_oplus_many_equals_einsum_V_oracle(preset):
+def test_exp_compose_equals_einsum_V_oracle(preset):
     # the finite-difference probe stack of random states (its translation
     # probes have phi = 0, the series branch), then random steps with small
     # and zero angles mixed in, on fresh and re-projecting states
@@ -196,8 +197,8 @@ def test_oplus_many_equals_einsum_V_oracle(preset):
         small = rng.random(phi.shape) < 0.3
         phi[small] = rng.choice([0.0, 1e-9, -3e-8], size=np.count_nonzero(small))
         for dx in (probes.reshape(2 * x.dim, x.dim), steps):
-            C, r, ops = se2.oplus_many(x, dx)
-            C_want, r_want, ops_want = oplus_many_einsum(x, dx)
+            C, r, ops = se2.compose_many(x, *se2.exp_many(dx))
+            C_want, r_want, ops_want = oplus_einsum(x, dx)
             assert ops == ops_want == (0 if t % 2 else 1)
             assert C.tobytes() == C_want.tobytes() and r.tobytes() == r_want.tobytes()
 
