@@ -18,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from covform.cli import cmd_montecarlo
-from covform.covsim.montecarlo import METRIC_KEYS
+from covform.covsim import reduction_table
 
 
 def main() -> int:
@@ -44,12 +44,14 @@ def main() -> int:
         ct = agg["filtered"]["coverage_time"]["median"]
         print(f"  {name:4s}: {ct if ct is None else round(ct, 1)}")
     print("\npercentage reduction in median estimation error vs adj:")
-    table = summary["reduction_vs_adj"]
-    header = "  " + " ".join(f"{m:>22s}" for m in METRIC_KEYS)
+    # the summary's table, its rows in order: each landmark, then att and pos
+    table = reduction_table(summary["aggregates"], "adj")
+    metrics = list(table["adj"])
+    header = "  " + " ".join(f"{m:>22s}" for m in metrics)
     print(header)
     for name, row in table.items():
         cells = " ".join(f"{row[m]:22.1f}" if row[m] is not None else f"{'n/a':>22s}"
-                         for m in METRIC_KEYS)
+                         for m in metrics)
         print(f"  {name:4s}{cells}")
     return rc
 

@@ -42,11 +42,8 @@ from covform.team import SortedIds
 
 OK, CONFIG_ERROR, NOT_CONVERGED = 0, 1, 2
 
-# Largest heatmap grid: nx * ny cost evaluations, one grid row per
-# Objective.many call; rows longer than HEATMAP_BLOCK points are split, which
-# bounds the stacked arrays (about 13 KB a point on bridge7)
+# Largest heatmap grid: nx * ny cost evaluations, one Objective.many call per row
 MAX_GRID_POINTS = 250_000
-HEATMAP_BLOCK = 1000
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -186,17 +183,17 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     i = robot - 2
     out = Path(args.out) / f"heatmap_{args.cost}_r{robot}.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
+    xs = np.linspace(x0, x1, nx)
     with open(out, "w") as fh:
         fh.write("x,y,cost\n")
         for gy in np.linspace(y0, y1, ny):
-            for xs in np.array_split(np.linspace(x0, x1, nx), -(-nx // HEATMAP_BLOCK)):
-                r = np.repeat(x.r[None], len(xs), axis=0)
-                r[:, i, 0], r[:, i, 1] = xs, gy
-                try:
-                    values = cost.many(np.broadcast_to(x.C, r.shape + (2,)), r)
-                except ValueError:  # a point on degenerate geometry: this block point by point
-                    values = [_heatmap_point(cost, x.C, p) for p in r]
-                fh.writelines(f"{gx:.17g},{gy:.17g},{v:.17g}\n" for gx, v in zip(xs, values))
+            r = np.repeat(x.r[None], nx, axis=0)
+            r[:, i, 0], r[:, i, 1] = xs, gy
+            try:
+                values = cost.many(np.broadcast_to(x.C, r.shape + (2,)), r)
+            except ValueError:  # a point on degenerate geometry: this row point by point
+                values = [_heatmap_point(cost, x.C, p) for p in r]
+            fh.writelines(f"{gx:.17g},{gy:.17g},{v:.17g}\n" for gx, v in zip(xs, values))
     print(f"wrote {out}")
     return OK
 

@@ -33,6 +33,8 @@ from covform.team import CostWeights, FormationSpec, RangeGraph, SortedIds, Team
 # barrier is breached): large enough that the optimizer flees, finite so
 # the gradient probes stay evaluable.
 SATURATION = 1e12
+# Objective.many evaluates a stack in row blocks of at most this many row_bytes
+BLOCK_BYTES = 16 << 20
 
 
 def _row_sum(v: np.ndarray) -> np.ndarray:
@@ -190,11 +192,16 @@ class Objective:
     def row_bytes(self) -> int:  # one formation's dense Jacobian, the largest array of many
         return 24 * self.graph.n_edges * self.team.n_robots
 
-    def many(self, C: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Objective of B formations stacked as C (B,N-1,2,2), r (B,N-1,2) -> (B,)."""
+    def _many(self, C: np.ndarray, r: np.ndarray) -> np.ndarray:
         w, (adj, overlap, est, col) = self._terms(C, r)
         total = w.adj * adj + w.overlap * overlap + w.est * est + w.col * col
         return np.broadcast_to(total, (len(C),))  # a float when every weight is 0
+
+    def many(self, C: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Objective of B formations stacked as C (B,N-1,2,2), r (B,N-1,2) -> (B,),
+        in row blocks of at most BLOCK_BYTES of row_bytes (values as one call's)."""
+        n = max(1, BLOCK_BYTES // max(1, self.row_bytes))
+        return np.concatenate([self._many(C[k:k + n], r[k:k + n]) for k in range(0, len(C), n)])
 
     def __call__(self, x: FormationState) -> float:
         return float(self.many(x.C[None], x.r[None])[0])

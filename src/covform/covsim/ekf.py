@@ -166,7 +166,7 @@ class EkfState:
     def _flush(self) -> None:
         # the caller may write through what it reads, so cached peeks go too
         if self._q:
-            self._advance()
+            self._advance(-0.0, -0.0)
         self._peeks.clear()
 
     @property
@@ -205,7 +205,7 @@ class EkfState:
         """The pending row the next correction goes to; a full queue is applied
         first. The correction counts once the caller raises ``_q``."""
         if self._q == QUEUE_CAP:
-            self._advance()
+            self._advance(-0.0, -0.0)
         return self._pending[self._q]
 
     def _peek(self, p: int) -> tuple[float, float, float, float]:
@@ -255,9 +255,9 @@ class EkfState:
         self._peeks[row] = (q, (x, y))
         return x, y
 
-    def _advance(self, phi: np.ndarray | None = None, t: np.ndarray | None = None) -> None:
-        """Apply the q queued corrections and then, if given, one motion step
-        of heading increments phi (N,) and body translations t (N,2).
+    def _advance(self, phi: np.ndarray | float, t: np.ndarray | float) -> None:
+        """Apply the q queued corrections and then one motion step of heading
+        increments phi (N,) and body translations t (N,2), or of -0.0 for all.
 
         Step k < q is the right-exp retraction ``exp_step`` makes of pending
         row k, its translation V(phi) rho from ``se2._V_apply``; the motion
@@ -265,10 +265,12 @@ class EkfState:
         landmarks are running sums over the steps, and np.add.accumulate adds
         in order, so row k of each sum is the mean after k steps one at a
         time, bit for bit. One sine pass covers V's sin(phi/2) and sin(phi)
-        and the headings' sines, and one cosine pass the cosines.
+        and the headings' sines, and one cosine pass the cosines. Applying the
+        queue alone moves by -0.0, which changes no heading and no position
+        but an exact -0.0 (to +0.0).
         """
         q, n, L = self._q, self._ang.shape[0], self._xy.shape[0] - self._ang.shape[0]
-        r = q + (phi is not None)  # pose steps
+        r = q + 1  # pose steps: the corrections, then the motion
         xi = self._pending[:q, :3 * n].reshape(q, n, 3)  # rows [phi, rho_x, rho_y]
         # the headings (the base, then one increment per step), then the
         # corrections' phi/2 and phi, for one sine pass over all of them
@@ -277,9 +279,8 @@ class EkfState:
         whole[...] = xi[..., 0]
         np.multiply(whole, 0.5, out=half)
         heading[0] = self._ang
-        heading[1:q + 1] = whole
-        if phi is not None:
-            heading[r] = phi
+        heading[1:r] = whole
+        heading[r] = phi
         np.add.accumulate(heading, axis=0, out=heading)
         trig = self._trig
         np.sin(self._heading[:r + 1 + 2 * q], out=trig[r:2 * r + 1 + 2 * q])
@@ -288,20 +289,18 @@ class EkfState:
         step = self._step[:r]
         sines = trig[2 * r + 1:2 * r + 1 + 2 * q]  # sin(phi/2), then sin(phi)
         step[:q] = _V_apply(whole, xi[..., 1:], sines[:q], sines[q:])
-        if phi is not None:
-            step[q] = t
+        step[q] = t
         rot = cs[..., None] * step
         acc = self._acc[:r + 1]  # positions and landmarks: the base, then the increments
         acc[0] = self._xy
         np.subtract(rot[0, ..., 0], rot[1, ..., 1], out=acc[1:, :n, 0])
         np.add(rot[1, ..., 0], rot[0, ..., 1], out=acc[1:, :n, 1])
-        acc[1:q + 1, n:] = self._pending[:q, 3 * n:].reshape(q, L, 2)
-        if phi is not None:
-            acc[r, n:] = -0.0  # landmarks are static, and x + -0.0 is x for every x
+        acc[1:r, n:] = self._pending[:q, 3 * n:].reshape(q, L, 2)
+        acc[r, n:] = -0.0  # landmarks are static, and x + -0.0 is x for every x
         np.add.accumulate(acc, axis=0, out=acc)
         self._ang[...] = heading[r]
         self._xy[...] = acc[r]
-        self._settled = (heading[q], acc[q]) if phi is not None else None
+        self._settled = (heading[q], acc[q])
         self._q = 0
         self._peeks.clear()
 
@@ -443,13 +442,13 @@ def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: Sequence[int],
 
 def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
                       z_rr: np.ndarray, lm_edges: list[tuple[int, int]], z_lm: np.ndarray,
-                      lm_sigma: float, gate: float = RANGE_GATE_1DOF) -> tuple[EkfState, int]:
+                      lm_sigma: float) -> tuple[EkfState, int]:
     """Update in place on selected robot-robot edges plus landmark rows.
 
     rr_idx indexes into the model's edge arrays. The rows are linearized
     at the incoming state and folded in one at a time; each row is gated on
     its normalized innovation squared against the covariance the rows
-    before it left, and dropped and counted if it exceeds the gate or is
+    before it left, and dropped and counted if it exceeds RANGE_GATE_1DOF or is
     not a number. Rows with a degenerate predicted range are skipped
     uncounted. Returns (state, number rejected).
     """
@@ -459,14 +458,14 @@ def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
     if not all(valid):
         cols, vals, nu, sigmas = ([row for row, ok in zip(rows, valid) if ok]
                                   for rows in (cols, vals, nu, sigmas))
-    return state, _fold_rows(state, cols, vals, nu, sigmas, gate)
+    return state, _fold_rows(state, cols, vals, nu, sigmas, RANGE_GATE_1DOF)
 
 
 def ekf_update_gps(state: EkfState, model: EkfModel, measured: np.ndarray,
-                   sigma: float, gate: float = GPS_GATE_2DOF) -> tuple[EkfState, bool]:
+                   sigma: float) -> tuple[EkfState, bool]:
     """Position fix on robot 1, in place; gated on the joint 2-dof innovation.
 
-    A fix whose normalized innovation squared exceeds the gate or is not a
+    A fix whose normalized innovation squared exceeds GPS_GATE_2DOF or is not a
     number is rejected and leaves the state as it was, and so is one whose
     2x2 innovation covariance has no positive determinant (it has no NIS).
     """
@@ -480,7 +479,8 @@ def ekf_update_gps(state: EkfState, model: EkfModel, measured: np.ndarray,
     s00, s01 = q00 * c - q01 * s + var, q00 * s + q01 * c
     s10, s11 = q10 * c - q11 * s, q10 * s + q11 * c + var
     det = s00 * s11 - s01 * s10
-    if not det > 0 or not (s11 * n0 * n0 - (s01 + s10) * n0 * n1 + s00 * n1 * n1) / det <= gate:
+    if not det > 0 or not ((s11 * n0 * n0 - (s01 + s10) * n0 * n1 + s00 * n1 * n1) / det
+                           <= GPS_GATE_2DOF):
         return state, False
     R = np.array([[c, -s], [s, c]])  # rot2 of the heading
     _fold_rows(state, (_GPS_COLS, _GPS_COLS), R, nu, (sigma, sigma), None)

@@ -79,21 +79,21 @@ def aggregate(results: list[SimMetrics]) -> dict:
     }
 
 
-METRIC_KEYS = ("landmark1_error", "landmark2_error",
-               "interrobot_att_rmse", "interrobot_pos_rmse")
-
-
 def reduction_table(aggregates: dict[str, dict],
                     baseline: str) -> dict[str, dict[str, float | None]]:
-    """Percentage reduction in the filtered median metrics against a baseline formation."""
+    """Percentage reduction in the filtered median metrics against a baseline
+    formation: each of its landmarks' errors, then inter-robot att and pos RMSE."""
     if baseline not in aggregates:
         raise ValueError(f"baseline {baseline!r} missing from aggregates")
     base = aggregates[baseline]["filtered"]
+    n_landmarks = sum(k.startswith("landmark") for k in base)
+    keys = [f"landmark{l}_error" for l in range(1, n_landmarks + 1)] + [
+        "interrobot_att_rmse", "interrobot_pos_rmse"]
     out: dict[str, dict[str, float | None]] = {}
     for name, agg in aggregates.items():
         row: dict[str, float | None] = {}
-        for key in METRIC_KEYS:
-            b = base.get(key, {}).get("median")
+        for key in keys:
+            b = base[key]["median"]
             m = agg["filtered"].get(key, {}).get("median")
             row[key] = None if (b in (None, 0.0) or m is None) else 100.0 * (1.0 - m / b)
         out[name] = row

@@ -15,15 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
-from covform.costs import SATURATION
+from covform.costs import SATURATION, Objective
 from covform.se2 import FormationState, _rot_many, compose_many, exp_many, oplus
-
-# gradient_fd's probe stack goes to ``many`` in blocks of at most this many row_bytes
-PROBE_BLOCK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -67,24 +63,15 @@ def _probe_exps(dim: int, step: float) -> tuple[np.ndarray, np.ndarray]:
     return exp_many(probes.reshape(2 * dim, dim))
 
 
-def gradient_fd(cost: Callable[[FormationState], float], x: FormationState,
-                step: float) -> tuple[float, np.ndarray]:
+def gradient_fd(cost: Objective, x: FormationState, step: float) -> tuple[float, np.ndarray]:
     """Cost at x and its central-difference gradient along each perturbation axis.
 
     x itself (as row 0, not re-projected) and the probes +e_0, -e_0, +e_1, ...,
-    x times their cached exps, go to the cost's ``many`` if it has one, in row
-    blocks (values as one call's); else to ``cost(x)``, then probe by probe.
+    x times their cached exps, go to ``cost.many`` in one call.
     """
-    C, r, ops = compose_many(x, *_probe_exps(x.dim, step))
-    if hasattr(cost, "many"):
-        C, r = np.concatenate([x.C[None], C]), np.concatenate([x.r[None], r])
-        n = max(1, PROBE_BLOCK_BYTES // getattr(cost, "row_bytes", 1))
-        vals = np.concatenate([cost.many(C[k:k + n], r[k:k + n]) for k in range(0, len(C), n)])
-        value, vals = float(vals[0]), vals[1:]
-    else:
-        value = cost(x)
-        vals = np.array([cost(FormationState(c, p, ops)) for c, p in zip(C, r)], dtype=np.float64)
-    hi, lo = vals[0::2], vals[1::2]
+    C, r, _ = compose_many(x, *_probe_exps(x.dim, step))
+    vals = cost.many(np.concatenate([x.C[None], C]), np.concatenate([x.r[None], r]))
+    value, hi, lo = float(vals[0]), vals[1::2], vals[2::2]
     bad = ~(np.isfinite(hi) & np.isfinite(lo))
     if bad.any():
         k = int(bad.argmax())
@@ -92,7 +79,7 @@ def gradient_fd(cost: Callable[[FormationState], float], x: FormationState,
     return value, (hi - lo) / (2.0 * step)
 
 
-def minimize(cost: Callable[[FormationState], float], x0: FormationState,
+def minimize(cost: Objective, x0: FormationState,
              cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationTrace:
     """Run momentum descent from one start; returns the trace.
 

@@ -18,8 +18,10 @@ batched over rows and stacked formations, each tag placed once. The design
 scatters them into dense Jacobians, drops robot 1's columns (robot 1 is the
 reference, not a state there) and takes all FIMs in one product. The EKF
 builds the same rows one event at a time from Python floats
-(``covsim.ekf._measurement_rows``) and folds each in over its six columns
-alone; its tests hold those rows equal to ``range_rows`` bit for bit.
+(``covsim.ekf._measurement_rows``) and folds each in over its columns alone;
+its tests hold those rows, landmark rows included, equal bit for bit to
+``range_rows_gather`` in tests/helpers.py, the oracle of ``range_rows``
+for any tags and fixed points.
 Everything is validated against central finite differences in the tests.
 """
 
@@ -85,21 +87,14 @@ def frames(C: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([np.zeros(lead + (2,)), r], axis=-2))
 
 
-_NO_POINTS = np.zeros((0, 2))
+def range_rows(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Range rows of the graph's edges as 3-column blocks [phi, x, y], one per endpoint robot.
 
-
-def range_rows(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray, tag_i: np.ndarray,
-               tag_j: np.ndarray, points: np.ndarray = _NO_POINTS,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Range rows as 3-column blocks [phi, x, y], one per endpoint robot.
-
-    Row k ranges from tag tag_i[k] to tag tag_j[k] for the first E =
-    len(tag_j) rows, and to the fixed point points[k - E] after them.
-    Returns (blocks (M + E, 3), row k's block on robot tag_robot[tag_i[k]]
-    at k and on robot tag_robot[tag_j[k]] at M + k; ranges (M,); unit
-    vectors (M,2); validity mask (M,)); a row whose range is not above
+    Returns (blocks (2E, 3), edge k's block on robot tag_robot[edge_i[k]] at k
+    and on robot tag_robot[edge_j[k]] at E + k; ranges (E,); unit vectors
+    (E,2); validity mask (E,)); a row whose range is not above
     DEGENERATE_RANGE is invalid and has unit 0. Each tag is placed once.
-    Batch axes leading C and r lead every output; points need unbatched poses.
+    Batch axes leading C and r lead every output.
     """
     at = lambda v, k: np.take(v, k, axis=-1)  # a C-ordered gather, unlike v[..., k]
     rot = at(np.moveaxis(C, (-2, -1), (0, 1)), idx.tag_robot)  # (2,2,...,T): C[a, b] per tag
@@ -108,15 +103,14 @@ def range_rows(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray, tag_i: np.ndarray,
     # rotation derivative of each tag position: C_p (S a)
     lever = rot[:, 0] * s[0] + rot[:, 1] * s[1]
 
-    far = np.concatenate([at(pos, tag_j), points.T], axis=-1) if points.shape[0] else at(pos, tag_j)
-    diff = at(pos, tag_i) - far
+    diff = at(pos, idx.edge_i) - at(pos, idx.edge_j)
     rng = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])
     valid = rng > DEGENERATE_RANGE
     unit = np.where(valid, diff / np.where(valid, rng, 1.0), 0.0)
 
-    # phi column: u . (C S a); rho columns: u^T C; + for tag_i's robot, - for tag_j's
-    tags = np.concatenate([tag_i, tag_j])
-    u = np.concatenate([unit, -unit[..., :tag_j.shape[0]]], axis=-1)
+    # phi column: u . (C S a); rho columns: u^T C; + for edge_i's robot, - for edge_j's
+    tags = np.concatenate([idx.edge_i, idx.edge_j])
+    u = np.concatenate([unit, -unit], axis=-1)
     lev, Ce = at(lever, tags), at(rot, tags)
     blocks = np.stack([u[0] * lev[0] + u[1] * lev[1], *(u[0] * Ce[0] + u[1] * Ce[1])], axis=-1)
     return blocks, rng, np.moveaxis(unit, 0, -1), valid
@@ -125,7 +119,7 @@ def range_rows(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray, tag_i: np.ndarray,
 def predict_all(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.ndarray:
     """Stacked ranges over the graph's (sorted) edge order."""
     idx = _edge_index(team, graph)
-    return range_rows(idx, *frames(x.C, x.r), idx.edge_i, idx.edge_j)[1]
+    return range_rows(idx, *frames(x.C, x.r))[1]
 
 
 def jacobian_many(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray,
@@ -133,7 +127,7 @@ def jacobian_many(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray,
     """(B, E, 3(N-1)) Jacobians of B stacked formations from their N frames
     (see ``frames``), each row divided by its sigma if ``weighted``; raises
     on the first near-zero range in stack order."""
-    blocks, rng, _, valid = range_rows(idx, C, r, idx.edge_i, idx.edge_j)
+    blocks, rng, _, valid = range_rows(idx, C, r)
     if not np.all(valid):
         b, k = np.unravel_index(np.argmin(valid), valid.shape)
         edge = (int(idx.edge_i[k]) + 1, int(idx.edge_j[k]) + 1)

@@ -1,11 +1,13 @@
 """Helpers only the tests use: scalar pose constructors, the SE(2) adjoint,
-every tag's world position, the per-endpoint range rows, Jacobian and
-per-formation FIM of the design, the one-pair collision barrier, the scalar
-composition of the objective and a plain multistart over
-``optimizer.minimize``."""
+every tag's world position, the per-endpoint range rows (of any tags and
+fixed points, the EKF rows' oracle), Jacobian and per-formation FIM of the
+design, the one-pair collision barrier, the scalar composition of the
+objective, a plain cost function in the shape of an objective and a plain
+multistart over ``optimizer.minimize``."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,9 +48,12 @@ def world_tags(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def range_rows_gather(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray, tag_i: np.ndarray,
                       tag_j: np.ndarray, points: np.ndarray = np.zeros((0, 2))):
-    """Oracle of ``ranging.range_rows``, with its outputs: every one of the
-    M + E endpoints placed from its own (..., M + E, 2, 2) gather of the
-    robot rotations, as the design did before tags were placed once each."""
+    """Oracle of ``ranging.range_rows``, with its outputs on the graph's edges:
+    every one of the M + E endpoints placed from its own (..., M + E, 2, 2)
+    gather of the robot rotations, as the design did before tags were placed
+    once each. Row k ranges from tag tag_i[k] to tag tag_j[k] for the first
+    E = len(tag_j) rows, and to the fixed point points[k - E] after them (the
+    EKF's landmark rows); point rows need unbatched poses."""
     m, e = tag_i.shape[0], tag_j.shape[0]
     tags = np.concatenate([tag_i, tag_j])
     robots = idx.tag_robot[tags]
@@ -127,7 +132,22 @@ def scalar_cost(obj: costs.Objective, x: se2.FormationState) -> float:
     return w.adj * adj + w.overlap * overlap + w.est * est + w.col * col
 
 
-def minimize_multistart(cost: Callable[[se2.FormationState], float], n_robots: int,
+@dataclass(frozen=True)
+class Mapped:
+    """A plain cost function in the shape ``optimizer.minimize`` takes: called
+    on one formation, and mapped over a stack row by row by ``many``."""
+
+    fn: Callable[[se2.FormationState], float]
+
+    def __call__(self, x: se2.FormationState) -> float:
+        return self.fn(x)
+
+    def many(self, C: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return np.array([self.fn(se2.FormationState(c, p)) for c, p in zip(C, r)],
+                        dtype=np.float64)
+
+
+def minimize_multistart(cost: costs.Objective | Mapped, n_robots: int,
                         cfg: OptimizerConfig = OptimizerConfig(),
                         seed: int = 0) -> OptimizationTrace:
     """Best of cfg.restarts independent seeded runs (by final cost)."""

@@ -308,6 +308,42 @@ def test_objective_equals_scalar_oracle(preset):
         assert f.terms(C, r).tobytes() == want_terms.tobytes()
 
 
+class TestManyBlocks:
+    """``Objective.many`` evaluates a stack in blocks of at most BLOCK_BYTES of
+    row_bytes. Rows are independent, so blocks of any size give one call's
+    values, and a stack with one degenerate row raises one call's error."""
+
+    @staticmethod
+    def outcome(f, C, r):
+        try:
+            return f.many(C, r).tobytes()
+        except ValueError as e:
+            return str(e)
+
+    @pytest.mark.parametrize("preset", ["sim5", "bridge7", "exp3plus2"])
+    def test_blocks_equal_one_call(self, preset, monkeypatch):
+        sc = load_scenario(preset)
+        rng = np.random.default_rng(43)
+        xs = [random_formation(sc.team.n_robots, rng) for _ in range(11)]
+        C, r = np.stack([x.C for x in xs]), np.stack([x.r for x in xs])
+        # row 7 with robot 3 on robot 2's pose: its tags coincide (near-zero
+        # ranges) and the overlap direction is undefined
+        C_bad, r_bad = C.copy(), r.copy()
+        C_bad[7, 1], r_bad[7, 1] = C[7, 0], r[7, 0]
+        for kind, error in (("adj", None), ("opt", "singular geometry"), ("cov", "coincident")):
+            f = costs.cost_function(kind, sc.team, sc.graph, sc.formation,
+                                    SortedIds.identity(sc.team))
+            want, want_bad = self.outcome(f, C, r), self.outcome(f, C_bad, r_bad)
+            assert want == np.array([f(x) for x in xs]).tobytes()
+            assert (error is None) == isinstance(want_bad, bytes)
+            assert error is None or error in want_bad
+            for rows in (1, 3, len(C)):
+                monkeypatch.setattr(costs, "BLOCK_BYTES", rows * f.row_bytes)
+                assert self.outcome(f, C, r) == want
+                assert self.outcome(f, C_bad, r_bad) == want_bad
+            monkeypatch.undo()
+
+
 class TestZeroWeightSkipsTerm:
     """A zero-weight term is never evaluated, so a state degenerate for it
     (here robots 2 and 3 on one origin, where the overlap direction is

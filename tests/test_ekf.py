@@ -20,7 +20,6 @@ from covform.covsim.ekf import (
     transitions,
     trilaterate,
 )
-from covform.ranging import range_rows
 from covform.scenario import load_scenario
 from covform.se2 import (
     SMALL_ANGLE,
@@ -33,7 +32,7 @@ from covform.se2 import (
     rot2,
 )
 from covform.team import TeamConfig, default_full_graph
-from helpers import adjoint, world_tags
+from helpers import adjoint, range_rows_gather, world_tags
 from test_montecarlo import preset_line
 from test_ranging import dense_range_rows
 
@@ -86,14 +85,16 @@ def dense_measurement_rows(s, model, rr_idx, lm_edges):
 
 
 def batched_measurement_rows(state, model, rr_idx, lm_edges):
-    """The filter rows from one batched ``ranging.range_rows`` call over all
-    endpoints, as (cols, vals, predicted ranges, validity): the oracle for
-    the filter's per-row builder from Python floats."""
+    """The filter rows from one batched ``helpers.range_rows_gather`` call
+    over all endpoints, the gather oracle of ``ranging.range_rows``, as
+    (cols, vals, predicted ranges, validity): the oracle for the filter's
+    per-row builder from Python floats."""
     idx = model.index
     lm_tag, lm = np.asarray(lm_edges, dtype=np.intp).reshape(-1, 2).T
     near, far = idx.edge_i[rr_idx], idx.edge_j[rr_idx]
-    blocks, rng, unit, valid = range_rows(idx, _rot_many(state.ang), state.pos,
-                                          np.concatenate([near, lm_tag]), far, state.landmarks[lm])
+    blocks, rng, unit, valid = range_rows_gather(idx, _rot_many(state.ang), state.pos,
+                                                 np.concatenate([near, lm_tag]), far,
+                                                 state.landmarks[lm])
     e, m = rr_idx.shape[0], rng.shape[0]
     cols, vals = [], []
     if e:
@@ -402,7 +403,7 @@ class TestRangeUpdate:
     @pytest.mark.parametrize("preset", ["sim5", "bridge7", "exp3plus2"])
     def test_rows_equal_batched_range_rows(self, preset):
         # each row linearized from Python floats equals the batched
-        # range_rows builder bit for bit: one-row and multi-row calls,
+        # range_rows_gather oracle bit for bit: one-row and multi-row calls,
         # robot-robot and landmark rows, and a landmark sitting on its tag
         sc = load_scenario(preset)
         model = EkfModel.build(sc.team, sc.graph, 3)

@@ -160,6 +160,22 @@ class TestReductionTable:
         assert table["cov"]["interrobot_att_rmse"] == pytest.approx(50.0)
         assert table["cov"]["interrobot_pos_rmse"] == pytest.approx(80.0)
 
+    @pytest.mark.parametrize("n_landmarks", [0, 1, 3, 11])
+    def test_rows_follow_the_baseline_landmarks(self, n_landmarks):
+        # one row per landmark of the baseline, in landmark order, then att and pos
+        base = [fake_metrics(landmark_errors=[1.0] * n_landmarks)]
+        better = [fake_metrics(landmark_errors=[1.0 - 0.05 * l for l in range(n_landmarks)],
+                               interrobot_att_rmse=0.005)]
+        aggs = {"adj": aggregate(base), "cov": aggregate(better)}
+        # the order is kept through the sorted-key JSON the summary is written as
+        for table in (reduction_table(aggs, "adj"),
+                      reduction_table(json.loads(json.dumps(aggs, sort_keys=True)), "adj")):
+            keys = [f"landmark{l + 1}_error" for l in range(n_landmarks)]
+            assert list(table["cov"]) == keys + ["interrobot_att_rmse", "interrobot_pos_rmse"]
+            assert [table["cov"][k] for k in keys] == pytest.approx(
+                [5.0 * l for l in range(n_landmarks)])
+            assert table["cov"]["interrobot_att_rmse"] == pytest.approx(50.0)
+
     def test_missing_baseline_rejected(self):
         with pytest.raises(ValueError, match="baseline"):
             reduction_table({"cov": aggregate([fake_metrics()])}, "adj")
@@ -167,8 +183,7 @@ class TestReductionTable:
 
 class TestRejectionCounters:
     def test_each_sensor_counts_its_own_gate_rejections(self, monkeypatch):
-        from covform.covsim import sim
-        from covform.covsim.ekf import GPS_GATE_2DOF
+        from covform.covsim import ekf, sim
 
         team, graph, x, cfg = small_setup()
         seen = {"gps_calls": 0, "gps": 0, "ranges": 0}
@@ -176,9 +191,10 @@ class TestRejectionCounters:
 
         def gps(state, model, z, sigma):
             seen["gps_calls"] += 1
-            # every third fix meets a gate nothing passes
-            gate = -1.0 if seen["gps_calls"] % 3 == 0 else GPS_GATE_2DOF
-            state, ok = real_gps(state, model, z, sigma, gate)
+            with monkeypatch.context() as patch:
+                if seen["gps_calls"] % 3 == 0:  # every third fix meets a gate nothing passes
+                    patch.setattr(ekf, "GPS_GATE_2DOF", -1.0)
+                state, ok = real_gps(state, model, z, sigma)
             seen["gps"] += not ok
             return state, ok
 

@@ -20,7 +20,7 @@ from covform.ranging import _edge_index, frames
 from covform.scenario import PRESETS, build_scenario, load_scenario
 from covform.team import (CostWeights, FormationSpec, RangeGraph, RobotSpec, SortedIds, TeamConfig,
                           default_full_graph)
-from helpers import from_angle, from_poses, minimize_multistart, scalar_cost
+from helpers import Mapped, from_angle, from_poses, minimize_multistart, scalar_cost
 
 
 def state_with_positions(positions, angles=None):
@@ -41,8 +41,8 @@ def fit_line_residual(points):
 
 
 def scalar_of(cost):
-    """The scalar oracle of an Objective (``helpers.scalar_cost``); any other
-    callable is its own scalar form."""
+    """The scalar oracle of an Objective (``helpers.scalar_cost``); a mapped
+    function is its own scalar form."""
     if isinstance(cost, costs.Objective):
         return lambda st: scalar_cost(cost, st)
     return cost
@@ -220,9 +220,9 @@ class TestStackedProbesMatchLoop:
         s = SortedIds.identity(sc.team)
         x = random_formation(5, np.random.default_rng(8))
         cost = costs.cost_function("cov", sc.team, sc.graph, sc.formation, s)
-        # a plain callable (mapped over the probes) that is infinite once
-        # robot 4 moves along its first axis
-        bad = lambda st: np.inf if st.r[2, 0] > x.r[2, 0] else cost(st)
+        # a function mapped over the probes that is infinite once robot 4
+        # moves along its first axis
+        bad = Mapped(lambda st: np.inf if st.r[2, 0] > x.r[2, 0] else cost(st))
         _, err = assert_matches_loop(bad, x)
         assert err is not None and "coordinate 7" in err[1]
         # the stacked evaluator: squared offsets overflow at every probe
@@ -238,7 +238,7 @@ class TestValueIsTheScalarCost:
     scalar oracle's for an Objective: the descent records it in place of a
     separate cost(x) call."""
 
-    def test_drifted_singular_and_mapped(self):
+    def test_drifted_and_singular(self):
         sc = load_scenario("sim5")
         s = SortedIds.identity(sc.team)
         x = random_formation(5, np.random.default_rng(12))
@@ -255,20 +255,11 @@ class TestValueIsTheScalarCost:
         for cost, st in cases:
             value, g = gradient_fd(cost, st, 1e-6)
             assert f64(value) == f64(scalar_of(cost)(st)) and type(value) is float
-            # a plain callable without many is mapped: cost(x) first, then the probes
-            value_m, g_m = gradient_fd(lambda y: cost(y), st, 1e-6)
-            assert f64(value_m) == f64(value) and g_m.tobytes() == g.tobytes()
         assert gradient_fd(cases[-2][0], singular, 1e-6)[0] == costs.SATURATION
         # the drift is visible in the cost, so the value is taken at x as it is,
         # not at x re-projected like its probes
         reprojected = se2.FormationState(drifted.C, drifted.r, ops=se2.RENORMALIZE_EVERY + 1)
         assert f64(cases[5][0](drifted)) != f64(cases[5][0](reprojected))  # cov
-
-    def test_mapped_cost_is_called_at_x_first(self):
-        seen = []
-        x = state_with_positions([(1.0, 0.0)])
-        gradient_fd(lambda st: seen.append(st) or 1.0, x, 1e-6)
-        assert seen[0] is x and len(seen) == 1 + 2 * x.dim
 
 
 class TestMinimizeMatchesLoop:
@@ -299,7 +290,7 @@ class TestMinimizeMatchesLoop:
         s = SortedIds.identity(team)
         x0 = random_formation(3, np.random.default_rng(3))
         tr, _ = assert_minimize_matches_loop(
-            lambda st: costs.j_adj(st, FormationSpec.line(3), s), x0)
+            Mapped(lambda st: costs.j_adj(st, FormationSpec.line(3), s)), x0)
         assert tr.converged and tr.message == ""
 
     def test_one_iteration(self):
@@ -322,12 +313,12 @@ class TestMinimizeMatchesLoop:
 
     def test_saturated_plateau(self):
         x0 = state_with_positions([(1.0, 0.0)])
-        tr, _ = assert_minimize_matches_loop(lambda st: costs.SATURATION, x0)
+        tr, _ = assert_minimize_matches_loop(Mapped(lambda st: costs.SATURATION), x0)
         assert "plateau" in tr.message and tr.n_iters == 0
 
     def test_non_finite_start(self):
         x0 = state_with_positions([(1.0, 0.0)])
-        _, err = assert_minimize_matches_loop(lambda st: np.nan, x0)
+        _, err = assert_minimize_matches_loop(Mapped(lambda st: np.nan), x0)
         assert err is not None and "initial state" in err[1]
 
     def test_probe_raises_mid_descent(self):
@@ -344,7 +335,7 @@ class TestMinimizeMatchesLoop:
                                 np.sum((r[:, 0] - target) ** 2, axis=-1))
 
         x0 = state_with_positions([(0.0, 0.0)])
-        for cost in (Fenced(), lambda st: Fenced()(st)):
+        for cost in (Fenced(), Mapped(Fenced())):
             _, err = assert_minimize_matches_loop(cost, x0)
             assert err is not None and "finite-difference probe, coordinate 0" in err[1]
 
@@ -369,13 +360,13 @@ class TestMinimizeMatchesLoop:
 class TestGradient:
     def test_constant_cost_zero_gradient(self):
         x = state_with_positions([(1.0, 0.0), (2.0, 0.0)])
-        value, g = gradient_fd(lambda s: 4.2, x, 1e-6)
+        value, g = gradient_fd(Mapped(lambda s: 4.2), x, 1e-6)
         assert value == 4.2
         np.testing.assert_array_equal(g, np.zeros(6))
 
     def test_zero_at_stationary_point(self):
         target = np.array([1.5, -0.5])
-        cost = lambda s: float(np.sum((s.r[0] - target) ** 2))
+        cost = Mapped(lambda s: float(np.sum((s.r[0] - target) ** 2)))
         x = state_with_positions([target])
         value, g = gradient_fd(cost, x, 1e-6)
         assert value == 0.0
@@ -386,7 +377,7 @@ class TestGradient:
         spec = FormationSpec.line(2)
         s = SortedIds.identity(TeamConfig.uniform(2))
         x = state_with_positions([(1.7, 0.4)], angles=[0.6])
-        _, g = gradient_fd(lambda st: costs.j_adj(st, spec, s), x, 1e-6)
+        _, g = gradient_fd(Mapped(lambda st: costs.j_adj(st, spec, s)), x, 1e-6)
         resid = x.r[0] - np.array([1.0, 0.0])
         expected_rho = 2.0 * x.C[0].T @ resid
         np.testing.assert_allclose(g[1:], expected_rho, rtol=1e-4)
@@ -399,21 +390,16 @@ class TestGradient:
             return np.inf if s.r[0, 1] > 1e-8 else 1.0
 
         with pytest.raises(ValueError, match="coordinate 2"):
-            gradient_fd(bad, x, 1e-6)
+            gradient_fd(Mapped(bad), x, 1e-6)
 
 
-class Counted:
-    """An Objective whose ``many`` calls are counted."""
-
-    def __init__(self, objective):
-        self.objective, self.row_bytes, self.calls = objective, objective.row_bytes, 0
-
-    def __call__(self, x):
-        return self.objective(x)
-
-    def many(self, C, r):
-        self.calls += 1
-        return self.objective.many(C, r)
+def count_blocks(monkeypatch):
+    """Count the row blocks ``Objective.many`` evaluates from here on."""
+    seen = []
+    real = costs.Objective._many
+    monkeypatch.setattr(costs.Objective, "_many",
+                        lambda self, C, r: seen.append(len(C)) or real(self, C, r))
+    return seen
 
 
 class TestProbeBlocks:
@@ -434,14 +420,14 @@ class TestProbeBlocks:
         x = random_formation(sc.team.n_robots, np.random.default_rng(17))
         objective = costs.cost_function("cov", sc.team, sc.graph, sc.formation,
                                         SortedIds.identity(sc.team))
-        one = Counted(objective)
-        value, g = gradient_fd(one, x, 1e-6)
-        assert one.calls == 1  # the presets' probe stacks are one block
+        seen = count_blocks(monkeypatch)
+        value, g = gradient_fd(objective, x, 1e-6)
+        assert seen == [2 * x.dim + 1]  # the presets' probe stacks are one block
         for rows in (1, 3, 2 * x.dim):
-            monkeypatch.setattr(optimizer, "PROBE_BLOCK_BYTES", rows * objective.row_bytes)
-            blocked = Counted(objective)
-            value_b, g_b = gradient_fd(blocked, x, 1e-6)
-            assert blocked.calls == -(-(2 * x.dim + 1) // rows)
+            monkeypatch.setattr(costs, "BLOCK_BYTES", rows * objective.row_bytes)
+            seen.clear()
+            value_b, g_b = gradient_fd(objective, x, 1e-6)
+            assert len(seen) == -(-(2 * x.dim + 1) // rows) and max(seen) == rows
             assert f64(value_b) == f64(value) and g_b.tobytes() == g.tobytes()
 
     def test_memory_is_bounded_on_24_robots(self):
@@ -455,7 +441,7 @@ class TestProbeBlocks:
         grid = np.array([(2.0 * (k % 5), 2.0 * (k // 5)) for k in range(1, n)])
         x = se2.FormationState(se2._rot_many(rng.uniform(-np.pi, np.pi, n - 1)),
                                grid + rng.uniform(-0.3, 0.3, grid.shape))
-        assert cost.row_bytes * (2 * x.dim + 1) > 5 * optimizer.PROBE_BLOCK_BYTES
+        assert cost.row_bytes * (2 * x.dim + 1) > 5 * costs.BLOCK_BYTES
         tracemalloc.start()
         try:
             value, g = gradient_fd(cost, x, 1e-6)
@@ -463,7 +449,7 @@ class TestProbeBlocks:
         finally:
             tracemalloc.stop()
         assert np.isfinite(value) and np.all(np.isfinite(g))
-        assert peak < 1.5 * optimizer.PROBE_BLOCK_BYTES
+        assert peak < 1.5 * costs.BLOCK_BYTES
 
 
 class TestReferenceReplay:
@@ -495,13 +481,13 @@ class TestMinimize:
         spec = FormationSpec.line(3)
         s = SortedIds.identity(TeamConfig.uniform(3))
         x0 = state_with_positions([(1.0, 0.0), (2.0, 0.0)])
-        tr = minimize(lambda st: costs.j_adj(st, spec, s), x0)
+        tr = minimize(Mapped(lambda st: costs.j_adj(st, spec, s)), x0)
         assert tr.converged
         assert tr.n_iters <= 2
 
     def test_quadratic_bowl_converges(self):
         target = np.array([0.8, -1.1])
-        cost = lambda s: float(np.sum((s.r[0] - target) ** 2))
+        cost = Mapped(lambda s: float(np.sum((s.r[0] - target) ** 2)))
         x0 = state_with_positions([(0.0, 0.0)])
         tr = minimize(cost, x0, OptimizerConfig(max_iters=20_000))
         assert tr.converged
@@ -513,7 +499,8 @@ class TestMinimize:
         rng = np.random.default_rng(5)
         x0 = random_formation(4, rng)
         s = SortedIds.identity(team)
-        tr = minimize(lambda st: costs.j_adj(st, spec, s), x0, OptimizerConfig(max_iters=30_000))
+        tr = minimize(Mapped(lambda st: costs.j_adj(st, spec, s)), x0,
+                      OptimizerConfig(max_iters=30_000))
         assert tr.converged
         assert tr.final_cost < 1e-3
         assert fit_line_residual(tr.final_state.positions()) < 0.05
@@ -523,7 +510,8 @@ class TestMinimize:
         spec = FormationSpec.line(3)
         s = SortedIds.identity(team)
         x0 = random_formation(3, np.random.default_rng(2))
-        tr = minimize(lambda st: costs.j_adj(st, spec, s), x0, OptimizerConfig(max_iters=5000))
+        tr = minimize(Mapped(lambda st: costs.j_adj(st, spec, s)), x0,
+                      OptimizerConfig(max_iters=5000))
         vals = np.array([c for _, c, _ in tr.iterates])
         best = np.minimum.accumulate(vals)
         for w in range(0, len(best) - 100, 100):
@@ -534,26 +522,26 @@ class TestMinimize:
         spec = FormationSpec.line(3)
         s = SortedIds.identity(team)
         x0 = random_formation(3, np.random.default_rng(3))
-        tr = minimize(lambda st: costs.j_adj(st, spec, s), x0)
+        tr = minimize(Mapped(lambda st: costs.j_adj(st, spec, s)), x0)
         assert tr.converged
         assert tr.iterates[-1][2] < 1e-4
 
     def test_saturated_plateau_returns_diagnostic(self):
         x0 = state_with_positions([(1.0, 0.0)])
-        tr = minimize(lambda s: costs.SATURATION, x0)
+        tr = minimize(Mapped(lambda s: costs.SATURATION), x0)
         assert not tr.converged
         assert "plateau" in tr.message
 
     def test_non_finite_start_rejected(self):
         x0 = state_with_positions([(1.0, 0.0)])
         with pytest.raises(ValueError, match="initial state"):
-            minimize(lambda s: np.nan, x0)
+            minimize(Mapped(lambda s: np.nan), x0)
 
     def test_deterministic_given_seed(self):
         team = TeamConfig.uniform(3)
         spec = FormationSpec.line(3)
         s = SortedIds.identity(team)
-        cost = lambda st: costs.j_adj(st, spec, s)
+        cost = Mapped(lambda st: costs.j_adj(st, spec, s))
         cfg = OptimizerConfig(restarts=2, max_iters=3000)
         tr1 = minimize_multistart(cost, 3, cfg, seed=11)
         tr2 = minimize_multistart(cost, 3, cfg, seed=11)
@@ -568,7 +556,7 @@ class TestMinimize:
         spec = FormationSpec.line(3)
         s = SortedIds.identity(team)
         scale = 7.0
-        cost = lambda st: scale * costs.j_adj(st, spec, s)
+        cost = Mapped(lambda st: scale * costs.j_adj(st, spec, s))
         x0 = random_formation(3, np.random.default_rng(4))
         tr = minimize(cost, x0, OptimizerConfig(max_iters=30_000))
         assert tr.converged

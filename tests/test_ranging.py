@@ -205,7 +205,8 @@ class TestJacobian:
     @pytest.mark.parametrize("preset", ["sim5", "bridge7", "exp3plus2"])
     def test_endpoint_blocks_equal_dense_rows(self, preset):
         # the two blocks of each row, scattered onto their robots' columns,
-        # are the dense row bit for bit: tag rows, point rows, batched poses
+        # are the dense row bit for bit: range_rows on the graph's edges, and
+        # its gather oracle on tag rows and point rows (the EKF's), batched poses
         sc = load_scenario(preset)
         idx = ranging._edge_index(sc.team, sc.graph)
         n, n_tags = sc.team.n_robots, sc.team.n_tags
@@ -220,19 +221,21 @@ class TestJacobian:
             if not batch:  # point rows need unbatched poses
                 points = rng.uniform(-4.0, 4.0, (int(rng.integers(0, 4)), 2))
                 tag_i = np.concatenate([tag_i, rng.integers(0, n_tags, points.shape[0])])
-            blocks, got_rng, got_unit, got_valid = ranging.range_rows(idx, C, r, tag_i, tag_j,
+            cases = [(ranging.range_rows(idx, C, r), idx.edge_i, idx.edge_j, np.zeros((0, 2))),
+                     (range_rows_gather(idx, C, r, tag_i, tag_j, points), tag_i, tag_j, points)]
+            for (blocks, got_rng, got_unit, got_valid), tag_i, tag_j, points in cases:
+                H, want_rng, want_unit, want_valid = dense_range_rows(idx, C, r, tag_i, tag_j,
                                                                       points)
-            H, want_rng, want_unit, want_valid = dense_range_rows(idx, C, r, tag_i, tag_j, points)
-            m, e = tag_i.shape[0], tag_j.shape[0]
-            assert blocks.shape == H.shape[:-2] + (m + e, 3)
-            dense = np.zeros_like(H)
-            rows = np.arange(m)[:, None]
-            dense[..., rows, idx.tag_cols[tag_i]] = blocks[..., :m, :]
-            dense[..., rows[:e], idx.tag_cols[tag_j]] = blocks[..., m:, :]
-            np.testing.assert_array_equal(dense, H)
-            np.testing.assert_array_equal(got_rng, want_rng)
-            np.testing.assert_array_equal(got_unit, want_unit)
-            np.testing.assert_array_equal(got_valid, want_valid)
+                m, e = tag_i.shape[0], tag_j.shape[0]
+                assert blocks.shape == H.shape[:-2] + (m + e, 3)
+                dense = np.zeros_like(H)
+                rows = np.arange(m)[:, None]
+                dense[..., rows, idx.tag_cols[tag_i]] = blocks[..., :m, :]
+                dense[..., rows[:e], idx.tag_cols[tag_j]] = blocks[..., m:, :]
+                np.testing.assert_array_equal(dense, H)
+                np.testing.assert_array_equal(got_rng, want_rng)
+                np.testing.assert_array_equal(got_unit, want_unit)
+                np.testing.assert_array_equal(got_valid, want_valid)
 
 
 class TestFisher:
@@ -316,7 +319,7 @@ class TestProbeStackEqualsOracles:
                                        ops=se2.RENORMALIZE_EVERY)
             C, r, ops = probe_stack(x)
             assert ops == (0 if t % 2 else 1)
-            got = ranging.range_rows(idx, C, r, idx.edge_i, idx.edge_j)
+            got = ranging.range_rows(idx, C, r)
             for g, w in zip(got, range_rows_gather(idx, C, r, idx.edge_i, idx.edge_j)):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
             Hw = ranging.jacobian_many(idx, C, r, weighted=True)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from functools import reduce
 from operator import getitem
@@ -200,6 +201,19 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "formation_cov_sim5_seed7.js
 
 
 class TestCli:
+    def test_graph_without_edges_designs(self, tmp_path):
+        # masking the only robot pair leaves no edge: each formation's Jacobian
+        # is 0 bytes, the FIM singular everywhere, and est saturates
+        doc = minimal_doc(2)
+        doc["graph"] = {"masks": [[1, 2]]}
+        doc["optimizer"] = {"restarts": 1, "max_iters": 20}
+        cfg = tmp_path / "no_edges.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["optimize", "--config", str(cfg), "--cost", "cov", "--out", str(tmp_path)])
+        assert rc == cli.NOT_CONVERGED
+        out = json.loads((tmp_path / "formation_cov.json").read_text())
+        assert out["cost"]["est"] == costs.SATURATION
+
     def test_seeded_design_reproduces_golden_file(self, tmp_path):
         # seeded outputs are the oracle: this is the formation JSON that
         # `optimize --config sim5 --cost cov --seed 7` wrote (x86-64, numpy
@@ -499,15 +513,25 @@ def heatmap_loop(config, formation_path, kind, robot, grid):
     return "".join(lines)
 
 
-class TestHeatmapRows:
-    """heatmap evaluates each grid row in one stacked call; its CSV equals
-    the point-by-point loop byte for byte."""
+def limit_block_rows(monkeypatch, config, rows):
+    """Shrink ``costs.BLOCK_BYTES`` to ``rows`` formations of the scenario's
+    objective; None keeps it."""
+    if rows is not None:
+        sc = load_scenario(config)
+        f = costs.cost_function("cov", sc.team, sc.graph, sc.formation, SortedIds.identity(sc.team))
+        monkeypatch.setattr(costs, "BLOCK_BYTES", rows * f.row_bytes)
 
-    @pytest.mark.parametrize("block", [cli.HEATMAP_BLOCK, 2])
+
+class TestHeatmapRows:
+    """heatmap evaluates each grid row in one ``Objective.many`` call, in
+    that call's blocks; its CSV equals the point-by-point loop byte for byte
+    whatever the block size."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 2])
     @pytest.mark.parametrize("kind", ["adj", "opt", "cov"])
-    def test_collision_support_grid(self, tmp_path, monkeypatch, kind, block):
-        monkeypatch.setattr(cli, "HEATMAP_BLOCK", block)
+    def test_collision_support_grid(self, tmp_path, monkeypatch, kind, rows):
         cfg = fast_scenario(tmp_path)
+        limit_block_rows(monkeypatch, str(cfg), rows)
         main(["optimize", "--config", str(cfg), "--cost", "adj",
               "--seed", "3", "--out", str(tmp_path)])
         form = tmp_path / "formation_adj.json"
@@ -532,11 +556,11 @@ class TestHeatmapRows:
         assert (tmp_path / "heatmap_cov_r3.csv").read_text() == \
             heatmap_loop(str(cfg), form, "cov", 3, (0.0, 2.0, 0.0, 2.0, 5, 5))
 
-    @pytest.mark.parametrize("block", [cli.HEATMAP_BLOCK, 2])
+    @pytest.mark.parametrize("rows", [None, 1, 2])
     @pytest.mark.parametrize("kind", ["adj", "opt", "cov"])
-    def test_degenerate_points_saturate(self, tmp_path, monkeypatch, kind, block):
+    def test_degenerate_points_saturate(self, tmp_path, monkeypatch, kind, rows):
         # robot 5 swept over a grid through robots 2 and 3 at (1, 0) and (2, 0)
-        monkeypatch.setattr(cli, "HEATMAP_BLOCK", block)
+        limit_block_rows(monkeypatch, "sim5", rows)
         x = from_poses([Pose2(np.eye(2), np.array([k, 0.0])) for k in range(1, 5)])
         form = tmp_path / "line.json"
         form.write_text(json.dumps(
@@ -550,6 +574,28 @@ class TestHeatmapRows:
             grid = np.loadtxt(csv.splitlines()[1:], delimiter=",")
             assert {tuple(row[:2]) for row in grid if row[2] == costs.SATURATION} == \
                 {(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)}
+
+    def test_memory_is_bounded_on_24_robots(self, tmp_path):
+        # the default two-tag team on its full graph, 1,104 edges and 636 KB of
+        # Jacobian a formation: one 400-point row in one block peaked at 309 MB
+        n = 24
+        cfg = tmp_path / "team24.json"
+        cfg.write_text(json.dumps(minimal_doc(n)))
+        x = from_poses([from_angle(0.3 * k, (2.0 * (k % 5), 2.0 * (k // 5))) for k in range(1, n)])
+        form = tmp_path / "grid.json"
+        form.write_text(json.dumps(
+            {"formation": formation_to_doc(x, SortedIds(tuple(range(1, n + 1)), (0.5,) * n))}))
+        tracemalloc.start()
+        try:
+            rc = main(["heatmap", "--config", str(cfg), "--cost", "cov", "--formation", str(form),
+                       "--grid=-3,12,-2,-1,400,2", "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == OK
+        assert peak < 1.5 * costs.BLOCK_BYTES
+        values = np.loadtxt(tmp_path / "heatmap_cov_r24.csv", delimiter=",", skiprows=1)[:, 2]
+        assert values.shape == (800,) and np.all(np.isfinite(values))
 
 
 def value_paths(doc, prefix=()):
