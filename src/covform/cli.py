@@ -44,6 +44,8 @@ OK, CONFIG_ERROR, NOT_CONVERGED = 0, 1, 2
 
 # Largest heatmap grid: nx * ny cost evaluations, one Objective.many call per row
 MAX_GRID_POINTS = 250_000
+# Largest |C^T C - I| entry of a formation file's rotation (optimize writes ~1e-15)
+ROTATION_TOL = 1e-9
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -76,7 +78,11 @@ def formation_from_doc(doc: Any) -> tuple[FormationState, SortedIds]:
         _expect("C" in pose and "r" in pose, path, "needs both C and r")
         _expect(isinstance(pose["C"], list) and len(pose["C"]) == 2, f"{path}.C",
                 f"expected a 2x2 matrix, got {pose['C']!r}")
-        C.append(_pairs(pose["C"], f"{path}.C"))
+        C.append(np.array(_pairs(pose["C"], f"{path}.C")))
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail the test too
+            drift = np.abs(C[-1].T @ C[-1] - np.eye(2)).max()
+        _expect(drift <= ROTATION_TOL and np.linalg.det(C[-1]) > 0, f"{path}.C",
+                f"not a rotation, got {pose['C']!r}")
         r.append(_nums(pose["r"], f"{path}.r", 2))
     ids = _section(doc["sorted_ids"], "formation.sorted_ids", {"order", "radii"})
     for key in ("order", "radii"):
@@ -117,7 +123,8 @@ def optimize_formation(scenario: Scenario, kind: str, seed: int) -> tuple[Optimi
     best: OptimizationTrace | None = None
     best_sorted: SortedIds | None = None
     for child in np.random.SeedSequence(seed).spawn(cfg.restarts):
-        x0 = random_formation(scenario.team.n_robots, np.random.default_rng(child), cfg)
+        x0 = _make("optimizer.init_box", random_formation, scenario.team.n_robots,
+                   np.random.default_rng(child), cfg)
         sorted_ids = sort_robot_ids(x0, scenario.team, dirs)
         cost = costs.cost_function(kind, scenario.team, scenario.graph,
                                    scenario.formation, sorted_ids)

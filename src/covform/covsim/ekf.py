@@ -62,12 +62,6 @@ _XY = np.arange(2)
 _GPS_COLS = _XY + 1  # robot 1's position columns
 
 
-def _table():
-    """A model field derived in ``__post_init__``, left out of init, repr and ==."""
-    return field(init=False, repr=False, compare=False)
-
-
-@dataclass
 class EkfModel:
     """The range model's tag/edge table plus the landmark count of one filter setup.
 
@@ -78,19 +72,9 @@ class EkfModel:
     (tag, landmark) row; and the index of the N robot blocks of P.
     """
 
-    index: _EdgeIndex
-    n_landmarks: int
-    tag_robot: list[int] = _table()
-    tag_body: list[list[float]] = _table()
-    tag_perp: list[list[float]] = _table()
-    edge_tags: list[tuple[int, int]] = _table()
-    edge_sigma: list[float] = _table()
-    edge_cols: list[np.ndarray] = _table()
-    lm_cols: list[list[np.ndarray]] = _table()   # [tag][landmark]
-    robot_blocks: tuple[np.ndarray, np.ndarray] = _table()
-
-    def __post_init__(self) -> None:
-        idx = self.index
+    def __init__(self, index: _EdgeIndex, n_landmarks: int) -> None:
+        self.index = idx = index
+        self.n_landmarks = n_landmarks
         self.tag_robot = idx.tag_robot.tolist()
         self.tag_body = idx.tag_body.tolist()
         self.tag_perp = idx.tag_perp.tolist()
@@ -98,8 +82,8 @@ class EkfModel:
         self.edge_sigma = idx.sigma.tolist()
         self.edge_cols = list(np.concatenate([idx.tag_cols[idx.edge_i],
                                               idx.tag_cols[idx.edge_j]], axis=1))
-        self.lm_cols = [[np.concatenate([tag_cols, self.lm_col(lm) + _XY])
-                         for lm in range(self.n_landmarks)] for tag_cols in idx.tag_cols]
+        self.lm_cols = [[np.concatenate([tag_cols, self.lm_col(lm) + _XY])  # [tag][landmark]
+                         for lm in range(n_landmarks)] for tag_cols in idx.tag_cols]
         blk = np.arange(3 * self.n_robots).reshape(-1, 3)
         self.robot_blocks = (blk[:, :, None], blk[:, None, :])
 
@@ -440,9 +424,9 @@ def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: Sequence[int],
     return cols, vals, zhat, valid
 
 
-def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: np.ndarray,
-                      z_rr: np.ndarray, lm_edges: list[tuple[int, int]], z_lm: np.ndarray,
-                      lm_sigma: float) -> tuple[EkfState, int]:
+def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: Sequence[int],
+                      z_rr: Sequence[float], lm_edges: Sequence[tuple[int, int]],
+                      z_lm: Sequence[float], lm_sigma: float) -> tuple[EkfState, int]:
     """Update in place on selected robot-robot edges plus landmark rows.
 
     rr_idx indexes into the model's edge arrays. The rows are linearized
@@ -546,11 +530,11 @@ class LandmarkBuffer:
     def add(self, tag_pos_estimate: np.ndarray, rng: float) -> None:
         if len(self.points) >= _BUFFER_CAP:
             return
-        p = np.asarray(tag_pos_estimate, dtype=np.float64)
-        for q in self.points:
-            if np.hypot(p[0] - q[0], p[1] - q[1]) < _BUFFER_NOVELTY:
-                return
-        self.points.append(p.copy())
+        p = np.array(tag_pos_estimate, dtype=np.float64)
+        q = np.reshape(self.points, (-1, 2))
+        if np.any(np.hypot(p[0] - q[:, 0], p[1] - q[:, 1]) < _BUFFER_NOVELTY):
+            return
+        self.points.append(p)
         self.ranges.append(float(rng))
 
     def spread(self) -> float:

@@ -31,7 +31,7 @@ from covform.covsim.ekf import (
 )
 from covform.covsim.waypoints import footprint_center, formation_sweep_width, generate_waypoints
 from covform.ranging import _EdgeIndex
-from covform.se2 import FormationState, _matvec, _rot_many, exp_step
+from covform.se2 import FormationState, _matvec, _rot_many, exp_step, wrap_angle
 from covform.team import RangeGraph, TeamConfig
 
 
@@ -53,7 +53,6 @@ class TruthLog:
     u_cmd: np.ndarray    # (K, N, 3) clean commanded twists
     coverage_time: float
     completed: bool
-    waypoints: np.ndarray
 
     @property
     def n_steps(self) -> int:
@@ -117,7 +116,6 @@ def simulate_truth(team: TeamConfig, x_des: FormationState, waypoints: np.ndarra
         ang=np.asarray(angs), pos=np.asarray(poss),
         u_cmd=np.asarray(cmds).reshape(K, n, 3),
         coverage_time=coverage_time, completed=completed,
-        waypoints=waypoints,
     )
 
 
@@ -167,9 +165,10 @@ def measurement_schedule(idx: _EdgeIndex, truth: TruthLog, config: SimConfig,
     slot, cycling over the E inter-robot edges and then the L x T
     (tag, landmark) pairs, skipping a landmark pair while its tag's robot is
     outside the detection radius; an event with no open slot is dropped.
-    All noise comes from one ``standard_normal`` call, step by step and,
-    within a step, one draw per range event and then two per GPS fix: the
-    stream the draws would give one event at a time.
+    All noise comes from one ``standard_normal`` call, handed out in one
+    stable order of the event steps: step by step and, within a step, one
+    draw per range event and then two per GPS fix, the stream the draws
+    would give one event at a time.
     """
     K, dt = truth.n_steps, config.dt_truth
     E, T = idx.edge_i.shape[0], idx.tag_robot.shape[0]
@@ -217,16 +216,12 @@ def measurement_schedule(idx: _EdgeIndex, truth: TruthLog, config: SimConfig,
     sigma = np.concatenate([idx.sigma, np.full(L * T, config.range_sigma)])[slot]
 
     gps_step = np.repeat(np.arange(K + 1), _event_counts(K, dt, config.gps_rate))
-    n_range = np.bincount(step, minlength=K + 1)
-    n_draws = n_range + 2 * np.bincount(gps_step, minlength=K + 1)
-    first = np.cumsum(n_draws) - n_draws  # index of each step's first draw
-    noise = meas_rng.standard_normal(int(n_draws.sum()))
-    rank = np.arange(step.shape[0]) - np.searchsorted(step, step)
-    z = dist + config.noise_scale * noise[first[step] + rank] * sigma
-    gps_rank = np.arange(gps_step.shape[0]) - np.searchsorted(gps_step, gps_step)
-    gps_draw = (first + n_range)[gps_step] + 2 * gps_rank
-    gps_noise = noise[gps_draw[:, None] + np.arange(2)]
-    gps_z = truth.pos[gps_step, 0] + config.noise_scale * gps_noise * config.gps_sigma
+    order = np.argsort(np.concatenate([step, np.repeat(gps_step, 2)]), kind="stable")
+    noise = np.empty(order.shape[0])
+    noise[order] = meas_rng.standard_normal(order.shape[0])
+    M = step.shape[0]
+    z = dist + config.noise_scale * noise[:M] * sigma
+    gps_z = truth.pos[gps_step, 0] + config.noise_scale * noise[M:].reshape(-1, 2) * config.gps_sigma
     return MeasurementSchedule(step, slot, z, gps_step, gps_z)
 
 
@@ -288,10 +283,8 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     sched = measurement_schedule(idx, truth, config, meas_rng)
     range_at = np.searchsorted(sched.step, np.arange(K + 2)).tolist()
     gps_at = np.searchsorted(sched.gps_step, np.arange(K + 2)).tolist()
-    slots = sched.slot.tolist()
+    slots, zs = sched.slot.tolist(), sched.z.tolist()
     n_edges, n_tags = idx.edge_i.shape[0], idx.tag_robot.shape[0]
-    edges = np.arange(n_edges)
-    no_edges, no_z = edges[:0], np.zeros(0)
     buffers = [LandmarkBuffer() for _ in range(L)]
 
     n_rejected_ranges = n_rejected_gps = 0
@@ -316,19 +309,19 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
         state = ekf_predict(state, model, phi[j], t[j], F[j], Q)
         est_ang[k - 1], est_pos[k - 1], lm_est[k - 1] = state.last_posterior()
         for m in range(range_at[k], range_at[k + 1]):
-            slot, z = slots[m], sched.z[m:m + 1]
+            slot, z = slots[m], zs[m]
             if slot < n_edges:
-                state, rej = ekf_update_ranges(state, model, edges[slot:slot + 1], z,
-                                               [], no_z, config.range_sigma)
+                state, rej = ekf_update_ranges(state, model, (slot,), (z,), (), (),
+                                               config.range_sigma)
                 n_rejected_ranges += rej
                 continue
             l, tag0 = divmod(slot - n_edges, n_tags)
             if state.initialized[l]:
-                state, rej = ekf_update_ranges(state, model, no_edges, no_z,
-                                               [(tag0, l)], z, config.range_sigma)
+                state, rej = ekf_update_ranges(state, model, (), (), ((tag0, l),), (z,),
+                                               config.range_sigma)
                 n_rejected_ranges += rej
             else:
-                buffers[l].add(state.tag_position(model, tag0), z[0])
+                buffers[l].add(state.tag_position(model, tag0), z)
                 state, _ = landmark_init(state, model, l, buffers[l], config.range_sigma)
 
         for g in range(gps_at[k], gps_at[k + 1]):
@@ -341,7 +334,7 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     # inter-robot errors: headings and positions relative to robot 1, the
     # latter resolved in robot 1's frame, estimate against truth
     d_ang = (est_ang[:, 1:] - est_ang[:, :1]) - (truth.ang[:, 1:] - truth.ang[:, :1])
-    att_err = np.abs(np.arctan2(np.sin(d_ang), np.cos(d_ang)))
+    att_err = np.abs(wrap_angle(d_ang))
     rel_est = (est_pos[:, 1:] - est_pos[:, :1]) @ _rot_many(est_ang[:, 0])
     rel_true = (truth.pos[:, 1:] - truth.pos[:, :1]) @ _rot_many(truth.ang[:, 0])
     pos_err = np.linalg.norm(rel_est - rel_true, axis=-1)
@@ -383,23 +376,18 @@ def dump_trajectory_csv(path, artifacts: TrialArtifacts) -> None:
     """Plot-ready CSV: truth and estimated poses plus landmark 3-sigma bands,
     every CSV_EVERY-th truth step."""
     truth = artifacts.truth
-    n = truth.ang.shape[1]
-    L = artifacts.lm_est.shape[1]
-    cols = ["t"]
-    for p in range(1, n + 1):
-        cols += [f"true_x{p}", f"true_y{p}", f"true_ang{p}",
-                 f"est_x{p}", f"est_y{p}", f"est_ang{p}"]
-    for l in range(1, L + 1):
-        cols += [f"lm{l}_est_x", f"lm{l}_est_y", f"lm{l}_3sig_x", f"lm{l}_3sig_y"]
+    n, L = truth.ang.shape[1], artifacts.lm_est.shape[1]
+    cols = ["t"] + [f"{kind}_{c}{p}" for p in range(1, n + 1)
+                    for kind in ("true", "est") for c in ("x", "y", "ang")]
+    cols += [f"lm{l}_{kind}_{c}" for l in range(1, L + 1) for kind in ("est", "3sig") for c in "xy"]
+    rows = slice(None, None, CSV_EVERY)
+    robots = np.stack([truth.pos[rows, :, 0], truth.pos[rows, :, 1], truth.ang[rows],
+                       artifacts.est_pos[rows, :, 0], artifacts.est_pos[rows, :, 1],
+                       artifacts.est_ang[rows]], axis=-1)
+    landmarks = np.concatenate([artifacts.lm_est[rows], 3.0 * artifacts.lm_sigma[rows]], axis=-1)
+    table = np.hstack([truth.t[rows, None], robots.reshape(len(robots), -1),
+                       landmarks.reshape(len(landmarks), -1)])
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(0, truth.ang.shape[0], CSV_EVERY):
-            row = [truth.t[k]]
-            for p in range(n):
-                row += [truth.pos[k, p, 0], truth.pos[k, p, 1], truth.ang[k, p],
-                        artifacts.est_pos[k, p, 0], artifacts.est_pos[k, p, 1],
-                        artifacts.est_ang[k, p]]
-            for l in range(L):
-                row += [artifacts.lm_est[k, l, 0], artifacts.lm_est[k, l, 1],
-                        3.0 * artifacts.lm_sigma[k, l, 0], 3.0 * artifacts.lm_sigma[k, l, 1]]
+        for row in table.tolist():
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")

@@ -37,21 +37,6 @@ def generate_waypoints(area: tuple[float, float], sweep_width: float) -> np.ndar
 MERGE_TOLERANCE = 1e-2
 
 
-def _disk_intervals(x: FormationState, team: TeamConfig, axis: int) -> list[tuple[float, float]]:
-    pos = x.positions()
-    radii = team.camera_radii()
-    lo = pos[:, axis] - radii
-    hi = pos[:, axis] + radii
-    order = np.argsort(lo)
-    merged: list[tuple[float, float]] = []
-    for k in order:
-        if merged and lo[k] <= merged[-1][1] + MERGE_TOLERANCE:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi[k]))
-        else:
-            merged.append((float(lo[k]), float(hi[k])))
-    return merged
-
-
 def formation_sweep_width(x: FormationState, team: TeamConfig) -> float:
     """Width of the gap-free band swept when the formation travels vertically.
 
@@ -59,10 +44,17 @@ def formation_sweep_width(x: FormationState, team: TeamConfig) -> float:
     extent; if the union is split, the width of the narrowest piece is
     returned so legs at that spacing still tile every piece without gaps.
     """
-    merged = _disk_intervals(x, team, axis=0)
-    if len(merged) == 1:
-        return merged[0][1] - merged[0][0]
-    return min(hi - lo for lo, hi in merged)
+    pos = x.positions()[:, 0]
+    radii = team.camera_radii()
+    lo = pos - radii
+    hi = pos + radii
+    merged: list[tuple[float, float]] = []
+    for k in np.argsort(lo):
+        if merged and lo[k] <= merged[-1][1] + MERGE_TOLERANCE:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi[k]))
+        else:
+            merged.append((float(lo[k]), float(hi[k])))
+    return min(end - start for start, end in merged)
 
 
 def footprint_center(x: FormationState, team: TeamConfig) -> np.ndarray:
@@ -70,10 +62,5 @@ def footprint_center(x: FormationState, team: TeamConfig) -> np.ndarray:
 
     Leg waypoints position this point (not the leader) on the sweep line.
     """
-    out = np.empty(2)
-    for axis in (0, 1):
-        merged = _disk_intervals(x, team, axis)
-        lo = min(m[0] for m in merged)
-        hi = max(m[1] for m in merged)
-        out[axis] = 0.5 * (lo + hi)
-    return out
+    pos, radii = x.positions(), team.camera_radii()[:, None]
+    return 0.5 * (np.min(pos - radii, axis=0) + np.max(pos + radii, axis=0))

@@ -38,6 +38,8 @@ class OptimizerConfig:
             raise ValueError("need alpha > 0, 0 <= beta < 1, tol > 0, fd_step > 0")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("need max_iters >= 1 and restarts >= 1")
+        if self.init_box <= 0 or self.min_init_separation < 0:
+            raise ValueError("need init_box > 0 and min_init_separation >= 0")
 
 
 @dataclass
@@ -120,7 +122,7 @@ def random_formation(n_robots: int, rng: np.random.Generator,
     """Random start: uniform headings, translations in the init box.
 
     States with any pair closer than min_init_separation are resampled so
-    no start sits inside the collision barrier.
+    no start sits inside the collision barrier; ValueError after 1000 draws.
     """
     m = n_robots - 1
     for _ in range(1000):
@@ -130,4 +132,6 @@ def random_formation(n_robots: int, rng: np.random.Generator,
         d = np.linalg.norm(all_pos[:, None] - all_pos[None, :], axis=-1)
         if np.all(d[np.triu_indices(n_robots, 1)] > cfg.min_init_separation):
             return FormationState(_rot_many(ang), pos)
-    raise RuntimeError("could not sample a collision-free start; shrink the team or grow the box")
+    b = cfg.init_box
+    raise ValueError(f"1000 draws of {n_robots} robots in [-{b}, {b}]^2 all put a pair within "
+                     f"min_init_separation {cfg.min_init_separation} m; grow the box")

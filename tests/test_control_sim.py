@@ -255,7 +255,7 @@ def simulate_truth_loop(team, x_des, waypoints, config, rng):
     K = len(cmds)
     return sim.TruthLog(t=np.arange(K + 1) * dt, ang=np.asarray(angs), pos=np.asarray(poss),
                         u_cmd=np.asarray(cmds).reshape(K, n, 3), coverage_time=coverage_time,
-                        completed=completed, waypoints=waypoints)
+                        completed=completed)
 
 
 def test_truth_log_and_transitions_grow_with_steps_flown_not_max_time():
@@ -296,3 +296,45 @@ def test_chunked_replay_equals_one_block(monkeypatch):
     for name in ("est_ang", "est_pos", "lm_est", "lm_sigma", "lm_initialized"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.metrics.as_record() == want.metrics.as_record()
+
+
+def dump_trajectory_csv_loop(path, artifacts):
+    """The row-by-row writer: the oracle of ``sim.dump_trajectory_csv``."""
+    truth = artifacts.truth
+    n = truth.ang.shape[1]
+    L = artifacts.lm_est.shape[1]
+    cols = ["t"]
+    for p in range(1, n + 1):
+        cols += [f"true_x{p}", f"true_y{p}", f"true_ang{p}",
+                 f"est_x{p}", f"est_y{p}", f"est_ang{p}"]
+    for l in range(1, L + 1):
+        cols += [f"lm{l}_est_x", f"lm{l}_est_y", f"lm{l}_3sig_x", f"lm{l}_3sig_y"]
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k in range(0, truth.ang.shape[0], sim.CSV_EVERY):
+            row = [truth.t[k]]
+            for p in range(n):
+                row += [truth.pos[k, p, 0], truth.pos[k, p, 1], truth.ang[k, p],
+                        artifacts.est_pos[k, p, 0], artifacts.est_pos[k, p, 1],
+                        artifacts.est_ang[k, p]]
+            for l in range(L):
+                row += [artifacts.lm_est[k, l, 0], artifacts.lm_est[k, l, 1],
+                        3.0 * artifacts.lm_sigma[k, l, 0], 3.0 * artifacts.lm_sigma[k, l, 1]]
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+
+@pytest.mark.parametrize("landmarks", [((3.0, 4.0), (1.0, 6.0)), ()])
+def test_trajectory_table_equals_row_loop(tmp_path, landmarks):
+    # the landmarks start uninitialized, so the first rows hold nan cells
+    team = TeamConfig.uniform(3)
+    cfg = SimConfig(area=(6.0, 8.0), landmark_positions=landmarks, max_sim_time=20.0, seed=7)
+    art = run_coverage_sim(team, default_full_graph(team), line_formation(3), cfg,
+                           keep_artifacts=True)
+    sim.dump_trajectory_csv(tmp_path / "table.csv", art)
+    dump_trajectory_csv_loop(tmp_path / "loop.csv", art)
+    got = (tmp_path / "table.csv").read_bytes()
+    assert got == (tmp_path / "loop.csv").read_bytes()
+    rows = got.decode().splitlines()
+    assert len(rows) == 1 + len(range(0, art.truth.ang.shape[0], sim.CSV_EVERY))
+    if landmarks:
+        assert "nan" in rows[1] and "nan" not in rows[-1]

@@ -578,3 +578,14 @@ class TestRandomFormation:
         cfg = OptimizerConfig(init_box=2.0)
         x = random_formation(4, np.random.default_rng(1), cfg)
         assert np.all(np.abs(x.r) <= 2.0)
+
+    def test_crowded_box_is_a_value_error(self):
+        # 40 robots in the default 6 m box hold about 17 close pairs a draw
+        with pytest.raises(ValueError, match="1000 draws of 40 robots"):
+            random_formation(40, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kw", [{"init_box": 0.0}, {"init_box": -1.0},
+                                    {"min_init_separation": -0.1}])
+    def test_start_box_is_validated(self, kw):
+        with pytest.raises(ValueError, match="init_box > 0 and min_init_separation >= 0"):
+            OptimizerConfig(**kw)

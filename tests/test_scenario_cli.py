@@ -257,6 +257,10 @@ class TestCli:
         ("graph.edges", {"graph": {"edges": [[1, 99]]}}),
         ("optimizer", {"optimizer": {"restarts": 0}}),
         ("optimizer", {"optimizer": {"max_iters": 0}}),
+        ("optimizer", {"optimizer": {"init_box": 0}}),
+        ("optimizer", {"optimizer": {"min_init_separation": -0.1}}),
+        # three robots within 0.14 m of the origin always hold a pair closer than 0.5 m
+        ("optimizer.init_box", {"optimizer": {"init_box": 0.1}}),
         ("team", {"team": {"count": 3, "colour": "red"}}),
         ("graph", {"graph": {"ful": True}}),
         ("formation", {"formation": {"directions": [[1, 0]] * 2, "lamda": 0.3}}),
@@ -301,11 +305,18 @@ class TestCli:
             4 + MAX_TAGS_PER_ROBOT
 
     @pytest.mark.parametrize("command", ["simulate", "heatmap", "montecarlo"])
-    @pytest.mark.parametrize("name", ["missing", "not_json", "empty", "one_pose", "no_order"])
+    @pytest.mark.parametrize("name", ["missing", "not_json", "empty", "one_pose", "no_order",
+                                      "scaled_C", "zero_C", "mirror_C", "sheared_C"])
     def test_malformed_formation_file_is_a_config_error(self, tmp_path, capsys, command, name):
         one_pose = formation_to_doc(
             from_poses([Pose2(np.eye(2), np.array([1.0, 0.0]))]),
             SortedIds((1, 2), (0.5, 0.5)))
+
+        def golden_with_C(k, C):
+            doc = json.loads(GOLDEN.read_text())
+            doc["formation"]["poses"][k]["C"] = C
+            return json.dumps(doc), f"formation.poses[{k}].C: not a rotation"
+
         content, message = {
             "missing": (None, "cannot read formation file"),
             "not_json": ("{not json", "not valid JSON"),
@@ -313,6 +324,10 @@ class TestCli:
             "one_pose": (json.dumps({"formation": one_pose}), "formation.poses: expected 4 poses"),
             "no_order": (json.dumps({"formation": {**one_pose, "sorted_ids": {
                 "order": [], "radii": [0.5, 0.5]}}}), "formation.sorted_ids: slot 1 must hold robot 1"),
+            "scaled_C": golden_with_C(0, [[2, 0], [0, 2]]),
+            "zero_C": golden_with_C(3, [[0, 0], [0, 0]]),
+            "mirror_C": golden_with_C(1, [[1, 0], [0, -1]]),
+            "sheared_C": golden_with_C(2, [[1, 1e-8], [0, 1]]),
         }[name]
         path = tmp_path / f"{name}.json"
         if content is not None:
@@ -685,6 +700,9 @@ class TestFormationFileFuzz:
             return
         assert x.n_robots == s.n_robots == 5
         assert np.all(np.isfinite(x.C)) and np.all(np.isfinite(x.r))
+        CtC = np.einsum("kji,kjl->kil", x.C, x.C)
+        assert np.abs(CtC - np.eye(2)).max() <= cli.ROTATION_TOL
+        assert np.all(np.linalg.det(x.C) > 0)
         assert all(math.isfinite(v) for v in s.sorted_radii)
 
 

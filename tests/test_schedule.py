@@ -145,7 +145,7 @@ def test_schedule_memory_grows_with_events_not_steps_times_tags():
     truth = TruthLog(t=np.zeros(K + 1), ang=rng.uniform(-3, 3, (K + 1, n)),
                      pos=rng.uniform(-20, 20, (K + 1, n, 2)),
                      u_cmd=np.broadcast_to(np.zeros(3), (K, n, 3)),
-                     coverage_time=np.nan, completed=False, waypoints=np.zeros((1, 2)))
+                     coverage_time=np.nan, completed=False)
     config = SimConfig(range_rate=2.0, gps_rate=1.0, landmark_positions=((0.0, 0.0),))
     tracemalloc.start()
     try:

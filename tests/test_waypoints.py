@@ -1,10 +1,42 @@
 import numpy as np
 import pytest
 
-from covform.covsim.waypoints import footprint_center, formation_sweep_width, generate_waypoints
+from covform.covsim.waypoints import (
+    MERGE_TOLERANCE,
+    footprint_center,
+    formation_sweep_width,
+    generate_waypoints,
+)
+from covform.optimizer import OptimizerConfig, random_formation
 from covform.se2 import Pose2
 from covform.team import TeamConfig
 from helpers import from_poses
+
+
+def disk_intervals(x, team, axis):
+    """The disks' extents along one axis, merged where they touch."""
+    pos = x.positions()
+    radii = team.camera_radii()
+    lo = pos[:, axis] - radii
+    hi = pos[:, axis] + radii
+    merged = []
+    for k in np.argsort(lo):
+        if merged and lo[k] <= merged[-1][1] + MERGE_TOLERANCE:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi[k]))
+        else:
+            merged.append((float(lo[k]), float(hi[k])))
+    return merged
+
+
+def footprint_center_by_intervals(x, team):
+    """The interval-merge footprint: the oracle of ``footprint_center``."""
+    out = np.empty(2)
+    for axis in (0, 1):
+        merged = disk_intervals(x, team, axis)
+        lo = min(m[0] for m in merged)
+        hi = max(m[1] for m in merged)
+        out[axis] = 0.5 * (lo + hi)
+    return out
 
 
 def line_state(gaps):
@@ -88,3 +120,17 @@ class TestSweepWidth:
         team = TeamConfig.uniform(3, camera_radius=0.5)
         x = line_state([1.0, 1.0])
         np.testing.assert_allclose(footprint_center(x, team), [1.0, 0.0])
+
+    def test_footprint_center_equals_interval_merge(self):
+        # random teams and spreads: connected and split disk unions alike
+        rng = np.random.default_rng(5)
+        n_split = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            team = TeamConfig.uniform(n, camera_radius=float(rng.uniform(0.1, 1.0)))
+            cfg = OptimizerConfig(init_box=float(rng.uniform(0.2, 6.0)), min_init_separation=0.0)
+            x = random_formation(n, rng, cfg)
+            n_split += len(disk_intervals(x, team, 0)) > 1 or len(disk_intervals(x, team, 1)) > 1
+            np.testing.assert_array_equal(footprint_center(x, team),
+                                          footprint_center_by_intervals(x, team))
+        assert 50 < n_split < 250
