@@ -15,8 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from covform import costs
-from covform.cli import cmd_optimize, load_formation_file
+from covform import cli, costs
 from covform.scenario import load_scenario
 
 
@@ -27,16 +26,19 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    scenario = load_scenario(args.config)
     rc = 0
     for kind in ("adj", "opt", "cov"):
-        ns = argparse.Namespace(config=args.config, cost=kind, seed=args.seed, out=args.out)
-        rc |= cmd_optimize(ns)
+        code = cli.main(["optimize", "--config", args.config, "--cost", kind,
+                         "--seed", str(args.seed), "--out", args.out])
+        if code == cli.CONFIG_ERROR:
+            return code
+        rc |= code
 
+    scenario = load_scenario(args.config)  # optimize has checked it
     print("\nobservability comparison (-ln det FIM, lower is better):")
     for kind in ("opt", "cov", "adj"):
-        x, _, doc = load_formation_file(Path(args.out) / f"formation_{kind}.json",
-                                        scenario.team.n_robots)
+        x, _, doc = cli.load_formation_file(Path(args.out) / f"formation_{kind}.json",
+                                            scenario.team.n_robots)
         est = costs.j_est(x, scenario.team, scenario.graph)
         print(f"  {kind:4s}: est = {est:9.4f}   converged = {doc['trace']['converged']}")
     return rc

@@ -17,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from covform.cli import cmd_montecarlo
+from covform import cli
 from covform.covsim import reduction_table
 
 
@@ -33,9 +33,11 @@ def main() -> int:
 
     forms = [str(Path(args.formations) / f"formation_{k}.json")
              for k in ("adj", "opt", "cov")]
-    ns = argparse.Namespace(config=args.config, formations=forms, trials=args.trials,
-                            seed=args.seed, jobs=args.jobs, out=args.out)
-    rc = cmd_montecarlo(ns)
+    rc = cli.main(["montecarlo", "--config", args.config, "--formations", *forms,
+                   "--trials", str(args.trials), "--seed", str(args.seed),
+                   "--jobs", str(args.jobs), "--out", args.out])
+    if rc == cli.CONFIG_ERROR:
+        return rc
 
     import json
     summary = json.loads((Path(args.out) / "montecarlo_summary.json").read_text())

@@ -17,51 +17,37 @@ from covform.team import SortedIds, TeamConfig
 _TIE_TOL = 1e-9
 
 
-def _lsap(cost: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimum-cost square assignment; returns (value, col_of_row)."""
+def _lsap(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum-cost square assignment by shortest augmenting paths. Returns
+    (col_of_row, u, v): potentials with cost - u[:, None] - v >= 0 everywhere
+    and 0 on the assignment, up to rounding."""
     n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
+    c = np.pad(cost, ((1, 0), (1, 0)))  # row and column 0 are the search's root
+    u, v = np.zeros(n + 1), np.zeros(n + 1)
     row_of_col = np.zeros(n + 1, dtype=int)  # 0 means unassigned
     way = np.zeros(n + 1, dtype=int)
     for i in range(1, n + 1):
-        row_of_col[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+        row_of_col[0], j0 = i, 0
+        minv, used = np.full(n + 1, np.inf), np.zeros(n + 1, dtype=bool)
         while True:
             used[j0] = True
             i0 = row_of_col[j0]
-            delta = np.inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[row_of_col[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
+            cur = c[i0] - u[i0] - v
+            better = ~used & (cur < minv)
+            minv[better] = cur[better]
+            way[better] = j0
+            j0 = int(np.argmin(np.where(used, np.inf, minv)))  # the first minimum
+            delta = minv[j0]
+            u[row_of_col[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
             if row_of_col[j0] == 0:
                 break
-        while j0:
-            j1 = way[j0]
-            row_of_col[j0] = row_of_col[j1]
-            j0 = j1
+        while j0:  # augment along the path back to the root
+            row_of_col[j0], j0 = row_of_col[way[j0]], way[j0]
     col_of_row = np.empty(n, dtype=int)
-    for j in range(1, n + 1):
-        col_of_row[row_of_col[j] - 1] = j - 1
-    value = float(cost[np.arange(n), col_of_row].sum())
-    return value, col_of_row
+    col_of_row[row_of_col[1:] - 1] = np.arange(n)
+    return col_of_row, u[1:], v[1:]
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -69,7 +55,10 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
 
     Returns col_of_row: row i is assigned column col_of_row[i]. Among
     optimal assignments, the lexicographically smallest one is returned,
-    which makes downstream id sorting deterministic across platforms.
+    which makes downstream id sorting deterministic across platforms. One
+    solve's potentials mark the tight entries (reduced cost within
+    _TIE_TOL * max(1, |best|) of 0), and every optimal assignment uses only
+    those; an assignment whose every entry is tight counts as optimal.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -77,30 +66,27 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
     n = cost.shape[0]
-    if n == 1:
-        return np.zeros(1, dtype=int)
+    col_of_row, u, v = _lsap(cost)
+    best = float(cost[np.arange(n), col_of_row].sum())
+    tight = cost - u[:, None] - v <= _TIE_TOL * max(1.0, abs(best))
+    tight[np.arange(n), col_of_row] = True  # 0 up to rounding by construction
+    tight_cols = [np.flatnonzero(t).tolist() for t in tight]
+    col, row = col_of_row.tolist(), np.argsort(col_of_row).tolist()
 
-    best, col_of_row = _lsap(cost)
-    tol = _TIE_TOL * max(1.0, abs(best))
+    def take(k: int, freed: int, seen: set[int]) -> bool:
+        """Row k takes its smallest tight column whose row, and so on, can give
+        way along one alternating path of tight entries ending in column freed;
+        rows in seen do not move."""
+        for j in tight_cols[k]:
+            if j == freed or (row[j] not in seen  # set.add returns None
+                              and (seen.add(row[j]) or take(row[j], freed, seen))):
+                col[k], row[j] = j, k
+                return True
+        return False
 
-    # lexicographic refinement: fix rows in order to the smallest column
-    # that still admits an optimal completion
-    chosen = np.empty(n, dtype=int)
-    free_cols = list(range(n))
-    prefix = 0.0
-    for i in range(n):
-        rest_rows = np.arange(i + 1, n)
-        for j in free_cols:
-            others = [c for c in free_cols if c != j]
-            tail = _lsap(cost[np.ix_(rest_rows, others)])[0] if len(others) else 0.0
-            if prefix + cost[i, j] + tail <= best + tol:
-                chosen[i] = j
-                prefix += cost[i, j]
-                free_cols.remove(j)
-                break
-        else:  # numerically impossible, guard anyway
-            raise RuntimeError("no optimal completion found during tie-breaking")
-    return chosen
+    for i in range(n):  # lexicographic refinement: rows in order, earlier ones fixed
+        take(i, col[i], set(range(i + 1)))
+    return np.array(col, dtype=int)
 
 
 def travel_cost_matrix(x: FormationState, team: TeamConfig,

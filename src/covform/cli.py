@@ -234,16 +234,20 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     if args.trials < 1 or args.jobs < 1:
         raise ScenarioError(f"--trials and --jobs must be >= 1, got {args.trials}, {args.jobs}")
-    formations: dict[str, FormationState] = {}
+    formations: dict[str, tuple[FormationState, str]] = {}
     for path in args.formations:
         x, _, doc = load_formation_file(path, scenario.team.n_robots)
-        formations[doc.get("cost_kind", Path(path).stem)] = x
+        name = doc.get("cost_kind", Path(path).stem)
+        if name in formations:
+            raise ScenarioError(f"--formations: {formations[name][1]} and {path} are both "
+                                f"named {name!r}; give each formation its own name")
+        formations[name] = x, path
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     aggregates: dict[str, dict] = {}
     config = replace(scenario.sim, seed=args.seed)
-    for name, x in formations.items():
+    for name, (x, _) in formations.items():
         results, aggregates[name] = monte_carlo(scenario.team, scenario.graph, x, config,
                                                 args.trials, args.jobs)
         with open(outdir / f"trials_{name}.jsonl", "w") as fh:

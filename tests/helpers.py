@@ -2,8 +2,8 @@
 every tag's world position, the per-endpoint range rows (of any tags and
 fixed points, the EKF rows' oracle), Jacobian and per-formation FIM of the
 design, the one-pair collision barrier, the scalar composition of the
-objective, a plain cost function in the shape of an objective and a plain
-multistart over ``optimizer.minimize``."""
+objective, a plain cost function in the shape of an objective, a plain
+multistart over ``optimizer.minimize`` and the re-solving assignment oracle."""
 
 from __future__ import annotations
 
@@ -159,3 +159,80 @@ def minimize_multistart(cost: costs.Objective | Mapped, n_robots: int,
             best = tr
     assert best is not None
     return best
+
+
+def _lsap_scan(cost: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimum-cost square assignment with a column-by-column scan per
+    augmenting step; returns (value, col_of_row)."""
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    row_of_col = np.zeros(n + 1, dtype=int)  # 0 means unassigned
+    way = np.zeros(n + 1, dtype=int)
+    for i in range(1, n + 1):
+        row_of_col[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = row_of_col[j0]
+            delta = np.inf
+            j1 = 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[row_of_col[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if row_of_col[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            row_of_col[j0] = row_of_col[j1]
+            j0 = j1
+    col_of_row = np.empty(n, dtype=int)
+    for j in range(1, n + 1):
+        col_of_row[row_of_col[j] - 1] = j - 1
+    value = float(cost[np.arange(n), col_of_row].sum())
+    return value, col_of_row
+
+
+def hungarian_resolve(cost: np.ndarray, tie_tol: float = 1e-9) -> np.ndarray:
+    """Oracle of ``assignment.hungarian``: the lexicographically smallest
+    assignment whose total is within tie_tol * max(1, |best|) of the best,
+    found by fixing rows in order to the smallest column that still admits
+    such a completion, re-solving the rest of the matrix for every candidate."""
+    cost = np.asarray(cost, dtype=np.float64)
+    n = cost.shape[0]
+    if n == 1:
+        return np.zeros(1, dtype=int)
+    best = _lsap_scan(cost)[0]
+    tol = tie_tol * max(1.0, abs(best))
+    chosen = np.empty(n, dtype=int)
+    free_cols = list(range(n))
+    prefix = 0.0
+    for i in range(n):
+        rest_rows = np.arange(i + 1, n)
+        for j in free_cols:
+            others = [c for c in free_cols if c != j]
+            tail = _lsap_scan(cost[np.ix_(rest_rows, others)])[0] if others else 0.0
+            if prefix + cost[i, j] + tail <= best + tol:
+                chosen[i] = j
+                prefix += cost[i, j]
+                free_cols.remove(j)
+                break
+        else:
+            raise AssertionError("no optimal completion found during tie-breaking")
+    return chosen

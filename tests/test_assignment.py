@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covform import se2
+from covform import assignment, se2
 from covform.assignment import hungarian, sort_robot_ids, travel_cost_matrix
+from covform.optimizer import OptimizerConfig, random_formation
 from covform.team import TeamConfig
-from helpers import from_poses
+from helpers import from_poses, hungarian_resolve
 
 
 def brute_force_value(cost):
@@ -68,6 +69,36 @@ class TestHungarian:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             hungarian(np.array([[1.0, np.inf], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("kind", ["integer", "dyadic"])
+    def test_equals_resolving_oracle_on_ties(self, kind):
+        # small integers tie often; dyadic entries sum exactly, so their ties are exact
+        rng = np.random.default_rng({"integer": 41, "dyadic": 42}[kind])
+        for _ in range(2500):
+            n = int(rng.integers(1, 10))
+            if kind == "integer":
+                cost = rng.integers(0, 4, (n, n)).astype(np.float64)
+            else:
+                cost = rng.integers(0, 64, (n, n)).astype(np.float64) / 2**int(rng.integers(0, 12))
+            np.testing.assert_array_equal(hungarian(cost), hungarian_resolve(cost))
+
+    @pytest.mark.parametrize("n_robots,starts", [(5, 10), (7, 10), (24, 3)])
+    def test_equals_resolving_oracle_on_travel_costs(self, n_robots, starts):
+        team = TeamConfig.uniform(n_robots)
+        dirs = np.array([[1.0, 0.0]] * (n_robots - 1))
+        for child in np.random.SeedSequence(n_robots).spawn(starts):
+            x0 = random_formation(n_robots, np.random.default_rng(child), OptimizerConfig())
+            cost = travel_cost_matrix(x0, team, dirs)
+            np.testing.assert_array_equal(hungarian(cost), hungarian_resolve(cost))
+
+    def test_one_solve_per_call(self, monkeypatch):
+        calls = []
+        lsap = assignment._lsap
+        monkeypatch.setattr(assignment, "_lsap", lambda cost: calls.append(1) or lsap(cost))
+        for cost in (np.ones((6, 6)), np.random.default_rng(3).uniform(0, 1, (9, 9))):
+            calls.clear()
+            hungarian(cost)
+            assert len(calls) == 1
 
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=60, deadline=None)

@@ -280,6 +280,23 @@ def test_truth_log_and_transitions_grow_with_steps_flown_not_max_time():
     assert peak < max_steps * per_step / 20, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_cut_64_robot_line_trial_memory():
+    # the default graph's 8,064 edges over a 5 s trial: the traced peak was
+    # 13.1 MB (a full 56.5 s trial peaks at 65.8 MB); the bound is twice that
+    n = 64
+    team = TeamConfig.uniform(n)
+    cfg = SimConfig(seed=3, max_sim_time=5.0)
+    tracemalloc.start()
+    try:
+        art = run_coverage_sim(team, default_full_graph(team), line_formation(n), cfg,
+                               keep_artifacts=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert art.truth.n_steps == int(round(cfg.max_sim_time / cfg.dt_truth))
+    assert peak < 26e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_chunked_replay_equals_one_block(monkeypatch):
     # transitions built 7 steps at a time replay the trial of one block
     team = TeamConfig.uniform(3)

@@ -492,6 +492,22 @@ class TestCli:
                    "--trials", "1", "--out", str(tmp_path)])
         assert rc == 1
 
+    def test_montecarlo_rejects_formations_of_one_name(self, tmp_path, capsys):
+        # two seeds of one cost kind: the second would overwrite the first's trials
+        cfg = fast_scenario(tmp_path)
+        forms = []
+        for seed in ("1", "2"):
+            main(["optimize", "--config", str(cfg), "--cost", "adj",
+                  "--seed", seed, "--out", str(tmp_path / seed)])
+            forms.append(str(tmp_path / seed / "formation_adj.json"))
+        rc = main(["montecarlo", "--config", str(cfg), "--formations", *forms,
+                   "--trials", "1", "--out", str(tmp_path / "mc")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error: --formations:" in err
+        assert forms[0] in err and forms[1] in err and "'adj'" in err
+        assert not (tmp_path / "mc").exists()
+
     @pytest.mark.parametrize("flag", ["--trials", "--jobs"])
     def test_montecarlo_rejects_zero_counts(self, tmp_path, capsys, flag):
         cfg = fast_scenario(tmp_path)
