@@ -38,7 +38,7 @@ def main() -> int:
     print("\nobservability comparison (-ln det FIM, lower is better):")
     for kind in ("opt", "cov", "adj"):
         x, _, doc = cli.load_formation_file(Path(args.out) / f"formation_{kind}.json",
-                                            scenario.team.n_robots)
+                                            scenario.team)
         est = costs.j_est(x, scenario.team, scenario.graph)
         print(f"  {kind:4s}: est = {est:9.4f}   converged = {doc['trace']['converged']}")
     return rc

@@ -18,7 +18,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from covform import cli
-from covform.covsim import reduction_table
 
 
 def main() -> int:
@@ -46,8 +45,8 @@ def main() -> int:
         ct = agg["filtered"]["coverage_time"]["median"]
         print(f"  {name:4s}: {ct if ct is None else round(ct, 1)}")
     print("\npercentage reduction in median estimation error vs adj:")
-    # the summary's table, its rows in order: each landmark, then att and pos
-    table = reduction_table(summary["aggregates"], "adj")
+    # the summary's table, its columns in order: each landmark, then att and pos
+    table = summary["reduction_vs_adj"]
     metrics = list(table["adj"])
     header = "  " + " ".join(f"{m:>22s}" for m in metrics)
     print(header)

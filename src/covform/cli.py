@@ -38,7 +38,7 @@ from covform.scenario import (
     load_scenario,
 )
 from covform.se2 import FormationState
-from covform.team import SortedIds
+from covform.team import SortedIds, TeamConfig
 
 OK, CONFIG_ERROR, NOT_CONVERGED = 0, 1, 2
 
@@ -48,9 +48,9 @@ MAX_GRID_POINTS = 250_000
 ROTATION_TOL = 1e-9
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict, sort_keys: bool = True) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n")
 
 
 def formation_to_doc(x: FormationState, sorted_ids: SortedIds) -> dict:
@@ -94,8 +94,9 @@ def formation_from_doc(doc: Any) -> tuple[FormationState, SortedIds]:
 
 
 def load_formation_file(path: str | Path,
-                        n_robots: int) -> tuple[FormationState, SortedIds, dict]:
-    """Formation written by ``optimize``, checked to hold an n_robots team."""
+                        team: TeamConfig) -> tuple[FormationState, SortedIds, dict]:
+    """Formation written by ``optimize``, checked to hold the team: its size,
+    and each slot's camera radius that of the robot the slot holds."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as e:
@@ -108,10 +109,16 @@ def load_formation_file(path: str | Path,
         x, s = formation_from_doc(doc["formation"])
     except ScenarioError as e:
         raise ScenarioError(f"{path}: {e}") from None
+    n_robots = team.n_robots
     if x.n_robots != n_robots or s.n_robots != n_robots:
         raise ScenarioError(
             f"{path}: formation.poses: expected {n_robots - 1} poses and {n_robots} "
             f"sorted ids for {n_robots} robots, got {x.n_robots - 1} and {s.n_robots}")
+    radii = [team.robots[i - 1].camera_radius for i in s.order]
+    if list(s.sorted_radii) != radii:
+        raise ScenarioError(
+            f"{path}: formation.sorted_ids.radii: expected the team's camera radii in "
+            f"slot order, {radii}, got {list(s.sorted_radii)}")
     return x, s, doc
 
 
@@ -161,7 +168,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
-    x, sorted_ids, _ = load_formation_file(args.formation, scenario.team.n_robots)
+    x, sorted_ids, _ = load_formation_file(args.formation, scenario.team)
     robot = args.robot if args.robot is not None else scenario.team.n_robots
     if not 2 <= robot <= scenario.team.n_robots:
         raise ScenarioError(f"heatmap robot must be 2..{scenario.team.n_robots}, got {robot}")
@@ -214,7 +221,7 @@ def _heatmap_point(cost: costs.Objective, C: np.ndarray, r: np.ndarray) -> float
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
-    x, _, _ = load_formation_file(args.formation, scenario.team.n_robots)
+    x, _, _ = load_formation_file(args.formation, scenario.team)
     config = replace(scenario.sim, seed=args.seed)
     artifacts = run_coverage_sim(scenario.team, scenario.graph, x, config,
                                  keep_artifacts=True)
@@ -236,7 +243,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         raise ScenarioError(f"--trials and --jobs must be >= 1, got {args.trials}, {args.jobs}")
     formations: dict[str, tuple[FormationState, str]] = {}
     for path in args.formations:
-        x, _, doc = load_formation_file(path, scenario.team.n_robots)
+        x, _, doc = load_formation_file(path, scenario.team)
         name = doc.get("cost_kind", Path(path).stem)
         if name in formations:
             raise ScenarioError(f"--formations: {formations[name][1]} and {path} are both "
@@ -261,7 +268,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         "aggregates": aggregates,
         "reduction_vs_" + baseline: reduction_table(aggregates, baseline),
     }
-    _write_json(outdir / "montecarlo_summary.json", summary)
+    # unsorted, so the reduction table keeps its landmark-then-att/pos column order
+    _write_json(outdir / "montecarlo_summary.json", summary, sort_keys=False)
     print(f"wrote {outdir / 'montecarlo_summary.json'}")
     return OK
 

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
+# rate-clock events one sensor may make over max_sim_time; the replay draws
+# its whole schedule up front, so a larger count is refused, not allocated
+MAX_SENSOR_EVENTS = 10 ** 7
+
 
 @dataclass(frozen=True)
 class ControlGains:
@@ -71,6 +75,10 @@ class SimConfig:
                      "divergence_threshold"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        events = self.max_sim_time * max(self.range_rate, self.gps_rate)
+        if not events <= MAX_SENSOR_EVENTS:
+            raise ValueError(f"max_sim_time times the larger of range_rate and gps_rate must "
+                             f"be at most {MAX_SENSOR_EVENTS:,} events, got {events:.3g}")
         # zero stays allowed: noiseless runs scale these to 0 through noise_scale
         for name in ("init_pos_sigma", "init_att_sigma", "vel_noise_omega", "vel_noise_v"):
             if not getattr(self, name) >= 0:

@@ -14,14 +14,9 @@ normal-equation covariance are inserted into the state.
 The caller owns the state: predict, the updates and landmark init change it
 in place and return the same object. Every update is a sequence of scalar
 updates, one per measurement row, which with independent (diagonal) noise
-gives the joint update exactly.
-
-"In place" means queued until read for the mean. An update changes P at
-once, but its correction to the mean waits in the state's pending rows; the
-next predict applies every queued correction and then its motion in one
-pass, and so does any read of ``ang``, ``pos`` or ``landmarks``. The result
-is the per-event retractions, bit for bit. The updates themselves read the
-few poses they linearize at through peeks of the queued mean.
+gives the joint update exactly. An update retracts its summed correction
+into the mean once, when its rows are folded in (sequential scalar updates,
+Bar-Shalom et al., ch. 5).
 
 An event touches a handful of state entries, so its cost is per-call
 overhead: each row is linearized from Python floats on tables the model
@@ -56,8 +51,6 @@ INIT_COV_INFLATION = 10.0
 _BUFFER_CAP = 80
 _BUFFER_NOVELTY = 0.05   # m; points closer than this to a buffered one are skipped
 _UNINIT_PRIOR = 1e6
-# corrections an EkfState holds back before it applies them all at once
-QUEUE_CAP = 32
 _XY = np.arange(2)
 _GPS_COLS = _XY + 1  # robot 1's position columns
 
@@ -106,37 +99,21 @@ class EkfModel:
 class EkfState:
     """Filter mean and covariance, owned by the caller and updated in place.
 
-    P changes in place at every event. The mean's corrections are queued
-    instead: an update writes its correction to the next row of a pending
-    buffer of QUEUE_CAP rows, and the next ``ekf_predict`` applies all of
-    them and then its motion in one pass (a full buffer is applied on the
-    spot). Reading ``ang``, ``pos`` or ``landmarks`` applies the queue
-    first, so they always read the current mean; their arrays stay the
-    live mean until the next update queues a correction. The updates
-    linearize at a few poses only, and read them through peeks:
-    Python-float replays of one robot's (or landmark's) pending rows,
-    cached per robot, extended as rows are queued, and dropped whenever the
-    mean itself is rewritten.
+    The mean is current at every moment: ``ang`` (N,) holds the robot
+    headings, and ``pos`` (N,2) and ``landmarks`` (L,2) are two views of one
+    (N+L, 2) array. Each update retracts its correction as it is made, and
+    ``ekf_predict`` applies its motion.
     """
 
     def __init__(self, ang: np.ndarray, pos: np.ndarray, landmarks: np.ndarray,
                  initialized: np.ndarray, P: np.ndarray) -> None:
-        self._ang = np.array(ang, dtype=np.float64)          # (N,)
-        n, L = self._ang.shape[0], len(landmarks)
+        self.ang = np.array(ang, dtype=np.float64)           # (N,)
+        n, L = self.ang.shape[0], len(landmarks)
         # robot positions (N,2), then landmark positions (L,2)
         self._xy = np.concatenate([np.reshape(pos, (n, 2)), np.reshape(landmarks, (L, 2))],
                                   dtype=np.float64)
         self.initialized = initialized                       # (L,) bool
         self.P = P
-        self._pending = np.empty((QUEUE_CAP, 3 * n + 2 * L))
-        self._q = 0
-        self._peeks: dict = {}  # robot p at key p, landmark l at key N + l
-        self._settled: tuple[np.ndarray, np.ndarray] | None = None
-        # _advance's work rows, sized for a full queue plus the motion
-        self._heading = np.empty((3 * QUEUE_CAP + 2, n))
-        self._trig = np.empty((4 * QUEUE_CAP + 3, n))
-        self._step = np.empty((QUEUE_CAP + 1, n, 2))
-        self._acc = np.empty((QUEUE_CAP + 2, n + L, 2))
 
     @classmethod
     def create(cls, model: EkfModel, ang: np.ndarray, pos: np.ndarray,
@@ -147,146 +124,48 @@ class EkfState:
             np.full(2 * L, _UNINIT_PRIOR)]))
         return cls(ang, pos, np.zeros((L, 2)), np.zeros(L, dtype=bool), P)
 
-    def _flush(self) -> None:
-        # the caller may write through what it reads, so cached peeks go too
-        if self._q:
-            self._advance(-0.0, -0.0)
-        self._peeks.clear()
-
-    @property
-    def ang(self) -> np.ndarray:
-        """Robot headings (N,)."""
-        self._flush()
-        return self._ang
-
     @property
     def pos(self) -> np.ndarray:
         """Robot positions (N,2)."""
-        self._flush()
-        return self._xy[:self._ang.shape[0]]
+        return self._xy[:self.ang.shape[0]]
 
     @property
     def landmarks(self) -> np.ndarray:
         """Landmark positions (L,2), meaningless until initialized."""
-        self._flush()
-        return self._xy[self._ang.shape[0]:]
+        return self._xy[self.ang.shape[0]:]
 
     def tag_position(self, model: EkfModel, tag: int) -> np.ndarray:
-        """The world position of one tag at the current mean, as ``_place``
-        gives the measurement rows, so without applying the queue."""
+        """The world position of one tag, as ``_place`` gives the measurement rows."""
         return np.array(_place(self, model, tag)[2:4])
 
-    def last_posterior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ang, pos, landmarks) just before the last ``ekf_predict``'s
-        motion, with every correction queued before it applied: the mean the
-        previous step's updates left. Views, valid until the queue is next
-        applied."""
-        ang, xy = self._settled
-        n = ang.shape[0]
-        return ang, xy[:n], xy[n:]
+    def _retract(self, delta: np.ndarray) -> None:
+        """Retract an error-state correction into the mean, in place: each
+        pose by right exp, T_p <- T_p exp(delta_p), landmarks additively.
 
-    def _next_row(self) -> np.ndarray:
-        """The pending row the next correction goes to; a full queue is applied
-        first. The correction counts once the caller raises ``_q``."""
-        if self._q == QUEUE_CAP:
-            self._advance(-0.0, -0.0)
-        return self._pending[self._q]
-
-    def _peek(self, p: int) -> tuple[float, float, float, float]:
-        """(cos, sin, x, y) of robot p with the queued corrections applied.
-
-        This is ``exp_step``'s arithmetic on one robot in Python floats, whose
-        math.sin and math.cos round as numpy's do: the scalar twin of
+        This is ``se2.exp_step``'s arithmetic robot by robot, on Python floats
+        whose math.sin and math.cos round as numpy's do: the scalar twin of
         ``se2._V_apply``, its series below SMALL_ANGLE included, which must
-        change with it. It replays only the rows the cached peek has not
-        seen yet.
+        change with it.
         """
-        q = self._q
-        hit = self._peeks.get(p)
-        if hit is not None and hit[0] == q:
-            return hit[1]
-        if hit is None:
-            k, ang = 0, self._ang.item(p)
-            c, s, x, y = math.cos(ang), math.sin(ang), self._xy.item(p, 0), self._xy.item(p, 1)
-        else:
-            k, (c, s, x, y), ang = hit
-        for phi, rx, ry in self._pending[k:q, 3 * p:3 * p + 3].tolist():
+        n = self.ang.shape[0]
+        d = delta.tolist()
+        heading = self.ang.tolist()
+        xy = self._xy.reshape(-1).tolist()
+        for p, ang in enumerate(heading):
+            phi, rx, ry = d[3 * p:3 * p + 3]
             h, sin_phi = math.sin(phi * 0.5), math.sin(phi)
             if abs(phi) >= SMALL_ANGLE:
                 a, b = sin_phi / phi, (h + h) * h / phi
             else:
                 a, b = 1.0 - phi * phi / 6.0, phi * 0.5
             tx, ty = a * rx - b * ry, b * rx + a * ry
-            x += c * tx - s * ty
-            y += s * tx + c * ty
-            ang += phi
             c, s = math.cos(ang), math.sin(ang)
-        pose = (c, s, x, y)
-        self._peeks[p] = (q, pose, ang)
-        return pose
-
-    def _peek_landmark(self, lm: int) -> tuple[float, float]:
-        """(x, y) of landmark lm with the queued corrections applied."""
-        q, row = self._q, self._ang.shape[0] + lm
-        hit = self._peeks.get(row)
-        if hit is not None and hit[0] == q:
-            return hit[1]
-        k, (x, y) = hit if hit is not None else (0, self._xy[row].tolist())
-        col = 3 * self._ang.shape[0] + 2 * lm
-        for dx, dy in self._pending[k:q, col:col + 2].tolist():
-            x += dx
-            y += dy
-        self._peeks[row] = (q, (x, y))
-        return x, y
-
-    def _advance(self, phi: np.ndarray | float, t: np.ndarray | float) -> None:
-        """Apply the q queued corrections and then one motion step of heading
-        increments phi (N,) and body translations t (N,2), or of -0.0 for all.
-
-        Step k < q is the right-exp retraction ``exp_step`` makes of pending
-        row k, its translation V(phi) rho from ``se2._V_apply``; the motion
-        is one more step whose translation is given. Headings, positions and
-        landmarks are running sums over the steps, and np.add.accumulate adds
-        in order, so row k of each sum is the mean after k steps one at a
-        time, bit for bit. One sine pass covers V's sin(phi/2) and sin(phi)
-        and the headings' sines, and one cosine pass the cosines. Applying the
-        queue alone moves by -0.0, which changes no heading and no position
-        but an exact -0.0 (to +0.0).
-        """
-        q, n, L = self._q, self._ang.shape[0], self._xy.shape[0] - self._ang.shape[0]
-        r = q + 1  # pose steps: the corrections, then the motion
-        xi = self._pending[:q, :3 * n].reshape(q, n, 3)  # rows [phi, rho_x, rho_y]
-        # the headings (the base, then one increment per step), then the
-        # corrections' phi/2 and phi, for one sine pass over all of them
-        heading = self._heading[:r + 1]
-        half, whole = self._heading[r + 1:r + 1 + q], self._heading[r + 1 + q:r + 1 + 2 * q]
-        whole[...] = xi[..., 0]
-        np.multiply(whole, 0.5, out=half)
-        heading[0] = self._ang
-        heading[1:r] = whole
-        heading[r] = phi
-        np.add.accumulate(heading, axis=0, out=heading)
-        trig = self._trig
-        np.sin(self._heading[:r + 1 + 2 * q], out=trig[r:2 * r + 1 + 2 * q])
-        np.cos(heading[:r], out=trig[:r])
-        cs = trig[:2 * r].reshape(2, r, n)  # cos, sin of the heading each step starts from
-        step = self._step[:r]
-        sines = trig[2 * r + 1:2 * r + 1 + 2 * q]  # sin(phi/2), then sin(phi)
-        step[:q] = _V_apply(whole, xi[..., 1:], sines[:q], sines[q:])
-        step[q] = t
-        rot = cs[..., None] * step
-        acc = self._acc[:r + 1]  # positions and landmarks: the base, then the increments
-        acc[0] = self._xy
-        np.subtract(rot[0, ..., 0], rot[1, ..., 1], out=acc[1:, :n, 0])
-        np.add(rot[1, ..., 0], rot[0, ..., 1], out=acc[1:, :n, 1])
-        acc[1:r, n:] = self._pending[:q, 3 * n:].reshape(q, L, 2)
-        acc[r, n:] = -0.0  # landmarks are static, and x + -0.0 is x for every x
-        np.add.accumulate(acc, axis=0, out=acc)
-        self._ang[...] = heading[r]
-        self._xy[...] = acc[r]
-        self._settled = (heading[q], acc[q])
-        self._q = 0
-        self._peeks.clear()
+            xy[2 * p] += c * tx - s * ty
+            xy[2 * p + 1] += s * tx + c * ty
+            heading[p] = ang + phi
+        xy[2 * n:] = [v + dv for v, dv in zip(xy[2 * n:], d[3 * n:])]
+        self.ang[:] = heading
+        self._xy.reshape(-1)[:] = xy
 
 
 def transitions(u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,11 +205,14 @@ def ekf_predict(state: EkfState, model: EkfModel, phi: np.ndarray, t: np.ndarray
     process noise Q = dt^2 * vel_cov enters on each robot's own block. The
     transition is the identity off its N robot blocks, so F P F^T applies
     the blocks to the robot rows of P and then to its robot columns.
-
-    The mean first takes the corrections the updates since the last predict
-    queued, then the motion, in one pass.
+    The mean moves by the translation rotated into each current heading.
     """
-    state._advance(phi, t)
+    ang, pos = state.ang, state.pos
+    c, s = np.cos(ang), np.sin(ang)
+    tx, ty = t[:, 0], t[:, 1]
+    pos[:, 0] += c * tx - s * ty
+    pos[:, 1] += s * tx + c * ty
+    ang += phi
     n, m = model.n_robots, 3 * model.n_robots
     P = state.P
     P[:m] = (F @ P[:m].reshape(n, 3, -1)).reshape(m, -1)
@@ -342,8 +224,8 @@ def ekf_predict(state: EkfState, model: EkfModel, phi: np.ndarray, t: np.ndarray
 def _fold_rows(state: EkfState, cols: Sequence[np.ndarray], vals: Sequence[np.ndarray],
                nu: Sequence[float], sigmas: Sequence[float], gate: float | None) -> int:
     """Fold independent rows in one scalar update at a time, in place, and
-    queue the summed correction as one pending row of the state (poses
-    retract by right exp, landmarks additively); returns how many rows the
+    retract the summed correction into the mean once (``EkfState._retract``:
+    poses by right exp, landmarks additively); returns how many rows the
     gate dropped. Row k is vals[k] on the state columns cols[k] with innovation
     nu[k] and noise sigmas[k]; only those columns of P are read to form it.
     With no row gated this is the joint update over all rows."""
@@ -359,12 +241,12 @@ def _fold_rows(state: EkfState, cols: Sequence[np.ndarray], vals: Sequence[np.nd
             n_rejected += 1
             continue
         if delta is None:
-            delta = np.multiply(Ph, v / s, out=state._next_row())
+            delta = Ph * (v / s)
         else:
             delta += Ph * (v / s)
         P -= Ph[:, None] * Ph / s
     if delta is not None:
-        state._q += 1
+        state._retract(delta)
     return n_rejected
 
 
@@ -377,10 +259,16 @@ def _range_unit(dx: float, dy: float) -> tuple[float, float, float, bool]:
     return rng, 0.0, 0.0, False
 
 
+def _pose(state: EkfState, p: int) -> tuple[float, float, float, float]:
+    """(cos, sin, x, y) of robot p's pose at the mean, as Python floats."""
+    ang = state.ang.item(p)
+    return math.cos(ang), math.sin(ang), state._xy.item(p, 0), state._xy.item(p, 1)
+
+
 def _place(state: EkfState, model: EkfModel, tag: int) -> tuple[float, ...]:
     """(cos, sin) of a tag's robot heading, the tag's world position and its
-    rotation lever C (S a), as Python floats from a peek of the queued mean."""
-    c, s, rx, ry = state._peek(model.tag_robot[tag])
+    rotation lever C (S a), as Python floats at the mean."""
+    c, s, rx, ry = _pose(state, model.tag_robot[tag])
     (bx, by), (ax, ay) = model.tag_body[tag], model.tag_perp[tag]
     return c, s, c * bx - s * by + rx, s * bx + c * by + ry, c * ax - s * ay, s * ax + c * ay
 
@@ -397,7 +285,6 @@ def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: Sequence[int],
     the tag robot's three plus the landmark's two for a landmark row. Rows
     with a degenerate predicted range are flagged invalid instead of
     raising. Every entry equals the batched ``ranging.range_rows`` bit for bit.
-    The endpoints are read through peeks, so no queued correction is applied.
     """
     def block(ux: float, uy: float, c: float, s: float, lx: float, ly: float) -> list[float]:
         # one endpoint's [phi, x, y] entries: u . lever and u^T C
@@ -415,7 +302,7 @@ def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: Sequence[int],
         valid.append(ok)
     for tag, lm in lm_edges:
         c, s, x, y, lx, ly = _place(state, model, tag)
-        mx, my = state._peek_landmark(lm)
+        mx, my = state.landmarks[lm].tolist()
         rng, ux, uy, ok = _range_unit(x - mx, y - my)
         cols.append(model.lm_cols[tag][lm])
         vals.append(np.array(block(ux, uy, c, s, lx, ly) + [-ux, -uy]))
@@ -453,7 +340,7 @@ def ekf_update_gps(state: EkfState, model: EkfModel, measured: np.ndarray,
     number is rejected and leaves the state as it was, and so is one whose
     2x2 innovation covariance has no positive determinant (it has no NIS).
     """
-    c, s, x, y = state._peek(0)
+    c, s, x, y = _pose(state, 0)
     n0, n1 = nu = [float(measured[0]) - x, float(measured[1]) - y]
     # nu^T S^-1 nu for the 2x2 innovation covariance S = (R P_xy) R^T + sigma^2 I,
     # written out

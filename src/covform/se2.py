@@ -216,9 +216,9 @@ def _V_apply(phi: np.ndarray, rho: np.ndarray, h: np.ndarray,
     (phi * 0.5 and h + h are phi/2 and 2h exactly). Below SMALL_ANGLE V's
     entries sin(phi)/phi and 2h^2/phi take their series 1 - phi^2/6 and phi/2.
 
-    ``covsim.ekf.EkfState._peek`` repeats this arithmetic, the series choice
-    included, on the Python floats of one pose; a change here must be made
-    there too (tests/test_ekf.py holds the two to the same bits)."""
+    ``covsim.ekf.EkfState._retract`` repeats this arithmetic, the series
+    choice included, on the Python floats of each pose; a change here must be
+    made there too (tests/test_ekf.py holds the two to the same bits)."""
     big = np.abs(phi) >= SMALL_ANGLE
     if np.count_nonzero(big) == big.size:
         a = sin_phi / phi

@@ -8,7 +8,6 @@ import pytest
 
 from covform.covsim import sim
 from covform.covsim.ekf import (
-    QUEUE_CAP,
     EkfModel,
     EkfState,
     LandmarkBuffer,
@@ -41,8 +40,8 @@ VEL_COV = np.diag([0.01 ** 2, 0.1 ** 2, 0.1 ** 2])
 
 def retract(state, model, delta):
     """Apply an error-state correction at once, in place: poses by right exp,
-    landmarks additively. The filter queues the correction instead, and this
-    per-event retraction is the oracle its queue must equal bit for bit."""
+    landmarks additively, through ``exp_step``. The oracle that
+    ``EkfState._retract`` on Python floats must equal bit for bit."""
     m, ang = 3 * model.n_robots, state.ang
     exp_step(ang, state.pos, delta[:m].reshape(-1, 3), (np.cos(ang), np.sin(ang)))
     state.landmarks[...] += delta[m:].reshape(-1, 2)
@@ -686,8 +685,9 @@ class TestLandmarkInit:
 
 class MeanOracle:
     """The filter mean as plain arrays, moved one event at a time: every
-    correction by ``retract`` as it comes, every motion as the predict moved
-    the mean before corrections were queued. The oracle of the queue."""
+    correction by ``retract``, every motion by its translation rotated into
+    the current headings. The oracle of ``EkfState._retract`` and of the
+    predict's motion."""
 
     def __init__(self, state):
         self.ang, self.pos, self.landmarks = (state.ang.copy(), state.pos.copy(),
@@ -701,28 +701,13 @@ class MeanOracle:
         self.ang += phi
 
 
-def queue(state, delta):
-    """Queue a correction the way an update does."""
-    np.copyto(state._next_row(), delta)
-    state._q += 1
-
-
-def assert_mean_bytes(got, want):
+def assert_mean_matches(state, model, oracle):
+    """The state's mean, and every tag position read from it, equal the
+    oracle's bit for bit."""
     for name in ("ang", "pos", "landmarks"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-
-
-def assert_peeks_match(state, model, oracle, robots, landmarks):
-    """Peeks of the given robots and landmarks, and the tag positions built
-    from them, equal the oracle's mean bit for bit."""
-    for p in robots:
-        want = [np.cos(oracle.ang)[p], np.sin(oracle.ang)[p], *oracle.pos[p]]
-        assert np.array(state._peek(p)).tobytes() == np.array(want).tobytes(), p
-    for lm in landmarks:
-        got = np.array(state._peek_landmark(lm))
-        assert got.tobytes() == oracle.landmarks[lm].tobytes(), lm
+        assert getattr(state, name).tobytes() == getattr(oracle, name).tobytes(), name
     tags = world_tags(model.index, _rot_many(oracle.ang), oracle.pos)
-    for tag in np.flatnonzero(np.isin(model.index.tag_robot, robots)):
+    for tag in range(len(model.tag_robot)):
         assert state.tag_position(model, tag).tobytes() == tags[tag].tobytes(), tag
 
 
@@ -740,61 +725,63 @@ def correction_rows(rng, model, q, small):
     return D
 
 
-class TestQueuedCorrections:
-    # the updates queue their corrections and the next predict applies them
-    # in one pass: the result must be the per-event retractions, bit for bit
+class TestCurrentMean:
+    # every update retracts its correction into the mean when it is made, on
+    # Python floats: the result must be exp_step's retraction, bit for bit
 
-    @pytest.mark.parametrize("q", [0, 1, 2, 11, QUEUE_CAP, QUEUE_CAP + 1])
+    @pytest.mark.parametrize("q", [1, 2, 3, 11, 32, 33])
     @pytest.mark.parametrize("motion", [True, False])
     @pytest.mark.parametrize("landmarks", [0, 2])
     @pytest.mark.parametrize("small", [False, True])
-    def test_kernel_equals_per_event_oracle(self, q, motion, landmarks, small):
+    def test_retract_equals_exp_step_oracle(self, q, motion, landmarks, small):
+        # q corrections in a row, with a predict after every fifth one when
+        # ``motion``; the mean is compared after each
         rng = np.random.default_rng(1000 + q)
         _, model = make_model(n=4, landmarks=landmarks)
         for trial in range(5):
             s = make_state(model, spread=5.0, seed=trial)
             s.landmarks[:] = rng.uniform(-5.0, 5.0, s.landmarks.shape)
             oracle = MeanOracle(s)
-            for delta in correction_rows(rng, model, q, small):
-                queue(s, delta)
+            for k, delta in enumerate(correction_rows(rng, model, q, small)):
+                s._retract(delta)
                 retract(oracle, model, delta)
-            assert s._q == ((q - 1) % QUEUE_CAP + 1 if q else 0)  # a full queue was applied
-            if trial % 2:
-                assert_peeks_match(s, model, oracle, range(model.n_robots), range(landmarks))
-            if motion:
-                u = rng.uniform(-1.5, 1.5, (1, model.n_robots, 3))
-                u[0, 0, 0] = 0.0
-                phi, t, F = transitions(u, 0.1)
-                ekf_predict(s, model, phi[0], t[0], F[0], np.zeros((3, 3)))
-                ang, pos, lms = s.last_posterior()
-                for got, want in ((ang, oracle.ang), (pos, oracle.pos), (lms, oracle.landmarks)):
-                    assert got.tobytes() == want.tobytes()
-                oracle.move(phi[0], t[0])
-            assert_mean_bytes(s, oracle)
-            assert s._q == 0
+                assert_mean_matches(s, model, oracle)
+                if motion and k % 5 == 4:
+                    u = rng.uniform(-1.5, 1.5, (1, model.n_robots, 3))
+                    u[0, 0, 0] = 0.0
+                    phi, t, F = transitions(u, 0.1)
+                    ekf_predict(s, model, phi[0], t[0], F[0], np.zeros((3, 3)))
+                    oracle.move(phi[0], t[0])
+                    assert_mean_matches(s, model, oracle)
 
     @pytest.mark.parametrize("preset", ["sim5", "exp3plus2"])
-    def test_peeks_equal_the_mean_after_random_events(self, preset):
-        # ranges (some gated), landmark rows, GPS fixes (some rejected),
-        # predicts and reads in random order, at times with more events
-        # between two predicts than the queue holds
+    def test_mean_equals_the_oracle_after_random_events(self, preset, monkeypatch):
+        # ranges (some gated), landmark rows, GPS fixes (some rejected) and
+        # predicts in random order, at times with many events between two
+        # predicts; each update's correction is taken from its retraction
         sc = load_scenario(preset)
         model = EkfModel.build(sc.team, sc.graph, 2)
         n, n_edges, n_tags = model.n_robots, model.index.edge_i.shape[0], len(model.tag_robot)
         rng = np.random.default_rng(1100)
+        corrections = []
+
+        def keep(state, delta):
+            corrections.append(delta.copy())
+            real_retract(state, delta)
+
+        real_retract = EkfState._retract
+        monkeypatch.setattr(EkfState, "_retract", keep)
         for trial in range(8):
             s = coupled_state(model, 1100 + trial)
             oracle = MeanOracle(s)
             p_predict = 0.3 if trial % 2 else 0.015
             for event in range(150):
-                before, update = s._q, True
                 roll = rng.random()
                 if roll < p_predict:
                     u = rng.uniform(-1.0, 1.0, (1, n, 3))
                     phi, t, F = transitions(u, 0.05)
                     ekf_predict(s, model, phi[0], t[0], F[0], (0.05 ** 2) * VEL_COV)
                     oracle.move(phi[0], t[0])
-                    update = False
                 elif roll < 0.7:
                     tags = world_tags(model.index, _rot_many(oracle.ang), oracle.pos)
                     rr_idx = rng.choice(n_edges, size=rng.integers(0, 3), replace=False)
@@ -809,56 +796,20 @@ class TestQueuedCorrections:
                         z[0] = 500.0  # gated
                     ekf_update_ranges(s, model, rr_idx, z[:len(rr_idx)], lm_edges,
                                       z[len(rr_idx):], 0.1)
-                elif roll < 0.95:
+                else:
                     fix = oracle.pos[0] + 0.05 * rng.standard_normal(2)
                     if rng.random() < 0.2:
                         fix += 100.0  # rejected
                     ekf_update_gps(s, model, fix, 0.1)
-                else:
-                    assert_mean_bytes(s, oracle)  # a read applies the queue
-                    update = False
-                if update and s._q != before:  # the update queued its correction
-                    retract(oracle, model, s._pending[s._q - 1])
-                robots = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
-                assert_peeks_match(s, model, oracle, robots, rng.choice(2, size=rng.integers(3)))
-            assert_mean_bytes(s, oracle)
-
-    def test_peek_cached_before_a_rejected_fix_does_not_outlive_the_predict(self):
-        # robot 1's peek is cached while the queue is empty, the fix it served
-        # is rejected, and the predict that follows finds the queue still
-        # empty: its motion must drop the peek all the same
-        _, model = make_model(n=3, landmarks=1)
-        s = make_state(model, seed=30)
-        oracle = MeanOracle(s)
-        assert not ekf_update_gps(s, model, oracle.pos[0] + 100.0, 0.1)[1]
-        assert s._q == 0
-        phi, t, F = transitions(np.tile([0.4, 1.0, 0.2], (1, 3, 1)), 0.1)
-        ekf_predict(s, model, phi[0], t[0], F[0], np.zeros((3, 3)))
-        oracle.move(phi[0], t[0])
-        assert_peeks_match(s, model, oracle, [0], [])
-        fresh = EkfState(oracle.ang, oracle.pos, oracle.landmarks, s.initialized.copy(),
-                         s.P.copy())
-        fix = oracle.pos[0] + 0.05
-        assert ekf_update_gps(s, model, fix, 0.1)[1] and ekf_update_gps(fresh, model, fix, 0.1)[1]
-        assert_mean_bytes(s, fresh)
-
-    def test_a_write_through_the_mean_drops_the_peeks(self):
-        # landmark_init writes the landmark it places through ``landmarks``,
-        # and a pose can be set through ``pos`` alike: peeks cached before
-        # the write must not outlive it
-        _, model = make_model(n=3, landmarks=1)
-        s = make_state(model, seed=31)
-        oracle = MeanOracle(s)
-        s._peek(1)
-        s._peek_landmark(0)
-        s.pos[1] += 0.5
-        oracle.pos[1] += 0.5
-        s.landmarks[0] = oracle.landmarks[0] = [2.0, -1.0]
-        assert_peeks_match(s, model, oracle, [1], [0])
+                assert len(corrections) <= 1  # at most one retraction per event
+                for delta in corrections:
+                    retract(oracle, model, delta)
+                corrections.clear()
+                assert_mean_matches(s, model, oracle)
 
     def test_math_trig_rounds_as_numpy(self):
-        # peeks take math.sin/math.cos where the kernel and exp_step take
-        # np.sin/np.cos: on this build they must round alike, in long arrays
+        # _retract and the rows take math.sin/math.cos where the predict and
+        # exp_step take np.sin/np.cos: on this build they must round alike, in long arrays
         # and in the short ones whose tails take another loop
         rng = np.random.default_rng(1200)
         x = np.concatenate([rng.uniform(-a, a, 20_000)
@@ -872,8 +823,8 @@ class TestQueuedCorrections:
 
     def test_replay_memory_does_not_grow_with_events_per_step(self, monkeypatch):
         # a long dt_truth at a high range rate puts thousands of events
-        # between two predicts; the queue holds QUEUE_CAP rows whatever their
-        # number, so the replay's peak, taken from its first predict on, stays
+        # between two predicts; each retracts its correction at once, so the
+        # replay's peak, taken from its first predict on, stays
         sc, x = preset_line("sim5")
         real_predict = sim.ekf_predict
 

@@ -22,6 +22,7 @@ from covform.cli import (
     main,
 )
 from covform.covsim import SimConfig
+from covform.covsim.config import MAX_SENSOR_EVENTS
 from covform.scenario import (
     MAX_ROBOTS,
     MAX_TAGS_PER_ROBOT,
@@ -31,7 +32,7 @@ from covform.scenario import (
     load_scenario,
 )
 from covform.se2 import FormationState, Pose2
-from covform.team import SortedIds
+from covform.team import SortedIds, TeamConfig
 from helpers import from_angle, from_poses
 
 
@@ -142,6 +143,21 @@ class TestScenarioValidation:
         assert rc == 1
         assert f"config error: sim: {field}, got" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["range_rate", "gps_rate"])
+    def test_sensor_event_count_is_bounded(self, tmp_path, capsys, rate):
+        # the replay draws every event of a trial up front: 1e15 Hz for
+        # 0.05 s asked numpy for 364 TiB of event steps
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**PRESETS["sim5"], "sim": {rate: 1e15, "max_sim_time": 0.05}}))
+        rc = main(["simulate", "--config", str(bad), "--formation", str(GOLDEN),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert ("config error: sim: max_sim_time times the larger of range_rate and gps_rate "
+                f"must be at most {MAX_SENSOR_EVENTS:,} events, got 5e+13") in capsys.readouterr().err
+        SimConfig(max_sim_time=MAX_SENSOR_EVENTS / 1000, **{rate: 1000.0})  # at the bound
+        with pytest.raises(ValueError, match="at most"):
+            SimConfig(max_sim_time=MAX_SENSOR_EVENTS / 1000, **{rate: 1000.1})
+
     def test_zero_init_sigmas_and_velocity_noise_are_allowed(self):
         sim = {"init_pos_sigma": 0, "init_att_sigma": 0, "vel_noise": [0, 0]}
         s = build_scenario({**minimal_doc(), "sim": sim}).sim
@@ -228,7 +244,7 @@ class TestCli:
         rc = main(["optimize", "--config", str(cfg), "--cost", "adj",
                    "--seed", "3", "--out", str(tmp_path)])
         assert rc == OK
-        x, s, doc = load_formation_file(tmp_path / "formation_adj.json", 3)
+        x, s, doc = load_formation_file(tmp_path / "formation_adj.json", TeamConfig.uniform(3))
         assert doc["trace"]["converged"]
         assert doc["cost"]["adj"] < 1e-3
         assert s.order[0] == 1
@@ -238,11 +254,11 @@ class TestCli:
         main(["optimize", "--config", str(cfg), "--cost", "adj",
               "--seed", "3", "--out", str(tmp_path)])
         path = tmp_path / "formation_adj.json"
-        x1, _, _ = load_formation_file(path, 3)
+        x1, _, _ = load_formation_file(path, TeamConfig.uniform(3))
         rewritten = tmp_path / "rewrite.json"
         doc = json.loads(path.read_text())
         rewritten.write_text(json.dumps(doc))
-        x2, _, _ = load_formation_file(rewritten, 3)
+        x2, _, _ = load_formation_file(rewritten, TeamConfig.uniform(3))
         np.testing.assert_array_equal(x1.C, x2.C)
         np.testing.assert_array_equal(x1.r, x2.r)
 
@@ -336,6 +352,17 @@ class TestCli:
         rc = main([command, "--config", "sim5", flag, str(path), "--out", str(tmp_path)])
         assert rc == 1
         assert f"config error: {path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "heatmap", "montecarlo"])
+    def test_formation_radii_must_be_the_teams(self, tmp_path, capsys, command):
+        # the sim5 file's slots hold 0.5 m cameras, exp3plus2's robots 0.7 m
+        # ones: scoring it there would mix the two
+        flag = "--formations" if command == "montecarlo" else "--formation"
+        rc = main([command, "--config", "exp3plus2", flag, str(GOLDEN), "--out", str(tmp_path)])
+        assert rc == 1
+        assert (f"config error: {GOLDEN}: formation.sorted_ids.radii: expected the team's "
+                "camera radii in slot order, [0.7, 0.7, 0.7, 0.7, 0.7], got [0.5, 0.5, 0.5, 0.5, 0.5]"
+                ) in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -469,6 +496,10 @@ class TestCli:
                 (tmp_path / sub / "montecarlo_summary.json").read_bytes(),
             ))
         assert outs[0] == outs[1]
+        # the reduction table reads back in its own column order, not sorted
+        table = json.loads(outs[0][1])["reduction_vs_adj"]
+        assert list(table["adj"]) == ["landmark1_error", "landmark2_error",
+                                      "interrobot_att_rmse", "interrobot_pos_rmse"]
 
 
     def test_montecarlo_parallel_jobs_match_serial(self, tmp_path):
@@ -528,7 +559,7 @@ JUNK = st.one_of(
 def heatmap_loop(config, formation_path, kind, robot, grid):
     """Oracle for the heatmap CSV: one scalar cost call per grid point."""
     sc = load_scenario(config)
-    x, sorted_ids, _ = load_formation_file(formation_path, sc.team.n_robots)
+    x, sorted_ids, _ = load_formation_file(formation_path, sc.team)
     cost = costs.cost_function(kind, sc.team, sc.graph, sc.formation, sorted_ids)
     x0, x1, y0, y1, nx, ny = grid
     lines = ["x,y,cost\n"]
@@ -710,7 +741,7 @@ class TestFormationFileFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzzed_formation.json"
         path.write_text(json.dumps(doc))
         try:
-            x, s, _ = load_formation_file(path, 5)
+            x, s, _ = load_formation_file(path, TeamConfig.uniform(5))
         except ScenarioError as e:
             assert str(e).startswith(f"{path}: formation"), str(e)
             return
@@ -746,7 +777,7 @@ class TestBridgeDemo:
         rc = main(["optimize", "--config", str(cfg), "--cost", "cov", "--seed", "1",
                    "--out", str(tmp_path)])
         assert rc == OK
-        x, s, doc = load_formation_file(tmp_path / "formation_cov.json", 7)
+        x, s, doc = load_formation_file(tmp_path / "formation_cov.json", TeamConfig.uniform(7))
         assert doc["gps_robots"] == [1, 2]
         assert s.order[0] == 1
 
