@@ -105,7 +105,7 @@ def _slot_tables(spec: FormationSpec, sorted_ids: SortedIds):
     offset_prefix = np.vstack([np.zeros((1, 2)), np.cumsum(step, axis=0)])
     radius_prefix = np.concatenate([[0.0], np.cumsum(radii)])
 
-    a, b = np.triu_indices(n, 1)                             # 0-based slot pairs
+    a, b = _pair_indices(n)                                  # 0-based slot pairs
     desired = offset_prefix[b] - offset_prefix[a]            # (P, 2)
     # 2 * sum_{k=a..b} radius_k - radius_a - radius_b, slots inclusive
     interior = 2.0 * (radius_prefix[b + 1] - radius_prefix[a]) - radii[a] - radii[b]

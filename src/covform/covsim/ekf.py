@@ -16,7 +16,8 @@ in place and return the same object. Every update is a sequence of scalar
 updates, one per measurement row, which with independent (diagonal) noise
 gives the joint update exactly. An update retracts its summed correction
 into the mean once, when its rows are folded in (sequential scalar updates,
-Bar-Shalom et al., ch. 5).
+Bar-Shalom et al., ch. 5), through ``EkfState._retract``: the scalar twin
+of ``se2._V_apply`` and ``se2.move_poses``, which predict moves the poses by.
 
 An event touches a handful of state entries, so its cost is per-call
 overhead: each row is linearized from Python floats on tables the model
@@ -34,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from covform.ranging import DEGENERATE_RANGE, _edge_index, _EdgeIndex
-from covform.se2 import SMALL_ANGLE, _V_apply
+from covform.se2 import SMALL_ANGLE, _V_apply, move_poses
 from covform.team import RangeGraph, TeamConfig
 
 RANGE_GATE_1DOF = 13.8   # chi-square, 99.98%
@@ -181,7 +182,7 @@ def transitions(u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.nd
         raise ValueError("dt must be > 0")
     xi = dt * u
     phi = xi[..., 0]
-    t = _V_apply(phi, xi[..., 1:], np.sin(phi * 0.5), np.sin(phi))
+    t = _V_apply(phi, xi[..., 1:])
     tx, ty = t[..., 0], t[..., 1]
     # Ad(exp(-xi)) under the [phi, rho] ordering: exp(-xi) has rotation
     # Cinv = R(-phi) and translation rinv = -Cinv t
@@ -205,14 +206,10 @@ def ekf_predict(state: EkfState, model: EkfModel, phi: np.ndarray, t: np.ndarray
     process noise Q = dt^2 * vel_cov enters on each robot's own block. The
     transition is the identity off its N robot blocks, so F P F^T applies
     the blocks to the robot rows of P and then to its robot columns.
-    The mean moves by the translation rotated into each current heading.
+    The mean moves through ``se2.move_poses``.
     """
-    ang, pos = state.ang, state.pos
-    c, s = np.cos(ang), np.sin(ang)
-    tx, ty = t[:, 0], t[:, 1]
-    pos[:, 0] += c * tx - s * ty
-    pos[:, 1] += s * tx + c * ty
-    ang += phi
+    ang = state.ang
+    move_poses(ang, state.pos, phi, t, (np.cos(ang), np.sin(ang)))
     n, m = model.n_robots, 3 * model.n_robots
     P = state.P
     P[:m] = (F @ P[:m].reshape(n, 3, -1)).reshape(m, -1)
@@ -380,25 +377,18 @@ def _gauss_newton(points: np.ndarray, ranges: np.ndarray,
     return sol, float(np.sum(resid ** 2)), JtJ
 
 
-def _trilaterate(points: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Linear closed-form start, then one Gauss-Newton fit: ``_gauss_newton``'s
-    (solution, sum squared residual, normal matrix)."""
+def trilaterate(points: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nonlinear least-squares point from ranges to known positions, a linear
+    closed-form start refined by ``_gauss_newton``: (solution, normal-matrix
+    inverse, condition number of the normal matrix), the last two at the solution."""
+    points = np.asarray(points, dtype=np.float64)
+    ranges = np.asarray(ranges, dtype=np.float64)
     p0, d0 = points[0], ranges[0]
     A = 2.0 * (points[1:] - p0)
     b = (np.einsum("ij,ij->i", points[1:], points[1:]) - p0 @ p0
          - ranges[1:] ** 2 + d0 ** 2)
     start, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return _gauss_newton(points, ranges, start)
-
-
-def trilaterate(points: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nonlinear least-squares point from ranges to known positions.
-
-    Returns (solution, normal-matrix inverse, condition number of the normal
-    matrix) of ``_trilaterate``'s fit.
-    """
-    sol, _, JtJ = _trilaterate(np.asarray(points, dtype=np.float64),
-                               np.asarray(ranges, dtype=np.float64))
+    sol, _, JtJ = _gauss_newton(points, ranges, start)
     return sol, np.linalg.pinv(JtJ), float(np.linalg.cond(JtJ))
 
 
@@ -424,32 +414,6 @@ class LandmarkBuffer:
         self.points.append(p)
         self.ranges.append(float(rng))
 
-    def spread(self) -> float:
-        """Largest pairwise distance among buffered points."""
-        if len(self.points) < 2:
-            return 0.0
-        pts = np.asarray(self.points)
-        d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-        return float(d.max())
-
-    def planar_spread(self) -> float:
-        """Point spread off the principal line (smallest principal std)."""
-        if len(self.points) < 3:
-            return 0.0
-        pts = np.asarray(self.points)
-        centered = pts - pts.mean(axis=0)
-        sv = np.linalg.svd(centered, compute_uv=False)
-        return float(sv[-1] / np.sqrt(len(self.points)))
-
-    def principal_reflection(self, sol: np.ndarray) -> np.ndarray:
-        """Mirror a point across the best-fit line through the buffer."""
-        pts = np.asarray(self.points)
-        c = pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(pts - c, full_matrices=False)
-        v = vt[0]
-        R = 2.0 * np.outer(v, v) - np.eye(2)
-        return c + R @ (sol - c)
-
 
 def landmark_init(state: EkfState, model: EkfModel, lm: int,
                   buffer: LandmarkBuffer, sigma: float) -> tuple[EkfState, bool]:
@@ -463,20 +427,29 @@ def landmark_init(state: EkfState, model: EkfModel, lm: int,
     """
     if state.initialized[lm]:
         raise ValueError(f"landmark {lm} already initialized")
-    if (len(buffer.points) < 3 or buffer.spread() <= MIN_BASELINE
-            or buffer.planar_spread() < MIN_PLANAR_SPREAD):
+    n = len(buffer.points)
+    if n < 3:
         return state, False
     points = np.asarray(buffer.points)
     ranges = np.asarray(buffer.ranges)
-    sol, _, JtJ = _trilaterate(points, ranges)
-    if np.linalg.cond(JtJ) > MAX_TRILAT_COND or not np.all(np.isfinite(sol)):
+    if np.linalg.norm(points[:, None] - points[None, :], axis=-1).max() <= MIN_BASELINE:
+        return state, False
+    # one SVD of the centred points: the smallest principal std gates the spread
+    # off the principal line, and a mirror-image fit reflects across vt[0]
+    centre = points.mean(axis=0)
+    _, sv, vt = np.linalg.svd(points - centre, full_matrices=False)
+    if sv[-1] / np.sqrt(n) < MIN_PLANAR_SPREAD:
+        return state, False
+    sol, cov, cond = trilaterate(points, ranges)
+    if cond > MAX_TRILAT_COND or not np.all(np.isfinite(sol)):
         return state, False
     # the residual is read where the fit goes on to from sol: a fit that has
     # not settled in _GN_ITERS iterations can end a metre or more from it
     _, cost, _ = _gauss_newton(points, ranges, sol)
-    if np.sqrt(cost / len(ranges)) > MAX_INIT_RMS_SIGMAS * sigma:
+    if np.sqrt(cost / n) > MAX_INIT_RMS_SIGMAS * sigma:
         return state, False  # the fit does not explain its own ranges
-    mirror, mirror_cost, _ = _gauss_newton(points, ranges, buffer.principal_reflection(sol))
+    reflect = 2.0 * np.outer(vt[0], vt[0]) - np.eye(2)
+    mirror, mirror_cost, _ = _gauss_newton(points, ranges, centre + reflect @ (sol - centre))
     if np.linalg.norm(mirror - sol) > 0.05 and cost > MIRROR_COST_RATIO * mirror_cost:
         return state, False  # ambiguous: the reflected fit is competitive
     state.landmarks[lm] = sol
@@ -484,5 +457,5 @@ def landmark_init(state: EkfState, model: EkfModel, lm: int,
     c = model.lm_col(lm)
     state.P[c:c + 2, :] = 0.0
     state.P[:, c:c + 2] = 0.0
-    state.P[c:c + 2, c:c + 2] = INIT_COV_INFLATION * sigma ** 2 * np.linalg.pinv(JtJ)
+    state.P[c:c + 2, c:c + 2] = INIT_COV_INFLATION * sigma ** 2 * cov
     return state, True

@@ -22,24 +22,26 @@ def monte_carlo(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
                 config: SimConfig, trials: int, jobs: int = 1) -> tuple[list[SimMetrics], dict]:
     """Run independent trials; aggregate medians and quartiles.
 
-    Trials run in ``jobs`` worker processes when jobs > 1; each trial
-    depends only on its own seed, so the results are the same for any
-    jobs. Incomplete trials are excluded and counted. Diverged trials are
-    excluded from the filtered statistics but kept in the raw ones, and
-    both are reported since the choice moves the medians for poorly
-    observable formations.
+    Trials run in min(jobs, trials, CPU count) worker processes when that
+    is more than one, and serially otherwise; each trial depends only on
+    its own seed, so the results are the same for any jobs. Incomplete
+    trials are excluded and counted. Diverged trials are excluded from the
+    filtered statistics but kept in the raw ones, and both are reported
+    since the choice moves the medians for poorly observable formations.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if trials < 1 or jobs < 1:
+        raise ValueError(f"trials and jobs must be >= 1, got {trials} and {jobs}")
     configs = [replace(config, seed=s) for s in trial_seeds(config.seed, trials)]
-    if jobs == 1:
+    import os  # already loaded by the interpreter: no import cost
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    if workers == 1:
         results = [run_coverage_sim(team, graph, x_des, c) for c in configs]
     else:
         # imported here: the pool's modules cost every serial run about 15 ms
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs,
+        with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(partial(run_coverage_sim, team, graph, x_des), configs))
     return results, aggregate(results)

@@ -51,6 +51,9 @@ from covform.team import (
 # robot is built, so a huge count fails at once instead of allocating.
 MAX_ROBOTS = 64
 MAX_TAGS_PER_ROBOT = 16  # the full graph grows with its square
+# Each piece of the camera-disk union is at least one disk wide, so a sweep has
+# at most area width / (2 * smallest camera radius) legs, whatever the formation.
+MAX_SWEEP_LEGS = 100_000
 
 
 class ScenarioError(ValueError):
@@ -231,6 +234,10 @@ def build_scenario(doc: dict, name: str = "scenario") -> Scenario:
     gps = _nums(doc.get("gps_robots", ()), "gps_robots", kind=int)
     for g in gps:
         _expect(1 <= g <= team.n_robots, "gps_robots", f"unknown robot {g}")
+    diameter = 2.0 * float(min(team.camera_radii()))
+    _expect(sim.area[0] / diameter <= MAX_SWEEP_LEGS, "sim.area", f"the width must be at most "
+            f"{MAX_SWEEP_LEGS:,} sweep legs of the smallest camera diameter ({diameter:.3g} m), "
+            f"got {sim.area[0]:.3g} m")
     return Scenario(team=team, graph=graph, formation=formation,
                     optimizer=optimizer, sim=sim, gps_robots=gps, name=name)
 

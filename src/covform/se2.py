@@ -33,12 +33,13 @@ def wrap_angle(phi):
     return np.where(w == -np.pi, np.pi, w)[()]
 
 
-class Pose2:
-    """An SE(2) element: 2x2 rotation matrix ``C`` plus translation ``r``.
+class _FrozenPoses:
+    """Rotation(s) ``C`` (..., 2, 2) and translation(s) ``r`` (..., 2), frozen.
 
-    Instances are immutable. ``ops`` counts how many composes produced this
-    value; once it passes RENORMALIZE_EVERY the rotation is projected back
-    onto SO(2) so determinant drift stays bounded in long simulations.
+    Instances are immutable and their arrays read-only, pickled copies
+    included. ``ops`` counts the composes that produced this value; past
+    RENORMALIZE_EVERY the rotations are projected back onto SO(2)
+    (``_renormalized``) so determinant drift stays bounded.
     """
 
     __slots__ = ("C", "r", "_ops")
@@ -46,11 +47,8 @@ class Pose2:
     def __init__(self, C: np.ndarray, r: np.ndarray, ops: int = 0):
         C = np.asarray(C, dtype=np.float64)
         r = np.asarray(r, dtype=np.float64)
-        if C.shape != (2, 2) or r.shape != (2,):
-            raise ValueError(f"Pose2 needs C (2,2) and r (2,), got {C.shape} and {r.shape}")
-        if ops > RENORMALIZE_EVERY:
-            C = rot2(np.arctan2(C[1, 0], C[0, 0]))
-            ops = 0
+        self._check_shapes(C, r)
+        C, ops = _renormalized(C, ops)
         C.flags.writeable = False
         r.flags.writeable = False
         object.__setattr__(self, "C", C)
@@ -58,10 +56,21 @@ class Pose2:
         object.__setattr__(self, "_ops", ops)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Pose2 is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return (Pose2, (np.asarray(self.C), np.asarray(self.r), self._ops))
+        return (type(self), (np.asarray(self.C), np.asarray(self.r), self._ops))
+
+
+class Pose2(_FrozenPoses):
+    """An SE(2) element: 2x2 rotation matrix ``C`` plus translation ``r``."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_shapes(C: np.ndarray, r: np.ndarray) -> None:
+        if C.shape != (2, 2) or r.shape != (2,):
+            raise ValueError(f"Pose2 needs C (2,2) and r (2,), got {C.shape} and {r.shape}")
 
     @classmethod
     def identity(cls) -> "Pose2":
@@ -121,7 +130,7 @@ def inverse(A: Pose2) -> Pose2:
     return Pose2(Ct.copy(), -(Ct @ A.r), ops=A._ops + 1)
 
 
-class FormationState:
+class FormationState(_FrozenPoses):
     """Ordered poses of robots 2..N relative to robot 1.
 
     Internally stacked as arrays ``C`` (M,2,2) and ``r`` (M,2) with
@@ -129,27 +138,12 @@ class FormationState:
     optimizer loop vectorized.
     """
 
-    __slots__ = ("C", "r", "_ops")
+    __slots__ = ()
 
-    def __init__(self, C: np.ndarray, r: np.ndarray, ops: int = 0):
-        C = np.asarray(C, dtype=np.float64)
-        r = np.asarray(r, dtype=np.float64)
+    @staticmethod
+    def _check_shapes(C: np.ndarray, r: np.ndarray) -> None:
         if C.ndim != 3 or C.shape[1:] != (2, 2) or r.shape != (C.shape[0], 2):
             raise ValueError(f"need C (M,2,2) and r (M,2), got {C.shape} and {r.shape}")
-        if ops > RENORMALIZE_EVERY:
-            C = _rot_many(np.arctan2(C[:, 1, 0], C[:, 0, 0]))
-            ops = 0
-        C.flags.writeable = False
-        r.flags.writeable = False
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "_ops", ops)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormationState is immutable")
-
-    def __reduce__(self):
-        return (FormationState, (np.asarray(self.C), np.asarray(self.r), self._ops))
 
     @classmethod
     def identity(cls, n_robots: int) -> "FormationState":
@@ -199,6 +193,14 @@ def _rot_many(phi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _renormalized(C: np.ndarray, ops: int) -> tuple[np.ndarray, int]:
+    """(C, ops), with the rotations C (..., 2, 2) projected back onto SO(2) and
+    the count reset once ops passes RENORMALIZE_EVERY; at 0-d the bits of rot2."""
+    if ops > RENORMALIZE_EVERY:
+        return _rot_many(np.arctan2(C[..., 1, 0], C[..., 0, 0])), 0
+    return C, ops
+
+
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M v for stacks of 2x2 matrices (...,2,2) and 2-vectors (...,2), with the
     two-term sums written out: the values einsum("...ij,...j->...i") gives,
@@ -206,8 +208,7 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return M[..., 0] * v[..., None, 0] + M[..., 1] * v[..., None, 1]
 
 
-def _V_apply(phi: np.ndarray, rho: np.ndarray, h: np.ndarray,
-             sin_phi: np.ndarray) -> np.ndarray:
+def _V_apply(phi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Translations t = V(phi) rho (..., 2) of exp([phi, rho]) over any leading
     axes, V(phi) = (1/phi) [[sin, -(1-cos)], [1-cos, sin]] (Sola et al.,
     arXiv 1812.01537), from h = sin(phi/2) and sin(phi); 1 - cos is written
@@ -219,6 +220,7 @@ def _V_apply(phi: np.ndarray, rho: np.ndarray, h: np.ndarray,
     ``covsim.ekf.EkfState._retract`` repeats this arithmetic, the series
     choice included, on the Python floats of each pose; a change here must be
     made there too (tests/test_ekf.py holds the two to the same bits)."""
+    h, sin_phi = np.sin(phi * 0.5), np.sin(phi)
     big = np.abs(phi) >= SMALL_ANGLE
     if np.count_nonzero(big) == big.size:
         a = sin_phi / phi
@@ -235,30 +237,26 @@ def _V_apply(phi: np.ndarray, rho: np.ndarray, h: np.ndarray,
     return t
 
 
+def move_poses(ang: np.ndarray, pos: np.ndarray, phi: np.ndarray, t: np.ndarray,
+               trig: tuple[np.ndarray, np.ndarray]) -> None:
+    """The one pose step, in place: headings ``ang`` (N,) and positions ``pos``
+    (N,2) right-multiplied by exps of heading increments phi (N,) and
+    translations t = V(phi) rho (N,2), given trig = (cos(ang), sin(ang)); the
+    2x2 products written out give ``_rot_many`` applied by einsum, bit for bit."""
+    c, s = trig
+    tx, ty = t[:, 0], t[:, 1]
+    pos[:, 0] += c * tx - s * ty
+    pos[:, 1] += s * tx + c * ty
+    ang += phi
+
+
 def exp_step(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray,
              trig: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Right-exp step on stacked poses, in place: T_p <- T_p * exp(xi_p).
-
-    ``ang`` (N,) and ``pos`` (N,2) hold the headings and positions of the
-    T_p; ``xi`` is (N,3) with rows [phi, rho_x, rho_y]; ``trig`` is
-    (cos(ang), sin(ang)), which the caller may share with other work on the
-    same headings. Returns the translations V(phi_p) rho_p of the exp(xi_p).
-
-    One sine call serves V's sin(phi/2) and sin(phi), and the 2x2 products
-    are written out. That gives the values of the stacked V matrices and
-    ``_rot_many`` applied by einsum, bit for bit, in fewer numpy calls.
-    """
-    n = ang.shape[0]
-    phi = xi[:, 0]
-    sines = np.sin(np.concatenate([phi * 0.5, phi]))
-    c, s = trig
-    t = _V_apply(phi, xi[:, 1:], sines[:n], sines[n:])
-    tx, ty = t[:, 0], t[:, 1]
-    step = np.empty((n, 2))
-    step[:, 0] = c * tx - s * ty
-    step[:, 1] = s * tx + c * ty
-    pos += step
-    ang += phi
+    """Right-exp step on stacked poses, in place: T_p <- T_p * exp(xi_p) for
+    rows [phi, rho_x, rho_y] of xi (N,3), ``ang``, ``pos`` and ``trig`` as in
+    :func:`move_poses`; returns the translations V(phi_p) rho_p."""
+    t = _V_apply(xi[:, 0], xi[:, 1:])
+    move_poses(ang, pos, xi[:, 0], t, trig)
     return t
 
 
@@ -266,7 +264,7 @@ def exp_many(dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SE(2) exps of the rows of dx (B, 3(N-1)): rotations (B,N-1,2,2), V(phi) rho (B,N-1,2)."""
     d = dx.reshape(dx.shape[0], -1, 3)
     phi = d[..., 0]
-    return _rot_many(phi), _V_apply(phi, d[..., 1:], np.sin(phi * 0.5), np.sin(phi))
+    return _rot_many(phi), _V_apply(phi, d[..., 1:])
 
 
 def compose_many(x: FormationState, R: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -274,9 +272,8 @@ def compose_many(x: FormationState, R: np.ndarray, t: np.ndarray) -> tuple[np.nd
     :func:`oplus` does: the rotations, translations and compose count of all B."""
     C = np.einsum("nij,bnjk->bnik", x.C, R)
     r = x.r + np.einsum("nij,bnj->bni", x.C, t)
-    if x._ops + 1 > RENORMALIZE_EVERY:
-        return _rot_many(np.arctan2(C[..., 1, 0], C[..., 0, 0])), r, 0
-    return C, r, x._ops + 1
+    C, ops = _renormalized(C, x._ops + 1)
+    return C, r, ops
 
 
 def oplus(x: FormationState, dx: np.ndarray) -> FormationState:

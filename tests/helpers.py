@@ -3,7 +3,8 @@ every tag's world position, the per-endpoint range rows (of any tags and
 fixed points, the EKF rows' oracle), Jacobian and per-formation FIM of the
 design, the one-pair collision barrier, the scalar composition of the
 objective, a plain cost function in the shape of an objective, a plain
-multistart over ``optimizer.minimize`` and the re-solving assignment oracle."""
+multistart over ``optimizer.minimize``, the re-solving assignment oracle and
+the landmark-init oracle composed of per-gate buffer measures."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from covform import costs, se2
+from covform.covsim import ekf
 from covform.optimizer import OptimizationTrace, OptimizerConfig, minimize, random_formation
 from covform.ranging import DEGENERATE_RANGE, _EdgeIndex
 
@@ -236,3 +238,60 @@ def hungarian_resolve(cost: np.ndarray, tie_tol: float = 1e-9) -> np.ndarray:
         else:
             raise AssertionError("no optimal completion found during tie-breaking")
     return chosen
+
+
+def buffer_spread(points: np.ndarray) -> float:
+    """Largest pairwise distance among buffered points."""
+    if len(points) < 2:
+        return 0.0
+    d = np.linalg.norm(points[:, None] - points[None, :], axis=-1)
+    return float(d.max())
+
+
+def planar_spread(points: np.ndarray) -> float:
+    """Point spread off the principal line (smallest principal std), from
+    singular values taken without vectors."""
+    if len(points) < 3:
+        return 0.0
+    sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+    return float(sv[-1] / np.sqrt(len(points)))
+
+
+def principal_reflection(points: np.ndarray, sol: np.ndarray) -> np.ndarray:
+    """Mirror a point across the best-fit line through the points."""
+    c = points.mean(axis=0)
+    _, _, vt = np.linalg.svd(points - c, full_matrices=False)
+    v = vt[0]
+    R = 2.0 * np.outer(v, v) - np.eye(2)
+    return c + R @ (sol - c)
+
+
+def landmark_init_oracle(points: np.ndarray, ranges: np.ndarray, sigma: float):
+    """Oracle of ``ekf.landmark_init`` on one buffer: (outcome, point, covariance
+    block), the last two None unless the outcome is "ok". The gates are
+    composed of the per-gate measures above, each converting and centring the
+    points itself, and the fit's condition number and normal-matrix inverse
+    are taken from its normal matrix here; the outcome names the first gate
+    that defers."""
+    if len(points) < 3:
+        return "few", None, None
+    if buffer_spread(points) <= ekf.MIN_BASELINE:
+        return "baseline", None, None
+    if planar_spread(points) < ekf.MIN_PLANAR_SPREAD:
+        return "planar", None, None
+    p0, d0 = points[0], ranges[0]
+    A = 2.0 * (points[1:] - p0)
+    b = (np.einsum("ij,ij->i", points[1:], points[1:]) - p0 @ p0
+         - ranges[1:] ** 2 + d0 ** 2)
+    start, *_ = np.linalg.lstsq(A, b, rcond=None)
+    sol, _, JtJ = ekf._gauss_newton(points, ranges, start)
+    if np.linalg.cond(JtJ) > ekf.MAX_TRILAT_COND or not np.all(np.isfinite(sol)):
+        return "cond", None, None
+    _, cost, _ = ekf._gauss_newton(points, ranges, sol)
+    if np.sqrt(cost / len(ranges)) > ekf.MAX_INIT_RMS_SIGMAS * sigma:
+        return "rms", None, None
+    mirror, mirror_cost, _ = ekf._gauss_newton(points, ranges,
+                                               principal_reflection(points, sol))
+    if np.linalg.norm(mirror - sol) > 0.05 and cost > ekf.MIRROR_COST_RATIO * mirror_cost:
+        return "mirror", None, None
+    return "ok", sol, ekf.INIT_COV_INFLATION * sigma ** 2 * np.linalg.pinv(JtJ)

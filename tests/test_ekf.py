@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from covform.se2 import (
     rot2,
 )
 from covform.team import TeamConfig, default_full_graph
-from helpers import adjoint, range_rows_gather, world_tags
+from helpers import adjoint, landmark_init_oracle, range_rows_gather, world_tags
 from test_montecarlo import preset_line
 from test_ranging import dense_range_rows
 
@@ -599,7 +600,60 @@ class TestTrilateration:
         assert np.linalg.norm(sol - true) < 0.15
 
 
+def random_buffer(rng, kind):
+    """Buffered tag positions (3 to 80) and noisy ranges to a landmark: spread
+    points, ones within about MIN_BASELINE of each other, ones on or near a line
+    (the planar gate), and ones near a line with the landmark within a metre
+    of it (a competitive mirror fit)."""
+    n = int(rng.integers(3, 81))
+    lm = rng.uniform(-3.0, 3.0, 2)
+    if kind == "spread":
+        pts = rng.uniform(-1.0, 1.0, (n, 2)) * rng.uniform(0.3, 4.0)
+    elif kind == "short":
+        pts = rng.uniform(-1.0, 1.0, (n, 2)) * rng.uniform(0.1, 0.3)
+    else:
+        u = rot2(rng.uniform(-np.pi, np.pi))
+        along = rng.uniform(-2.0, 2.0, n)
+        off = rng.normal(0.0, rng.choice([0.0, 0.05, 0.1, 0.2]) if kind == "line"
+                         else rng.uniform(0.08, 0.3), n)
+        pts = lm + u[:, 0] * along[:, None] + u[:, 1] * off[:, None]
+        lm = lm + u[:, 1] * rng.uniform(0.0, 1.0)
+    ranges = np.linalg.norm(pts - lm, axis=1) + rng.choice([0.0, 0.05, 0.1, 0.3]) * \
+        rng.standard_normal(n)
+    if rng.random() < 0.1:
+        ranges[rng.integers(n)] += rng.uniform(1.0, 5.0)
+    return pts, ranges
+
+
 class TestLandmarkInit:
+    def test_outcomes_equal_the_per_gate_oracle(self):
+        # one centre and one SVD per attempt against three separate buffer
+        # measures (singular values without vectors for the planar gate):
+        # the decision, the inserted point and every entry of P agree
+        _, model = make_model()
+        base = make_state(model, seed=30)
+        rng = np.random.default_rng(2020)
+        c = model.lm_col(0)
+        outcomes = Counter()
+        for trial in range(2000):
+            kind = ("spread", "short", "line", "mirror")[trial % 4]
+            pts, ranges = random_buffer(rng, kind)
+            want, sol, cov = landmark_init_oracle(pts, ranges, 0.1)
+            outcomes[want] += 1
+            s = EkfState(base.ang, base.pos, base.landmarks, base.initialized.copy(),
+                         base.P.copy())
+            _, ok = landmark_init(s, model, 0, LandmarkBuffer(list(pts), ranges.tolist()), 0.1)
+            assert ok == (want == "ok"), (trial, kind, want)
+            P, lm = base.P.copy(), base.landmarks.copy()
+            if ok:
+                P[c:c + 2, :] = 0.0
+                P[:, c:c + 2] = 0.0
+                P[c:c + 2, c:c + 2] = cov
+                lm[0] = sol
+            assert s.P.tobytes() == P.tobytes() and s.landmarks.tobytes() == lm.tobytes()
+            assert s.initialized[0] == ok
+        assert min(outcomes[k] for k in ("baseline", "planar", "rms", "mirror", "ok")) >= 20
+
     def exact_buffer(self, true_lm, pts):
         buf = LandmarkBuffer()
         for p in pts:

@@ -44,6 +44,51 @@ class TestTrialSeeds:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("jobs, trials, cpus, workers", [
+        (8, 3, 16, 3),      # no more workers than trials
+        (8, 5, 2, 2),       # nor than CPUs
+        (3, 5, 16, 3),      # nor than asked for
+        (4, 3, 1, None),    # one CPU: serial
+        (4, 3, None, None),  # an unknown CPU count counts as one
+        (4, 1, 16, None),   # one trial: serial
+        (1, 3, 16, None),
+    ])
+    def test_workers_are_capped_by_trials_and_cpus(self, monkeypatch, jobs, trials, cpus,
+                                                   workers):
+        # a recording stand-in for the pool: no process is started
+        import concurrent.futures
+        import os
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers, mp_context):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        team, graph, x, cfg = small_setup()
+        cfg = replace(cfg, max_sim_time=1.0)
+        results, _ = monte_carlo(team, graph, x, cfg, trials, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        serial, _ = monte_carlo(team, graph, x, cfg, trials)
+        assert ([json.dumps(r.as_record()) for r in results]
+                == [json.dumps(r.as_record()) for r in serial])
+
+    def test_zero_jobs_is_refused(self):
+        team, graph, x, cfg = small_setup()
+        with pytest.raises(ValueError, match="trials and jobs must be >= 1"):
+            monte_carlo(team, graph, x, cfg, 2, jobs=0)
+
     def test_noiseless_trial_is_clean(self):
         team, graph, x, cfg = small_setup()
         results, agg = monte_carlo(team, graph, x, replace(cfg, noise_scale=0.0), 1)

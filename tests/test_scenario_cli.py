@@ -25,6 +25,7 @@ from covform.covsim import SimConfig
 from covform.covsim.config import MAX_SENSOR_EVENTS
 from covform.scenario import (
     MAX_ROBOTS,
+    MAX_SWEEP_LEGS,
     MAX_TAGS_PER_ROBOT,
     PRESETS,
     ScenarioError,
@@ -157,6 +158,33 @@ class TestScenarioValidation:
         SimConfig(max_sim_time=MAX_SENSOR_EVENTS / 1000, **{rate: 1000.0})  # at the bound
         with pytest.raises(ValueError, match="at most"):
             SimConfig(max_sim_time=MAX_SENSOR_EVENTS / 1000, **{rate: 1000.1})
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    @pytest.mark.parametrize("patch", [{"sim": {"area": [1e12, 24]}},
+                                       {"team": {"count": 5, "camera_radius": 1e-12}}],
+                             ids=["wide_area", "tiny_camera"])
+    def test_sweep_leg_count_is_bounded(self, tmp_path, capsys, monkeypatch, command, patch):
+        # a 1e12 m wide area asked numpy for 1.66 TiB of sweep legs; reaching
+        # the sweep here fails the test before it allocates anything
+        def refuse(*args):
+            raise AssertionError("the sweep was planned")
+
+        monkeypatch.setattr("covform.covsim.sim.generate_waypoints", refuse)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**PRESETS["sim5"], **patch}))
+        formation = (["--formation", str(GOLDEN)] if command == "simulate"
+                     else ["--formations", str(GOLDEN), "--trials", "1"])
+        rc = main([command, "--config", str(bad), *formation, "--out", str(tmp_path)])
+        assert rc == 1
+        assert ("config error: sim.area: the width must be at most "
+                f"{MAX_SWEEP_LEGS:,} sweep legs of the smallest camera diameter"
+                in capsys.readouterr().err)
+        # the presets need at most 10 legs; the bound admits widths up to it
+        for doc in PRESETS.values():
+            build_scenario(doc)
+        build_scenario({**minimal_doc(), "sim": {"area": [MAX_SWEEP_LEGS, 24]}})
+        with pytest.raises(ScenarioError, match="sim.area"):
+            build_scenario({**minimal_doc(), "sim": {"area": [MAX_SWEEP_LEGS * 1.0001, 24]}})
 
     def test_zero_init_sigmas_and_velocity_noise_are_allowed(self):
         sim = {"init_pos_sigma": 0, "init_att_sigma": 0, "vel_noise": [0, 0]}

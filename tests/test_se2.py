@@ -161,7 +161,7 @@ def test_V_apply_equals_per_entry_branch(with_small):
     assert np.any(np.abs(phi) < se2.SMALL_ANGLE) == with_small
     assert V_many(phi).tobytes() == V_many_series_everywhere(phi).tobytes()
     want = np.einsum("...ij,...j->...i", V_many_series_everywhere(phi), rho)
-    got = se2._V_apply(phi, rho, np.sin(phi / 2.0), np.sin(phi))
+    got = se2._V_apply(phi, rho)
     assert got.tobytes() == want.tobytes()
 
 
@@ -352,16 +352,46 @@ class TestFormationState:
             x.r[0, 0] = 5.0
 
 
-def test_pose_and_state_pickle_roundtrip():
+def test_pose_and_state_pickle_roundtrip_stays_frozen():
     import pickle
 
     rng = np.random.default_rng(44)
-    T = se2.exp(random_twist(rng))
-    T2 = pickle.loads(pickle.dumps(T))
-    np.testing.assert_array_equal(T.C, T2.C)
-    np.testing.assert_array_equal(T.r, T2.r)
-
+    T = se2.compose(se2.exp(random_twist(rng)), se2.exp(random_twist(rng)))
     x = from_poses([se2.exp(random_twist(rng)) for _ in range(3)])
-    x2 = pickle.loads(pickle.dumps(x))
-    np.testing.assert_array_equal(x.C, x2.C)
-    np.testing.assert_array_equal(x.r, x2.r)
+    x = se2.FormationState(x.C, x.r, ops=7)
+    for a in (T, x):
+        b = pickle.loads(pickle.dumps(a))
+        assert type(b) is type(a) and b._ops == a._ops
+        assert b.C.tobytes() == a.C.tobytes() and b.r.tobytes() == a.r.tobytes()
+        assert not b.C.flags.writeable and not b.r.flags.writeable
+        with pytest.raises(ValueError):
+            b.r[0] = 5.0
+        with pytest.raises(AttributeError, match=f"{type(a).__name__} is immutable"):
+            b.r = a.r
+
+
+def test_reprojection_equals_each_classes_own():
+    # the one frozen container re-projects a Pose2 as rot2 of its angle and a
+    # FormationState as _rot_many of its angles, bit for bit, once ops passes
+    # RENORMALIZE_EVERY; a compose chain re-projects at the same step
+    rng = np.random.default_rng(45)
+    n = se2.RENORMALIZE_EVERY
+    for _ in range(20):
+        C = se2._rot_many(rng.uniform(-np.pi, np.pi, 4)) * (1.0 + rng.normal(0.0, 1e-7, (4, 1, 1)))
+        r = rng.normal(size=(4, 2))
+        x = se2.FormationState(C, r, ops=n + 1)
+        assert x._ops == 0
+        assert x.C.tobytes() == se2._rot_many(np.arctan2(C[:, 1, 0], C[:, 0, 0])).tobytes()
+        assert se2.FormationState(C, r, ops=n).C.tobytes() == C.tobytes()
+        T = se2.Pose2(C[0], r[0], ops=n + 1)
+        assert T._ops == 0 and T.C.tobytes() == se2.rot2(np.arctan2(C[0, 1, 0], C[0, 0, 0])).tobytes()
+        assert se2.Pose2(C[0], r[0], ops=n).C.tobytes() == C[0].tobytes()
+    T, resets = se2.Pose2(C[0], r[0]), 0
+    for _ in range(3 * n):
+        B = se2.exp(random_twist(rng, max_angle=0.1))
+        want, ops = T.C @ B.C, T._ops + 1
+        if ops > n:
+            want, ops, resets = se2.rot2(np.arctan2(want[1, 0], want[0, 0])), 0, resets + 1
+        T = se2.compose(T, B)
+        assert T.C.tobytes() == want.tobytes() and T._ops == ops
+    assert resets == 2
