@@ -7,6 +7,8 @@ from dataclasses import asdict, dataclass, field
 # rate-clock events one sensor may make over max_sim_time; the replay draws
 # its whole schedule up front, so a larger count is refused, not allocated
 MAX_SENSOR_EVENTS = 10 ** 7
+# truth steps (max_sim_time / dt_truth) the truth log may keep; the presets need 60,000
+MAX_TRUTH_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,9 @@ class SimConfig:
         if not events <= MAX_SENSOR_EVENTS:
             raise ValueError(f"max_sim_time times the larger of range_rate and gps_rate must "
                              f"be at most {MAX_SENSOR_EVENTS:,} events, got {events:.3g}")
+        if not self.max_sim_time / self.dt_truth <= MAX_TRUTH_STEPS:
+            raise ValueError(f"max_sim_time / dt_truth must be at most {MAX_TRUTH_STEPS:,} "
+                             f"truth steps, got {self.max_sim_time / self.dt_truth:.3g}")
         # zero stays allowed: noiseless runs scale these to 0 through noise_scale
         for name in ("init_pos_sigma", "init_att_sigma", "vel_noise_omega", "vel_noise_v"):
             if not getattr(self, name) >= 0:

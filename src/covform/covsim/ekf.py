@@ -1,10 +1,10 @@
 """Error-state EKF-SLAM over global robot poses and static landmarks.
 
-State: N robot poses (heading + position, right-perturbation error states
-ordered [phi, x, y] per robot) followed by L landmark positions. The
-measurement rows are the closed-form range rows of ``ranging.range_rows``,
-lifted to the global frame where robot 1 is a state like any other; GPS
-anchors robot 1.
+State: one mean array in error-state order, the order of P's columns and of
+every correction: N robot poses (right-perturbation error states [phi, x, y]
+per robot) followed by L landmark positions. The measurement rows are the
+closed-form range rows of ``ranging.range_rows``, lifted to the global frame
+where robot 1 is a state like any other; GPS anchors robot 1.
 
 Landmarks enter by delayed initialization: ranges buffer until a
 trilateration over sufficiently spread tag positions is well conditioned
@@ -14,23 +14,22 @@ normal-equation covariance are inserted into the state.
 The caller owns the state: predict, the updates and landmark init change it
 in place and return the same object. Every update is a sequence of scalar
 updates, one per measurement row, which with independent (diagonal) noise
-gives the joint update exactly. An update retracts its summed correction
-into the mean once, when its rows are folded in (sequential scalar updates,
-Bar-Shalom et al., ch. 5), through ``EkfState._retract``: the scalar twin
-of ``se2._V_apply`` and ``se2.move_poses``, which predict moves the poses by.
-
-An event touches a handful of state entries, so its cost is per-call
-overhead: each row is linearized from Python floats on tables the model
-builds once, with the operations of ``range_rows`` in its order (so bit for
-bit), then folded in by a few numpy calls on the columns it touches.
+gives the joint update exactly (Bar-Shalom et al., ch. 5). Range rows and
+GPS fixes go through one fold pass, ``_fold``. An event touches a handful of
+state entries, so its cost is per-call overhead: the pass linearizes each row
+at the mean just before folding it in, from Python floats on tables the
+model builds once, with the operations of ``range_rows`` in its order (so bit
+for bit), and folds it in by a few numpy calls on the columns it touches.
+The mean moves once, when the pass retracts its summed correction through
+``EkfState._retract``: the scalar twin of ``se2._V_apply`` and
+``se2.move_poses``, which predict moves the poses by.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -100,21 +99,20 @@ class EkfModel:
 class EkfState:
     """Filter mean and covariance, owned by the caller and updated in place.
 
-    The mean is current at every moment: ``ang`` (N,) holds the robot
-    headings, and ``pos`` (N,2) and ``landmarks`` (L,2) are two views of one
-    (N+L, 2) array. Each update retracts its correction as it is made, and
-    ``ekf_predict`` applies its motion.
+    The mean is one float64 array, [phi, x, y] per robot and then [x, y] per
+    landmark; ``ang`` (N,), ``pos`` (N,2) and ``landmarks`` (L,2) are writable
+    views of it. It is current at every moment: each update retracts its
+    correction as it is made, and ``ekf_predict`` applies its motion.
     """
 
     def __init__(self, ang: np.ndarray, pos: np.ndarray, landmarks: np.ndarray,
                  initialized: np.ndarray, P: np.ndarray) -> None:
-        self.ang = np.array(ang, dtype=np.float64)           # (N,)
-        n, L = self.ang.shape[0], len(landmarks)
-        # robot positions (N,2), then landmark positions (L,2)
-        self._xy = np.concatenate([np.reshape(pos, (n, 2)), np.reshape(landmarks, (L, 2))],
-                                  dtype=np.float64)
+        self._n = n = len(ang)
+        self.mean = np.concatenate([np.column_stack([ang, np.reshape(pos, (n, 2))]).ravel(),
+                                    np.ravel(landmarks)], dtype=np.float64)
         self.initialized = initialized                       # (L,) bool
         self.P = P
+        self._outer = np.empty(P.shape)  # each scalar update's rank-1 downdate of P
 
     @classmethod
     def create(cls, model: EkfModel, ang: np.ndarray, pos: np.ndarray,
@@ -126,14 +124,19 @@ class EkfState:
         return cls(ang, pos, np.zeros((L, 2)), np.zeros(L, dtype=bool), P)
 
     @property
+    def ang(self) -> np.ndarray:
+        """Robot headings (N,)."""
+        return self.mean[:3 * self._n:3]
+
+    @property
     def pos(self) -> np.ndarray:
         """Robot positions (N,2)."""
-        return self._xy[:self.ang.shape[0]]
+        return self.mean[:3 * self._n].reshape(-1, 3)[:, 1:]
 
     @property
     def landmarks(self) -> np.ndarray:
         """Landmark positions (L,2), meaningless until initialized."""
-        return self._xy[self.ang.shape[0]:]
+        return self.mean[3 * self._n:].reshape(-1, 2)
 
     def tag_position(self, model: EkfModel, tag: int) -> np.ndarray:
         """The world position of one tag, as ``_place`` gives the measurement rows."""
@@ -148,25 +151,23 @@ class EkfState:
         ``se2._V_apply``, its series below SMALL_ANGLE included, which must
         change with it.
         """
-        n = self.ang.shape[0]
+        m = 3 * self._n
         d = delta.tolist()
-        heading = self.ang.tolist()
-        xy = self._xy.reshape(-1).tolist()
-        for p, ang in enumerate(heading):
-            phi, rx, ry = d[3 * p:3 * p + 3]
+        x = self.mean.tolist()
+        for i in range(0, m, 3):
+            phi, rx, ry = d[i:i + 3]
             h, sin_phi = math.sin(phi * 0.5), math.sin(phi)
             if abs(phi) >= SMALL_ANGLE:
                 a, b = sin_phi / phi, (h + h) * h / phi
             else:
                 a, b = 1.0 - phi * phi / 6.0, phi * 0.5
             tx, ty = a * rx - b * ry, b * rx + a * ry
-            c, s = math.cos(ang), math.sin(ang)
-            xy[2 * p] += c * tx - s * ty
-            xy[2 * p + 1] += s * tx + c * ty
-            heading[p] = ang + phi
-        xy[2 * n:] = [v + dv for v, dv in zip(xy[2 * n:], d[3 * n:])]
-        self.ang[:] = heading
-        self._xy.reshape(-1)[:] = xy
+            c, s = math.cos(x[i]), math.sin(x[i])
+            x[i] += phi
+            x[i + 1] += c * tx - s * ty
+            x[i + 2] += s * tx + c * ty
+        x[m:] = [v + dv for v, dv in zip(x[m:], d[m:])]
+        self.mean[:] = x
 
 
 def transitions(u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,30 +219,29 @@ def ekf_predict(state: EkfState, model: EkfModel, phi: np.ndarray, t: np.ndarray
     return state
 
 
-def _fold_rows(state: EkfState, cols: Sequence[np.ndarray], vals: Sequence[np.ndarray],
-               nu: Sequence[float], sigmas: Sequence[float], gate: float | None) -> int:
-    """Fold independent rows in one scalar update at a time, in place, and
-    retract the summed correction into the mean once (``EkfState._retract``:
-    poses by right exp, landmarks additively); returns how many rows the
-    gate dropped. Row k is vals[k] on the state columns cols[k] with innovation
-    nu[k] and noise sigmas[k]; only those columns of P are read to form it.
-    With no row gated this is the joint update over all rows."""
-    P = state.P
+def _fold(state: EkfState, rows: Iterable[tuple[np.ndarray, np.ndarray, float, float]],
+          gate: float | None) -> int:
+    """Fold independent rows (cols, h, nu, sigma), h on the state columns cols
+    with innovation nu and noise sigma, in one scalar update at a time, in
+    place: each reads only its columns of P and downdates P through the
+    state's buffer. Retracts the summed correction once (``EkfState._retract``)
+    and returns how many rows the gate dropped; with none, this is the joint update."""
+    P, outer = state.P, state._outer
     delta = None  # the summed correction, once a row is folded in
     n_rejected = 0
-    for c, h, v, sigma in zip(cols, vals, nu, sigmas):
+    for c, h, v, sigma in rows:
         Ph = P[:, c] @ h
-        s = h @ Ph[c] + sigma * sigma
+        s = float(h @ Ph[c]) + sigma * sigma
         if delta is not None:
-            v -= h @ delta[c]
+            v -= float(h @ delta[c])
         if gate is not None and not v * v / s <= gate:
             n_rejected += 1
             continue
-        if delta is None:
-            delta = Ph * (v / s)
-        else:
-            delta += Ph * (v / s)
-        P -= Ph[:, None] * Ph / s
+        step = Ph * (v / s)
+        delta = step if delta is None else delta + step
+        np.multiply(Ph[:, None], Ph, out=outer)
+        outer /= s
+        P -= outer
     if delta is not None:
         state._retract(delta)
     return n_rejected
@@ -258,8 +258,8 @@ def _range_unit(dx: float, dy: float) -> tuple[float, float, float, bool]:
 
 def _pose(state: EkfState, p: int) -> tuple[float, float, float, float]:
     """(cos, sin, x, y) of robot p's pose at the mean, as Python floats."""
-    ang = state.ang.item(p)
-    return math.cos(ang), math.sin(ang), state._xy.item(p, 0), state._xy.item(p, 1)
+    ang, x, y = state.mean[3 * p:3 * p + 3].tolist()
+    return math.cos(ang), math.sin(ang), x, y
 
 
 def _place(state: EkfState, model: EkfModel, tag: int) -> tuple[float, ...]:
@@ -270,42 +270,33 @@ def _place(state: EkfState, model: EkfModel, tag: int) -> tuple[float, ...]:
     return c, s, c * bx - s * by + rx, s * bx + c * by + ry, c * ax - s * ay, s * ax + c * ay
 
 
-def _measurement_rows(state: EkfState, model: EkfModel, rr_idx: Sequence[int],
-                      lm_edges: Sequence[tuple[int, int]],
-                      ) -> tuple[list[np.ndarray], list[np.ndarray], list[float], list[bool]]:
-    """The given robot-robot rows (edge indices) plus (tag, landmark) rows.
+def _block(ux: float, uy: float, c: float, s: float, lx: float, ly: float) -> list[float]:
+    """One endpoint robot's [phi, x, y] entries of a range row: u . lever and u^T C."""
+    return [ux * lx + uy * ly, ux * c + uy * s, uy * c - ux * s]
 
-    Every row ranges from a tag to either a second tag (the first
-    len(rr_idx) rows) or a landmark. Returns (cols, vals, predicted ranges,
-    validity): row k is vals[k] on the state columns cols[k], the six
-    [phi, x, y] columns of both endpoint robots for a robot-robot row, and
-    the tag robot's three plus the landmark's two for a landmark row. Rows
-    with a degenerate predicted range are flagged invalid instead of
-    raising. Every entry equals the batched ``ranging.range_rows`` bit for bit.
-    """
-    def block(ux: float, uy: float, c: float, s: float, lx: float, ly: float) -> list[float]:
-        # one endpoint's [phi, x, y] entries: u . lever and u^T C
-        return [ux * lx + uy * ly, ux * c + uy * s, uy * c - ux * s]
 
-    cols, vals, zhat, valid = [], [], [], []
-    for k in rr_idx:
-        i, j = model.edge_tags[k]
-        ci, si, xi, yi, lxi, lyi = _place(state, model, i)
-        cj, sj, xj, yj, lxj, lyj = _place(state, model, j)
-        rng, ux, uy, ok = _range_unit(xi - xj, yi - yj)
-        cols.append(model.edge_cols[k])
-        vals.append(np.array(block(ux, uy, ci, si, lxi, lyi) + block(-ux, -uy, cj, sj, lxj, lyj)))
-        zhat.append(rng)
-        valid.append(ok)
-    for tag, lm in lm_edges:
-        c, s, x, y, lx, ly = _place(state, model, tag)
-        mx, my = state.landmarks[lm].tolist()
-        rng, ux, uy, ok = _range_unit(x - mx, y - my)
-        cols.append(model.lm_cols[tag][lm])
-        vals.append(np.array(block(ux, uy, c, s, lx, ly) + [-ux, -uy]))
-        zhat.append(rng)
-        valid.append(ok)
-    return cols, vals, zhat, valid
+def _edge_row(state: EkfState, model: EkfModel,
+              k: int) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """Robot-robot edge k's row at the mean: (state columns, row, predicted
+    range, valid) on the six [phi, x, y] columns of both endpoint robots, a
+    degenerate range invalid with a zero row; ``range_rows``' entries, bit for bit."""
+    i, j = model.edge_tags[k]
+    ci, si, xi, yi, lxi, lyi = _place(state, model, i)
+    cj, sj, xj, yj, lxj, lyj = _place(state, model, j)
+    rng, ux, uy, ok = _range_unit(xi - xj, yi - yj)
+    h = np.array(_block(ux, uy, ci, si, lxi, lyi) + _block(-ux, -uy, cj, sj, lxj, lyj))
+    return model.edge_cols[k], h, rng, ok
+
+
+def _landmark_row(state: EkfState, model: EkfModel, tag: int,
+                  lm: int) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """The (tag, landmark) row at the mean, as ``_edge_row`` gives an edge's,
+    on the tag robot's three columns and the landmark's two."""
+    c, s, x, y, lx, ly = _place(state, model, tag)
+    m = model.lm_col(lm)
+    mx, my = state.mean[m:m + 2].tolist()
+    rng, ux, uy, ok = _range_unit(x - mx, y - my)
+    return model.lm_cols[tag][lm], np.array(_block(ux, uy, c, s, lx, ly) + [-ux, -uy]), rng, ok
 
 
 def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: Sequence[int],
@@ -313,20 +304,24 @@ def ekf_update_ranges(state: EkfState, model: EkfModel, rr_idx: Sequence[int],
                       z_lm: Sequence[float], lm_sigma: float) -> tuple[EkfState, int]:
     """Update in place on selected robot-robot edges plus landmark rows.
 
-    rr_idx indexes into the model's edge arrays. The rows are linearized
-    at the incoming state and folded in one at a time; each row is gated on
-    its normalized innovation squared against the covariance the rows
-    before it left, and dropped and counted if it exceeds RANGE_GATE_1DOF or is
-    not a number. Rows with a degenerate predicted range are skipped
-    uncounted. Returns (state, number rejected).
+    rr_idx indexes into the model's edge arrays. The rows, robot-robot ones
+    first, are folded in one at a time, each linearized at the mean just
+    before (the mean moves after the last); each row is gated on its normalized
+    innovation squared against the covariance the rows before it left, and dropped
+    and counted if it exceeds RANGE_GATE_1DOF or is not a number. Rows with a
+    degenerate predicted range are skipped uncounted. Returns (state, number rejected).
     """
-    cols, vals, zhat, valid = _measurement_rows(state, model, rr_idx, lm_edges)
-    nu = [float(z) - h for z, h in zip(chain(z_rr, z_lm), zhat)]
-    sigmas = [model.edge_sigma[k] for k in rr_idx] + [lm_sigma] * len(lm_edges)
-    if not all(valid):
-        cols, vals, nu, sigmas = ([row for row, ok in zip(rows, valid) if ok]
-                                  for rows in (cols, vals, nu, sigmas))
-    return state, _fold_rows(state, cols, vals, nu, sigmas, RANGE_GATE_1DOF)
+    def rows() -> Iterator[tuple[np.ndarray, np.ndarray, float, float]]:
+        for k, z in zip(rr_idx, z_rr):
+            c, h, rng, ok = _edge_row(state, model, k)
+            if ok:
+                yield c, h, float(z) - rng, model.edge_sigma[k]
+        for (tag, lm), z in zip(lm_edges, z_lm):
+            c, h, rng, ok = _landmark_row(state, model, tag, lm)
+            if ok:
+                yield c, h, float(z) - rng, lm_sigma
+
+    return state, _fold(state, rows(), RANGE_GATE_1DOF)
 
 
 def ekf_update_gps(state: EkfState, model: EkfModel, measured: np.ndarray,
@@ -351,7 +346,7 @@ def ekf_update_gps(state: EkfState, model: EkfModel, measured: np.ndarray,
                            <= GPS_GATE_2DOF):
         return state, False
     R = np.array([[c, -s], [s, c]])  # rot2 of the heading
-    _fold_rows(state, (_GPS_COLS, _GPS_COLS), R, nu, (sigma, sigma), None)
+    _fold(state, zip((_GPS_COLS, _GPS_COLS), R, nu, (sigma, sigma)), None)
     return state, True
 
 

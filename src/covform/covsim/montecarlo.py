@@ -47,13 +47,13 @@ def monte_carlo(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     return results, aggregate(results)
 
 
-def _stats(values: list[float]) -> dict:
-    if not values:
-        return {"median": None, "p25": None, "p75": None}
-    v = np.asarray(values, dtype=np.float64)
-    return {"median": float(np.median(v)),
-            "p25": float(np.percentile(v, 25)),
-            "p75": float(np.percentile(v, 75))}
+def _stats(values: np.ndarray) -> list[dict]:
+    """Median and quartiles of each column of values (trials, columns), in one call each."""
+    if not values.shape[0]:
+        return [{"median": None, "p25": None, "p75": None} for _ in range(values.shape[1])]
+    p25, p75 = np.percentile(values, [25, 75], axis=0).tolist()
+    return [{"median": m, "p25": lo, "p75": hi}
+            for m, lo, hi in zip(np.median(values, axis=0).tolist(), p25, p75)]
 
 
 def aggregate(results: list[SimMetrics]) -> dict:
@@ -63,15 +63,13 @@ def aggregate(results: list[SimMetrics]) -> dict:
     n_landmarks = len(results[0].landmark_errors) if results else 0
 
     def table(rows: list[SimMetrics]) -> dict:
-        out = {
-            "coverage_time": _stats([r.coverage_time for r in rows]),
-            "interrobot_att_rmse": _stats([r.interrobot_att_rmse for r in rows]),
-            "interrobot_pos_rmse": _stats([r.interrobot_pos_rmse for r in rows]),
-            "nees_containment": _stats([r.nees_containment for r in rows]),
-        }
+        keys = ("coverage_time", "interrobot_att_rmse", "interrobot_pos_rmse", "nees_containment")
+        values = np.array([[getattr(r, k) for k in keys] for r in rows],
+                          dtype=np.float64).reshape(-1, len(keys))
+        out = dict(zip(keys, _stats(values)))
         for l in range(n_landmarks):
             vals = [r.landmark_errors[l] for r in rows if np.isfinite(r.landmark_errors[l])]
-            out[f"landmark{l + 1}_error"] = _stats(vals)
+            out[f"landmark{l + 1}_error"], = _stats(np.reshape(vals, (-1, 1)))
         return out
 
     return {

@@ -288,16 +288,14 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     buffers = [LandmarkBuffer() for _ in range(L)]
 
     n_rejected_ranges = n_rejected_gps = 0
-    est_ang = np.zeros((K + 1, n))
-    est_pos = np.zeros((K + 1, n, 2))
-    lm_est = np.zeros((K + 1, L, 2))
-    lm_var = np.zeros((K + 1, L, 2))
-    lm_init_log = np.zeros((K + 1, L), dtype=bool)
+    mean_log = np.empty((K + 1, model.dim))
+    lm_var = np.empty((K + 1, L, 2))
+    lm_init_log = np.empty((K + 1, L), dtype=bool)
 
     def record(k: int) -> None:
         # the estimate at the end of step k, just before the next predict
-        est_ang[k], est_pos[k], lm_est[k] = state.ang, state.pos, state.landmarks
-        lm_var[k] = np.diag(state.P)[3 * n:].reshape(L, 2)
+        mean_log[k] = state.mean
+        lm_var[k] = state.P.diagonal()[3 * n:].reshape(L, 2)
         lm_init_log[k] = state.initialized
 
     record(0)
@@ -328,8 +326,11 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
 
         record(k)
 
-    # inter-robot errors: headings and positions relative to robot 1, the
-    # latter resolved in robot 1's frame, estimate against truth
+    # the estimates are views of the mean log; inter-robot errors: headings and
+    # positions relative to robot 1, the latter in robot 1's frame, estimate against truth
+    est_ang = mean_log[:, :3 * n:3]
+    est_pos = mean_log[:, :3 * n].reshape(K + 1, n, 3)[..., 1:]
+    lm_est = mean_log[:, 3 * n:].reshape(K + 1, L, 2)
     d_ang = (est_ang[:, 1:] - est_ang[:, :1]) - (truth.ang[:, 1:] - truth.ang[:, :1])
     att_err = np.abs(wrap_angle(d_ang))
     rel_est = (est_pos[:, 1:] - est_pos[:, :1]) @ _rot_many(est_ang[:, 0])

@@ -17,9 +17,9 @@ builds each row as these two 3-column blocks, one per endpoint robot,
 batched over rows and stacked formations, each tag placed once. The design
 scatters them into dense Jacobians, drops robot 1's columns (robot 1 is the
 reference, not a state there) and takes all FIMs in one product. The EKF
-builds the same rows one event at a time from Python floats
-(``covsim.ekf._measurement_rows``) and folds each in over its columns alone;
-its tests hold those rows, landmark rows included, equal bit for bit to
+builds the same rows one at a time from Python floats (``covsim.ekf._edge_row``
+and ``_landmark_row``), each folded in over its columns alone; its tests
+hold those rows, landmark rows included, equal bit for bit to
 ``range_rows_gather`` in tests/helpers.py, the oracle of ``range_rows``
 for any tags and fixed points.
 Everything is validated against central finite differences in the tests.

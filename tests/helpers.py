@@ -3,12 +3,15 @@ every tag's world position, the per-endpoint range rows (of any tags and
 fixed points, the EKF rows' oracle), Jacobian and per-formation FIM of the
 design, the one-pair collision barrier, the scalar composition of the
 objective, a plain cost function in the shape of an objective, a plain
-multistart over ``optimizer.minimize``, the re-solving assignment oracle and
-the landmark-init oracle composed of per-gate buffer measures."""
+multistart over ``optimizer.minimize``, the re-solving assignment oracle, the
+landmark-init oracle composed of per-gate buffer measures and the EKF's
+rows-then-fold update."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -295,3 +298,83 @@ def landmark_init_oracle(points: np.ndarray, ranges: np.ndarray, sigma: float):
     if np.linalg.norm(mirror - sol) > 0.05 and cost > ekf.MIRROR_COST_RATIO * mirror_cost:
         return "mirror", None, None
     return "ok", sol, ekf.INIT_COV_INFLATION * sigma ** 2 * np.linalg.pinv(JtJ)
+
+
+def measurement_rows(state: ekf.EkfState, model: ekf.EkfModel, rr_idx, lm_edges):
+    """Every row of one range update at once, before any is folded: (cols,
+    vals, predicted ranges, validity) of the given robot-robot rows (edge
+    indices), then the (tag, landmark) rows, a degenerate range flagged
+    invalid with a zero row. Part of the oracle of the one-pass update."""
+    def block(ux, uy, c, s, lx, ly):
+        return [ux * lx + uy * ly, ux * c + uy * s, uy * c - ux * s]
+
+    cols, vals, zhat, valid = [], [], [], []
+    for k in rr_idx:
+        i, j = model.edge_tags[k]
+        ci, si, xi, yi, lxi, lyi = ekf._place(state, model, i)
+        cj, sj, xj, yj, lxj, lyj = ekf._place(state, model, j)
+        rng, ux, uy, ok = ekf._range_unit(xi - xj, yi - yj)
+        cols.append(model.edge_cols[k])
+        vals.append(np.array(block(ux, uy, ci, si, lxi, lyi) + block(-ux, -uy, cj, sj, lxj, lyj)))
+        zhat.append(rng)
+        valid.append(ok)
+    for tag, lm in lm_edges:
+        c, s, x, y, lx, ly = ekf._place(state, model, tag)
+        mx, my = state.landmarks[lm].tolist()
+        rng, ux, uy, ok = ekf._range_unit(x - mx, y - my)
+        cols.append(model.lm_cols[tag][lm])
+        vals.append(np.array(block(ux, uy, c, s, lx, ly) + [-ux, -uy]))
+        zhat.append(rng)
+        valid.append(ok)
+    return cols, vals, zhat, valid
+
+
+def fold_rows(state: ekf.EkfState, cols, vals, nu, sigmas, gate) -> int:
+    """Fold listed rows in one scalar update at a time on numpy scalars, each
+    rank-1 downdate of P a fresh array, and retract the summed correction
+    once; returns how many rows the gate dropped. Part of the oracle of the
+    one-pass update."""
+    P = state.P
+    delta = None
+    n_rejected = 0
+    for c, h, v, sigma in zip(cols, vals, nu, sigmas):
+        Ph = P[:, c] @ h
+        s = h @ Ph[c] + sigma * sigma
+        if delta is not None:
+            v -= h @ delta[c]
+        if gate is not None and not v * v / s <= gate:
+            n_rejected += 1
+            continue
+        if delta is None:
+            delta = Ph * (v / s)
+        else:
+            delta += Ph * (v / s)
+        P -= Ph[:, None] * Ph / s
+    if delta is not None:
+        state._retract(delta)
+    return n_rejected
+
+
+def update_ranges_rows_then_fold(state, model, rr_idx, z_rr, lm_edges, z_lm, lm_sigma) -> int:
+    """Oracle of ``ekf.ekf_update_ranges``, in place: all rows linearized
+    first, the degenerate ones filtered out, then the rest folded in; returns
+    how many rows the gate dropped."""
+    cols, vals, zhat, valid = measurement_rows(state, model, rr_idx, lm_edges)
+    nu = [float(z) - h for z, h in zip(chain(z_rr, z_lm), zhat)]
+    sigmas = [model.edge_sigma[k] for k in rr_idx] + [lm_sigma] * len(lm_edges)
+    if not all(valid):
+        cols, vals, nu, sigmas = ([row for row, ok in zip(rows, valid) if ok]
+                                  for rows in (cols, vals, nu, sigmas))
+    return fold_rows(state, cols, vals, nu, sigmas, ekf.RANGE_GATE_1DOF)
+
+
+def fold_gps_fix(state: ekf.EkfState, measured: np.ndarray, sigma: float) -> None:
+    """Oracle of the fold of an accepted ``ekf.ekf_update_gps`` fix, in place:
+    its two rows, the rotation of robot 1's heading on robot 1's position
+    columns, through ``fold_rows``."""
+    ang = float(state.ang[0])
+    c, s = math.cos(ang), math.sin(ang)
+    x, y = state.pos[0].tolist()
+    nu = [float(measured[0]) - x, float(measured[1]) - y]
+    cols = np.array([1, 2])
+    fold_rows(state, (cols, cols), np.array([[c, -s], [s, c]]), nu, (sigma, sigma), None)

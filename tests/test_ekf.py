@@ -12,7 +12,8 @@ from covform.covsim.ekf import (
     EkfModel,
     EkfState,
     LandmarkBuffer,
-    _measurement_rows,
+    _edge_row,
+    _landmark_row,
     ekf_predict,
     ekf_update_gps,
     ekf_update_ranges,
@@ -32,7 +33,14 @@ from covform.se2 import (
     rot2,
 )
 from covform.team import TeamConfig, default_full_graph
-from helpers import adjoint, landmark_init_oracle, range_rows_gather, world_tags
+from helpers import (
+    adjoint,
+    fold_gps_fix,
+    landmark_init_oracle,
+    range_rows_gather,
+    update_ranges_rows_then_fold,
+    world_tags,
+)
 from test_montecarlo import preset_line
 from test_ranging import dense_range_rows
 
@@ -72,11 +80,18 @@ def make_state(model, spread=2.0, seed=0, att_sigma=0.1, pos_sigma=0.3):
     return EkfState.create(model, ang, pos, att_sigma, pos_sigma)
 
 
+def filter_rows(s, model, rr_idx, lm_edges):
+    """The filter's per-row builders over robot-robot rows (edge indices), then
+    (tag, landmark) rows: (cols, vals, predicted ranges, validity) lists."""
+    rows = ([_edge_row(s, model, k) for k in rr_idx]
+            + [_landmark_row(s, model, tag, lm) for tag, lm in lm_edges])
+    return tuple(list(column) for column in zip(*rows)) if rows else ([], [], [], [])
+
+
 def dense_measurement_rows(s, model, rr_idx, lm_edges):
-    """_measurement_rows with its sparse (cols, vals) rows scattered into dense
-    rows over the whole state: (H (M, dim), predicted ranges, validity mask)."""
-    cols, vals, zhat, valid = _measurement_rows(s, model, np.asarray(rr_idx, dtype=np.intp),
-                                                lm_edges)
+    """The filter's sparse (cols, vals) rows scattered into dense rows over the
+    whole state: (H (M, dim), predicted ranges, validity mask)."""
+    cols, vals, zhat, valid = filter_rows(s, model, rr_idx, lm_edges)
     H = np.zeros((len(cols), model.dim))
     for row, c, v in zip(H, cols, vals):
         assert c.shape == v.shape and len(set(c.tolist())) == c.shape[0] <= 6
@@ -419,7 +434,7 @@ class TestRangeUpdate:
                 tag = int(rng.integers(n_tags))
                 s.landmarks[1] = tag_positions(s, model)[tag]
                 lm_edges.append((tag, 1))
-            cols, vals, zhat, valid = _measurement_rows(s, model, rr_idx, lm_edges)
+            cols, vals, zhat, valid = filter_rows(s, model, rr_idx, lm_edges)
             want_cols, want_vals, want_zhat, want_valid = batched_measurement_rows(
                 s, model, rr_idx, lm_edges)
             assert len(cols) == len(vals) == len(want_cols) == n_rr + len(lm_edges)
@@ -580,6 +595,110 @@ class TestScalarUpdatesMatchJointJoseph:
         got, ok = ekf_update_gps(s, model, z, 0.1)
         assert ok
         assert_states_close(got, want)
+
+
+def measured_ranges(s, model, rr_idx, lm_edges, rng):
+    """Noisy ranges of robot-robot rows (edge indices) and (tag, landmark) rows
+    at the state's mean."""
+    idx, tags = model.index, tag_positions(s, model)
+    z = ([np.linalg.norm(tags[idx.edge_i[k]] - tags[idx.edge_j[k]]) for k in rr_idx]
+         + [np.linalg.norm(tags[tag] - s.landmarks[lm]) for tag, lm in lm_edges])
+    return np.array(z) + 0.05 * rng.standard_normal(len(z))
+
+
+class TestOnePassUpdate:
+    # one pass linearizes each row at the mean just before folding it, on
+    # Python floats with a state-owned downdate buffer: the result must be
+    # the rows-then-fold update of tests/helpers.py, bit for bit
+
+    @pytest.mark.parametrize("preset", ["sim5", "bridge7", "exp3plus2"])
+    def test_range_updates_equal_rows_then_fold(self, preset):
+        # three updates in a row per state, each with up to 5 robot-robot and
+        # 3 landmark rows, some with a degenerate row (a landmark on its tag)
+        # or a gated one anywhere in the call
+        sc = load_scenario(preset)
+        model = EkfModel.build(sc.team, sc.graph, 2)
+        n_edges, n_tags = model.index.edge_i.shape[0], len(model.tag_robot)
+        rng = np.random.default_rng(1300)
+        seen = Counter()
+        for trial in range(30):
+            s = coupled_state(model, 1300 + trial)
+            for _ in range(3):
+                rr_idx = rng.choice(n_edges, size=int(rng.integers(0, 6)), replace=False)
+                lm_edges = [(int(rng.integers(n_tags)), int(rng.integers(2)))
+                            for _ in range(rng.integers(0, 4))]
+                degenerate = None
+                if rng.random() < 0.3:
+                    tag, degenerate = int(rng.integers(n_tags)), int(rng.integers(len(lm_edges) + 1))
+                    s.landmarks[1] = tag_positions(s, model)[tag]
+                    lm_edges.insert(degenerate, (tag, 1))
+                    seen["degenerate"] += 1
+                z = measured_ranges(s, model, rr_idx, lm_edges, rng)
+                if degenerate is not None:
+                    z[len(rr_idx) + degenerate] = 1.0  # would be gated and counted if folded
+                if z.size > 1 and rng.random() < 0.3:
+                    z[rng.integers(z.size)] += 50.0
+                want = copy.deepcopy(s)
+                n_want = update_ranges_rows_then_fold(want, model, rr_idx, z[:len(rr_idx)],
+                                                      lm_edges, z[len(rr_idx):], 0.1)
+                got, n_got = ekf_update_ranges(s, model, rr_idx, z[:len(rr_idx)], lm_edges,
+                                               z[len(rr_idx):], 0.1)
+                assert got is s and n_got == n_want
+                assert got.mean.tobytes() == want.mean.tobytes()
+                assert got.P.tobytes() == want.P.tobytes()
+                seen["gated"] += n_got > 0
+                seen["multi"] += z.size - n_got > 1
+                seen["landmark"] += len(lm_edges) > 0
+        assert min(seen[k] for k in ("degenerate", "gated", "multi", "landmark")) >= 5, seen
+
+    @pytest.mark.parametrize("preset", ["sim5", "exp3plus2"])
+    def test_gps_fixes_equal_rows_then_fold(self, preset):
+        sc = load_scenario(preset)
+        model = EkfModel.build(sc.team, sc.graph, 2)
+        rng = np.random.default_rng(1400)
+        for trial in range(20):
+            s = coupled_state(model, 1400 + trial)
+            for k in range(3):
+                reject = (trial + k) % 3 == 0
+                fix = s.pos[0] + 0.05 * rng.standard_normal(2) + (100.0 if reject else 0.0)
+                want = copy.deepcopy(s)
+                if not reject:
+                    fold_gps_fix(want, fix, 0.1)
+                got, ok = ekf_update_gps(s, model, fix, 0.1)
+                assert ok is not reject
+                assert got.mean.tobytes() == want.mean.tobytes()
+                assert got.P.tobytes() == want.P.tobytes()
+
+    def test_writes_through_the_views_reach_the_next_update(self):
+        # ang, pos and landmarks are views of the one mean, of a deep copy's
+        # own mean too: what is written through them is what the next update
+        # linearizes at and retracts into
+        _, model = make_model(n=3, landmarks=2)
+        s = coupled_state(model, 1500)
+        twin = copy.deepcopy(s)
+        ang, pos, lm = s.ang.copy(), s.pos.copy(), s.landmarks.copy()
+        ang[1] += 0.3
+        pos[:, 0] -= 0.25
+        lm[0] = [1.0, -2.0]
+        rng = np.random.default_rng(1500)
+        for state in (s, twin):
+            untouched = twin.mean.copy()
+            state.ang[1] += 0.3
+            state.pos[:, 0] -= 0.25
+            state.landmarks[0] = [1.0, -2.0]
+            if state is s:
+                assert twin.mean.tobytes() == untouched.tobytes()
+            fresh = EkfState(ang, pos, lm, state.initialized.copy(), state.P.copy())
+            assert state.mean.tobytes() == fresh.mean.tobytes()
+            rr_idx, lm_edges = np.array([0, 4]), [(1, 0), (3, 1)]
+            z = measured_ranges(fresh, model, rr_idx, lm_edges, rng)
+            fix = fresh.pos[0] + 0.05 * rng.standard_normal(2)
+            for target in (state, fresh):
+                ekf_update_ranges(target, model, rr_idx, z[:2], lm_edges, z[2:], 0.1)
+                assert ekf_update_gps(target, model, fix, 0.1)[1]
+            for name in ("ang", "pos", "landmarks", "P"):
+                assert getattr(state, name).tobytes() == getattr(fresh, name).tobytes(), name
+            assert not np.array_equal(state.landmarks[0], [1.0, -2.0])
 
 
 class TestTrilateration:

@@ -185,6 +185,52 @@ class TestAggregate:
         assert agg["filtered"]["landmark2_error"]["median"] == pytest.approx(0.6)
 
 
+def stats_per_metric(values):
+    """The parent's summary of one metric: a median and two percentile calls."""
+    if not values:
+        return {"median": None, "p25": None, "p75": None}
+    v = np.asarray(values, dtype=np.float64)
+    return {"median": float(np.median(v)), "p25": float(np.percentile(v, 25)),
+            "p75": float(np.percentile(v, 75))}
+
+
+def aggregate_per_metric(rows, n_landmarks):
+    """Oracle of one ``aggregate`` table: every metric summarized on its own."""
+    keys = ("coverage_time", "interrobot_att_rmse", "interrobot_pos_rmse", "nees_containment")
+    out = {k: stats_per_metric([getattr(r, k) for r in rows]) for k in keys}
+    for l in range(n_landmarks):
+        out[f"landmark{l + 1}_error"] = stats_per_metric(
+            [r.landmark_errors[l] for r in rows if np.isfinite(r.landmark_errors[l])])
+    return out
+
+
+class TestAggregateQuantiles:
+    @pytest.mark.parametrize("n", [*range(1, 30), 60, 100, 1500])
+    def test_batched_quantiles_equal_per_metric_calls(self, n):
+        # one median and one percentile call per table, against three calls
+        # per metric: the summary keeps its bytes, with diverged (inf and nan)
+        # and uninitialized (inf) trials among the rows
+        rng = np.random.default_rng(n)
+        rows = []
+        for k in range(n):
+            bad = rng.random() < 0.15
+            rows.append(fake_metrics(
+                coverage_time=float(rng.uniform(30.0, 300.0)),
+                interrobot_att_rmse=float(rng.lognormal(-4.0, 1.0)),
+                interrobot_pos_rmse=float(rng.choice([np.inf, np.nan])) if bad
+                else float(rng.lognormal(-2.0, 1.5)),
+                nees_containment=float(rng.uniform()),
+                landmark_errors=[float(rng.lognormal(-1.0, 1.0)) if rng.random() < 0.8
+                                 else float("inf") for _ in range(2)],
+                diverged=bad, completed=rng.random() < 0.95))
+        completed = [r for r in rows if r.completed]
+        with np.errstate(invalid="ignore"):  # quartiles between inf and inf
+            agg = aggregate(rows)
+            for name, table in (("raw", completed),
+                                ("filtered", [r for r in completed if not r.diverged])):
+                assert json.dumps(agg[name]) == json.dumps(aggregate_per_metric(table, 2)), name
+
+
 class TestReductionTable:
     def test_self_reduction_is_zero(self):
         rows = [fake_metrics(), fake_metrics(landmark_errors=[0.2, 0.3])]

@@ -22,7 +22,7 @@ from covform.cli import (
     main,
 )
 from covform.covsim import SimConfig
-from covform.covsim.config import MAX_SENSOR_EVENTS
+from covform.covsim.config import MAX_SENSOR_EVENTS, MAX_TRUTH_STEPS
 from covform.scenario import (
     MAX_ROBOTS,
     MAX_SWEEP_LEGS,
@@ -144,20 +144,41 @@ class TestScenarioValidation:
         assert rc == 1
         assert f"config error: sim: {field}, got" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rate", ["range_rate", "gps_rate"])
-    def test_sensor_event_count_is_bounded(self, tmp_path, capsys, rate):
+    @pytest.mark.parametrize("sim, message, at_bound, over_bound", [
+        ({"range_rate": 1e15, "max_sim_time": 0.05},
+         f"max_sim_time times the larger of range_rate and gps_rate must be at most "
+         f"{MAX_SENSOR_EVENTS:,} events, got 5e+13",
+         {"max_sim_time": MAX_SENSOR_EVENTS / 1000, "range_rate": 1000.0},
+         {"max_sim_time": MAX_SENSOR_EVENTS / 1000, "range_rate": 1000.1}),
+        ({"gps_rate": 1e15, "max_sim_time": 0.05},
+         f"max_sim_time times the larger of range_rate and gps_rate must be at most "
+         f"{MAX_SENSOR_EVENTS:,} events, got 5e+13",
+         {"max_sim_time": MAX_SENSOR_EVENTS / 1000, "gps_rate": 1000.0},
+         {"max_sim_time": MAX_SENSOR_EVENTS / 1000, "gps_rate": 1000.1}),
+        ({"dt_truth": 1e-6},
+         f"max_sim_time / dt_truth must be at most {MAX_TRUTH_STEPS:,} truth steps, got 6e+08",
+         {"max_sim_time": MAX_TRUTH_STEPS * 1e-3, "dt_truth": 1e-3},
+         {"max_sim_time": MAX_TRUTH_STEPS * 1e-3, "dt_truth": 0.9999e-3}),
+    ], ids=["range_rate", "gps_rate", "dt_truth"])
+    def test_sensor_event_count_is_bounded(self, tmp_path, capsys, monkeypatch, sim, message,
+                                           at_bound, over_bound):
         # the replay draws every event of a trial up front: 1e15 Hz for
-        # 0.05 s asked numpy for 364 TiB of event steps
+        # 0.05 s asked numpy for 364 TiB of event steps; the truth log keeps
+        # every step, and 1e-6 s steps over sim5's 600 s grew it by 13 MB/s.
+        # Reaching the truth phase here fails the test before it allocates
+        def refuse(*args):
+            raise AssertionError("the truth phase was started")
+
+        monkeypatch.setattr("covform.covsim.sim.simulate_truth", refuse)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**PRESETS["sim5"], "sim": {rate: 1e15, "max_sim_time": 0.05}}))
+        bad.write_text(json.dumps({**PRESETS["sim5"], "sim": sim}))
         rc = main(["simulate", "--config", str(bad), "--formation", str(GOLDEN),
                    "--out", str(tmp_path)])
         assert rc == 1
-        assert ("config error: sim: max_sim_time times the larger of range_rate and gps_rate "
-                f"must be at most {MAX_SENSOR_EVENTS:,} events, got 5e+13") in capsys.readouterr().err
-        SimConfig(max_sim_time=MAX_SENSOR_EVENTS / 1000, **{rate: 1000.0})  # at the bound
+        assert f"config error: sim: {message}" in capsys.readouterr().err
+        SimConfig(**at_bound)
         with pytest.raises(ValueError, match="at most"):
-            SimConfig(max_sim_time=MAX_SENSOR_EVENTS / 1000, **{rate: 1000.1})
+            SimConfig(**over_bound)
 
     @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
     @pytest.mark.parametrize("patch", [{"sim": {"area": [1e12, 24]}},

@@ -20,7 +20,8 @@ def run_script(script, *args):
                           capture_output=True, text=True, timeout=120, check=False)
 
 
-@pytest.mark.parametrize("script", ["design_formations.py", "run_coverage_study.py"])
+@pytest.mark.parametrize("script", ["design_formations.py", "run_coverage_study.py",
+                                    "trial_digest.py"])
 def test_help_exits_zero(script):
     proc = run_script(script, "--help")
     assert proc.returncode == 0, proc.stderr
