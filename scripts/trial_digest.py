@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Trial digest: one sha256 per set of seeded coverage trials.
 
-Each trial contributes its ``as_record()`` plus every array of its
-``TrialArtifacts`` and of its truth log, so two source trees print the same
+Each trial contributes its ``as_record()`` plus every array of the
+``TrialArtifacts`` ``run_coverage_sim`` returns and of its truth log, so two source trees print the same
 lines exactly when their trials agree bit for bit. The full set holds 17
 runs:
 
@@ -47,7 +47,7 @@ def line_formation(sc) -> FormationState:
 
 
 def hash_trial(h, sc, graph, config) -> None:
-    art = run_coverage_sim(sc.team, graph, line_formation(sc), config, keep_artifacts=True)
+    art = run_coverage_sim(sc.team, graph, line_formation(sc), config)
     h.update(json.dumps(art.metrics.as_record(), sort_keys=True).encode())
     arrays = [getattr(art, f.name) for f in fields(art) if f.name not in ("metrics", "truth")]
     arrays += [getattr(art.truth, f.name) for f in fields(art.truth)]

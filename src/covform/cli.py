@@ -223,8 +223,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     x, _, _ = load_formation_file(args.formation, scenario.team)
     config = replace(scenario.sim, seed=args.seed)
-    artifacts = run_coverage_sim(scenario.team, scenario.graph, x, config,
-                                 keep_artifacts=True)
+    artifacts = run_coverage_sim(scenario.team, scenario.graph, x, config)
     metrics = artifacts.metrics
     outdir = Path(args.out)
     _write_json(outdir / "simulate_metrics.json",

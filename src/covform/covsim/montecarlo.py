@@ -18,6 +18,11 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(master_seed).generate_state(trials)]
 
 
+def _trial_metrics(*args) -> SimMetrics:
+    # module-level, so the spawn pool can pickle it; only the metrics cross back
+    return run_coverage_sim(*args).metrics
+
+
 def monte_carlo(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
                 config: SimConfig, trials: int, jobs: int = 1) -> tuple[list[SimMetrics], dict]:
     """Run independent trials; aggregate medians and quartiles.
@@ -34,8 +39,9 @@ def monte_carlo(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     configs = [replace(config, seed=s) for s in trial_seeds(config.seed, trials)]
     import os  # already loaded by the interpreter: no import cost
     workers = min(jobs, trials, os.cpu_count() or 1)
+    trial = partial(_trial_metrics, team, graph, x_des)
     if workers == 1:
-        results = [run_coverage_sim(team, graph, x_des, c) for c in configs]
+        results = list(map(trial, configs))
     else:
         # imported here: the pool's modules cost every serial run about 15 ms
         import multiprocessing
@@ -43,7 +49,7 @@ def monte_carlo(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
 
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            results = list(pool.map(partial(run_coverage_sim, team, graph, x_des), configs))
+            results = list(pool.map(trial, configs))
     return results, aggregate(results)
 
 
@@ -51,7 +57,13 @@ def _stats(values: np.ndarray) -> list[dict]:
     """Median and quartiles of each column of values (trials, columns), in one call each."""
     if not values.shape[0]:
         return [{"median": None, "p25": None, "p75": None} for _ in range(values.shape[1])]
-    p25, p75 = np.percentile(values, [25, 75], axis=0).tolist()
+    with np.errstate(invalid="ignore"):  # interpolating next to inf takes inf - inf = nan
+        q = np.percentile(values, [25, 75], axis=0)
+    # whose limit is the upper neighbour: a column without nan gets quartiles without nan
+    if np.isnan(q).any():
+        gap = np.isnan(q) & ~np.isnan(values).any(axis=0)
+        q[gap] = np.percentile(values, [25, 75], axis=0, method="higher")[gap]
+    p25, p75 = q.tolist()
     return [{"median": m, "p25": lo, "p75": hi}
             for m, lo, hi in zip(np.median(values, axis=0).tolist(), p25, p75)]
 

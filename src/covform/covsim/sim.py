@@ -1,13 +1,11 @@
-"""Coverage-run simulation: ground truth, measurement replay, metrics.
+"""Coverage-run simulation: one trial in four stages, composed by ``run_coverage_sim``.
 
-Two phases per trial. The truth phase integrates the fleet at 100 Hz
-under the leader-follower controller, injecting velocity noise, and logs
-poses plus the clean commands. From the log alone the trial then draws
-its measurement schedule: which pair each range event measures, and every
-noisy range and GPS fix at their own rates. The filter phase replays the
-log: it predicts on the clean commands and feeds the scheduled
-measurements to the EKF. Metrics compare relative poses and landmark
-estimates against the logged truth.
+``simulate_truth`` flies the fleet under the leader-follower controller with
+velocity noise and logs poses plus the clean commands. ``measurement_schedule``
+draws from that log which pair each range event measures, and every noisy
+range and GPS fix. ``replay`` predicts the EKF on the clean commands, feeds it
+the scheduled measurements and logs its estimate at every step. ``score``
+compares that log with the truth: relative poses, landmarks, containment.
 """
 
 from __future__ import annotations
@@ -82,13 +80,9 @@ def simulate_truth(team: TeamConfig, x_des: FormationState, waypoints: np.ndarra
     ang = np.zeros(n)
     pos = np.vstack([np.zeros((1, 2)), x_des.r.copy()])  # start in formation at origin
 
-    angs = [ang.copy()]
-    poss = [pos.copy()]
-    cmds = []
-    wp_idx = 0
-    goal = waypoints[0]
-    coverage_time = np.nan
-    completed = False
+    angs, poss, cmds = [ang.copy()], [pos.copy()], []
+    wp_idx, goal = 0, waypoints[0]
+    coverage_time, completed = np.nan, False
 
     for k in range(max_steps):
         j = k % TRUTH_CHUNK
@@ -237,7 +231,7 @@ def leader_waypoints(x_des: FormationState, team: TeamConfig,
 
 @dataclass
 class TrialArtifacts:
-    """Everything run_coverage_sim measured, for dumps and debugging."""
+    """One trial's metrics and the logs they were scored from."""
 
     metrics: SimMetrics
     truth: TruthLog
@@ -248,62 +242,30 @@ class TrialArtifacts:
     lm_initialized: np.ndarray  # (K+1, L) bool
 
 
-def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
-                     config: SimConfig, keep_artifacts: bool = False) -> SimMetrics | TrialArtifacts:
-    """One full trial: truth, EKF replay, metrics.
-
-    Deterministic in config.seed; truth noise, measurement noise and the
-    initial estimate perturbation use independent child streams.
-    """
-    ss = np.random.SeedSequence(config.seed)
-    truth_rng, meas_rng, init_rng = (np.random.default_rng(s) for s in ss.spawn(3))
-
-    waypoints = leader_waypoints(x_des, team, config)
-    truth = simulate_truth(team, x_des, waypoints, config, truth_rng)
-    n, L = team.n_robots, len(config.landmark_positions)
-    lm_true = np.asarray(config.landmark_positions, dtype=np.float64).reshape(-1, 2)
-    K = truth.n_steps
-    dt = config.dt_truth
-
-    model = EkfModel.build(team, graph, L)
-    state = EkfState.create(model, truth.ang[0], truth.pos[0],
-                            att_sigma=config.init_att_sigma * config.noise_scale,
-                            pos_sigma=config.init_pos_sigma * config.noise_scale)
-    if config.noise_scale > 0:
-        init_std = config.noise_scale * np.array(
-            [config.init_att_sigma, config.init_pos_sigma, config.init_pos_sigma])
-        ang0 = state.ang
-        exp_step(ang0, state.pos, init_std * init_rng.standard_normal((n, 3)),
-                 (np.cos(ang0), np.sin(ang0)))
-
-    vel_cov = np.diag([config.vel_noise_omega ** 2,
-                       config.vel_noise_v ** 2, config.vel_noise_v ** 2])
-    Q = (dt * dt) * vel_cov
-    idx = model.index
-    sched = measurement_schedule(idx, truth, config, meas_rng)
+def replay(model: EkfModel, state: EkfState, truth: TruthLog, sched: MeasurementSchedule,
+           config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Run the filter from ``state`` over the schedule, in place. Returns the mean
+    at the end of every step (K+1, dim), the landmarks' variances (K+1, L, 2),
+    each landmark's init step (K+1 if never) and the gates' rejection counts."""
+    K, dt = truth.n_steps, config.dt_truth
+    n, L = model.n_robots, model.n_landmarks
+    Q = (dt * dt) * np.diag([config.vel_noise_omega ** 2,
+                             config.vel_noise_v ** 2, config.vel_noise_v ** 2])
     range_at = np.searchsorted(sched.step, np.arange(K + 2)).tolist()
     gps_at = np.searchsorted(sched.gps_step, np.arange(K + 2)).tolist()
     slots, zs = sched.slot.tolist(), sched.z.tolist()
-    n_edges, n_tags = idx.edge_i.shape[0], idx.tag_robot.shape[0]
+    n_edges, n_tags = model.index.edge_i.shape[0], model.index.tag_robot.shape[0]
     buffers = [LandmarkBuffer() for _ in range(L)]
-
+    init_step = np.full(L, K + 1)
     n_rejected_ranges = n_rejected_gps = 0
     mean_log = np.empty((K + 1, model.dim))
     lm_var = np.empty((K + 1, L, 2))
-    lm_init_log = np.empty((K + 1, L), dtype=bool)
-
-    def record(k: int) -> None:
-        # the estimate at the end of step k, just before the next predict
-        mean_log[k] = state.mean
-        lm_var[k] = state.P.diagonal()[3 * n:].reshape(L, 2)
-        lm_init_log[k] = state.initialized
-
-    record(0)
-    for k in range(1, K + 1):
-        j = (k - 1) % PREDICT_CHUNK
-        if j == 0:
-            phi, t, F = transitions(truth.u_cmd[k - 1:k - 1 + PREDICT_CHUNK], dt)
-        state = ekf_predict(state, model, phi[j], t[j], F[j], Q)
+    for k in range(K + 1):
+        if k:  # step 0 holds the initial estimate; no event falls on it
+            j = (k - 1) % PREDICT_CHUNK
+            if j == 0:
+                phi, t, F = transitions(truth.u_cmd[k - 1:k - 1 + PREDICT_CHUNK], dt)
+            state = ekf_predict(state, model, phi[j], t[j], F[j], Q)
         for m in range(range_at[k], range_at[k + 1]):
             slot, z = slots[m], zs[m]
             if slot < n_edges:
@@ -318,46 +280,53 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
                 n_rejected_ranges += rej
             else:
                 buffers[l].add(state.tag_position(model, tag0), z)
-                state, _ = landmark_init(state, model, l, buffers[l], config.range_sigma)
+                state, inserted = landmark_init(state, model, l, buffers[l], config.range_sigma)
+                if inserted:
+                    init_step[l] = k
 
         for g in range(gps_at[k], gps_at[k + 1]):
             state, ok = ekf_update_gps(state, model, sched.gps_z[g], config.gps_sigma)
             n_rejected_gps += not ok
 
-        record(k)
+        mean_log[k] = state.mean
+        lm_var[k] = state.P.diagonal()[3 * n:].reshape(L, 2)
+    return mean_log, lm_var, init_step, n_rejected_ranges, n_rejected_gps
 
-    # the estimates are views of the mean log; inter-robot errors: headings and
-    # positions relative to robot 1, the latter in robot 1's frame, estimate against truth
+
+def score(truth: TruthLog, config: SimConfig, mean_log: np.ndarray, lm_var: np.ndarray,
+          init_step: np.ndarray, n_rejected_ranges: int, n_rejected_gps: int) -> TrialArtifacts:
+    """Score a replay's logs against the truth: headings and positions relative to
+    robot 1 (the latter in its frame), and each landmark from its init step on."""
+    K, n = truth.n_steps, truth.ang.shape[1]
+    lm_true = np.asarray(config.landmark_positions, dtype=np.float64).reshape(-1, 2)
+    initialized = np.arange(K + 1)[:, None] >= init_step
     est_ang = mean_log[:, :3 * n:3]
     est_pos = mean_log[:, :3 * n].reshape(K + 1, n, 3)[..., 1:]
-    lm_est = mean_log[:, 3 * n:].reshape(K + 1, L, 2)
     d_ang = (est_ang[:, 1:] - est_ang[:, :1]) - (truth.ang[:, 1:] - truth.ang[:, :1])
     att_err = np.abs(wrap_angle(d_ang))
     rel_est = (est_pos[:, 1:] - est_pos[:, :1]) @ _rot_many(est_ang[:, 0])
     rel_true = (truth.pos[:, 1:] - truth.pos[:, :1]) @ _rot_many(truth.ang[:, 0])
     pos_err = np.linalg.norm(rel_est - rel_true, axis=-1)
-    lm_est[~lm_init_log] = np.nan
-    lm_sig = np.where(lm_init_log[..., None], np.sqrt(np.maximum(lm_var, 0.0)), np.nan)
+    lm_est = np.where(initialized[..., None], mean_log[:, 3 * n:].reshape(K + 1, -1, 2), np.nan)
+    lm_sig = np.where(initialized[..., None], np.sqrt(np.maximum(lm_var, 0.0)), np.nan)
     lm_dev = lm_est - lm_true
     lm_err = np.linalg.norm(lm_dev, axis=-1)
     lm_contained = np.all(np.abs(lm_dev) <= 3.0 * lm_sig, axis=-1)
 
     att_rmse = float(np.sqrt(np.mean(att_err ** 2)))
     prmse = float(np.sqrt(np.mean(pos_err ** 2)))
-    final_lm = [float(lm_err[K, l]) if state.initialized[l] else float("inf")
-                for l in range(L)]
     post_init = ~np.isnan(lm_err)
     contained_frac = (float(np.sum(lm_contained[post_init]) / np.sum(post_init))
                       if np.any(post_init) else 0.0)
+    # an uninitialized landmark's error is nan here, so it never exceeds the threshold
     bad = (not np.isfinite(att_rmse) or not np.isfinite(prmse)
            or prmse > config.divergence_threshold
-           or any(e > config.divergence_threshold
-                  for e, seen in zip(final_lm, state.initialized) if seen))
+           or np.any(lm_err[K] > config.divergence_threshold))
     metrics = SimMetrics(
         coverage_time=float(truth.coverage_time),
         interrobot_att_rmse=att_rmse,
         interrobot_pos_rmse=prmse,
-        landmark_errors=final_lm,
+        landmark_errors=np.where(initialized[K], lm_err[K], np.inf).tolist(),
         nees_containment=contained_frac,
         completed=truth.completed,
         diverged=bool(bad),
@@ -365,9 +334,27 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
         n_rejected_gps=n_rejected_gps,
         seed=config.seed,
     )
-    if keep_artifacts:
-        return TrialArtifacts(metrics, truth, est_ang, est_pos, lm_est, lm_sig, lm_init_log)
-    return metrics
+    return TrialArtifacts(metrics, truth, est_ang, est_pos, lm_est, lm_sig, initialized)
+
+
+def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
+                     config: SimConfig) -> TrialArtifacts:
+    """One full trial, deterministic in config.seed: truth, measurement and
+    initial-estimate noise come from independent child streams of it."""
+    ss = np.random.SeedSequence(config.seed)
+    truth_rng, meas_rng, init_rng = (np.random.default_rng(s) for s in ss.spawn(3))
+    truth = simulate_truth(team, x_des, leader_waypoints(x_des, team, config), config, truth_rng)
+
+    model = EkfModel.build(team, graph, len(config.landmark_positions))
+    att_sigma = config.init_att_sigma * config.noise_scale
+    pos_sigma = config.init_pos_sigma * config.noise_scale
+    state = EkfState.create(model, truth.ang[0], truth.pos[0], att_sigma, pos_sigma)
+    if config.noise_scale > 0:  # the initial estimate is drawn from the prior
+        ang0 = state.ang
+        exp_step(ang0, state.pos, np.array([att_sigma, pos_sigma, pos_sigma])
+                 * init_rng.standard_normal((team.n_robots, 3)), (np.cos(ang0), np.sin(ang0)))
+    sched = measurement_schedule(model.index, truth, config, meas_rng)
+    return score(truth, config, *replay(model, state, truth, sched, config))
 
 
 def dump_trajectory_csv(path, artifacts: TrialArtifacts) -> None:

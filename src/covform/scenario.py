@@ -51,6 +51,7 @@ from covform.team import (
 # robot is built, so a huge count fails at once instead of allocating.
 MAX_ROBOTS = 64
 MAX_TAGS_PER_ROBOT = 16  # the full graph grows with its square
+MAX_LANDMARKS = 16  # the filter state has 3N + 2L entries: at most 224 at N = 64
 # Each piece of the camera-disk union is at least one disk wide, so a sweep has
 # at most area width / (2 * smallest camera radius) legs, whatever the formation.
 MAX_SWEEP_LEGS = 100_000
@@ -207,7 +208,7 @@ def _build_sim(cfg: dict) -> SimConfig:
     if "area" in cfg:
         kw["area"] = _nums(cfg["area"], "sim.area", 2)
     if "landmarks" in cfg:
-        kw["landmark_positions"] = _pairs(cfg["landmarks"], "sim.landmarks")
+        kw["landmark_positions"] = _pairs(cfg["landmarks"], "sim.landmarks", most=MAX_LANDMARKS)
     if "vel_noise" in cfg:
         kw["vel_noise_omega"], kw["vel_noise_v"] = _nums(cfg["vel_noise"], "sim.vel_noise", 2)
     if "gains" in cfg:

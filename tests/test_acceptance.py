@@ -279,8 +279,8 @@ def test_criterion_7_coverage_time(bench, formations):
     team, graph = bench["team"], bench["graph"]
     cfg = SimConfig(noise_scale=0.0, seed=0)
     t0 = time.monotonic()
-    t_cov = run_coverage_sim(team, graph, formations["x_cov"], cfg).coverage_time
-    t_opt = run_coverage_sim(team, graph, formations["x_opt"], cfg).coverage_time
+    t_cov = run_coverage_sim(team, graph, formations["x_cov"], cfg).metrics.coverage_time
+    t_opt = run_coverage_sim(team, graph, formations["x_opt"], cfg).metrics.coverage_time
     elapsed = time.monotonic() - t0
     ratio = t_cov / t_opt
     report(7, "coverage time: cov formation at most 0.80x the clustered one", [
@@ -338,7 +338,7 @@ def test_criterion_9_filter_consistency(bench, formations, mc):
     med_cont = float(np.median(containments))
 
     noiseless = run_coverage_sim(team, graph,
-                                 formations["x_cov"], SimConfig(noise_scale=0.0, seed=3))
+                                 formations["x_cov"], SimConfig(noise_scale=0.0, seed=3)).metrics
     report(9, "3-sigma containment and noiseless consistency", [
         (f"median containment {med_cont:.3f} >= 0.90", med_cont >= 0.90),
         (f"noiseless att RMSE {noiseless.interrobot_att_rmse:.2e} < 1e-6",

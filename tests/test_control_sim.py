@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -270,7 +271,7 @@ def test_truth_log_and_transitions_grow_with_steps_flown_not_max_time():
                     waypoint_tolerance=0.8, formation_gate=3.0, max_sim_time=600.0)
     tracemalloc.start()
     try:
-        art = run_coverage_sim(team, graph, x_des, cfg, keep_artifacts=True)
+        art = run_coverage_sim(team, graph, x_des, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -288,8 +289,7 @@ def test_cut_64_robot_line_trial_memory():
     cfg = SimConfig(seed=3, max_sim_time=5.0)
     tracemalloc.start()
     try:
-        art = run_coverage_sim(team, default_full_graph(team), line_formation(n), cfg,
-                               keep_artifacts=True)
+        art = run_coverage_sim(team, default_full_graph(team), line_formation(n), cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -306,8 +306,7 @@ def test_chunked_replay_equals_one_block(monkeypatch):
     runs = []
     for chunk in (7, 10 ** 6):
         monkeypatch.setattr(sim, "PREDICT_CHUNK", chunk)
-        runs.append(run_coverage_sim(team, default_full_graph(team), x_des, cfg,
-                                     keep_artifacts=True))
+        runs.append(run_coverage_sim(team, default_full_graph(team), x_des, cfg))
     got, want = runs
     assert got.truth.n_steps > 7
     for name in ("est_ang", "est_pos", "lm_est", "lm_sigma", "lm_initialized"):
@@ -345,8 +344,7 @@ def test_trajectory_table_equals_row_loop(tmp_path, landmarks):
     # the landmarks start uninitialized, so the first rows hold nan cells
     team = TeamConfig.uniform(3)
     cfg = SimConfig(area=(6.0, 8.0), landmark_positions=landmarks, max_sim_time=20.0, seed=7)
-    art = run_coverage_sim(team, default_full_graph(team), line_formation(3), cfg,
-                           keep_artifacts=True)
+    art = run_coverage_sim(team, default_full_graph(team), line_formation(3), cfg)
     sim.dump_trajectory_csv(tmp_path / "table.csv", art)
     dump_trajectory_csv_loop(tmp_path / "loop.csv", art)
     got = (tmp_path / "table.csv").read_bytes()
@@ -355,3 +353,65 @@ def test_trajectory_table_equals_row_loop(tmp_path, landmarks):
     assert len(rows) == 1 + len(range(0, art.truth.ang.shape[0], sim.CSV_EVERY))
     if landmarks:
         assert "nan" in rows[1] and "nan" not in rows[-1]
+
+
+class TestScore:
+    """``sim.score`` on hand-built logs: three robots over K = 3 steps."""
+
+    K = 3
+    LM = np.array([[3.0, 4.0], [1.0, 6.0]])
+    CFG = SimConfig(landmark_positions=((3.0, 4.0), (1.0, 6.0)))
+
+    def truth(self):
+        rng = np.random.default_rng(5)
+        ang = rng.uniform(-np.pi, np.pi, (self.K + 1, 3))
+        pos = rng.uniform(-5.0, 5.0, (self.K + 1, 3, 2))
+        return sim.TruthLog(t=0.01 * np.arange(self.K + 1), ang=ang, pos=pos,
+                            u_cmd=np.zeros((self.K, 3, 3)), coverage_time=0.03, completed=True)
+
+    def score(self, truth, ang, pos, lm, init_step):
+        """Score the mean log of these poses and landmark estimates, each
+        landmark with a marginal std of 0.1 m."""
+        poses = np.concatenate([ang[..., None], pos], axis=-1).reshape(self.K + 1, -1)
+        mean_log = np.hstack([poses, lm.reshape(self.K + 1, -1)])
+        return sim.score(truth, self.CFG, mean_log, np.full((self.K + 1, 2, 2), 0.01),
+                         np.array(init_step), 0, 0)
+
+    def test_estimate_equal_to_truth_scores_zero(self):
+        truth = self.truth()
+        lm = np.broadcast_to(self.LM, (self.K + 1, 2, 2))
+        m = self.score(truth, truth.ang, truth.pos, lm, [1, 2]).metrics
+        assert m.interrobot_att_rmse == 0.0 and m.interrobot_pos_rmse == 0.0
+        assert m.landmark_errors == [0.0, 0.0] and m.nees_containment == 1.0
+        assert m.completed and not m.diverged
+
+    def test_relative_heading_across_pi_is_a_small_error(self):
+        # robot 2 sits at +pi - 0.01 from robot 1 in truth and is estimated at
+        # -pi + 0.01: 0.02 rad apart, not 2 pi - 0.02
+        truth = self.truth()
+        truth.ang[:] = [0.3, 0.3 + np.pi - 0.01, 0.3]
+        est = truth.ang.copy()
+        est[:, 1] = 0.3 - np.pi + 0.01
+        lm = np.broadcast_to(self.LM, (self.K + 1, 2, 2))
+        m = self.score(truth, est, truth.pos, lm, [1, 2]).metrics
+        assert m.interrobot_att_rmse == pytest.approx(0.02 / np.sqrt(2), rel=1e-12)
+        assert m.interrobot_pos_rmse == 0.0
+
+    def test_landmarks_count_from_their_init_step(self):
+        # landmark 1 is initialized on step 2: inside its 3-sigma box there,
+        # 0.5 m off on step 3; landmark 2 never is (init step K + 1). Their
+        # estimates before initialization are 1 km off and count for nothing
+        truth = self.truth()
+        lm = np.full((self.K + 1, 2, 2), 1000.0)
+        lm[2, 0] = self.LM[0] + [0.1, 0.0]
+        lm[3, 0] = self.LM[0] + [0.0, 0.5]
+        art = self.score(truth, truth.ang, truth.pos, lm, [2, self.K + 1])
+        m = art.metrics
+        assert m.nees_containment == 0.5
+        assert m.landmark_errors == [0.5, math.inf] and not m.diverged
+        assert art.lm_initialized.tolist() == [[False, False], [False, False],
+                                               [True, False], [True, False]]
+        assert np.isnan(art.lm_est[:2]).all() and np.isnan(art.lm_sigma[:, 1]).all()
+        assert art.lm_est[2:, 0].tolist() == lm[2:, 0].tolist()
+        # initialized on step K, the same 1 km estimate flags the trial
+        assert self.score(truth, truth.ang, truth.pos, lm, [2, self.K]).metrics.diverged

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -112,7 +113,7 @@ class TestMonteCarlo:
             return sched
 
         monkeypatch.setattr(sim, "measurement_schedule", with_nan_fix)
-        m = run_coverage_sim(team, graph, x, replace(cfg, noise_scale=0.0))
+        m = run_coverage_sim(team, graph, x, replace(cfg, noise_scale=0.0)).metrics
         assert m.n_rejected_gps == 1
         assert not m.diverged
         assert m.interrobot_pos_rmse < 1e-6
@@ -140,12 +141,12 @@ class TestMonteCarlo:
         # the inf sentinel; only the estimates it has count against the threshold
         sc, x = preset_line("sim5")
         config = replace(sc.sim, seed=3, max_sim_time=2.0)
-        m = run_coverage_sim(sc.team, sc.graph, x, config)
+        m = run_coverage_sim(sc.team, sc.graph, x, config).metrics
         assert m.landmark_errors[1] == math.inf and not m.diverged
         assert m.interrobot_pos_rmse < 0.3 < m.landmark_errors[0]
         for threshold in (1e-6, 0.3):  # below the position RMSE, then landmark 1's alone
             cut = run_coverage_sim(sc.team, sc.graph, x,
-                                   replace(config, divergence_threshold=threshold))
+                                   replace(config, divergence_threshold=threshold)).metrics
             assert cut.diverged, threshold
 
     def test_rejects_zero_trials(self):
@@ -185,13 +186,27 @@ class TestAggregate:
         assert agg["filtered"]["landmark2_error"]["median"] == pytest.approx(0.6)
 
 
+def quartile(v, q):
+    """numpy's linear-interpolation percentile, or its limit where the
+    interpolation meets inf: the value at an exact rank, else inf."""
+    s = np.sort(v)
+    if np.isnan(s[-1]):
+        return math.nan
+    pos = (len(s) - 1) * q / 100
+    lo = math.floor(pos)
+    if pos == lo:
+        return float(s[lo])
+    if np.isinf(s[lo + 1]):
+        return math.inf
+    return float(np.percentile(v, q))
+
+
 def stats_per_metric(values):
-    """The parent's summary of one metric: a median and two percentile calls."""
+    """The summary of one metric on its own: one median and two quartiles."""
     if not values:
         return {"median": None, "p25": None, "p75": None}
     v = np.asarray(values, dtype=np.float64)
-    return {"median": float(np.median(v)), "p25": float(np.percentile(v, 25)),
-            "p75": float(np.percentile(v, 75))}
+    return {"median": float(np.median(v)), "p25": quartile(v, 25), "p75": quartile(v, 75)}
 
 
 def aggregate_per_metric(rows, n_landmarks):
@@ -224,11 +239,29 @@ class TestAggregateQuantiles:
                                  else float("inf") for _ in range(2)],
                 diverged=bad, completed=rng.random() < 0.95))
         completed = [r for r in rows if r.completed]
-        with np.errstate(invalid="ignore"):  # quartiles between inf and inf
-            agg = aggregate(rows)
-            for name, table in (("raw", completed),
-                                ("filtered", [r for r in completed if not r.diverged])):
-                assert json.dumps(agg[name]) == json.dumps(aggregate_per_metric(table, 2)), name
+        agg = aggregate(rows)
+        for name, table in (("raw", completed),
+                            ("filtered", [r for r in completed if not r.diverged])):
+            assert json.dumps(agg[name]) == json.dumps(aggregate_per_metric(table, 2)), name
+
+    @pytest.mark.parametrize("values, p25, p75", [
+        ([1.0, 2.0, math.inf], 1.5, math.inf),
+        ([1.0, math.inf, math.inf], math.inf, math.inf),
+        ([math.inf], math.inf, math.inf),
+        ([1.0, 2.0, 3.0, 4.0, math.inf], 2.0, 4.0),  # exact ranks next to inf
+        ([2.0, 1.0, 3.0, math.inf], 1.75, math.inf),
+    ])
+    def test_quartiles_next_to_inf_are_not_nan(self, values, p25, p75):
+        # diverged trials with an infinite RMSE stay in the raw table, where
+        # numpy's interpolation takes inf - inf; the summary reports its limit
+        rows = [fake_metrics(interrobot_pos_rmse=v, diverged=not math.isfinite(v))
+                for v in values]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw = aggregate(rows)["raw"]["interrobot_pos_rmse"]
+        assert (raw["p25"], raw["p75"]) == (p25, p75)
+        assert raw["median"] == float(np.median(values))
+        assert "NaN" not in json.dumps(aggregate(rows))
 
 
 class TestReductionTable:
@@ -296,7 +329,7 @@ class TestRejectionCounters:
 
         monkeypatch.setattr(sim, "ekf_update_gps", gps)
         monkeypatch.setattr(sim, "ekf_update_ranges", ranges)
-        m = sim.run_coverage_sim(team, graph, x, replace(cfg, max_sim_time=4.0))
+        m = sim.run_coverage_sim(team, graph, x, replace(cfg, max_sim_time=4.0)).metrics
         assert seen["gps"] >= seen["gps_calls"] // 3 > 0
         assert m.n_rejected_gps == seen["gps"]
         assert m.n_rejected_ranges == seen["ranges"]
@@ -339,5 +372,5 @@ class TestGoldenTrialRecords:
     def test_line_trials_reproduce_golden_records(self, preset):
         sc, x = preset_line(preset)
         for want in json.loads(GOLDEN_RECORDS.read_text())[preset]:
-            m = run_coverage_sim(sc.team, sc.graph, x, replace(sc.sim, seed=want["seed"]))
+            m = run_coverage_sim(sc.team, sc.graph, x, replace(sc.sim, seed=want["seed"])).metrics
             assert_record_matches(m.as_record(), want, f"{preset} seed {want['seed']}")

@@ -24,6 +24,7 @@ from covform.cli import (
 from covform.covsim import SimConfig
 from covform.covsim.config import MAX_SENSOR_EVENTS, MAX_TRUTH_STEPS
 from covform.scenario import (
+    MAX_LANDMARKS,
     MAX_ROBOTS,
     MAX_SWEEP_LEGS,
     MAX_TAGS_PER_ROBOT,
@@ -146,26 +147,33 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("sim, message, at_bound, over_bound", [
         ({"range_rate": 1e15, "max_sim_time": 0.05},
-         f"max_sim_time times the larger of range_rate and gps_rate must be at most "
+         f"sim: max_sim_time times the larger of range_rate and gps_rate must be at most "
          f"{MAX_SENSOR_EVENTS:,} events, got 5e+13",
          {"max_sim_time": MAX_SENSOR_EVENTS / 1000, "range_rate": 1000.0},
          {"max_sim_time": MAX_SENSOR_EVENTS / 1000, "range_rate": 1000.1}),
         ({"gps_rate": 1e15, "max_sim_time": 0.05},
-         f"max_sim_time times the larger of range_rate and gps_rate must be at most "
+         f"sim: max_sim_time times the larger of range_rate and gps_rate must be at most "
          f"{MAX_SENSOR_EVENTS:,} events, got 5e+13",
          {"max_sim_time": MAX_SENSOR_EVENTS / 1000, "gps_rate": 1000.0},
          {"max_sim_time": MAX_SENSOR_EVENTS / 1000, "gps_rate": 1000.1}),
         ({"dt_truth": 1e-6},
-         f"max_sim_time / dt_truth must be at most {MAX_TRUTH_STEPS:,} truth steps, got 6e+08",
+         f"sim: max_sim_time / dt_truth must be at most {MAX_TRUTH_STEPS:,} truth steps, "
+         f"got 6e+08",
          {"max_sim_time": MAX_TRUTH_STEPS * 1e-3, "dt_truth": 1e-3},
          {"max_sim_time": MAX_TRUTH_STEPS * 1e-3, "dt_truth": 0.9999e-3}),
-    ], ids=["range_rate", "gps_rate", "dt_truth"])
+        ({"landmarks": [[5.0, -1.45]] * 10_000},
+         f"sim.landmarks: at most {MAX_LANDMARKS} entries, got 10000",
+         {"landmarks": [[0.5 * l, 30.0] for l in range(MAX_LANDMARKS)]},
+         {"landmarks": [[0.5 * l, 30.0] for l in range(MAX_LANDMARKS + 1)]}),
+    ], ids=["range_rate", "gps_rate", "dt_truth", "landmarks"])
     def test_sensor_event_count_is_bounded(self, tmp_path, capsys, monkeypatch, sim, message,
                                            at_bound, over_bound):
         # the replay draws every event of a trial up front: 1e15 Hz for
         # 0.05 s asked numpy for 364 TiB of event steps; the truth log keeps
-        # every step, and 1e-6 s steps over sim5's 600 s grew it by 13 MB/s.
-        # Reaching the truth phase here fails the test before it allocates
+        # every step, and 1e-6 s steps over sim5's 600 s grew it by 13 MB/s;
+        # 10,000 landmarks would size P and each update's downdate buffer at
+        # 3.2 GB apiece. Reaching the truth phase here fails the test before
+        # it allocates
         def refuse(*args):
             raise AssertionError("the truth phase was started")
 
@@ -175,10 +183,10 @@ class TestScenarioValidation:
         rc = main(["simulate", "--config", str(bad), "--formation", str(GOLDEN),
                    "--out", str(tmp_path)])
         assert rc == 1
-        assert f"config error: sim: {message}" in capsys.readouterr().err
-        SimConfig(**at_bound)
+        assert f"config error: {message}" in capsys.readouterr().err
+        build_scenario({**minimal_doc(), "sim": at_bound})
         with pytest.raises(ValueError, match="at most"):
-            SimConfig(**over_bound)
+            build_scenario({**minimal_doc(), "sim": over_bound})
 
     @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
     @pytest.mark.parametrize("patch", [{"sim": {"area": [1e12, 24]}},

@@ -67,7 +67,7 @@ def test_sweep(name, monkeypatch):
     monkeypatch.setattr(sim, "EkfState", KeptState)
     for seed in seeds:
         config = replace(sc.sim, seed=seed, **changes)
-        m = sim.run_coverage_sim(sc.team, graph or sc.graph, x, config)
+        m = sim.run_coverage_sim(sc.team, graph or sc.graph, x, config).metrics
         where = f"{name} seed {seed}"
         assert np.isfinite([m.interrobot_att_rmse, m.interrobot_pos_rmse,
                             m.nees_containment]).all(), where
