@@ -105,6 +105,11 @@ def load_formation_file(path: str | Path,
         raise ScenarioError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(doc, dict) or "formation" not in doc:
         raise ScenarioError(f"{path}: formation: missing section")
+    kind = doc.get("cost_kind", "")  # montecarlo's trials_<cost_kind>.jsonl and summary key
+    if "cost_kind" in doc and (not isinstance(kind, str) or not kind
+                               or any(c in kind for c in "/\\\0")):
+        raise ScenarioError(f"{path}: cost_kind: must be a non-empty name without a path "
+                            f"separator, got {kind!r}")
     try:
         x, s = formation_from_doc(doc["formation"])
     except ScenarioError as e:

@@ -21,8 +21,7 @@ at the mean just before folding it in, from Python floats on tables the
 model builds once, with the operations of ``range_rows`` in its order (so bit
 for bit), and folds it in by a few numpy calls on the columns it touches.
 The mean moves once, when the pass retracts its summed correction through
-``EkfState._retract``: the scalar twin of ``se2._V_apply`` and
-``se2.move_poses``, which predict moves the poses by.
+``EkfState._retract``; it and the predict move the poses by ``se2.exp_step``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from covform.ranging import DEGENERATE_RANGE, _edge_index, _EdgeIndex
-from covform.se2 import SMALL_ANGLE, _V_apply, move_poses
+from covform.se2 import _V_apply, exp_step
 from covform.team import RangeGraph, TeamConfig
 
 RANGE_GATE_1DOF = 13.8   # chi-square, 99.98%
@@ -144,40 +143,19 @@ class EkfState:
 
     def _retract(self, delta: np.ndarray) -> None:
         """Retract an error-state correction into the mean, in place: each
-        pose by right exp, T_p <- T_p exp(delta_p), landmarks additively.
-
-        This is ``se2.exp_step``'s arithmetic robot by robot, on Python floats
-        whose math.sin and math.cos round as numpy's do: the scalar twin of
-        ``se2._V_apply``, its series below SMALL_ANGLE included, which must
-        change with it.
-        """
+        pose by right exp (``se2.exp_step``), landmarks additively."""
         m = 3 * self._n
-        d = delta.tolist()
-        x = self.mean.tolist()
-        for i in range(0, m, 3):
-            phi, rx, ry = d[i:i + 3]
-            h, sin_phi = math.sin(phi * 0.5), math.sin(phi)
-            if abs(phi) >= SMALL_ANGLE:
-                a, b = sin_phi / phi, (h + h) * h / phi
-            else:
-                a, b = 1.0 - phi * phi / 6.0, phi * 0.5
-            tx, ty = a * rx - b * ry, b * rx + a * ry
-            c, s = math.cos(x[i]), math.sin(x[i])
-            x[i] += phi
-            x[i + 1] += c * tx - s * ty
-            x[i + 2] += s * tx + c * ty
-        x[m:] = [v + dv for v, dv in zip(x[m:], d[m:])]
-        self.mean[:] = x
+        exp_step(self.mean[:m], delta[:m])
+        self.mean[m:] += delta[m:]
 
 
-def transitions(u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-robot motion T <- T exp(dt u) of commands u (..., 3), over any
-    leading axes: heading increments phi (...), body-frame translations
-    t = V(phi) rho (..., 2) and error-state transitions Ad(exp(-dt u)) (..., 3, 3).
+def transitions(u: np.ndarray, dt: float) -> np.ndarray:
+    """The error-state transitions Ad(exp(-xi)) (..., 3, 3) of the per-robot
+    motion T <- T exp(xi), xi = dt u, for commands u (..., 3) over any leading
+    axes.
 
     They depend on the command alone, never on the filter state, so a replay
-    builds them for a block of steps at once. Each entry is the value the
-    per-step ``exp_step`` gives: both take V(phi) rho from ``se2._V_apply``.
+    builds them for a block of steps at once.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -186,7 +164,7 @@ def transitions(u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.nd
     t = _V_apply(phi, xi[..., 1:])
     tx, ty = t[..., 0], t[..., 1]
     # Ad(exp(-xi)) under the [phi, rho] ordering: exp(-xi) has rotation
-    # Cinv = R(-phi) and translation rinv = -Cinv t
+    # Cinv = R(-phi) and translation rinv = -Cinv t, t = V(phi) rho
     c, s = np.cos(-phi), np.sin(-phi)
     F = np.zeros(phi.shape + (3, 3))
     F[..., 0, 0] = 1.0
@@ -195,23 +173,21 @@ def transitions(u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.nd
     F[..., 1, 1] = F[..., 2, 2] = c
     F[..., 1, 2] = -s
     F[..., 2, 1] = s
-    return phi, t, F
+    return F
 
 
-def ekf_predict(state: EkfState, model: EkfModel, phi: np.ndarray, t: np.ndarray,
-                F: np.ndarray, Q: np.ndarray) -> EkfState:
-    """Propagate every robot by one step of ``transitions``, in place; landmarks
-    are static.
+def ekf_predict(state: EkfState, model: EkfModel, xi: np.ndarray, F: np.ndarray,
+                Q: np.ndarray) -> EkfState:
+    """Propagate every robot by one step, in place; landmarks are static.
 
-    phi (N,), t (N,2) and F (N,3,3) are one step's rows of ``transitions``;
-    process noise Q = dt^2 * vel_cov enters on each robot's own block. The
-    transition is the identity off its N robot blocks, so F P F^T applies
-    the blocks to the robot rows of P and then to its robot columns.
-    The mean moves through ``se2.move_poses``.
+    The twists xi = dt u (N,3) move the mean through ``se2.exp_step``; F
+    (N,3,3) is the step's row of ``transitions`` and process noise
+    Q = dt^2 * vel_cov enters on each robot's own block. The transition is
+    the identity off its N robot blocks, so F P F^T applies the blocks to
+    the robot rows of P and then to its robot columns.
     """
-    ang = state.ang
-    move_poses(ang, state.pos, phi, t, (np.cos(ang), np.sin(ang)))
     n, m = model.n_robots, 3 * model.n_robots
+    exp_step(state.mean[:m], xi)
     P = state.P
     P[:m] = (F @ P[:m].reshape(n, 3, -1)).reshape(m, -1)
     P[:, :m] = (F @ P[:, :m].T.reshape(n, 3, -1)).reshape(m, -1).T

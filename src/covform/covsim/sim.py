@@ -65,8 +65,9 @@ def simulate_truth(team: TeamConfig, x_des: FormationState, waypoints: np.ndarra
     waypoint tolerance and the fleet is in formation. Returns the log,
     flagged incomplete if max_sim_time runs out first.
 
-    The headings' cosines and sines are taken once per step, for the
-    controller and the pose step both. The velocity noise is drawn
+    The poses are one (N,3) array of [phi, x, y] rows, which ``control_step``
+    reads through its heading and position views and ``se2.exp_step`` moves
+    through its flat view; the log stacks its copies. The velocity noise is drawn
     TRUTH_CHUNK steps at a time, which gives the values of one draw per
     step while its memory stays bounded whatever max_sim_time is.
     """
@@ -77,10 +78,11 @@ def simulate_truth(team: TeamConfig, x_des: FormationState, waypoints: np.ndarra
         [config.vel_noise_omega, config.vel_noise_v, config.vel_noise_v])
     ctrl = Controller.build(x_des, config.gains)
 
-    ang = np.zeros(n)
-    pos = np.vstack([np.zeros((1, 2)), x_des.r.copy()])  # start in formation at origin
+    pose = np.zeros((n, 3))
+    pose[1:, 1:] = x_des.r  # start in formation at origin
+    ang, pos = pose[:, 0], pose[:, 1:]
 
-    angs, poss, cmds = [ang.copy()], [pos.copy()], []
+    poses, cmds = [pose.copy()], []
     wp_idx, goal = 0, waypoints[0]
     coverage_time, completed = np.nan, False
 
@@ -99,15 +101,15 @@ def simulate_truth(team: TeamConfig, x_des: FormationState, waypoints: np.ndarra
                 break
             goal = waypoints[wp_idx]
             u, ferr = control_step(goal, ang, pos, ctrl, trig)
-        exp_step(ang, pos, dt * (u + noise[j]), trig)
+        exp_step(pose.reshape(-1), dt * (u + noise[j]))
         cmds.append(u)
-        angs.append(ang.copy())
-        poss.append(pos.copy())
+        poses.append(pose.copy())
 
     K = len(cmds)
+    log = np.asarray(poses)
     return TruthLog(
         t=np.arange(K + 1) * dt,
-        ang=np.asarray(angs), pos=np.asarray(poss),
+        ang=log[..., 0], pos=log[..., 1:],
         u_cmd=np.asarray(cmds).reshape(K, n, 3),
         coverage_time=coverage_time, completed=completed,
     )
@@ -264,8 +266,9 @@ def replay(model: EkfModel, state: EkfState, truth: TruthLog, sched: Measurement
         if k:  # step 0 holds the initial estimate; no event falls on it
             j = (k - 1) % PREDICT_CHUNK
             if j == 0:
-                phi, t, F = transitions(truth.u_cmd[k - 1:k - 1 + PREDICT_CHUNK], dt)
-            state = ekf_predict(state, model, phi[j], t[j], F[j], Q)
+                u = truth.u_cmd[k - 1:k - 1 + PREDICT_CHUNK]
+                xi, F = dt * u, transitions(u, dt)
+            state = ekf_predict(state, model, xi[j], F[j], Q)
         for m in range(range_at[k], range_at[k + 1]):
             slot, z = slots[m], zs[m]
             if slot < n_edges:
@@ -350,9 +353,8 @@ def run_coverage_sim(team: TeamConfig, graph: RangeGraph, x_des: FormationState,
     pos_sigma = config.init_pos_sigma * config.noise_scale
     state = EkfState.create(model, truth.ang[0], truth.pos[0], att_sigma, pos_sigma)
     if config.noise_scale > 0:  # the initial estimate is drawn from the prior
-        ang0 = state.ang
-        exp_step(ang0, state.pos, np.array([att_sigma, pos_sigma, pos_sigma])
-                 * init_rng.standard_normal((team.n_robots, 3)), (np.cos(ang0), np.sin(ang0)))
+        exp_step(state.mean[:3 * team.n_robots], np.array([att_sigma, pos_sigma, pos_sigma])
+                 * init_rng.standard_normal((team.n_robots, 3)))
     sched = measurement_schedule(model.index, truth, config, meas_rng)
     return score(truth, config, *replay(model, state, truth, sched, config))
 

@@ -13,6 +13,8 @@ robots 2..N relative to robot 1 and never stores robot 1's (identity) pose.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Below this rotation angle exp/log switch to their 2nd-order series.
@@ -215,11 +217,7 @@ def _V_apply(phi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     as 2h^2 to dodge cancellation at small phi. The 2x2 products are written
     out: the values einsum gives on the stacked V matrices, bit for bit
     (phi * 0.5 and h + h are phi/2 and 2h exactly). Below SMALL_ANGLE V's
-    entries sin(phi)/phi and 2h^2/phi take their series 1 - phi^2/6 and phi/2.
-
-    ``covsim.ekf.EkfState._retract`` repeats this arithmetic, the series
-    choice included, on the Python floats of each pose; a change here must be
-    made there too (tests/test_ekf.py holds the two to the same bits)."""
+    entries sin(phi)/phi and 2h^2/phi take their series 1 - phi^2/6 and phi/2."""
     h, sin_phi = np.sin(phi * 0.5), np.sin(phi)
     big = np.abs(phi) >= SMALL_ANGLE
     if np.count_nonzero(big) == big.size:
@@ -237,27 +235,30 @@ def _V_apply(phi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return t
 
 
-def move_poses(ang: np.ndarray, pos: np.ndarray, phi: np.ndarray, t: np.ndarray,
-               trig: tuple[np.ndarray, np.ndarray]) -> None:
-    """The one pose step, in place: headings ``ang`` (N,) and positions ``pos``
-    (N,2) right-multiplied by exps of heading increments phi (N,) and
-    translations t = V(phi) rho (N,2), given trig = (cos(ang), sin(ang)); the
-    2x2 products written out give ``_rot_many`` applied by einsum, bit for bit."""
-    c, s = trig
-    tx, ty = t[:, 0], t[:, 1]
-    pos[:, 0] += c * tx - s * ty
-    pos[:, 1] += s * tx + c * ty
-    ang += phi
+def exp_step(pose: np.ndarray, xi: np.ndarray) -> None:
+    """The one pose step, in place: T_p <- T_p exp(xi_p) for the poses
+    [phi, x, y] in consecutive triples of the flat float64 array ``pose``
+    and the twists [phi, rho_x, rho_y] in the rows of xi (N,3) or (3N,).
 
-
-def exp_step(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray,
-             trig: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Right-exp step on stacked poses, in place: T_p <- T_p * exp(xi_p) for
-    rows [phi, rho_x, rho_y] of xi (N,3), ``ang``, ``pos`` and ``trig`` as in
-    :func:`move_poses`; returns the translations V(phi_p) rho_p."""
-    t = _V_apply(xi[:, 0], xi[:, 1:])
-    move_poses(ang, pos, xi[:, 0], t, trig)
-    return t
+    It runs on Python floats, robot by robot (at the team sizes of a trial
+    this beats a batched step's numpy dispatch), whose math.sin and math.cos
+    round as numpy's do, with the arithmetic of ``_V_apply``, its series
+    below SMALL_ANGLE included. It writes through ``pose``, so the caller
+    passes a view of the poses it means to move, never a copy.
+    """
+    sin, cos = math.sin, math.cos
+    x, d = iter(pose.tolist()), iter(xi.ravel().tolist())
+    out = []
+    for ang, px, py, phi, rx, ry in zip(x, x, x, d, d, d):
+        h, sin_phi = sin(phi * 0.5), sin(phi)
+        if abs(phi) >= SMALL_ANGLE:
+            a, b = sin_phi / phi, (h + h) * h / phi
+        else:
+            a, b = 1.0 - phi * phi / 6.0, phi * 0.5
+        tx, ty = a * rx - b * ry, b * rx + a * ry
+        c, s = cos(ang), sin(ang)
+        out += (ang + phi, px + (c * tx - s * ty), py + (s * tx + c * ty))
+    pose[:] = out
 
 
 def exp_many(dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,12 @@
 """Helpers only the tests use: scalar pose constructors, the SE(2) adjoint,
-every tag's world position, the per-endpoint range rows (of any tags and
-fixed points, the EKF rows' oracle), Jacobian and per-formation FIM of the
-design, the one-pair collision barrier, the scalar composition of the
-objective, a plain cost function in the shape of an objective, a plain
-multistart over ``optimizer.minimize``, the re-solving assignment oracle, the
-landmark-init oracle composed of per-gate buffer measures and the EKF's
-rows-then-fold update."""
+the batched right-exp step (the pose step's oracle), every tag's world
+position, the per-endpoint range rows (of any tags and fixed points, the EKF
+rows' oracle), Jacobian and per-formation FIM of the design, the one-pair
+collision barrier, the scalar composition of the objective, a plain cost
+function in the shape of an objective, a plain multistart over
+``optimizer.minimize``, the re-solving assignment oracle, the landmark-init
+oracle composed of per-gate buffer measures and the EKF's rows-then-fold
+update."""
 
 from __future__ import annotations
 
@@ -35,6 +36,20 @@ def adjoint(T: se2.Pose2) -> np.ndarray:
     A[1:, 0] = -(S @ T.r)
     A[1:, 1:] = T.C
     return A
+
+
+def exp_step_numpy(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Right-exp step on stacked poses, in place: T_p <- T_p exp(xi_p) for
+    headings ``ang`` (N,), positions ``pos`` (N,2) and twists xi (N,3), all
+    robots in one pass of numpy calls, V(phi) rho from ``se2._V_apply``;
+    returns those translations. The oracle of ``se2.exp_step``."""
+    t = se2._V_apply(xi[:, 0], xi[:, 1:])
+    c, s = np.cos(ang), np.sin(ang)
+    tx, ty = t[:, 0], t[:, 1]
+    pos[:, 0] += c * tx - s * ty
+    pos[:, 1] += s * tx + c * ty
+    ang += xi[:, 0]
+    return t
 
 
 def from_poses(poses: list[se2.Pose2]) -> se2.FormationState:

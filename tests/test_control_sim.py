@@ -7,9 +7,9 @@ import pytest
 from covform.covsim import SimConfig, run_coverage_sim, sim, simulate_truth
 from covform.covsim.config import ControlGains
 from covform.covsim.control import Controller, control_step
-from covform.se2 import FormationState, Pose2, _rot_many, exp_step
+from covform.se2 import FormationState, Pose2, _rot_many
 from covform.team import RangeGraph, TeamConfig, default_full_graph
-from helpers import from_poses
+from helpers import exp_step_numpy, from_poses
 
 
 def line_formation(n, gap=1.0):
@@ -82,14 +82,11 @@ class TestControlStep:
             pos = rng.uniform(-6.0, 6.0, (n, 2))
             goal = rng.uniform(-10.0, 10.0, 2)
             for k in range(300):
-                # the truth step takes the cosines and sines once and hands
-                # them to both control_step and exp_step
-                trig = np.cos(ang), np.sin(ang)
-                u, ferr = control_step(goal, ang, pos, ctrl, trig)
+                u, ferr = control_step(goal, ang, pos, ctrl, (np.cos(ang), np.sin(ang)))
                 u_ref, ferr_ref = control_step_loop(goal, ang, pos, x_des, gains)
                 assert u.tobytes() == u_ref.tobytes(), k
                 assert ferr == ferr_ref, k
-                exp_step(ang, pos, 0.05 * (u + rng.normal(0.0, 0.3, u.shape)), trig)
+                exp_step_numpy(ang, pos, 0.05 * (u + rng.normal(0.0, 0.3, u.shape)))
 
 
     def test_zero_commands_in_formation_at_waypoint(self):
@@ -148,10 +145,9 @@ class TestSimulateTruth:
         ctrl = Controller.build(x_des, GAINS)
         errs = []
         for _ in range(3000):
-            trig = np.cos(ang), np.sin(ang)
-            u, ferr = control_step(np.zeros(2), ang, pos, ctrl, trig)
+            u, ferr = control_step(np.zeros(2), ang, pos, ctrl, (np.cos(ang), np.sin(ang)))
             errs.append(ferr)
-            exp_step(ang, pos, dt * u, trig)
+            exp_step_numpy(ang, pos, dt * u)
         errs = np.asarray(errs)
         assert errs[-1] < 1e-3
         tail = errs[50:]
@@ -221,6 +217,7 @@ class TestSimulateTruth:
                 for name in ("t", "ang", "pos", "u_cmd"):
                     a, b = getattr(got, name), getattr(want, name)
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+                assert got.ang.base is got.pos.base is not None  # views of one log
                 assert got.completed == want.completed
                 assert got.coverage_time == want.coverage_time or not got.completed
                 ends.add(got.n_steps % chunk)
@@ -229,8 +226,9 @@ class TestSimulateTruth:
 
 
 def simulate_truth_loop(team, x_des, waypoints, config, rng):
-    """simulate_truth with one noise draw per step: the oracle for its
-    chunked draws."""
+    """simulate_truth with one noise draw per step, on separate heading and
+    position arrays moved by the batched numpy step: the oracle for its chunked
+    draws and its pose step."""
     n, dt = team.n_robots, config.dt_truth
     noise_std = config.noise_scale * np.array(
         [config.vel_noise_omega, config.vel_noise_v, config.vel_noise_v])
@@ -249,7 +247,7 @@ def simulate_truth_loop(team, x_des, waypoints, config, rng):
                 coverage_time, completed = k * dt, True
                 break
             u, ferr = control_step(waypoints[wp_idx], ang, pos, ctrl, trig)
-        exp_step(ang, pos, dt * (u + noise_std * rng.standard_normal(u.shape)), trig)
+        exp_step_numpy(ang, pos, dt * (u + noise_std * rng.standard_normal(u.shape)))
         cmds.append(u)
         angs.append(ang.copy())
         poss.append(pos.copy())

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from covform.covsim import sim
+from covform.covsim import ekf, sim
 from covform.covsim.ekf import (
     EkfModel,
     EkfState,
@@ -29,12 +29,12 @@ from covform.se2 import (
     _rot_many,
     compose,
     exp,
-    exp_step,
     rot2,
 )
 from covform.team import TeamConfig, default_full_graph
 from helpers import (
     adjoint,
+    exp_step_numpy,
     fold_gps_fix,
     landmark_init_oracle,
     range_rows_gather,
@@ -49,10 +49,10 @@ VEL_COV = np.diag([0.01 ** 2, 0.1 ** 2, 0.1 ** 2])
 
 def retract(state, model, delta):
     """Apply an error-state correction at once, in place: poses by right exp,
-    landmarks additively, through ``exp_step``. The oracle that
+    landmarks additively, through the batched numpy step. The oracle that
     ``EkfState._retract`` on Python floats must equal bit for bit."""
-    m, ang = 3 * model.n_robots, state.ang
-    exp_step(ang, state.pos, delta[:m].reshape(-1, 3), (np.cos(ang), np.sin(ang)))
+    m = 3 * model.n_robots
+    exp_step_numpy(state.ang, state.pos, delta[:m].reshape(-1, 3))
     state.landmarks[...] += delta[m:].reshape(-1, 2)
 
 
@@ -123,19 +123,19 @@ def batched_measurement_rows(state, model, rr_idx, lm_edges):
 
 
 def predict(state, model, u, vel_cov, dt):
-    """One filter step on commands u (N,3): ekf_predict on the rows of transitions."""
-    return ekf_predict(state, model, *transitions(u, dt), (dt * dt) * vel_cov)
+    """One filter step on commands u (N,3): ekf_predict on the twists dt u and
+    the transitions of u."""
+    return ekf_predict(state, model, dt * u, transitions(u, dt), (dt * dt) * vel_cov)
 
 
 def predict_step(state, model, u, vel_cov, dt):
-    """The per-step predict, with the transition rebuilt from u through
-    exp_step at every call, in place: the bitwise oracle for ekf_predict on
-    the rows of transitions."""
+    """The per-step predict, the poses moved by the batched numpy step and the
+    transition rebuilt from its translations at every call, in place: the
+    bitwise oracle for ekf_predict on the rows of transitions."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     xi = dt * u
-    ang = state.ang
-    t = exp_step(ang, state.pos, xi, (np.cos(ang), np.sin(ang)))
+    t = exp_step_numpy(state.ang, state.pos, xi)
     # F_p = Ad(exp(-xi_p)) under the [phi, rho] ordering: exp(-xi_p) has
     # rotation Cinv = R(-phi_p) and translation rinv = -Cinv t_p
     Cinv = _rot_many(-xi[:, 0])
@@ -158,7 +158,7 @@ def dense_predict(state, model, u, vel_cov, dt):
     oracle for the filter's blockwise F P F^T."""
     out = copy.deepcopy(state)
     xi = dt * u
-    t = exp_step(out.ang, out.pos, xi, (np.cos(out.ang), np.sin(out.ang)))
+    t = exp_step_numpy(out.ang, out.pos, xi)
     Cinv = _rot_many(-xi[:, 0])
     rinv = -np.einsum("nij,nj->ni", Cinv, t)
     blk = np.arange(3 * model.n_robots).reshape(-1, 3)
@@ -325,10 +325,10 @@ class TestPredict:
             u[:, 0, 0] = 0.0
             u[::2, 1 % n, 0] = 0.3 * SMALL_ANGLE / dt
             u[1::3, n - 1, 0] = -2.0 * SMALL_ANGLE / dt  # just above the series
-            phi, t, F = transitions(u, dt)
+            xi, F = dt * u, transitions(u, dt)
             want = copy.deepcopy(s)
             for k in range(u.shape[0]):
-                ekf_predict(s, model, phi[k], t[k], F[k], (dt * dt) * vel_cov)
+                ekf_predict(s, model, xi[k], F[k], (dt * dt) * vel_cov)
                 predict_step(want, model, u[k], vel_cov, dt)
                 for name in ("ang", "pos", "P"):
                     assert getattr(s, name).tobytes() == getattr(want, name).tobytes(), name
@@ -857,21 +857,16 @@ class TestLandmarkInit:
 
 
 class MeanOracle:
-    """The filter mean as plain arrays, moved one event at a time: every
-    correction by ``retract``, every motion by its translation rotated into
-    the current headings. The oracle of ``EkfState._retract`` and of the
-    predict's motion."""
+    """The filter mean as plain arrays, moved one event at a time by the
+    batched numpy step: every correction by ``retract``, every motion by its
+    twists. The oracle of ``EkfState._retract`` and of the predict's motion."""
 
     def __init__(self, state):
         self.ang, self.pos, self.landmarks = (state.ang.copy(), state.pos.copy(),
                                               state.landmarks.copy())
 
-    def move(self, phi, t):
-        c, s = np.cos(self.ang), np.sin(self.ang)
-        tx, ty = t[:, 0], t[:, 1]
-        self.pos[:, 0] += c * tx - s * ty
-        self.pos[:, 1] += s * tx + c * ty
-        self.ang += phi
+    def move(self, xi):
+        exp_step_numpy(self.ang, self.pos, xi)
 
 
 def assert_mean_matches(state, model, oracle):
@@ -900,13 +895,14 @@ def correction_rows(rng, model, q, small):
 
 class TestCurrentMean:
     # every update retracts its correction into the mean when it is made, on
-    # Python floats: the result must be exp_step's retraction, bit for bit
+    # Python floats: the result must be the batched numpy step's retraction,
+    # bit for bit
 
     @pytest.mark.parametrize("q", [1, 2, 3, 11, 32, 33])
     @pytest.mark.parametrize("motion", [True, False])
     @pytest.mark.parametrize("landmarks", [0, 2])
     @pytest.mark.parametrize("small", [False, True])
-    def test_retract_equals_exp_step_oracle(self, q, motion, landmarks, small):
+    def test_retract_equals_numpy_step_oracle(self, q, motion, landmarks, small):
         # q corrections in a row, with a predict after every fifth one when
         # ``motion``; the mean is compared after each
         rng = np.random.default_rng(1000 + q)
@@ -920,11 +916,10 @@ class TestCurrentMean:
                 retract(oracle, model, delta)
                 assert_mean_matches(s, model, oracle)
                 if motion and k % 5 == 4:
-                    u = rng.uniform(-1.5, 1.5, (1, model.n_robots, 3))
-                    u[0, 0, 0] = 0.0
-                    phi, t, F = transitions(u, 0.1)
-                    ekf_predict(s, model, phi[0], t[0], F[0], np.zeros((3, 3)))
-                    oracle.move(phi[0], t[0])
+                    u = rng.uniform(-1.5, 1.5, (model.n_robots, 3))
+                    u[0, 0] = 0.0
+                    ekf_predict(s, model, 0.1 * u, transitions(u, 0.1), np.zeros((3, 3)))
+                    oracle.move(0.1 * u)
                     assert_mean_matches(s, model, oracle)
 
     @pytest.mark.parametrize("preset", ["sim5", "exp3plus2"])
@@ -951,10 +946,9 @@ class TestCurrentMean:
             for event in range(150):
                 roll = rng.random()
                 if roll < p_predict:
-                    u = rng.uniform(-1.0, 1.0, (1, n, 3))
-                    phi, t, F = transitions(u, 0.05)
-                    ekf_predict(s, model, phi[0], t[0], F[0], (0.05 ** 2) * VEL_COV)
-                    oracle.move(phi[0], t[0])
+                    u = rng.uniform(-1.0, 1.0, (n, 3))
+                    ekf_predict(s, model, 0.05 * u, transitions(u, 0.05), (0.05 ** 2) * VEL_COV)
+                    oracle.move(0.05 * u)
                 elif roll < 0.7:
                     tags = world_tags(model.index, _rot_many(oracle.ang), oracle.pos)
                     rr_idx = rng.choice(n_edges, size=rng.integers(0, 3), replace=False)
@@ -981,9 +975,10 @@ class TestCurrentMean:
                 assert_mean_matches(s, model, oracle)
 
     def test_math_trig_rounds_as_numpy(self):
-        # _retract and the rows take math.sin/math.cos where the predict and
-        # exp_step take np.sin/np.cos: on this build they must round alike, in long arrays
-        # and in the short ones whose tails take another loop
+        # se2.exp_step and the rows take math.sin/math.cos where the batched
+        # oracles and the design take np.sin/np.cos: on this build they must
+        # round alike, in long arrays and in the short ones whose tails take
+        # another loop
         rng = np.random.default_rng(1200)
         x = np.concatenate([rng.uniform(-a, a, 20_000)
                             for a in (1e-9, 1e-7, 1e-3, 0.5, np.pi, 50.0, 1e4)])
@@ -993,6 +988,29 @@ class TestCurrentMean:
             for k in range(1, 9):
                 short = np.concatenate([np_f(x[i:i + k]) for i in range(0, 4000, k)])
                 assert short.tobytes() == want[:short.size].tobytes(), (np_f.__name__, k)
+            # strided, as the truth's heading column of its (N, 3) pose array
+            assert np_f(x[::3]).tobytes() == want[::3].tobytes(), np_f.__name__
+
+    @pytest.mark.parametrize("preset", ["sim5", "bridge7", "exp3plus2"])
+    def test_fold_columns_of_P_come_back_column_major(self, preset):
+        # ekf._fold takes P[:, c] @ h on every row's columns; the trial pins
+        # (trial_records_line.json, formation_cov_sim5_seed7.json and the
+        # trial digests) hold the rounding of that product on the
+        # column-major copy numpy 2.4.6 returns for fancy-indexed columns of a
+        # C-ordered P. A row-major copy (or P.take(c, axis=1)) rounds
+        # differently and moves the records by about 1e-13.
+        sc = load_scenario(preset)
+        model = EkfModel.build(sc.team, sc.graph, len(sc.sim.landmark_positions))
+        P = EkfState.create(model, np.zeros(model.n_robots), np.zeros((model.n_robots, 2)),
+                            0.1, 0.1).P
+        assert P.flags.c_contiguous
+        for c in model.edge_cols + [c for per_tag in model.lm_cols for c in per_tag] + [
+                ekf._GPS_COLS]:
+            cols = P[:, c]
+            assert cols.flags.f_contiguous and cols.strides == (8, 8 * P.shape[0]), (
+                f"P[:, c] of a {P.shape} P came back with strides {cols.strides}: "
+                "ekf._fold rounds as the trial pins were recorded only on a "
+                "column-major copy, so this numpy would move the pinned trials")
 
     def test_replay_memory_does_not_grow_with_events_per_step(self, monkeypatch):
         # a long dt_truth at a high range rate puts thousands of events

@@ -379,7 +379,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["simulate", "heatmap", "montecarlo"])
     @pytest.mark.parametrize("name", ["missing", "not_json", "empty", "one_pose", "no_order",
-                                      "scaled_C", "zero_C", "mirror_C", "sheared_C"])
+                                      "scaled_C", "zero_C", "mirror_C", "sheared_C",
+                                      "list_kind", "path_kind", "number_kind"])
     def test_malformed_formation_file_is_a_config_error(self, tmp_path, capsys, command, name):
         one_pose = formation_to_doc(
             from_poses([Pose2(np.eye(2), np.array([1.0, 0.0]))]),
@@ -389,6 +390,14 @@ class TestCli:
             doc = json.loads(GOLDEN.read_text())
             doc["formation"]["poses"][k]["C"] = C
             return json.dumps(doc), f"formation.poses[{k}].C: not a rotation"
+
+        def golden_with_kind(kind):
+            # montecarlo names the trials file trials_<cost_kind>.jsonl and
+            # keys the summary by it
+            doc = json.loads(GOLDEN.read_text())
+            doc["cost_kind"] = kind
+            return json.dumps(doc), f"cost_kind: must be a non-empty name without a path " \
+                                    f"separator, got {kind!r}"
 
         content, message = {
             "missing": (None, "cannot read formation file"),
@@ -401,6 +410,9 @@ class TestCli:
             "zero_C": golden_with_C(3, [[0, 0], [0, 0]]),
             "mirror_C": golden_with_C(1, [[1, 0], [0, -1]]),
             "sheared_C": golden_with_C(2, [[1, 1e-8], [0, 1]]),
+            "list_kind": golden_with_kind([1]),
+            "path_kind": golden_with_kind("a/b"),
+            "number_kind": golden_with_kind(3),
         }[name]
         path = tmp_path / f"{name}.json"
         if content is not None:

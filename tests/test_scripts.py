@@ -45,3 +45,13 @@ def test_coverage_study_reports_a_missing_formations_directory(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "config error: " in proc.stderr and "cannot read formation file" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_quick_trial_digest_equals_its_pin():
+    # every trial of the quick digest, bit for bit: the lines recorded in
+    # tests/data/trial_digest_quick.txt, a byte pin under numpy 2.4.6 like
+    # the formation and trial-record files
+    proc = run_script("trial_digest.py", "--quick")
+    assert proc.returncode == 0, proc.stderr
+    want = (ROOT / "tests" / "data" / "trial_digest_quick.txt").read_text()
+    assert proc.stdout.splitlines() == want.splitlines()

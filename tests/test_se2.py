@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from covform import se2
 from covform.optimizer import random_formation
 from covform.scenario import load_scenario
-from helpers import adjoint, from_poses
+from helpers import adjoint, exp_step_numpy, from_poses
 
 RNG = np.random.default_rng(7)
 
@@ -230,18 +230,17 @@ def test_exp_step_matches_compose_per_pose():
     xi[4, 0] = 1e-9   # series branch of V
     xi[5] = 0.0
     expected = [se2.compose(se2.Pose2(se2.rot2(a), p), se2.exp(x)) for a, p, x in zip(ang, pos, xi)]
-    ang_new, pos_new = ang.copy(), pos.copy()
-    t = se2.exp_step(ang_new, pos_new, xi, (np.cos(ang), np.sin(ang)))
+    pose = np.column_stack([ang, pos])
+    se2.exp_step(pose.reshape(-1), xi)
     for k, T in enumerate(expected):
-        np.testing.assert_allclose(se2.rot2(ang_new[k]), T.C, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(pos_new[k], T.r, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(t[k], se2.exp(xi[k]).r, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(ang_new, ang + xi[:, 0])
+        np.testing.assert_allclose(se2.rot2(pose[k, 0]), T.C, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pose[k, 1:], T.r, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(pose[:, 0], ang + xi[:, 0])
 
 
 def exp_step_einsum(ang, pos, xi):
-    """se2.exp_step through the stacked V and rotation matrices and einsum,
-    in place: the oracle for its written-out products."""
+    """The right-exp step through the stacked V and rotation matrices and
+    einsum, in place: the oracle for the written-out products."""
     phi = xi[:, 0]
     t = np.einsum("nij,nj->ni", V_many(phi), xi[:, 1:])
     pos += np.einsum("nij,nj->ni", se2._rot_many(ang), t)
@@ -249,9 +248,11 @@ def exp_step_einsum(ang, pos, xi):
     return t
 
 
-@pytest.mark.parametrize("n", [2, 5, 64])
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
 @pytest.mark.parametrize("with_small", [False, True])
-def test_exp_step_equals_einsum_oracle(n, with_small):
+def test_exp_step_equals_numpy_and_einsum_oracles(n, with_small):
+    # the scalar step, the batched numpy step and the einsum step move the
+    # poses to the same bits, small and zero heading steps (V's series) included
     rng = np.random.default_rng(70 + n + with_small)
     for _ in range(50):
         ang = rng.uniform(-4.0, 4.0, n)
@@ -260,13 +261,39 @@ def test_exp_step_equals_einsum_oracle(n, with_small):
         xi[:, 0] = np.copysign(np.maximum(np.abs(xi[:, 0]), 1e-5), xi[:, 0])
         if with_small:
             k = rng.choice(n, size=max(1, n // 4), replace=False)
-            xi[k, 0] = rng.choice([0.0, 1e-9, -3e-8], size=k.shape)
-        ang_new, pos_new = ang.copy(), pos.copy()
-        t = se2.exp_step(ang_new, pos_new, xi, (np.cos(ang), np.sin(ang)))
+            xi[k, 0] = rng.choice([0.0, 1e-9, -3e-8, -0.9 * se2.SMALL_ANGLE], size=k.shape)
+        assert np.any(np.abs(xi[:, 0]) < se2.SMALL_ANGLE) == with_small
+        pose = np.column_stack([ang, pos])
+        se2.exp_step(pose.reshape(-1), xi)
+        ang_np, pos_np = ang.copy(), pos.copy()
+        t = exp_step_numpy(ang_np, pos_np, xi)
         t_want = exp_step_einsum(ang, pos, xi)
-        np.testing.assert_array_equal(ang_new, ang)
-        np.testing.assert_array_equal(pos_new, pos)
-        np.testing.assert_array_equal(t, t_want)
+        assert pose[:, 0].tobytes() == ang_np.tobytes() == ang.tobytes()
+        assert pose[:, 1:].tobytes() == pos_np.tobytes() == pos.tobytes()
+        assert t.tobytes() == t_want.tobytes()
+
+
+def test_exp_step_writes_through_the_view_it_is_given():
+    # a flat view of a C-ordered pose array, or a strided 1-D view, moves the
+    # poses it views; ravel() of a strided (N, 3) array is a copy, so a step
+    # through it would leave the poses as they were
+    rng = np.random.default_rng(12)
+    xi = rng.uniform(-1.0, 1.0, (4, 3))
+    start = np.column_stack([rng.uniform(-3.0, 3.0, 4), rng.uniform(-5.0, 5.0, (4, 2))])
+    want = start.copy()
+    exp_step_numpy(want[:, 0], want[:, 1:], xi)
+    flat = start.copy()
+    se2.exp_step(flat.reshape(-1), xi)
+    assert flat.tobytes() == want.tobytes()
+    buf = np.zeros(24)
+    buf[::2] = start.reshape(-1)
+    se2.exp_step(buf[::2], xi)
+    assert buf[::2].tobytes() == want.reshape(-1).tobytes() and not buf[1::2].any()
+    strided = np.zeros((4, 6))
+    strided[:, ::2] = start
+    assert not np.shares_memory(strided[:, ::2].ravel(), strided)
+    se2.exp_step(strided[:, ::2].ravel(), xi)
+    assert strided[:, ::2].tobytes() == start.tobytes()
 
 
 class TestFormationState:
