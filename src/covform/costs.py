@@ -19,13 +19,13 @@ sum ``j_cov`` adds the two shape terms and yields high-coverage formations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 from typing import Literal
 
 import numpy as np
 
-from covform.ranging import _edge_index, _EdgeIndex, fisher, fisher_many, frames, jacobian_many
+from covform.ranging import _edge_index, _EdgeIndex, _scatter, fisher, fisher_many, frames
 from covform.se2 import FormationState
 from covform.team import CostWeights, FormationSpec, RangeGraph, SortedIds, TeamConfig
 
@@ -50,13 +50,25 @@ def _neg_logdet(F: np.ndarray) -> np.ndarray:
         if len(F) == 1:
             return np.array([SATURATION])
         return np.concatenate([_neg_logdet(f[None]) for f in F])
-    logdet = 2.0 * _row_sum(np.log(np.diagonal(L, axis1=1, axis2=2)))
+    logdet = 2.0 * _row_sum(np.log(L.diagonal(axis1=1, axis2=2)))
     return np.where(np.isfinite(logdet), -logdet, SATURATION)
 
 
 def est_many(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """est term of B stacked formations from their N frames (see ``ranging.frames``)."""
-    return _neg_logdet(fisher_many(jacobian_many(idx, C, r, weighted=True)))
+    """est term of B stacked formations from their N frames (see ``ranging.frames``).
+
+    The weighted Jacobians go into the first B rows of one buffer that idx
+    owns, zero-filled when it is made and replaced (the old one dropped
+    first) by a larger one when a stack has more rows; each call rewrites
+    only its block entries (``ranging._scatter``), the others stay zero. So
+    est_many is not reentrant across threads on one idx (covform runs its
+    parallel work in processes).
+    """
+    H = idx.scratch.get("H")
+    if H is None or len(H) < len(r):
+        idx.scratch.clear()
+        H = idx.scratch["H"] = np.zeros((len(r), idx.edge_i.shape[0], 3 * idx.n_robots - 3))
+    return _neg_logdet(fisher_many(_scatter(idx, C, r, True, H[:len(r)])))
 
 
 def j_est(x: FormationState, team: TeamConfig, graph: RangeGraph) -> float:
@@ -76,18 +88,25 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
-def col_many(pos: np.ndarray, spec: FormationSpec) -> np.ndarray:
-    """col term of B stacked formations, positions pos (B,N,2)."""
+def _pairs(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one pair-difference table of the shape terms: pos_m - pos_n (B,P,2)
+    and squared distances (B,P) of every robot pair m < n (``_pair_indices``)
+    of B stacked formations, positions pos (B,N,2). A pair taken the other
+    way round is the exact negation of its row, with the same square."""
     a, b = _pair_indices(pos.shape[-2])
-    diff = pos[..., a, :] - pos[..., b, :]
-    sq = np.einsum("...ij,...ij->...i", diff, diff)
+    diff = pos.take(a, -2) - pos.take(b, -2)
+    return diff, np.add.reduce(diff * diff, axis=-1)
+
+
+def col_many(sq: np.ndarray, spec: FormationSpec) -> np.ndarray:
+    """col term of B stacked formations from their squared pair distances (``_pairs``)."""
     vals = _barrier(sq, spec.activation_radius ** 2, spec.collision_radius ** 2)
     return 2.0 * _row_sum(vals)
 
 
 def j_col(x: FormationState, spec: FormationSpec) -> float:
     """Collision penalty summed over ordered pairs m != n (each pair twice)."""
-    return float(col_many(x.positions()[None], spec)[0])
+    return float(col_many(_pairs(x.positions()[None])[1], spec)[0])
 
 
 @lru_cache(maxsize=256)
@@ -114,42 +133,52 @@ def _slot_tables(spec: FormationSpec, sorted_ids: SortedIds):
                           or bi + 1 in spec.overlap_exempt_slots)
                      for ai, bi in zip(a, b)], dtype=bool)
     order = np.asarray(sorted_ids.order, dtype=np.intp) - 1  # robot index by slot
+    # each slot pair's row of the pair table: robots m < n of slots a, b
+    m, k = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
+    pair = m * (2 * n - m - 1) // 2 + k - m - 1
+    # its row is pos_m - pos_n, the slot offset pos_b - pos_a negated when
+    # slot a's robot is m: the desired offset is negated alike
+    target = np.where((order[a] == m)[:, None], -desired, desired)
     # the overlap term's pairs as robot indices, exempt slots already dropped
-    return a, b, desired, order, order[a[keep]], order[b[keep]], overlap_dist[keep]
+    return (a, b, desired, pair, target, order[a[keep]], order[b[keep]], pair[keep],
+            overlap_dist[keep])
 
 
-def adj_many(pos: np.ndarray, spec: FormationSpec, sorted_ids: SortedIds) -> np.ndarray:
-    """adj term of B stacked formations, positions pos (B,N,2)."""
-    a, b, desired, order, *_ = _slot_tables(spec, sorted_ids)
-    pos = pos[:, order]
-    resid = ((pos[:, b] - pos[:, a]) - desired).reshape(pos.shape[0], -1)
+def adj_many(diff: np.ndarray, tables) -> np.ndarray:
+    """adj term of B stacked formations from their pair table (``_pairs``) and
+    the spec's and sorted ids' ``_slot_tables``: a residual of the pair table
+    is the slot-order one or its exact negation, with the same square."""
+    _, _, _, pair, target, *_ = tables
+    resid = (diff.take(pair, 1) - target).reshape(diff.shape[0], -1)
     return np.einsum("bk,bk->b", resid, resid)
 
 
 def j_adj(x: FormationState, spec: FormationSpec, sorted_ids: SortedIds) -> float:
     """Sum of squared offset residuals over all sorted slot pairs."""
-    return float(adj_many(x.positions()[None], spec, sorted_ids)[0])
+    return float(adj_many(_pairs(x.positions()[None])[0], _slot_tables(spec, sorted_ids))[0])
 
 
-def overlap_many(pos: np.ndarray, spec: FormationSpec, sorted_ids: SortedIds) -> np.ndarray:
-    """overlap term of B stacked formations, positions pos (B,N,2).
+def overlap_many(sq: np.ndarray, tables) -> np.ndarray:
+    """overlap term of B stacked formations from their squared pair distances
+    (``_pairs``) and the spec's and sorted ids' ``_slot_tables``.
 
     Exempt slots contribute nothing. Each pair's target is a distance along the current pair direction, so
     the term reduces to (actual distance - target distance)^2.
     """
-    *_, over_a, over_b, overlap_dist = _slot_tables(spec, sorted_ids)
-    dist = np.linalg.norm(pos[:, over_b] - pos[:, over_a], axis=-1)
+    *_, over_a, over_b, over_pair, overlap_dist = tables
+    dist = np.sqrt(sq.take(over_pair, 1))
     close = dist < 1e-9
-    if close.any():
+    if np.count_nonzero(close):
         k = np.unravel_index(close.argmax(), close.shape)[1]
         pair = (int(over_a[k]) + 1, int(over_b[k]) + 1)
         raise ValueError(f"robots {pair} are coincident; overlap direction undefined")
-    return _row_sum((dist - overlap_dist) ** 2)
+    resid = dist - overlap_dist
+    return _row_sum(resid * resid)
 
 
 def j_overlap(x: FormationState, spec: FormationSpec, sorted_ids: SortedIds) -> float:
     """Camera-overlap residual of one formation; exempt slots contribute nothing."""
-    return float(overlap_many(x.positions()[None], spec, sorted_ids)[0])
+    return float(overlap_many(_pairs(x.positions()[None])[1], _slot_tables(spec, sorted_ids))[0])
 
 
 CostKind = Literal["adj", "opt", "cov"]
@@ -165,7 +194,8 @@ class Objective:
     opt (0, 0, 1, 1), or cov (the spec's). Evaluated on a stack of
     formations (``many``), of which one FormationState (call) is the
     one-row case. Zero-weight terms are skipped entirely, so states that
-    are degenerate for an unused term still evaluate."""
+    are degenerate for an unused term still evaluate. The weight row, the
+    slot tables and the edge index are bound on first use (not pickled)."""
 
     kind: CostKind
     team: TeamConfig
@@ -173,15 +203,31 @@ class Objective:
     spec: FormationSpec
     sorted_ids: SortedIds
 
+    @cached_property
+    def _weights(self) -> CostWeights:
+        return _KIND_WEIGHTS.get(self.kind, self.spec.weights)
+
+    @cached_property
+    def _tables(self):
+        return _slot_tables(self.spec, self.sorted_ids)
+
+    @cached_property
+    def _index(self) -> _EdgeIndex:
+        return _edge_index(self.team, self.graph)
+
+    def __getstate__(self):  # the five fields; the bound tables are rebuilt on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def _terms(self, C: np.ndarray, r: np.ndarray):
         # the kind's weight row and the (adj, overlap, est, col) vectors it
         # weighs, 0.0 for a zero-weight term
-        w, spec, s = _KIND_WEIGHTS.get(self.kind, self.spec.weights), self.spec, self.sorted_ids
+        w = self._weights
         C, pos = frames(C, r)
-        return w, (adj_many(pos, spec, s) if w.adj else 0.0,
-                   overlap_many(pos, spec, s) if w.overlap else 0.0,
-                   est_many(_edge_index(self.team, self.graph), C, pos) if w.est else 0.0,
-                   col_many(pos, spec) if w.col else 0.0)
+        diff, sq = _pairs(pos)
+        return w, (adj_many(diff, self._tables) if w.adj else 0.0,
+                   overlap_many(sq, self._tables) if w.overlap else 0.0,
+                   est_many(self._index, C, pos) if w.est else 0.0,
+                   col_many(sq, self.spec) if w.col else 0.0)
 
     def terms(self, C: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Unweighted (adj, overlap, est, col) rows (B,4) of B formations stacked
@@ -189,18 +235,20 @@ class Objective:
         return np.column_stack([np.broadcast_to(t, len(C)) for t in self._terms(C, r)[1]])
 
     @property
-    def row_bytes(self) -> int:  # one formation's dense Jacobian, the largest array of many
-        return 24 * self.graph.n_edges * self.team.n_robots
+    def row_bytes(self) -> int:  # one formation's Jacobian (E, 3(N-1)), the largest array of many
+        return 24 * self.graph.n_edges * (self.team.n_robots - 1)
 
     def _many(self, C: np.ndarray, r: np.ndarray) -> np.ndarray:
         w, (adj, overlap, est, col) = self._terms(C, r)
         total = w.adj * adj + w.overlap * overlap + w.est * est + w.col * col
-        return np.broadcast_to(total, (len(C),))  # a float when every weight is 0
+        return total if isinstance(total, np.ndarray) else np.full(len(C), total)  # all w 0
 
     def many(self, C: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Objective of B formations stacked as C (B,N-1,2,2), r (B,N-1,2) -> (B,),
         in row blocks of at most BLOCK_BYTES of row_bytes (values as one call's)."""
         n = max(1, BLOCK_BYTES // max(1, self.row_bytes))
+        if len(C) <= n:
+            return self._many(C, r)
         return np.concatenate([self._many(C[k:k + n], r[k:k + n]) for k in range(0, len(C), n)])
 
     def __call__(self, x: FormationState) -> float:

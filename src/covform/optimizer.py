@@ -13,6 +13,7 @@ evaluable, not differentiable in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -103,7 +104,7 @@ def minimize(cost: Objective, x0: FormationState,
     for it in range(cfg.max_iters):
         step = cfg.beta * step - cfg.alpha * g
         x = oplus(x, step)
-        norm = float(np.linalg.norm(step))
+        norm = math.sqrt(step.dot(step))  # np.linalg.norm of a real 1-D array
         trace.converged = norm < cfg.tol
         if trace.converged or it == cfg.max_iters - 1:
             break

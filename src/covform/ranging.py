@@ -15,8 +15,10 @@ with S the 90-degree generator. A range row for edge (i, j) is then
 endpoint on robot p and negative for the one on robot q. ``range_rows``
 builds each row as these two 3-column blocks, one per endpoint robot,
 batched over rows and stacked formations, each tag placed once. The design
-scatters them into dense Jacobians, drops robot 1's columns (robot 1 is the
-reference, not a state there) and takes all FIMs in one product. The EKF
+scatters the blocks that are not on robot 1 (robot 1 is the reference, not a
+state there) into (B, E, 3(N-1)) Jacobians and takes all FIMs in one
+product; the cost's est term scatters into a zero-filled buffer the edge
+index owns and reuses, rewriting only the block entries. The EKF
 builds the same rows one at a time from Python floats (``covsim.ekf._edge_row``
 and ``_landmark_row``), each folded in over its columns alone; its tests
 hold those rows, landmark rows included, equal bit for bit to
@@ -27,7 +29,7 @@ Everything is validated against central finite differences in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -37,6 +39,8 @@ from covform.team import RangeGraph, TeamConfig
 
 # Range rows are undefined below this separation (norm gradient blows up).
 DEGENERATE_RANGE = 1e-9
+
+_IDENTITY = np.eye(2)  # robot 1's rotation in every frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,8 +55,13 @@ class _EdgeIndex:
     edge_i: np.ndarray      # (E,) flat tag index of first endpoint
     edge_j: np.ndarray
     sigma: np.ndarray       # (E,)
-    block_flat: np.ndarray  # (2E,3) index in a flat (E,3N) Jacobian of each range_rows block
-    block_sigma: np.ndarray  # (2E,1) the sigma of each block's row
+    tags: np.ndarray        # (2E,) edge_i then edge_j: the tag of each range_rows block
+    # the 3K entries of the K range_rows blocks not on robot 1 (a state's blocks):
+    free_src: np.ndarray    # (3K,) index of each in flat (2E,3) blocks
+    free_dst: np.ndarray    # (3K,) index of each in a flat (E,3(N-1)) Jacobian
+    free_sigma: np.ndarray  # (3K,) the sigma of each one's row
+    # the weighted Jacobians of costs.est_many, one buffer reused across calls
+    scratch: dict = field(default_factory=dict, repr=False)
 
 
 @lru_cache(maxsize=64)
@@ -71,20 +80,25 @@ def _edge_index(team: TeamConfig, graph: RangeGraph) -> _EdgeIndex:
         raise ValueError(
             f"edge {graph.edges[k]} connects two tags on robot {tag_robot[edge_i[k]] + 1}")
     tag_cols, sigma = 3 * tag_robot[:, None] + np.arange(3), np.asarray(graph.sigmas, float)
-    rows = np.tile(np.arange(edge_i.shape[0]), 2)[:, None]
+    tags = np.concatenate([edge_i, edge_j])
+    free = np.flatnonzero(tag_robot[tags] > 0)
+    row = np.repeat(free % edge_i.shape[0], 3)
     return _EdgeIndex(
         n_robots=team.n_robots, tag_robot=tag_robot, tag_body=tag_body, tag_perp=tag_perp,
-        tag_cols=tag_cols, edge_i=edge_i, edge_j=edge_j, sigma=sigma,
-        block_flat=3 * team.n_robots * rows + tag_cols[np.concatenate([edge_i, edge_j])],
-        block_sigma=np.tile(sigma, 2)[:, None])
+        tag_cols=tag_cols, edge_i=edge_i, edge_j=edge_j, sigma=sigma, tags=tags,
+        free_src=(3 * free[:, None] + np.arange(3)).ravel(),
+        free_dst=3 * (team.n_robots - 1) * row + tag_cols[tags[free]].ravel() - 3,
+        free_sigma=sigma[row])
 
 
 def frames(C: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotations (...,N,2,2) and positions (...,N,2) of all robots, robot 1 at
     the identity, from the N-1 poses of one formation or a stack of them."""
-    lead = r.shape[:-2] + (1,)
-    return (np.concatenate([np.broadcast_to(np.eye(2), lead + (2, 2)), C], axis=-3),
-            np.concatenate([np.zeros(lead + (2,)), r], axis=-2))
+    lead = r.shape[:-2] + (r.shape[-2] + 1,)
+    Cf, rf = np.empty(lead + (2, 2)), np.empty(lead + (2,))
+    Cf[..., 0, :, :], Cf[..., 1:, :, :] = _IDENTITY, C
+    rf[..., 0, :], rf[..., 1:, :] = 0.0, r
+    return Cf, rf
 
 
 def range_rows(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -96,24 +110,28 @@ def range_rows(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> tuple[np.ndarra
     DEGENERATE_RANGE is invalid and has unit 0. Each tag is placed once.
     Batch axes leading C and r lead every output.
     """
-    at = lambda v, k: np.take(v, k, axis=-1)  # a C-ordered gather, unlike v[..., k]
-    rot = at(np.moveaxis(C, (-2, -1), (0, 1)), idx.tag_robot)  # (2,2,...,T): C[a, b] per tag
+    # coordinates lead while the rows are built; ndarray.take is a C-ordered gather
+    d = C.ndim
+    rot = C.transpose(d - 2, d - 1, *range(d - 2)).take(idx.tag_robot, -1)  # (2,2,...,T)
     a, s = idx.tag_body.T, idx.tag_perp.T
-    pos = rot[:, 0] * a[0] + rot[:, 1] * a[1] + at(np.moveaxis(r, -1, 0), idx.tag_robot)
+    pos = (rot[:, 0] * a[0] + rot[:, 1] * a[1]
+           + r.transpose(d - 2, *range(d - 2)).take(idx.tag_robot, -1))
     # rotation derivative of each tag position: C_p (S a)
     lever = rot[:, 0] * s[0] + rot[:, 1] * s[1]
 
-    diff = at(pos, idx.edge_i) - at(pos, idx.edge_j)
+    diff = pos.take(idx.edge_i, -1) - pos.take(idx.edge_j, -1)
     rng = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])
     valid = rng > DEGENERATE_RANGE
     unit = np.where(valid, diff / np.where(valid, rng, 1.0), 0.0)
 
     # phi column: u . (C S a); rho columns: u^T C; + for edge_i's robot, - for edge_j's
-    tags = np.concatenate([idx.edge_i, idx.edge_j])
     u = np.concatenate([unit, -unit], axis=-1)
-    lev, Ce = at(lever, tags), at(rot, tags)
-    blocks = np.stack([u[0] * lev[0] + u[1] * lev[1], *(u[0] * Ce[0] + u[1] * Ce[1])], axis=-1)
-    return blocks, rng, np.moveaxis(unit, 0, -1), valid
+    lev, Ce = lever.take(idx.tags, -1), rot.take(idx.tags, -1)
+    blocks = np.empty(rng.shape[:-1] + idx.tags.shape + (3,))
+    blocks[..., 0] = u[0] * lev[0] + u[1] * lev[1]
+    blocks[..., 1] = u[0] * Ce[0, 0] + u[1] * Ce[1, 0]
+    blocks[..., 2] = u[0] * Ce[0, 1] + u[1] * Ce[1, 1]
+    return blocks, rng, unit.transpose(*range(1, d - 1), 0), valid
 
 
 def predict_all(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.ndarray:
@@ -122,20 +140,33 @@ def predict_all(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.nd
     return range_rows(idx, *frames(x.C, x.r))[1]
 
 
+def _scatter(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray, weighted: bool,
+             H: np.ndarray) -> np.ndarray:
+    """Write the Jacobians of ``jacobian_many`` into H (B, E, 3(N-1)) and return it.
+
+    Only the entries of the blocks not on robot 1 are written, the same
+    entries at every call, so every other entry of H must be zero already.
+    Raises on the first near-zero range in stack order, before H is written.
+    """
+    blocks, rng, _, valid = range_rows(idx, C, r)
+    if not valid.all():
+        b, k = np.unravel_index(np.argmin(valid), valid.shape)
+        edge = (int(idx.edge_i[k]) + 1, int(idx.edge_j[k]) + 1)
+        raise ValueError(f"singular geometry: edge {edge} has near-zero range {rng[b, k]:.3g}")
+    lead = rng.shape[:-1] + (-1,)
+    free = blocks.reshape(lead).take(idx.free_src, -1)
+    H.reshape(lead)[..., idx.free_dst] = free / idx.free_sigma if weighted else free
+    return H
+
+
 def jacobian_many(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray,
                   weighted: bool = False) -> np.ndarray:
     """(B, E, 3(N-1)) Jacobians of B stacked formations from their N frames
     (see ``frames``), each row divided by its sigma if ``weighted``; raises
-    on the first near-zero range in stack order."""
-    blocks, rng, _, valid = range_rows(idx, C, r)
-    if not np.all(valid):
-        b, k = np.unravel_index(np.argmin(valid), valid.shape)
-        edge = (int(idx.edge_i[k]) + 1, int(idx.edge_j[k]) + 1)
-        raise ValueError(f"singular geometry: edge {edge} has near-zero range {rng[b, k]:.3g}")
-    H = np.zeros(rng.shape + (3 * idx.n_robots,))
-    H.reshape(rng.shape[:-1] + (-1,))[..., idx.block_flat] = (
-        blocks / idx.block_sigma if weighted else blocks)
-    return H[..., 3:]  # robot 1 is the reference, not a state
+    on the first near-zero range in stack order. Robot 1 is the reference,
+    not a state: its blocks are dropped. A fresh array at every call."""
+    return _scatter(idx, C, r, weighted,
+                    np.zeros(r.shape[:-2] + (idx.edge_i.shape[0], 3 * idx.n_robots - 3)))
 
 
 def jacobian(x: FormationState, team: TeamConfig, graph: RangeGraph) -> np.ndarray:

@@ -51,8 +51,8 @@ class _FrozenPoses:
         r = np.asarray(r, dtype=np.float64)
         self._check_shapes(C, r)
         C, ops = _renormalized(C, ops)
-        C.flags.writeable = False
-        r.flags.writeable = False
+        C.setflags(write=False)
+        r.setflags(write=False)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "_ops", ops)
@@ -270,9 +270,11 @@ def exp_many(dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def compose_many(x: FormationState, R: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """x right-perturbed by each of B stacked exps (R, t) from ``exp_many``, as
-    :func:`oplus` does: the rotations, translations and compose count of all B."""
-    C = np.einsum("nij,bnjk->bnik", x.C, R)
-    r = x.r + np.einsum("nij,bnj->bni", x.C, t)
+    :func:`oplus` does: the rotations, translations and compose count of all B.
+    The 2x2 products are written out, as in ``_matvec``: the values of
+    einsum("nij,bnjk->bnik") and einsum("nij,bnj->bni"), bit for bit."""
+    C = x.C[:, :, 0, None] * R[..., None, 0, :] + x.C[:, :, 1, None] * R[..., None, 1, :]
+    r = x.r + _matvec(x.C, t)
     C, ops = _renormalized(C, x._ops + 1)
     return C, r, ops
 

@@ -1,17 +1,19 @@
 import itertools
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covform import costs, se2
+from covform import costs, ranging, se2
 from covform.assignment import sort_robot_ids
 from covform.optimizer import random_formation
 from covform.scenario import load_scenario
 from covform.team import CostWeights, FormationSpec, RangeGraph, SortedIds, TeamConfig, default_full_graph
-from helpers import from_angle, from_poses, j_col_pair, scalar_cost, scalar_terms
+from helpers import (fisher_loop, from_angle, from_poses, j_col_pair, jacobian_gather, scalar_cost,
+                     scalar_terms)
 
 
 def state_with_positions(positions, angles=None):
@@ -390,3 +392,124 @@ def test_shape_costs_are_nonnegative(points):
     d = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
     if np.all(d[np.triu_indices(n, 1)] > 1e-6):
         assert costs.j_overlap(x, spec, s) >= 0.0
+
+
+def stacked(xs):
+    """C (B,N-1,2,2) and r (B,N-1,2) of formations xs."""
+    return np.stack([x.C for x in xs]), np.stack([x.r for x in xs])
+
+
+class TestEstScratch:
+    """``est_many`` writes each stack's weighted Jacobians into one buffer its
+    edge index owns, zero-filled when made, and rewrites only the block
+    entries; every value stays that of a fresh Jacobian (the gather oracle)."""
+
+    @staticmethod
+    def oracle(idx, C, r):
+        return costs._neg_logdet(fisher_loop(jacobian_gather(idx, C, r) / idx.sigma[:, None]))
+
+    def test_alternating_graphs_equal_fresh_evaluations(self):
+        # two graphs on one team with equal edge counts: equal stack shapes,
+        # blocks on different entries
+        sc = load_scenario("sim5")
+        edges = sc.graph.edges
+        fs = [costs.cost_function("cov", sc.team, RangeGraph.from_pairs(g), sc.formation,
+                                  SortedIds.identity(sc.team)) for g in (edges[4:], edges[:-4])]
+        rng = np.random.default_rng(44)
+        for _ in range(3):
+            xs = [random_formation(sc.team.n_robots, rng) for _ in range(7)]
+            for f in fs:
+                assert f.many(*stacked(xs)).tobytes() == np.array(
+                    [scalar_cost(f, x) for x in xs]).tobytes()
+                assert np.all(f.terms(*stacked(xs))[:, 2] < costs.SATURATION)
+
+    def test_new_indexes_start_from_zero(self):
+        # each round builds a new edge index after dropping the last one, and
+        # frees garbage of the buffer's size just before the buffer is made: a
+        # buffer kept by object id, or not zero-filled, shows stale entries
+        sc = load_scenario("sim5")
+        edges = sc.graph.edges
+        rng = np.random.default_rng(45)
+        C, r = ranging.frames(*stacked([random_formation(5, rng) for _ in range(6)]))
+        for _ in range(12):
+            keep = np.sort(rng.choice(len(edges), 30, replace=False))
+            idx = ranging._edge_index(sc.team, RangeGraph.from_pairs([edges[k] for k in keep]))
+            np.full((len(C), 30, 12), 7.0)
+            est = costs.est_many(idx, C, r)
+            assert est.tobytes() == self.oracle(idx, C, r).tobytes()
+            assert np.all(est < costs.SATURATION)
+            del idx
+            ranging._edge_index.cache_clear()
+
+    def test_degenerate_stack_raises_and_the_next_is_right(self):
+        # row 4 moved so that edge 3's far tag sits on its near tag
+        sc = load_scenario("sim5")
+        idx = ranging._edge_index(sc.team, sc.graph)
+        C, r = ranging.frames(*stacked([random_formation(5, np.random.default_rng(s))
+                                        for s in range(46, 52)]))
+        i, j = idx.edge_i[3], idx.edge_j[3]
+        p, q = idx.tag_robot[i], idx.tag_robot[j]
+        r_bad = r.copy()
+        r_bad[4, q] = C[4, p] @ idx.tag_body[i] + r[4, p] - C[4, q] @ idx.tag_body[j]
+        want = self.oracle(idx, C, r)
+        assert costs.est_many(idx, C, r).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="singular geometry"):
+            costs.est_many(idx, C, r_bad)
+        assert costs.est_many(idx, C, r).tobytes() == want.tobytes()
+
+    def test_returned_jacobians_stay_as_returned(self):
+        # jacobian and jacobian_many return fresh arrays, never the buffer
+        sc = load_scenario("bridge7")
+        idx = ranging._edge_index(sc.team, sc.graph)
+        f = costs.cost_function("cov", sc.team, sc.graph, sc.formation, SortedIds.identity(sc.team))
+        rng = np.random.default_rng(47)
+        x, y = (random_formation(sc.team.n_robots, rng) for _ in range(2))
+        H = ranging.jacobian(x, sc.team, sc.graph)
+        Hs = ranging.jacobian_many(idx, *ranging.frames(*stacked([x, y])), weighted=True)
+        want, want_s = H.copy(), Hs.copy()
+        f(y)
+        f.many(*stacked([y, x]))
+        costs.est_many(idx, *ranging.frames(*stacked([y])))
+        assert H.tobytes() == want.tobytes() and Hs.tobytes() == want_s.tobytes()
+
+
+def test_objective_binds_its_tables_outside_fields_eq_hash_and_pickle():
+    sc = load_scenario("sim5")
+    make = lambda: costs.cost_function("cov", sc.team, sc.graph, sc.formation,
+                                       SortedIds.identity(sc.team))
+    f, g = make(), make()
+    before = pickle.dumps(f)
+    x = random_formation(5, np.random.default_rng(48))
+    value = f(x)  # binds the weight row, slot tables and edge index
+    assert [fl.name for fl in fields(f)] == ["kind", "team", "graph", "spec", "sorted_ids"]
+    assert f == g and hash(f) == hash(g)
+    assert pickle.dumps(f) == before
+    h = pickle.loads(before)
+    assert h == f and h(x) == value
+
+
+def test_pair_table_terms_equal_their_direct_forms():
+    # adj, overlap and col from the one pair table (a slot pair's row or its
+    # exact negation, the desired offset sign-folded) equal the residuals and
+    # distances taken pair by pair in slot order, bit for bit
+    rng = np.random.default_rng(13)
+    for n in range(2, 9):
+        dirs = rng.standard_normal((n - 1, 2))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        spec = FormationSpec(directions=tuple(map(tuple, dirs)),
+                             overlap_exempt_slots=(n,) if n > 3 else ())
+        order = (1,) + tuple(rng.permutation(np.arange(2, n + 1)).tolist())
+        tables = costs._slot_tables(spec, SortedIds(order, tuple(rng.uniform(0.3, 0.9, n))))
+        a, b, desired, *_, over_a, over_b, _, overlap_dist = tables
+        pos = rng.uniform(-3.0, 3.0, (5, n, 2))
+        pos[:, 0] = 0.0
+        diff, sq = costs._pairs(pos)
+        slots = pos[:, np.asarray(order) - 1]
+        resid = ((slots[:, b] - slots[:, a]) - desired).reshape(5, -1)
+        assert costs.adj_many(diff, tables).tobytes() == np.einsum("bk,bk->b", resid, resid).tobytes()
+        dist = np.linalg.norm(pos[:, over_b] - pos[:, over_a], axis=-1)
+        want = costs._row_sum((dist - overlap_dist) ** 2)
+        assert costs.overlap_many(sq, tables).tobytes() == want.tobytes()
+        m, k = costs._pair_indices(n)
+        d = pos[:, m] - pos[:, k]
+        assert sq.tobytes() == np.einsum("...ij,...ij->...i", d, d).tobytes()

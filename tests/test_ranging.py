@@ -322,6 +322,9 @@ class TestProbeStackEqualsOracles:
             got = ranging.range_rows(idx, C, r)
             for g, w in zip(got, range_rows_gather(idx, C, r, idx.edge_i, idx.edge_j)):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            H = ranging.jacobian_many(idx, C, r)
+            assert H.flags.c_contiguous and H.shape[-1] == 3 * (sc.team.n_robots - 1)
+            assert H.tobytes() == jacobian_gather(idx, C, r).tobytes()
             Hw = ranging.jacobian_many(idx, C, r, weighted=True)
             want = jacobian_gather(idx, C, r) / idx.sigma[:, None]
             assert Hw.shape == want.shape and Hw.tobytes() == want.tobytes()

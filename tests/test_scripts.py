@@ -21,7 +21,7 @@ def run_script(script, *args):
 
 
 @pytest.mark.parametrize("script", ["design_formations.py", "run_coverage_study.py",
-                                    "trial_digest.py"])
+                                    "trial_digest.py", "design_digest.py"])
 def test_help_exits_zero(script):
     proc = run_script(script, "--help")
     assert proc.returncode == 0, proc.stderr
@@ -54,4 +54,14 @@ def test_quick_trial_digest_equals_its_pin():
     proc = run_script("trial_digest.py", "--quick")
     assert proc.returncode == 0, proc.stderr
     want = (ROOT / "tests" / "data" / "trial_digest_quick.txt").read_text()
+    assert proc.stdout.splitlines() == want.splitlines()
+
+
+def test_quick_design_digest_equals_its_pin():
+    # the design numerics of every quick case, bit for bit: gradients, cost
+    # terms, Jacobians and short descents hash to the lines recorded in
+    # tests/data/design_digest_quick.txt, a byte pin under numpy 2.4.6
+    proc = run_script("design_digest.py", "--quick")
+    assert proc.returncode == 0, proc.stderr
+    want = (ROOT / "tests" / "data" / "design_digest_quick.txt").read_text()
     assert proc.stdout.splitlines() == want.splitlines()
