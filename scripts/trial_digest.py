@@ -16,14 +16,25 @@ runs:
 ``--quick`` runs 20 of the exp3plus2 trials, the first sim5 trial, the
 bridge7 trial and the variants at seed 1 only: a few seconds.
 
+``--records PATH`` also writes every trial's ``as_record()`` to PATH, one
+JSON line per trial keyed by run name and trial index. ``--compare PATH``
+holds every trial's record to the one in such a file under the golden-record
+rule: floats within 1e-9 relative (non-finite ones exactly), ints, bools,
+strings and None exactly. It reports on stderr the largest relative float
+drift, each field that breaks the rule and the diverged trials on each side,
+and exits 1 if any field breaks the rule. Both options run the same trials as
+the digest lines, so a tree whose trials move within rounding can be checked
+against the records of its parent.
+
 Usage:
-    python scripts/trial_digest.py [--quick] > digest.txt
+    python scripts/trial_digest.py [--quick] [--records PATH] [--compare PATH] > digest.txt
 """
 
 import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -46,14 +57,71 @@ def line_formation(sc) -> FormationState:
     return FormationState(np.tile(np.eye(2), (len(r), 1, 1)), r)
 
 
-def hash_trial(h, sc, graph, config) -> None:
+REL_TOL = 1e-9  # the golden-record rule's float tolerance
+
+
+def hash_trial(h, sc, graph, config) -> dict:
+    """Hash one trial into h and return its record."""
     art = run_coverage_sim(sc.team, graph, line_formation(sc), config)
-    h.update(json.dumps(art.metrics.as_record(), sort_keys=True).encode())
+    record = art.metrics.as_record()
+    h.update(json.dumps(record, sort_keys=True).encode())
     arrays = [getattr(art, f.name) for f in fields(art) if f.name not in ("metrics", "truth")]
     arrays += [getattr(art.truth, f.name) for f in fields(art.truth)]
     for a in map(np.asarray, arrays):
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(np.ascontiguousarray(a).tobytes())
+    return record
+
+
+def drifts(got, want, where: str):
+    """(field, relative drift or None) of every leaf of two records; None
+    marks a leaf that breaks the rule outright (a type, length, non-float or
+    non-finite value that differs)."""
+    if isinstance(want, float) and isinstance(got, float):
+        if got == want or (math.isnan(got) and math.isnan(want)):
+            yield where, 0.0
+        elif math.isfinite(got) and math.isfinite(want):
+            yield where, abs(got - want) / max(abs(got), abs(want))
+        else:
+            yield where, None
+    elif isinstance(want, (list, dict)) and type(got) is type(want) and len(got) == len(want):
+        for k in (want if isinstance(want, dict) else range(len(want))):
+            if isinstance(want, dict) and k not in got:
+                yield f"{where}.{k}", None
+            else:
+                yield from drifts(got[k], want[k], f"{where}.{k}")
+    else:
+        yield where, None if type(got) is not type(want) or got != want else 0.0
+
+
+def read_records(path: Path) -> dict:
+    """The records of a --records file, keyed by (run, trial)."""
+    return {(r["run"], r["trial"]): r["record"] for r in map(json.loads, path.read_text().splitlines())}
+
+
+def compare(records: list[dict], want: dict, path: Path) -> int:
+    """Report the records' drift from want, read from path; 1 if any field
+    breaks the rule or a trial has no record there."""
+    worst, broken, missing = (0.0, ""), [], 0
+    for r in records:
+        key = (r["run"], r["trial"])
+        if key not in want:
+            missing += 1
+            continue
+        for where, d in drifts(r["record"], want[key], f"{key[0]}[{key[1]}]"):
+            if d is None or d > REL_TOL:
+                broken.append(where)
+            if d is not None and d > worst[0]:
+                worst = (d, where)
+    diverged = [sum(rec["diverged"] for rec in recs)
+                for recs in ([r["record"] for r in records], want.values())]
+    log = lambda line: print(line, file=sys.stderr)
+    log(f"compared {len(records) - missing} trials ({missing} not in {path})")
+    log(f"largest relative drift: {worst[0]:.3g}" + (f" ({worst[1]})" if worst[1] else ""))
+    log(f"diverged: {diverged[0]} here, {diverged[1]} in {path}")
+    for where in broken:
+        log(f"breaks the rule: {where}")
+    return 1 if broken or missing else 0
 
 
 def runs(quick: bool):
@@ -81,13 +149,21 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
                     help="run the short subset instead of all 17 runs")
+    ap.add_argument("--records", type=Path, metavar="PATH",
+                    help="write every trial's record to PATH as JSON lines")
+    ap.add_argument("--compare", type=Path, metavar="PATH",
+                    help="hold every trial's record to the one in a --records file")
     args = ap.parse_args()
+    want = read_records(args.compare) if args.compare else None
+    records = []
     for name, sc, graph, configs in runs(args.quick):
         h = hashlib.sha256()
-        for config in configs:
-            hash_trial(h, sc, graph, config)
+        for i, config in enumerate(configs):
+            records.append({"run": name, "trial": i, "record": hash_trial(h, sc, graph, config)})
         print(f"{h.hexdigest()}  {name}", flush=True)
-    return 0
+    if args.records:
+        args.records.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    return compare(records, want, args.compare) if args.compare else 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Smoke test: every script under scripts/ imports what it needs from src,
 prints its usage, and reports bad input as a config error, not a traceback."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -47,14 +48,52 @@ def test_coverage_study_reports_a_missing_formations_directory(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_quick_trial_digest_equals_its_pin():
+def test_quick_trial_digest_equals_its_pin(tmp_path):
     # every trial of the quick digest, bit for bit: the lines recorded in
     # tests/data/trial_digest_quick.txt, a byte pin under numpy 2.4.6 like
-    # the formation and trial-record files
-    proc = run_script("trial_digest.py", "--quick")
+    # the formation and trial-record files; --records writes one record per
+    # trial of those runs, which compare to themselves with no drift
+    records = tmp_path / "records.jsonl"
+    proc = run_script("trial_digest.py", "--quick", "--records", str(records))
     assert proc.returncode == 0, proc.stderr
     want = (ROOT / "tests" / "data" / "trial_digest_quick.txt").read_text()
     assert proc.stdout.splitlines() == want.splitlines()
+    digest = load_script("trial_digest")
+    rows = [json.loads(line) for line in records.read_text().splitlines()]
+    assert [r["run"] for r in rows] == ["exp3plus2_line_x20"] * 20 + [
+        line.split()[1] for line in want.splitlines()[1:]]
+    assert digest.compare(rows, digest.read_records(records), records) == 0
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trial_digest_compare_holds_records_to_the_golden_record_rule(capsys):
+    # floats within 1e-9 relative, non-finite ones and everything else exactly
+    digest = load_script("trial_digest")
+    base = {"coverage_time": float("nan"), "interrobot_pos_rmse": 0.25, "completed": True,
+            "landmark_errors": [0.5, float("inf")], "n_rejected_ranges": 3, "diverged": False}
+    want = {("run", 0): base, ("run", 1): {**base, "diverged": True}}
+
+    def check(got, trial=0):
+        return digest.compare([{"run": "run", "trial": trial, "record": got}], want, Path("parent"))
+
+    assert check(dict(base)) == 0
+    assert check({**base, "interrobot_pos_rmse": 0.25 * (1 + 4e-10)}) == 0
+    out = capsys.readouterr().err
+    assert "largest relative drift: 4e-10 (run[0].interrobot_pos_rmse)" in out
+    assert "diverged: 0 here, 1 in parent" in out and "breaks the rule" not in out
+    for field, value in [("interrobot_pos_rmse", 0.25 * (1 + 3e-9)), ("completed", False),
+                         ("n_rejected_ranges", 4), ("n_rejected_ranges", 3.0),
+                         ("coverage_time", 1.0), ("landmark_errors", [0.5, 1e300]),
+                         ("landmark_errors", [0.5])]:
+        assert check({**base, field: value}) == 1, field
+        assert f"breaks the rule: run[0].{field}" in capsys.readouterr().err
+    assert check(dict(base), trial=2) == 1  # a trial the file does not hold
 
 
 def test_quick_design_digest_equals_its_pin():
