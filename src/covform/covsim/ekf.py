@@ -61,7 +61,8 @@ class EkfModel:
     lists, so that each measurement row is linearized from plain floats:
     each tag's robot, body offset and rotation lever; each edge's endpoint
     tags, noise and six state columns; the five state columns of every
-    (tag, landmark) row; and the index of the N robot blocks of P.
+    (tag, landmark) row; and the flat indices of the N robot blocks of P
+    (dim, dim), one row of nine per robot.
     """
 
     def __init__(self, index: _EdgeIndex, n_landmarks: int) -> None:
@@ -77,7 +78,7 @@ class EkfModel:
         self.lm_cols = [[np.concatenate([tag_cols, self.lm_col(lm) + _XY])  # [tag][landmark]
                          for lm in range(n_landmarks)] for tag_cols in idx.tag_cols]
         blk = np.arange(3 * self.n_robots).reshape(-1, 3)
-        self.robot_blocks = (blk[:, :, None], blk[:, None, :])
+        self.robot_block_flat = (blk[:, :, None] * self.dim + blk[:, None, :]).reshape(-1, 9)
 
     @property
     def n_robots(self) -> int:
@@ -182,7 +183,8 @@ def ekf_predict(state: EkfState, model: EkfModel, xi: np.ndarray, F: np.ndarray,
 
     The twists xi = dt u (N,3) move the mean through ``se2.exp_step``; F
     (N,3,3) is the step's row of ``transitions`` and process noise
-    Q = dt^2 * vel_cov enters on each robot's own block. The transition is
+    Q = dt^2 * vel_cov enters on each robot's own block, through the flat
+    view of P (which EkfState.create makes C-contiguous). The transition is
     the identity off its N robot blocks, so F P F^T applies the blocks to
     the robot rows of P and then to its robot columns.
     """
@@ -191,7 +193,7 @@ def ekf_predict(state: EkfState, model: EkfModel, xi: np.ndarray, F: np.ndarray,
     P = state.P
     P[:m] = (F @ P[:m].reshape(n, 3, -1)).reshape(m, -1)
     P[:, :m] = (F @ P[:, :m].T.reshape(n, 3, -1)).reshape(m, -1).T
-    P[model.robot_blocks] += Q
+    P.reshape(-1)[model.robot_block_flat] += Q.ravel()
     return state
 
 

@@ -149,7 +149,8 @@ def predict_step(state, model, u, vel_cov, dt):
     P = state.P
     P[:m] = (F @ P[:m].reshape(n, 3, -1)).reshape(m, -1)
     P[:, :m] = (F @ P[:, :m].T.reshape(n, 3, -1)).reshape(m, -1).T
-    P[model.robot_blocks] += (dt * dt) * vel_cov
+    blk = np.arange(m).reshape(-1, 3)
+    P[blk[:, :, None], blk[:, None, :]] += (dt * dt) * vel_cov
     return state
 
 
