@@ -35,6 +35,9 @@ from covform.team import CostWeights, FormationSpec, RangeGraph, SortedIds, Team
 SATURATION = 1e12
 # Objective.many evaluates a stack in row blocks of at most this many row_bytes
 BLOCK_BYTES = 16 << 20
+# est_many's one buffer of weighted Jacobians and the edge index it holds them for;
+# the index is held, so no later index can take its id
+_EST_SCRATCH: dict = {}
 
 
 def _row_sum(v: np.ndarray) -> np.ndarray:
@@ -57,17 +60,18 @@ def _neg_logdet(F: np.ndarray) -> np.ndarray:
 def est_many(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
     """est term of B stacked formations from their N frames (see ``ranging.frames``).
 
-    The weighted Jacobians go into the first B rows of one buffer that idx
-    owns, zero-filled when it is made and replaced (the old one dropped
-    first) by a larger one when a stack has more rows; each call rewrites
-    only its block entries (``ranging._scatter``), the others stay zero. So
-    est_many is not reentrant across threads on one idx (covform runs its
-    parallel work in processes).
+    The weighted Jacobians go into the first B rows of one buffer per process,
+    held with the edge index it was made for (_EST_SCRATCH): zero-filled when
+    it is made, and replaced (the old one dropped first) when idx changes or a
+    stack has more rows. Each call rewrites only its block entries
+    (``ranging._scatter``), the others stay zero. So est_many is not reentrant
+    across threads (covform runs its parallel work in processes).
     """
-    H = idx.scratch.get("H")
-    if H is None or len(H) < len(r):
-        idx.scratch.clear()
-        H = idx.scratch["H"] = np.zeros((len(r), idx.edge_i.shape[0], 3 * idx.n_robots - 3))
+    H = _EST_SCRATCH.get("H")
+    if _EST_SCRATCH.get("idx") is not idx or len(H) < len(r):
+        _EST_SCRATCH.clear()
+        H = np.zeros((len(r), idx.edge_i.shape[0], 3 * idx.n_robots - 3))
+        _EST_SCRATCH.update(idx=idx, H=H)
     return _neg_logdet(fisher_many(_scatter(idx, C, r, True, H[:len(r)])))
 
 

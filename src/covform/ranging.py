@@ -29,7 +29,7 @@ Everything is validated against central finite differences in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -60,8 +60,6 @@ class _EdgeIndex:
     free_src: np.ndarray    # (3K,) index of each in flat (2E,3) blocks
     free_dst: np.ndarray    # (3K,) index of each in a flat (E,3(N-1)) Jacobian
     free_sigma: np.ndarray  # (3K,) the sigma of each one's row
-    # the weighted Jacobians of costs.est_many, one buffer reused across calls
-    scratch: dict = field(default_factory=dict, repr=False)
 
 
 @lru_cache(maxsize=64)

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from covform import costs, ranging, se2
 from covform.assignment import sort_robot_ids
-from covform.optimizer import random_formation
+from covform.optimizer import gradient_fd, random_formation
 from covform.scenario import load_scenario
 from covform.team import CostWeights, FormationSpec, RangeGraph, SortedIds, TeamConfig, default_full_graph
 from helpers import (fisher_loop, from_angle, from_poses, j_col_pair, jacobian_gather, scalar_cost,
@@ -471,6 +472,31 @@ class TestEstScratch:
         f.many(*stacked([y, x]))
         costs.est_many(idx, *ranging.frames(*stacked([y])))
         assert H.tobytes() == want.tobytes() and Hs.tobytes() == want_s.tobytes()
+
+
+    def test_one_idle_buffer_per_process(self):
+        # three large teams designed one after another: after the last, the
+        # buffers the first two used are freed, so what stays allocated is one
+        # buffer (the last team's) and not one per cached edge index
+        rng = np.random.default_rng(49)
+        tracemalloc.start()
+        try:
+            for n in (12, 14, 16):
+                team = TeamConfig.uniform(n)
+                f = costs.cost_function("cov", team, default_full_graph(team), FormationSpec.line(n),
+                                        SortedIds.identity(team))
+                grid = np.array([(2.0 * (k % 4), 2.0 * (k // 4)) for k in range(1, n)])
+                x = se2.FormationState(se2._rot_many(rng.uniform(-np.pi, np.pi, n - 1)),
+                                       grid + rng.uniform(-0.3, 0.3, grid.shape))
+                value, g = gradient_fd(f, x, 1e-6)
+                assert np.isfinite(value) and np.all(np.isfinite(g))
+                del f, g
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        last = costs._EST_SCRATCH["H"].nbytes  # 91 rows of the 16-robot Jacobian: 15.7 MB
+        assert last > 12 << 20
+        assert held < 1.25 * last  # three buffers would hold 29 MB
 
 
 def test_objective_binds_its_tables_outside_fields_eq_hash_and_pickle():
