@@ -21,8 +21,8 @@ JSON line per trial keyed by run name and trial index. ``--compare PATH``
 holds every trial's record to the one in such a file under the golden-record
 rule: floats within 1e-9 relative (non-finite ones exactly), ints, bools,
 strings and None exactly. It reports on stderr the largest relative float
-drift, each field that breaks the rule and the diverged trials on each side,
-and exits 1 if any field breaks the rule. Both options run the same trials as
+drift of each run and of all, the diverged trials on each side and each
+field that breaks the rule, and exits 1 if any field breaks it. Both options run the same trials as
 the digest lines, so a tree whose trials move within rounding can be checked
 against the records of its parent.
 
@@ -102,7 +102,7 @@ def read_records(path: Path) -> dict:
 def compare(records: list[dict], want: dict, path: Path) -> int:
     """Report the records' drift from want, read from path; 1 if any field
     breaks the rule or a trial has no record there."""
-    worst, broken, missing = (0.0, ""), [], 0
+    worst, broken, missing = {}, [], 0  # worst: run -> (drift, field)
     for r in records:
         key = (r["run"], r["trial"])
         if key not in want:
@@ -111,13 +111,16 @@ def compare(records: list[dict], want: dict, path: Path) -> int:
         for where, d in drifts(r["record"], want[key], f"{key[0]}[{key[1]}]"):
             if d is None or d > REL_TOL:
                 broken.append(where)
-            if d is not None and d > worst[0]:
-                worst = (d, where)
+            if d is not None and d >= worst.get(key[0], (0.0,))[0]:
+                worst[key[0]] = (d, where)
     diverged = [sum(rec["diverged"] for rec in recs)
                 for recs in ([r["record"] for r in records], want.values())]
     log = lambda line: print(line, file=sys.stderr)
     log(f"compared {len(records) - missing} trials ({missing} not in {path})")
-    log(f"largest relative drift: {worst[0]:.3g}" + (f" ({worst[1]})" if worst[1] else ""))
+    for run, (d, where) in worst.items():
+        log(f"largest relative drift in {run}: {d:.3g}" + (f" ({where})" if d else ""))
+    d, where = max(worst.values(), default=(0.0, ""))
+    log(f"largest relative drift: {d:.3g}" + (f" ({where})" if d else ""))
     log(f"diverged: {diverged[0]} here, {diverged[1]} in {path}")
     for where in broken:
         log(f"breaks the rule: {where}")

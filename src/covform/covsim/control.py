@@ -15,62 +15,67 @@ from dataclasses import dataclass
 import numpy as np
 
 from covform.covsim.config import ControlGains
-from covform.se2 import FormationState, wrap_angle
+from covform.se2 import FormationState
 
 
 @dataclass(frozen=True)
 class Controller:
     """The constants of one trial's controller, built once from the desired
-    formation and the gains: the slot offsets and the slot headings."""
+    formation and the gains: the slot offsets and the slot headings, as floats."""
 
-    offsets: np.ndarray          # (N-1, 2) slot positions in the leader frame
-    slot_heading: np.ndarray     # (N-1,) slot headings relative to the leader
+    offsets: tuple[tuple[float, float], ...]  # N-1 slot positions in the leader frame
+    slot_heading: tuple[float, ...]           # N-1 slot headings relative to the leader
     gains: ControlGains
 
     @classmethod
     def build(cls, x_des: FormationState, gains: ControlGains) -> "Controller":
-        return cls(x_des.r, np.arctan2(x_des.C[:, 1, 0], x_des.C[:, 0, 0]), gains)
+        heading = np.arctan2(x_des.C[:, 1, 0], x_des.C[:, 0, 0])
+        return cls(tuple(map(tuple, x_des.r.tolist())), tuple(heading.tolist()), gains)
+
+
+def _wrap(phi: float) -> float:
+    """phi wrapped to (-pi, pi]."""
+    w = math.atan2(math.sin(phi), math.cos(phi))
+    return math.pi if w == -math.pi else w
 
 
 def control_step(leader_goal: np.ndarray, ang: np.ndarray, pos: np.ndarray,
-                 ctrl: Controller, trig: tuple[np.ndarray, np.ndarray],
-                 ) -> tuple[np.ndarray, float]:
-    """Commanded body twists for every robot plus the formation error norm.
+                 ctrl: Controller) -> tuple[np.ndarray, float]:
+    """Commanded body twists (N,3) for every robot plus the formation error norm.
 
     ang/pos are current true headings (N,) and positions (N,2) in the
-    global frame, robot 1 first; trig is (cos(ang), sin(ang)).
-    The error norm stacks every follower's slot-position error; the
-    waypoint gate thresholds it.
+    global frame, robot 1 first. The error norm stacks every follower's
+    slot-position error; the waypoint gate thresholds it. The twists are
+    worked out robot by robot on Python floats, the leader-frame rotations
+    written out (c x - s y, s x + c y): at the team sizes of a trial this
+    beats the dispatch of numpy calls on (N,2) arrays.
     """
     gains = ctrl.gains
-    cap = gains.speed_cap
-    c, s = trig
-    R0 = np.array([[c[0], -s[0]], [s[0], c[0]]])
+    cap, k_form, k_head = gains.speed_cap, gains.formation, gains.heading
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
+    phi0, *phis = ang.tolist()
+    (x0, y0), *xys = pos.tolist()
+    gx, gy = leader_goal.tolist()
+    c0, s0 = cos(phi0), sin(phi0)
 
     # leader: saturated pull toward the waypoint, heading regulated to 0
-    v1 = gains.waypoint * (leader_goal - pos[0])
-    speed = math.sqrt(v1.dot(v1))
+    vx, vy = gains.waypoint * (gx - x0), gains.waypoint * (gy - y0)
+    speed = sqrt(vx * vx + vy * vy)
     if speed > cap:
-        v1 *= cap / speed
+        vx, vy = vx * (cap / speed), vy * (cap / speed)
+    out = [k_head * _wrap(-phi0), c0 * vx + s0 * vy, c0 * vy - s0 * vx]
 
     # followers: slot = leader pose composed with the desired relative pose;
-    # cap / max(speed, cap) is exactly 1 under the cap
-    err = pos[0] + ctrl.offsets @ R0.T - pos[1:]
-    v = gains.formation * err
-    vx, vy = v[:, 0], v[:, 1]
-    scale = cap / np.maximum(np.sqrt(vx * vx + vy * vy), cap)
-    vx *= scale
-    vy *= scale
-
-    # body-frame twists R_p^T v_p; the leader keeps its matrix product,
-    # whose rounding differs from the elementwise form
-    heading_err = np.concatenate(([-ang[0]], ang[0] + ctrl.slot_heading - ang[1:]))
-    u = np.empty((ang.shape[0], 3))
-    u[:, 0] = gains.heading * wrap_angle(heading_err)
-    u[0, 1:] = R0.T @ v1
-    c, s = c[1:], s[1:]
-    u[1:, 1] = c * vx + s * vy
-    u[1:, 2] = c * vy - s * vx
-
-    formation_error = math.sqrt(np.einsum("ij,ij->", err, err))
-    return u, formation_error
+    # each command is the capped pull toward it in the follower's body frame
+    sq = 0.0
+    for (ox, oy), heading, phi, (x, y) in zip(ctrl.offsets, ctrl.slot_heading, phis, xys):
+        ex = x0 + (c0 * ox - s0 * oy) - x
+        ey = y0 + (s0 * ox + c0 * oy) - y
+        sq += ex * ex + ey * ey
+        vx, vy = k_form * ex, k_form * ey
+        speed = sqrt(vx * vx + vy * vy)
+        if speed > cap:
+            vx, vy = vx * (cap / speed), vy * (cap / speed)
+        c, s = cos(phi), sin(phi)
+        out += (k_head * _wrap(phi0 + heading - phi), c * vx + s * vy, c * vy - s * vx)
+    return np.array(out).reshape(-1, 3), sqrt(sq)

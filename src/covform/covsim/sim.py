@@ -90,17 +90,16 @@ def simulate_truth(team: TeamConfig, x_des: FormationState, waypoints: np.ndarra
         j = k % TRUTH_CHUNK
         if j == 0:
             noise = noise_std * rng.standard_normal((TRUTH_CHUNK, n, 3))
-        trig = np.cos(ang), np.sin(ang)
-        u, ferr = control_step(goal, ang, pos, ctrl, trig)
-        d = pos[0] - goal
-        if ferr < config.formation_gate and math.sqrt(d.dot(d)) < config.waypoint_tolerance:
+        u, ferr = control_step(goal, ang, pos, ctrl)
+        if (ferr < config.formation_gate
+                and math.dist(pos[0].tolist(), goal.tolist()) < config.waypoint_tolerance):
             wp_idx += 1
             if wp_idx == len(waypoints):
                 coverage_time = k * dt
                 completed = True
                 break
             goal = waypoints[wp_idx]
-            u, ferr = control_step(goal, ang, pos, ctrl, trig)
+            u, ferr = control_step(goal, ang, pos, ctrl)
         exp_step(pose.reshape(-1), dt * (u + noise[j]))
         cmds.append(u)
         poses.append(pose.copy())

@@ -1,5 +1,6 @@
 """Helpers only the tests use: scalar pose constructors, the SE(2) adjoint,
-the batched right-exp step (the pose step's oracle), every tag's world
+the batched right-exp step (the pose step's oracle), the numpy controller
+(the controller's oracle within a tolerance), every tag's world
 position, the per-endpoint range rows (of any tags and fixed points, the EKF
 rows' oracle), Jacobian and per-formation FIM of the design, the one-pair
 collision barrier, the scalar composition of the objective, a plain cost
@@ -50,6 +51,41 @@ def exp_step_numpy(ang: np.ndarray, pos: np.ndarray, xi: np.ndarray) -> np.ndarr
     pos[:, 1] += s * tx + c * ty
     ang += xi[:, 0]
     return t
+
+
+def control_step_numpy(leader_goal: np.ndarray, ang: np.ndarray, pos: np.ndarray,
+                       ctrl) -> tuple[np.ndarray, float]:
+    """Every robot's body twist and the formation error norm in one pass of
+    numpy calls on the (N,2) arrays: the leader-frame rotations as matrix
+    products, the wrap by ``se2.wrap_angle``, the error norm by einsum. Its
+    reductions round differently from the written-out floats of
+    ``control.control_step``, so it is that controller's oracle within a
+    tolerance, not bit for bit."""
+    gains = ctrl.gains
+    cap = gains.speed_cap
+    c, s = np.cos(ang), np.sin(ang)
+    R0 = np.array([[c[0], -s[0]], [s[0], c[0]]])
+
+    v1 = gains.waypoint * (leader_goal - pos[0])
+    speed = math.sqrt(v1.dot(v1))
+    if speed > cap:
+        v1 *= cap / speed
+
+    err = pos[0] + np.asarray(ctrl.offsets) @ R0.T - pos[1:]
+    v = gains.formation * err
+    vx, vy = v[:, 0], v[:, 1]
+    scale = cap / np.maximum(np.sqrt(vx * vx + vy * vy), cap)
+    vx *= scale
+    vy *= scale
+
+    heading_err = np.concatenate(([-ang[0]], ang[0] + np.asarray(ctrl.slot_heading) - ang[1:]))
+    u = np.empty((ang.shape[0], 3))
+    u[:, 0] = gains.heading * se2.wrap_angle(heading_err)
+    u[0, 1:] = R0.T @ v1
+    c, s = c[1:], s[1:]
+    u[1:, 1] = c * vx + s * vy
+    u[1:, 2] = c * vy - s * vx
+    return u, math.sqrt(np.einsum("ij,ij->", err, err))
 
 
 def from_poses(poses: list[se2.Pose2]) -> se2.FormationState:

@@ -7,9 +7,10 @@ import pytest
 from covform.covsim import SimConfig, run_coverage_sim, sim, simulate_truth
 from covform.covsim.config import ControlGains
 from covform.covsim.control import Controller, control_step
+from covform.scenario import load_scenario
 from covform.se2 import FormationState, Pose2, _rot_many
 from covform.team import RangeGraph, TeamConfig, default_full_graph
-from helpers import exp_step_numpy, from_poses
+from helpers import control_step_numpy, exp_step_numpy, from_poses
 
 
 def line_formation(n, gap=1.0):
@@ -21,59 +22,83 @@ GAINS = ControlGains()
 
 
 def control_step_loop(leader_goal, ang, pos, x_des, gains):
-    """Per-follower loop oracle for control_step, with scalar angle wrapping."""
-    def wrap(phi):
-        w = np.arctan2(np.sin(phi), np.cos(phi))
-        return np.pi if w == -np.pi else float(w)
+    """Per-robot loop oracle for control_step on Python floats: each slot
+    read from x_des, its offset rotated into the world and each capped pull
+    rotated into its robot's body frame written out, with scalar angle
+    wrapping and the error norm summed follower by follower."""
+    cap = gains.speed_cap
 
-    n = ang.shape[0]
-    u = np.zeros((n, 3))
-    c1, s1 = np.cos(ang[0]), np.sin(ang[0])
-    C1 = np.array([[c1, -s1], [s1, c1]])
-    v1 = gains.waypoint * (leader_goal - pos[0])
-    speed = float(np.linalg.norm(v1))
-    if speed > gains.speed_cap:
-        v1 *= gains.speed_cap / speed
-    u[0, 0] = gains.heading * wrap(-ang[0])
-    u[0, 1:] = C1.T @ v1
-    slot_pos = pos[0] + x_des.r @ C1.T
-    slot_ang = ang[0] + np.arctan2(x_des.C[:, 1, 0], x_des.C[:, 0, 0])
-    err = slot_pos - pos[1:]
-    v = gains.formation * err
-    speeds = np.linalg.norm(v, axis=1)
-    over = speeds > gains.speed_cap
-    v[over] *= (gains.speed_cap / speeds[over])[:, None]
-    for k in range(n - 1):
-        ck, sk = np.cos(ang[k + 1]), np.sin(ang[k + 1])
-        u[k + 1, 1] = ck * v[k, 0] + sk * v[k, 1]
-        u[k + 1, 2] = -sk * v[k, 0] + ck * v[k, 1]
-        u[k + 1, 0] = gains.heading * wrap(slot_ang[k] - ang[k + 1])
-    return u, float(np.sqrt(np.einsum("ij,ij->", err, err)))
+    def wrap(phi):
+        w = math.atan2(math.sin(phi), math.cos(phi))
+        return math.pi if w == -math.pi else w
+
+    def capped(vx, vy):
+        speed = math.sqrt(vx * vx + vy * vy)
+        return (vx, vy) if speed <= cap else (vx * (cap / speed), vy * (cap / speed))
+
+    def body(phi, vx, vy):
+        c, s = math.cos(phi), math.sin(phi)
+        return [c * vx + s * vy, c * vy - s * vx]
+
+    phi0 = float(ang[0])
+    x0, y0 = float(pos[0, 0]), float(pos[0, 1])
+    c0, s0 = math.cos(phi0), math.sin(phi0)
+    pull = capped(gains.waypoint * (float(leader_goal[0]) - x0),
+                  gains.waypoint * (float(leader_goal[1]) - y0))
+    u = [[gains.heading * wrap(-phi0)] + body(phi0, *pull)]
+    sq = 0.0
+    for k in range(1, len(ang)):
+        ox, oy = float(x_des.r[k - 1, 0]), float(x_des.r[k - 1, 1])
+        slot_ang = phi0 + float(np.arctan2(x_des.C[k - 1, 1, 0], x_des.C[k - 1, 0, 0]))
+        ex = x0 + (c0 * ox - s0 * oy) - float(pos[k, 0])
+        ey = y0 + (s0 * ox + c0 * oy) - float(pos[k, 1])
+        sq += ex * ex + ey * ey
+        pull = capped(gains.formation * ex, gains.formation * ey)
+        u.append([gains.heading * wrap(slot_ang - float(ang[k]))] + body(float(ang[k]), *pull))
+    return np.array(u), math.sqrt(sq)
+
+
+def random_case(rng, n):
+    """Headings, positions, a desired formation, gains and a goal of n robots."""
+    ang = rng.uniform(-4.0, 4.0, n)
+    pos = rng.uniform(-5.0, 5.0, (n, 2))
+    x_des = FormationState(_rot_many(rng.uniform(-np.pi, np.pi, n - 1)),
+                           rng.uniform(-3.0, 3.0, (n - 1, 2)))
+    gains = ControlGains(speed_cap=float(rng.uniform(0.2, 5.0)))
+    return ang, pos, x_des, gains, rng.uniform(-10.0, 10.0, 2)
 
 
 class TestControlStep:
     def test_equals_per_follower_loop(self):
         rng = np.random.default_rng(23)
         for trial in range(500):
-            n = int(rng.integers(2, 9))
-            ang = rng.uniform(-4.0, 4.0, n)
+            n = (2, 64)[trial % 2] if trial % 10 < 2 else int(rng.integers(2, 9))
+            ang, pos, x_des, gains, goal = random_case(rng, n)
             if trial % 5 == 0:
                 ang[rng.integers(n)] = np.pi  # heading errors on the wrap boundary
-            pos = rng.uniform(-5.0, 5.0, (n, 2))
-            x_des = FormationState(_rot_many(rng.uniform(-np.pi, np.pi, n - 1)),
-                                   rng.uniform(-3.0, 3.0, (n - 1, 2)))
-            gains = ControlGains(speed_cap=float(rng.uniform(0.2, 5.0)))
-            goal = rng.uniform(-10.0, 10.0, 2)
-            u, ferr = control_step(goal, ang, pos, Controller.build(x_des, gains), (np.cos(ang), np.sin(ang)))
+            u, ferr = control_step(goal, ang, pos, Controller.build(x_des, gains))
             u_ref, ferr_ref = control_step_loop(goal, ang, pos, x_des, gains)
             assert u.tobytes() == u_ref.tobytes()  # bitwise, signed zeros included
             assert ferr == ferr_ref
+
+    def test_within_tolerance_of_the_numpy_controller(self):
+        # the numpy controller's products and reductions round differently,
+        # by a few ulp at most; the commands and error norm agree to 1e-13
+        rng = np.random.default_rng(31)
+        for trial in range(500):
+            n = (2, 64)[trial % 2] if trial % 10 < 2 else int(rng.integers(2, 9))
+            ang, pos, x_des, gains, goal = random_case(rng, n)
+            ctrl = Controller.build(x_des, gains)
+            u, ferr = control_step(goal, ang, pos, ctrl)
+            u_ref, ferr_ref = control_step_numpy(goal, ang, pos, ctrl)
+            np.testing.assert_allclose(u, u_ref, rtol=1e-13, atol=1e-13)
+            assert ferr == pytest.approx(ferr_ref, rel=1e-13)
 
     def test_one_controller_reused_equals_per_follower_loop(self):
         # one trial's table serves every step of a closed loop, through
         # saturated and unsaturated followers and heading wraps
         rng = np.random.default_rng(29)
-        for n in (2, 5, 9):
+        for n in (2, 5, 9, 64):
             x_des = FormationState(_rot_many(rng.uniform(-np.pi, np.pi, n - 1)),
                                    rng.uniform(-3.0, 3.0, (n - 1, 2)))
             gains = ControlGains(speed_cap=0.8)
@@ -81,29 +106,61 @@ class TestControlStep:
             ang = rng.uniform(-np.pi, np.pi, n)
             pos = rng.uniform(-6.0, 6.0, (n, 2))
             goal = rng.uniform(-10.0, 10.0, 2)
-            for k in range(300):
-                u, ferr = control_step(goal, ang, pos, ctrl, (np.cos(ang), np.sin(ang)))
+            for k in range(300 if n < 64 else 30):
+                u, ferr = control_step(goal, ang, pos, ctrl)
                 u_ref, ferr_ref = control_step_loop(goal, ang, pos, x_des, gains)
                 assert u.tobytes() == u_ref.tobytes(), k
                 assert ferr == ferr_ref, k
                 exp_step_numpy(ang, pos, 0.05 * (u + rng.normal(0.0, 0.3, u.shape)))
 
-
     def test_zero_commands_in_formation_at_waypoint(self):
         x_des = line_formation(3)
         ang = np.zeros(3)
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        u, ferr = control_step(np.zeros(2), ang, pos, Controller.build(x_des, GAINS), (np.cos(ang), np.sin(ang)))
-        np.testing.assert_allclose(u, np.zeros((3, 3)), atol=1e-15)
-        assert ferr == pytest.approx(0.0)
+        u, ferr = control_step(np.zeros(2), ang, pos, Controller.build(x_des, GAINS))
+        assert u.shape == (3, 3) and np.all(u == 0.0) and ferr == 0.0
+        # away from the origin, followers turned to their slot headings
+        x_des = from_poses([Pose2(_rot_many(np.array(0.4)), np.array([0.5, 1.5])),
+                            Pose2(_rot_many(np.array(-2.0)), np.array([-1.25, 0.75]))])
+        ctrl = Controller.build(x_des, GAINS)
+        ang = np.array([0.0, *ctrl.slot_heading])
+        pos = np.array([3.0, -2.0]) + x_des.positions()
+        u, ferr = control_step(np.array([3.0, -2.0]), ang, pos, ctrl)
+        assert np.all(u == 0.0) and ferr == 0.0
+
+    def test_follower_exactly_at_the_cap_is_not_scaled(self):
+        # a pull of norm exactly the cap (0.375, 0.5 -> 0.625) passes as it is;
+        # one ulp more in x (error 0.375 + 2^-53) is scaled back by cap / speed
+        x_des = line_formation(2)
+        gains = ControlGains(formation=1.0, speed_cap=0.625)
+        ctrl = Controller.build(x_des, gains)
+        ang = np.zeros(2)
+        pos = np.array([[0.0, 0.0], [1.0 - 0.375, -0.5]])
+        u, ferr = control_step(np.zeros(2), ang, pos, ctrl)
+        assert u[1].tolist() == [0.0, 0.375, 0.5] and ferr == 0.625
+        pos[1, 0] = np.nextafter(pos[1, 0], -1.0)
+        u, ferr = control_step(np.zeros(2), ang, pos, ctrl)
+        assert u[1].tolist() == [0.0, 0.375, 0.5 - 2.0 ** -53] and ferr > 0.625
+        assert u.tobytes() == control_step_loop(np.zeros(2), ang, pos, x_des, gains)[0].tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_heading_errors_at_pi_wrap_to_plus_pi(self, sign):
+        # a heading error of +pi or -pi, the leader's and a follower's alike,
+        # commands the rate of +pi: the wrap is to (-pi, pi]
+        x_des = line_formation(2)
+        ctrl = Controller.build(x_des, GAINS)
+        pos = np.array([[0.0, 0.0], [1.0, 0.0]])
+        u, _ = control_step(np.zeros(2), np.array([0.0, sign * np.pi]), pos, ctrl)
+        assert u[1, 0] == GAINS.heading * np.pi
+        u, _ = control_step(np.zeros(2), np.array([sign * np.pi, 0.0]), pos, ctrl)
+        assert u[0, 0] == GAINS.heading * np.pi
 
     def test_leader_saturates_toward_waypoint(self):
         x_des = line_formation(2)
         ang = np.zeros(2)
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
         gains = ControlGains(waypoint=1.0, speed_cap=0.5)
-        u, _ = control_step(np.array([0.0, 1.0]), ang, pos, Controller.build(x_des, gains),
-                            (np.cos(ang), np.sin(ang)))
+        u, _ = control_step(np.array([0.0, 1.0]), ang, pos, Controller.build(x_des, gains))
         np.testing.assert_allclose(u[0], [0.0, 0.0, 0.5], atol=1e-15)
 
     def test_follower_chases_rotated_slot(self):
@@ -112,8 +169,7 @@ class TestControlStep:
         ang = np.array([np.pi / 2, 0.0])
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
         u, ferr = control_step(np.zeros(2), ang, pos,
-                               Controller.build(x_des, ControlGains(formation=1.0, speed_cap=10.0)),
-                               (np.cos(ang), np.sin(ang)))
+                               Controller.build(x_des, ControlGains(formation=1.0, speed_cap=10.0)))
         # slot is at (0,1); follower at (1,0) must move (-1, 1) in world = body frame here
         np.testing.assert_allclose(u[1, 1:], [-1.0, 1.0], atol=1e-12)
         assert ferr == pytest.approx(np.sqrt(2))
@@ -122,7 +178,7 @@ class TestControlStep:
         x_des = line_formation(2)
         ang = np.array([0.0, 0.3])
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
-        u, _ = control_step(np.zeros(2), ang, pos, Controller.build(x_des, GAINS), (np.cos(ang), np.sin(ang)))
+        u, _ = control_step(np.zeros(2), ang, pos, Controller.build(x_des, GAINS))
         assert u[1, 0] == pytest.approx(-GAINS.heading * 0.3)
 
 
@@ -145,7 +201,7 @@ class TestSimulateTruth:
         ctrl = Controller.build(x_des, GAINS)
         errs = []
         for _ in range(3000):
-            u, ferr = control_step(np.zeros(2), ang, pos, ctrl, (np.cos(ang), np.sin(ang)))
+            u, ferr = control_step(np.zeros(2), ang, pos, ctrl)
             errs.append(ferr)
             exp_step_numpy(ang, pos, dt * u)
         errs = np.asarray(errs)
@@ -198,6 +254,34 @@ class TestSimulateTruth:
                              np.random.default_rng(3))
         assert log.completed
 
+    def test_within_tolerance_of_the_numpy_controller_over_a_sim5_run(self, monkeypatch):
+        # a whole noisy sim5 line run (about 5,800 steps, every corner) driven by
+        # the float controller and by the numpy one: the goals handed to the
+        # controller, step by step, are the same (so every waypoint switch falls
+        # on the same step), and the poses agree within 1e-9 of their scale
+        sc = load_scenario("sim5")
+        radii = sc.team.camera_radii()
+        x_des = FormationState(np.tile(np.eye(2), (sc.team.n_robots - 1, 1, 1)),
+                               np.cumsum((radii[1:] + radii[:-1])[:, None]
+                                         * np.asarray(sc.formation.directions), axis=0))
+        waypoints = sim.leader_waypoints(x_des, sc.team, sc.sim)
+        logs, goals = [], []
+        for step in (control_step, control_step_numpy):
+            seen = []
+            monkeypatch.setattr(sim, "control_step",
+                                lambda goal, *a, step=step, seen=seen: seen.append(goal.tolist())
+                                or step(goal, *a))
+            logs.append(simulate_truth(sc.team, x_des, waypoints, sc.sim, np.random.default_rng(11)))
+            goals.append(seen)
+        got, want = logs
+        assert got.completed and want.completed and got.n_steps >= 2000
+        assert got.coverage_time == want.coverage_time and goals[0] == goals[1]
+        assert len(set(map(tuple, goals[0]))) == len(waypoints)
+        for name in ("ang", "pos", "u_cmd"):
+            a, b = getattr(got, name), getattr(want, name)
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9 * np.abs(b).max(), err_msg=name)
+        assert not np.array_equal(got.pos, want.pos)  # the two round differently
+
     @pytest.mark.parametrize("chunk", [3, 512])
     def test_chunked_noise_equals_per_step_draws(self, monkeypatch, chunk):
         # noise drawn chunk steps at a time equals one standard_normal((N, 3))
@@ -238,15 +322,14 @@ def simulate_truth_loop(team, x_des, waypoints, config, rng):
     angs, poss, cmds = [ang.copy()], [pos.copy()], []
     wp_idx, coverage_time, completed = 0, np.nan, False
     for k in range(int(np.ceil(config.max_sim_time / dt))):
-        trig = np.cos(ang), np.sin(ang)
-        u, ferr = control_step(waypoints[wp_idx], ang, pos, ctrl, trig)
+        u, ferr = control_step(waypoints[wp_idx], ang, pos, ctrl)
         if (np.linalg.norm(pos[0] - waypoints[wp_idx]) < config.waypoint_tolerance
                 and ferr < config.formation_gate):
             wp_idx += 1
             if wp_idx == len(waypoints):
                 coverage_time, completed = k * dt, True
                 break
-            u, ferr = control_step(waypoints[wp_idx], ang, pos, ctrl, trig)
+            u, ferr = control_step(waypoints[wp_idx], ang, pos, ctrl)
         exp_step_numpy(ang, pos, dt * (u + noise_std * rng.standard_normal(u.shape)))
         cmds.append(u)
         angs.append(ang.copy())
