@@ -22,9 +22,9 @@ holds every trial's record to the one in such a file under the golden-record
 rule: floats within 1e-9 relative (non-finite ones exactly), ints, bools,
 strings and None exactly. It reports on stderr the largest relative float
 drift of each run and of all, the diverged trials on each side and each
-field that breaks the rule, and exits 1 if any field breaks it. Both options run the same trials as
-the digest lines, so a tree whose trials move within rounding can be checked
-against the records of its parent.
+field that breaks the rule, and exits 1 if any field breaks it. Both options
+run the same trials as the digest lines, so a tree whose trials move within
+rounding can be checked against the records of its parent.
 
 Usage:
     python scripts/trial_digest.py [--quick] [--records PATH] [--compare PATH] > digest.txt

@@ -473,7 +473,6 @@ class TestEstScratch:
         costs.est_many(idx, *ranging.frames(*stacked([y])))
         assert H.tobytes() == want.tobytes() and Hs.tobytes() == want_s.tobytes()
 
-
     def test_one_idle_buffer_per_process(self):
         # three large teams designed one after another: after the last, the
         # buffers the first two used are freed, so what stays allocated is one
