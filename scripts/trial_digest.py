@@ -19,9 +19,10 @@ bridge7 trial and the variants at seed 1 only: a few seconds.
 ``--records PATH`` also writes every trial's ``as_record()`` to PATH, one
 JSON line per trial keyed by run name and trial index. ``--compare PATH``
 holds every trial's record to the one in such a file under the golden-record
-rule: floats within 1e-9 relative (non-finite ones exactly), ints, bools,
-strings and None exactly. It reports on stderr the largest relative float
-drift of each run and of all, the diverged trials on each side and each
+rule (``drifts``, Tier-1's rule for its golden records too): floats within
+1e-9 relative or 1e-12 absolute, non-finite ones (NaN matching NaN), ints,
+bools, strings and None exactly. It reports on stderr the largest relative
+float drift of each run and of all, the diverged trials on each side and each
 field that breaks the rule, and exits 1 if any field breaks it. Both options
 run the same trials as the digest lines, so a tree whose trials move within
 rounding can be checked against the records of its parent.
@@ -43,26 +44,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
+from covform.costs import line_formation
 from covform.covsim.sim import run_coverage_sim
 from covform.scenario import PRESETS, build_scenario
-from covform.se2 import FormationState
 from covform.team import RangeGraph
 
-
-def line_formation(sc) -> FormationState:
-    """The preset's closed-form straight line: neighbouring camera disks touch."""
-    radii = sc.team.camera_radii()
-    dirs = np.asarray(sc.formation.directions, dtype=np.float64)
-    r = np.cumsum((radii[1:] + radii[:-1])[:, None] * dirs, axis=0)
-    return FormationState(np.tile(np.eye(2), (len(r), 1, 1)), r)
-
-
-REL_TOL = 1e-9  # the golden-record rule's float tolerance
+# The golden-record rule's float bounds. The floor decides only below 1e-3: a
+# noiseless trial's errors are rounding residue (below 1e-14) that moves by
+# percents when a step's last bits move; no float of a noisy trial is below 6e-4.
+REL_TOL, ABS_FLOOR = 1e-9, 1e-12
 
 
 def hash_trial(h, sc, graph, config) -> dict:
     """Hash one trial into h and return its record."""
-    art = run_coverage_sim(sc.team, graph, line_formation(sc), config)
+    x = line_formation(sc.formation, sc.team.camera_radii())
+    art = run_coverage_sim(sc.team, graph, x, config)
     record = art.metrics.as_record()
     h.update(json.dumps(record, sort_keys=True).encode())
     arrays = [getattr(art, f.name) for f in fields(art) if f.name not in ("metrics", "truth")]
@@ -74,24 +70,27 @@ def hash_trial(h, sc, graph, config) -> dict:
 
 
 def drifts(got, want, where: str):
-    """(field, relative drift or None) of every leaf of two records; None
-    marks a leaf that breaks the rule outright (a type, length, non-float or
-    non-finite value that differs)."""
+    """(field, relative drift, breaks) of every leaf of two records: a finite
+    float breaks the golden-record rule when |got - want| > max(REL_TOL *
+    max(|got|, |want|), ABS_FLOOR), any other leaf, a length or a key when it
+    differs (NaN matching NaN), its drift None then."""
     if isinstance(want, float) and isinstance(got, float):
         if got == want or (math.isnan(got) and math.isnan(want)):
-            yield where, 0.0
+            yield where, 0.0, False
         elif math.isfinite(got) and math.isfinite(want):
-            yield where, abs(got - want) / max(abs(got), abs(want))
+            scale, diff = max(abs(got), abs(want)), abs(got - want)
+            yield where, diff / scale, diff > max(REL_TOL * scale, ABS_FLOOR)
         else:
-            yield where, None
+            yield where, None, True
     elif isinstance(want, (list, dict)) and type(got) is type(want) and len(got) == len(want):
         for k in (want if isinstance(want, dict) else range(len(want))):
             if isinstance(want, dict) and k not in got:
-                yield f"{where}.{k}", None
+                yield f"{where}.{k}", None, True
             else:
                 yield from drifts(got[k], want[k], f"{where}.{k}")
     else:
-        yield where, None if type(got) is not type(want) or got != want else 0.0
+        same = type(got) is type(want) and got == want
+        yield where, 0.0 if same else None, not same
 
 
 def read_records(path: Path) -> dict:
@@ -108,12 +107,12 @@ def compare(records: list[dict], want: dict, path: Path) -> int:
         if key not in want:
             missing += 1
             continue
-        for where, d in drifts(r["record"], want[key], f"{key[0]}[{key[1]}]"):
-            if d is None or d > REL_TOL:
+        for where, d, breaks in drifts(r["record"], want[key], f"{key[0]}[{key[1]}]"):
+            if breaks:
                 broken.append(where)
             if d is not None and d >= worst.get(key[0], (0.0,))[0]:
                 worst[key[0]] = (d, where)
-    diverged = [sum(rec["diverged"] for rec in recs)
+    diverged = [sum(rec.get("diverged", False) for rec in recs)
                 for recs in ([r["record"] for r in records], want.values())]
     log = lambda line: print(line, file=sys.stderr)
     log(f"compared {len(records) - missing} trials ({missing} not in {path})")

@@ -25,6 +25,7 @@ from typing import Literal
 
 import numpy as np
 
+# fisher is not called here: perfbench wraps it by module attribute, as costs.fisher
 from covform.ranging import _edge_index, _EdgeIndex, _scatter, fisher, fisher_many, frames
 from covform.se2 import FormationState
 from covform.team import CostWeights, FormationSpec, RangeGraph, SortedIds, TeamConfig
@@ -77,7 +78,7 @@ def est_many(idx: _EdgeIndex, C: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def j_est(x: FormationState, team: TeamConfig, graph: RangeGraph) -> float:
     """-ln det of the FIM, saturated (not raised) when the FIM is singular."""
-    return float(_neg_logdet(fisher(x, team, graph)[None])[0])
+    return float(est_many(_edge_index(team, graph), *frames(x.C[None], x.r[None]))[0])
 
 
 def _barrier(sq, A2: float, d2: float):
@@ -113,6 +114,14 @@ def j_col(x: FormationState, spec: FormationSpec) -> float:
     return float(col_many(_pairs(x.positions()[None])[1], spec)[0])
 
 
+def line_formation(spec: FormationSpec, radii: np.ndarray) -> FormationState:
+    """The formation at which adj is exactly zero when slot k holds robot k:
+    robot k + 1 sits radius_k + radius_(k+1) along direction k from robot k."""
+    step = (radii[1:] + radii[:-1])[:, None] * np.asarray(spec.directions, dtype=np.float64)
+    r = np.cumsum(step, axis=0)
+    return FormationState(np.tile(np.eye(2), (len(r), 1, 1)), r)
+
+
 @lru_cache(maxsize=256)
 def _slot_tables(spec: FormationSpec, sorted_ids: SortedIds):
     """Per-pair arrays in sorted-slot space, cached on the frozen configs."""
@@ -121,11 +130,9 @@ def _slot_tables(spec: FormationSpec, sorted_ids: SortedIds):
         raise ValueError(
             f"spec has {len(spec.directions)} directions for {n} robots (need {n - 1})")
     radii = np.asarray(sorted_ids.sorted_radii)
-    dirs = np.asarray(spec.directions, dtype=np.float64)
 
     # prefix sums: desired offset slot a -> slot b is a difference of these
-    step = (radii[1:] + radii[:-1])[:, None] * dirs          # (N-1, 2)
-    offset_prefix = np.vstack([np.zeros((1, 2)), np.cumsum(step, axis=0)])
+    offset_prefix = line_formation(spec, radii).positions()  # (N, 2)
     radius_prefix = np.concatenate([[0.0], np.cumsum(radii)])
 
     a, b = _pair_indices(n)                                  # 0-based slot pairs

@@ -17,8 +17,8 @@ builds each row as these two 3-column blocks, one per endpoint robot,
 batched over rows and stacked formations, each tag placed once. The design
 scatters the blocks that are not on robot 1 (robot 1 is the reference, not a
 state there) into (B, E, 3(N-1)) Jacobians and takes all FIMs in one
-product; the cost's est term scatters into a zero-filled buffer the edge
-index owns and reuses, rewriting only the block entries. The EKF
+product; the cost's est term scatters into one zero-filled buffer per
+process (``costs._EST_SCRATCH``), rewriting only the block entries. The EKF
 builds the same rows one at a time from Python floats (``covsim.ekf._edge_row``
 and ``_landmark_row``), each folded in over its columns alone; its tests
 hold those rows, landmark rows included, equal bit for bit to

@@ -7,13 +7,17 @@ collision barrier, the scalar composition of the objective, a plain cost
 function in the shape of an objective, a plain multistart over
 ``optimizer.minimize``, the re-solving assignment oracle, the landmark-init
 oracle composed of per-gate buffer measures and the EKF's rows-then-fold
-update."""
+update, a preset's closed-form line and the loader of a script under
+scripts/ as a module."""
 
 from __future__ import annotations
 
+import copy
+import importlib.util
 import math
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -22,6 +26,7 @@ from covform import costs, se2
 from covform.covsim import ekf
 from covform.optimizer import OptimizationTrace, OptimizerConfig, minimize, random_formation
 from covform.ranging import DEGENERATE_RANGE, _EdgeIndex
+from covform.scenario import PRESETS, build_scenario
 
 
 def from_angle(phi: float, r=(0.0, 0.0)) -> se2.Pose2:
@@ -429,3 +434,19 @@ def fold_gps_fix(state: ekf.EkfState, measured: np.ndarray, sigma: float) -> Non
     nu = [float(measured[0]) - x, float(measured[1]) - y]
     cols = np.array([1, 2])
     fold_rows(state, (cols, cols), np.array([[c, -s], [s, c]]), nu, (sigma, sigma), None)
+
+
+def preset_line(preset: str):
+    """A preset's scenario and its closed-form straight line, in which
+    neighbouring camera disks touch (``costs.line_formation``)."""
+    sc = build_scenario(copy.deepcopy(PRESETS[preset]), name=preset)
+    return sc, costs.line_formation(sc.formation, sc.team.camera_radii())
+
+
+def load_script(name: str):
+    """The script scripts/<name>.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

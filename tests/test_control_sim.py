@@ -7,10 +7,9 @@ import pytest
 from covform.covsim import SimConfig, run_coverage_sim, sim, simulate_truth
 from covform.covsim.config import ControlGains
 from covform.covsim.control import Controller, control_step
-from covform.scenario import load_scenario
 from covform.se2 import FormationState, Pose2, _rot_many
 from covform.team import RangeGraph, TeamConfig, default_full_graph
-from helpers import control_step_numpy, exp_step_numpy, from_poses
+from helpers import control_step_numpy, exp_step_numpy, from_poses, preset_line
 
 
 def line_formation(n, gap=1.0):
@@ -259,11 +258,7 @@ class TestSimulateTruth:
         # the float controller and by the numpy one: the goals handed to the
         # controller, step by step, are the same (so every waypoint switch falls
         # on the same step), and the poses agree within 1e-9 of their scale
-        sc = load_scenario("sim5")
-        radii = sc.team.camera_radii()
-        x_des = FormationState(np.tile(np.eye(2), (sc.team.n_robots - 1, 1, 1)),
-                               np.cumsum((radii[1:] + radii[:-1])[:, None]
-                                         * np.asarray(sc.formation.directions), axis=0))
+        sc, x_des = preset_line("sim5")
         waypoints = sim.leader_waypoints(x_des, sc.team, sc.sim)
         logs, goals = [], []
         for step in (control_step, control_step_numpy):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from covform import costs, ranging, se2
 from covform.assignment import sort_robot_ids
-from covform.optimizer import gradient_fd, random_formation
+from covform.optimizer import OptimizerConfig, gradient_fd, random_formation
 from covform.scenario import load_scenario
 from covform.team import CostWeights, FormationSpec, RangeGraph, SortedIds, TeamConfig, default_full_graph
 from helpers import (fisher_loop, from_angle, from_poses, j_col_pair, jacobian_gather, scalar_cost,
@@ -85,6 +85,19 @@ class TestEst:
         team = TeamConfig.uniform(4)
         x = state_with_positions([(1.0, 0.2), (2.1, -0.3), (0.4, 1.4)], angles=[1.0, -2.0, 0.5])
         assert costs.j_est(x, team, default_full_graph(team)) < costs.SATURATION
+
+    @pytest.mark.parametrize("preset", ["sim5", "exp3plus2", "bridge7", None])
+    def test_is_the_one_row_est_many(self, preset):
+        # the bits of -ln det of ranging.fisher on random states of each preset
+        # and (None) of a 24-robot team on its full graph
+        sc = load_scenario(preset) if preset else None
+        team = sc.team if sc else TeamConfig.uniform(24)
+        graph = sc.graph if sc else default_full_graph(team)
+        rng = np.random.default_rng(48)
+        for _ in range(8):
+            x = random_formation(team.n_robots, rng, OptimizerConfig(init_box=12.0))
+            want = costs._neg_logdet(ranging.fisher(x, team, graph)[None])[0]
+            assert np.float64(costs.j_est(x, team, graph)).tobytes() == want.tobytes()
 
 
 def desired_offset(spec, sorted_ids, n, m):
@@ -401,9 +414,10 @@ def stacked(xs):
 
 
 class TestEstScratch:
-    """``est_many`` writes each stack's weighted Jacobians into one buffer its
-    edge index owns, zero-filled when made, and rewrites only the block
-    entries; every value stays that of a fresh Jacobian (the gather oracle)."""
+    """``est_many`` writes each stack's weighted Jacobians into one buffer per
+    process (``costs._EST_SCRATCH``), zero-filled when made for a new edge index
+    or a taller stack, and rewrites only the block entries; every value stays
+    that of a fresh Jacobian (the gather oracle)."""
 
     @staticmethod
     def oracle(idx, C, r):

@@ -37,11 +37,11 @@ from helpers import (
     exp_step_numpy,
     fold_gps_fix,
     landmark_init_oracle,
+    preset_line,
     range_rows_gather,
     update_ranges_rows_then_fold,
     world_tags,
 )
-from test_montecarlo import preset_line
 from test_ranging import dense_range_rows
 
 VEL_COV = np.diag([0.01 ** 2, 0.1 ** 2, 0.1 ** 2])

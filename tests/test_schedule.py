@@ -1,4 +1,3 @@
-import copy
 import tracemalloc
 from dataclasses import replace
 
@@ -14,9 +13,9 @@ from covform.covsim.sim import (
     simulate_truth,
 )
 from covform.ranging import _edge_index
-from covform.scenario import PRESETS, build_scenario
 from covform.se2 import FormationState, _rot_many
 from covform.team import RangeGraph, TeamConfig
+from helpers import preset_line
 
 
 def schedule_loop(idx, truth, config, meas_rng):
@@ -68,14 +67,6 @@ def schedule_loop(idx, truth, config, meas_rng):
     return (np.array(steps, dtype=np.intp), np.array(picked, dtype=np.intp),
             np.array(zs), np.array(gps_steps, dtype=np.intp),
             np.array(gps_zs).reshape(-1, 2))
-
-
-def preset_line(preset):
-    sc = build_scenario(copy.deepcopy(PRESETS[preset]), name=preset)
-    radii = sc.team.camera_radii()
-    dirs = np.asarray(sc.formation.directions, dtype=np.float64)
-    r = np.cumsum((radii[1:] + radii[:-1])[:, None] * dirs, axis=0)
-    return sc, FormationState(np.tile(np.eye(2), (len(r), 1, 1)), r)
 
 
 def truth_and_streams(team, x, config):

@@ -1,7 +1,6 @@
 """Smoke test: every script under scripts/ imports what it needs from src,
 prints its usage, and reports bad input as a config error, not a traceback."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from covform.scenario import PRESETS
+from helpers import load_script
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,34 +65,19 @@ def test_quick_trial_digest_equals_its_pin(tmp_path):
     assert digest.compare(rows, digest.read_records(records), records) == 0
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_trial_digest_compare_holds_records_to_the_golden_record_rule(capsys):
-    # floats within 1e-9 relative, non-finite ones and everything else exactly
+def test_trial_digest_compare_reports_drift_divergence_and_missing_trials(capsys):
+    # the report of --compare; TestGoldenTrialRecords tests its verdicts
     digest = load_script("trial_digest")
-    base = {"coverage_time": float("nan"), "interrobot_pos_rmse": 0.25, "completed": True,
-            "landmark_errors": [0.5, float("inf")], "n_rejected_ranges": 3, "diverged": False}
+    base = {"interrobot_pos_rmse": 0.25, "diverged": False}
     want = {("run", 0): base, ("run", 1): {**base, "diverged": True}}
 
     def check(got, trial=0):
         return digest.compare([{"run": "run", "trial": trial, "record": got}], want, Path("parent"))
 
-    assert check(dict(base)) == 0
     assert check({**base, "interrobot_pos_rmse": 0.25 * (1 + 4e-10)}) == 0
     out = capsys.readouterr().err
     assert "largest relative drift: 4e-10 (run[0].interrobot_pos_rmse)" in out
     assert "diverged: 0 here, 1 in parent" in out and "breaks the rule" not in out
-    for field, value in [("interrobot_pos_rmse", 0.25 * (1 + 3e-9)), ("completed", False),
-                         ("n_rejected_ranges", 4), ("n_rejected_ranges", 3.0),
-                         ("coverage_time", 1.0), ("landmark_errors", [0.5, 1e300]),
-                         ("landmark_errors", [0.5])]:
-        assert check({**base, field: value}) == 1, field
-        assert f"breaks the rule: run[0].{field}" in capsys.readouterr().err
     assert check(dict(base), trial=2) == 1  # a trial the file does not hold
 
 

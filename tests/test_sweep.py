@@ -13,7 +13,7 @@ import pytest
 from covform.covsim import sim, trial_seeds
 from covform.covsim.ekf import EkfState
 from covform.team import RangeGraph
-from test_montecarlo import preset_line
+from helpers import preset_line
 
 # the exp3plus2 trial that diverged before the landmark-init residual gate
 GATE_SEED = 989652364
